@@ -211,6 +211,11 @@ paperSpec(const BenchOptions &opts)
     spec.network.partitions = opts.partitions;
     spec.warmup = opts.warmup;
     spec.measure = opts.measure;
+    // Some benches build a TwoLevelWorkload from the block directly, so
+    // bad tasks/task_duration/sources values must stop here.
+    const auto problems = spec.validate();
+    if (!problems.empty())
+        DVSNET_FATAL(joinProblems("invalid bench options", problems));
     return spec;
 }
 

@@ -1,7 +1,6 @@
 #include "network/sweep.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/fatal.hpp"
 #include "exp/runner.hpp"
@@ -50,43 +49,14 @@ std::vector<std::string>
 ExperimentSpec::validate() const
 {
     std::vector<std::string> problems = network.validate();
-    auto complain = [&problems](auto &&...parts) {
-        problems.push_back(detail::concat(parts...));
-    };
-
-    if (!(workload.avgConcurrentTasks > 0)) {
-        complain("workload.avgConcurrentTasks must be positive (got ",
-                 workload.avgConcurrentTasks, ")");
-    }
-    if (!(workload.meanTaskDurationCycles > 0)) {
-        complain("workload.meanTaskDurationCycles must be positive (got ",
-                 workload.meanTaskDurationCycles, ")");
-    }
-    if (workload.sourcesPerTask < 1) {
-        complain("workload.sourcesPerTask must be >= 1 (got ",
-                 workload.sourcesPerTask, ")");
-    }
-    if (workload.durationSpread < 0 || workload.durationSpread >= 1) {
-        complain("workload.durationSpread must be in [0, 1) (got ",
-                 workload.durationSpread, ")");
-    }
-    if (workload.rateSpread < 0 || workload.rateSpread >= 1) {
-        complain("workload.rateSpread must be in [0, 1) (got ",
-                 workload.rateSpread, ")");
-    }
-    if (workload.pLocal < 0 || workload.pLocal > 1 ||
-        std::isnan(workload.pLocal)) {
-        complain("workload.pLocal must be in [0, 1] (got ",
-                 workload.pLocal, ")");
-    }
-    if (workload.localityRadius < 1) {
-        complain("workload.localityRadius must be >= 1 hop (got ",
-                 workload.localityRadius, ")");
-    }
     if (measure < 1)
-        complain("measurement window must be >= 1 cycle");
-    for (auto &problem : workload::validateWorkloadSpec(workloadSpec))
+        problems.push_back("measurement window must be >= 1 cycle");
+    // Covers the two-level block too, with a `two-level` spec string's
+    // keys applied over it.
+    for (auto &problem :
+         workload::validateWorkloadSpec(workloadSpec, workload)) {
         problems.push_back(std::move(problem));
+    }
     return problems;
 }
 

@@ -17,7 +17,6 @@ OnOffSourceBank::OnOffSourceBank(sim::Kernel &kernel,
       params_(params),
       rng_(rng),
       emit_(std::move(emit)),
-      epoch_(static_cast<std::size_t>(numSources), 0),
       onUntil_(static_cast<std::size_t>(numSources), 0)
 {
     DVSNET_ASSERT(numSources > 0, "need at least one source");
@@ -56,17 +55,18 @@ OnOffSourceBank::toggle(std::int32_t source, bool nowOn)
     if (stopped_)
         return;
     const auto idx = static_cast<std::size_t>(source);
-    ++epoch_[idx];
 
     if (nowOn) {
         const double lenCycles = rng_.pareto(onLocation_, params_.onShape);
         const Tick len = cyclesToGap(lenCycles);
         onUntil_[idx] = kernel_.now() + len;
 
-        // First emission of this ON period.
-        const std::uint32_t ep = epoch_[idx];
-        kernel_.after(cyclesToGap(rng_.exponential(1.0 / onRate_)),
-                      [this, source, ep] { emitLoop(source, ep); });
+        // First emission of this ON period.  It is queued before the
+        // toggle-off, so one landing exactly on onUntil still fires; a
+        // later one would find the source OFF and is never queued.
+        const Tick gap = cyclesToGap(rng_.exponential(1.0 / onRate_));
+        if (gap <= len)
+            kernel_.after(gap, [this, source] { emitLoop(source); });
         kernel_.after(len, [this, source] { toggle(source, false); });
     } else {
         const double lenCycles =
@@ -77,18 +77,23 @@ OnOffSourceBank::toggle(std::int32_t source, bool nowOn)
 }
 
 void
-OnOffSourceBank::emitLoop(std::int32_t source, std::uint32_t onEpoch)
+OnOffSourceBank::emitLoop(std::int32_t source)
 {
     if (stopped_)
         return;
     const auto idx = static_cast<std::size_t>(source);
-    if (epoch_[idx] != onEpoch || kernel_.now() > onUntil_[idx])
-        return;
+    DVSNET_ASSERT(kernel_.now() <= onUntil_[idx],
+                  "emission queued past its ON period: source=", source,
+                  " now=", kernel_.now(), " onUntil=", onUntil_[idx]);
 
     emit_();
     ++emitted_;
-    kernel_.after(cyclesToGap(rng_.exponential(1.0 / onRate_)),
-                  [this, source, onEpoch] { emitLoop(source, onEpoch); });
+    // Queued after the toggle-off, which fires first on a tie: only an
+    // emission strictly inside the ON period is queued.
+    const Tick next =
+        kernel_.now() + cyclesToGap(rng_.exponential(1.0 / onRate_));
+    if (next < onUntil_[idx])
+        kernel_.at(next, [this, source] { emitLoop(source); });
 }
 
 } // namespace dvsnet::traffic

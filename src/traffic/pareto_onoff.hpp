@@ -48,6 +48,11 @@ struct OnOffParams
  * expectation: each source's ON-state Poisson rate is
  * aggregateRate / (numSources * dutyCycle).
  *
+ * Only emissions that will fire are queued: one that would land after
+ * its ON period ends is drawn (so the shared RNG stream advances exactly
+ * as if it were queued) but never scheduled.  Every pending emission
+ * therefore fires inside its own ON period.
+ *
  * The bank can be stopped (task completion in the two-level model); any
  * in-flight events then expire silently.
  */
@@ -85,7 +90,7 @@ class OnOffSourceBank
 
   private:
     void toggle(std::int32_t source, bool nowOn);
-    void emitLoop(std::int32_t source, std::uint32_t onEpoch);
+    void emitLoop(std::int32_t source);
     Tick cyclesToGap(double cycles) const;
 
     sim::Kernel &kernel_;
@@ -99,12 +104,8 @@ class OnOffSourceBank
     bool stopped_ = false;
     std::uint64_t emitted_ = 0;
 
-    /** Per-source ON epoch: bumped on every toggle so stale emission
-     *  events from a previous ON period self-cancel.  32 bits so a
-     *  (source, epoch) pair fits one word of an InlineFn capture; a
-     *  source would need 4 billion toggles to wrap. */
-    std::vector<std::uint32_t> epoch_;
-    std::vector<Tick> onUntil_;  ///< end tick of the current ON period
+    /** End tick of each source's current (or last) ON period. */
+    std::vector<Tick> onUntil_;
 };
 
 } // namespace dvsnet::traffic

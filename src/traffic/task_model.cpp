@@ -1,28 +1,81 @@
 #include "traffic/task_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/fatal.hpp"
 
 namespace dvsnet::traffic
 {
 
+std::vector<std::string>
+TwoLevelParams::validate() const
+{
+    std::vector<std::string> problems;
+    auto complain = [&problems](auto &&...parts) {
+        problems.push_back(detail::concat(parts...));
+    };
+    // Every comparison is written so that NaN fails it.
+    const bool tasksOk = avgConcurrentTasks >= 1 &&
+                         avgConcurrentTasks <= kMaxConcurrentTasks;
+    if (!tasksOk) {
+        complain("avgConcurrentTasks (key 'tasks') must be in [1, ",
+                 kMaxConcurrentTasks, "] (got ", avgConcurrentTasks, ")");
+    }
+    if (!(meanTaskDurationCycles > 0 &&
+          meanTaskDurationCycles <= kMaxTaskDurationCycles)) {
+        complain("meanTaskDurationCycles (bench key 'task_duration') must "
+                 "be in (0, ", kMaxTaskDurationCycles, "] cycles (got ",
+                 meanTaskDurationCycles, ")");
+    } else if (tasksOk && meanTaskDurationCycles < avgConcurrentTasks) {
+        complain("mean session gap meanTaskDurationCycles / "
+                 "avgConcurrentTasks must be >= 1 cycle (got ",
+                 meanTaskDurationCycles, " / ", avgConcurrentTasks, ")");
+    }
+    if (!(networkInjectionRate > 0 && std::isfinite(networkInjectionRate))) {
+        complain("networkInjectionRate must be positive and finite (got ",
+                 networkInjectionRate, ")");
+    }
+    if (!(durationSpread >= 0 && durationSpread < 1)) {
+        complain("durationSpread must be in [0, 1) (got ", durationSpread,
+                 ")");
+    }
+    if (!(rateSpread >= 0 && rateSpread < 1))
+        complain("rateSpread must be in [0, 1) (got ", rateSpread, ")");
+    if (sourcesPerTask < 1 || sourcesPerTask > kMaxSourcesPerTask) {
+        complain("sourcesPerTask (bench key 'sources') must be in [1, ",
+                 kMaxSourcesPerTask, "] (got ", sourcesPerTask, ")");
+    }
+    if (!(onOff.meanOnCycles > 0 && std::isfinite(onOff.meanOnCycles)) ||
+        !(onOff.meanOffCycles > 0 && std::isfinite(onOff.meanOffCycles))) {
+        complain("onOff mean ON/OFF periods must be positive and finite "
+                 "(got ", onOff.meanOnCycles, " / ", onOff.meanOffCycles,
+                 ")");
+    }
+    if (!(onOff.onShape > 1 && std::isfinite(onOff.onShape)) ||
+        !(onOff.offShape > 1 && std::isfinite(onOff.offShape))) {
+        complain("onOff Pareto shapes must be finite and > 1 (got ",
+                 onOff.onShape, " / ", onOff.offShape, ")");
+    }
+    if (localityRadius < 1) {
+        complain("localityRadius (key 'locality_radius') must be >= 1 hop "
+                 "(got ", localityRadius, ")");
+    }
+    if (!(pLocal >= 0 && pLocal <= 1))
+        complain("pLocal (key 'p_local') must be in [0, 1] (got ", pLocal,
+                 ")");
+    return problems;
+}
+
 TwoLevelWorkload::TwoLevelWorkload(const topo::KAryNCube &topo,
                                    const TwoLevelParams &params)
     : topo_(topo), params_(params), rng_(params.seed)
 {
-    DVSNET_ASSERT(params.avgConcurrentTasks > 0,
-                  "need a positive task concurrency");
-    DVSNET_ASSERT(params.meanTaskDurationCycles > 0,
-                  "need a positive task duration");
-    DVSNET_ASSERT(params.networkInjectionRate > 0,
-                  "need a positive injection rate");
-    DVSNET_ASSERT(params.durationSpread >= 0 && params.durationSpread < 1,
-                  "duration spread must be in [0, 1)");
-    DVSNET_ASSERT(params.rateSpread >= 0 && params.rateSpread < 1,
-                  "rate spread must be in [0, 1)");
-    DVSNET_ASSERT(params.pLocal >= 0 && params.pLocal <= 1,
-                  "pLocal must be a probability");
+    const auto problems = params.validate();
+    if (!problems.empty()) {
+        throw ConfigError(
+            joinProblems("invalid two-level workload", problems));
+    }
 
     spheres_.resize(static_cast<std::size_t>(topo.numNodes()));
     for (NodeId n = 0; n < topo.numNodes(); ++n) {

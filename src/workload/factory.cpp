@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 
 #include "common/fatal.hpp"
 #include "traffic/pattern_traffic.hpp"
@@ -67,23 +68,37 @@ joinList(const std::vector<std::string> &items)
     return out;
 }
 
+/** `base` with a two-level spec's keys applied.  @throws ConfigError on
+ *  a malformed value; range checks are TwoLevelParams::validate()'s. */
+traffic::TwoLevelParams
+applyTwoLevelKeys(const WorkloadSpec &spec, traffic::TwoLevelParams base)
+{
+    if (const auto *v = spec.find("tasks"))
+        base.avgConcurrentTasks = parseDouble("tasks", *v);
+    if (const auto *v = spec.find("locality_radius")) {
+        const std::int64_t radius = parseInt("locality_radius", *v);
+        // Clamp before narrowing so huge values stay huge (and valid)
+        // and negative ones stay invalid.
+        base.localityRadius = static_cast<std::int32_t>(
+            std::clamp<std::int64_t>(
+                radius, -1, std::numeric_limits<std::int32_t>::max()));
+    }
+    if (const auto *v = spec.find("p_local"))
+        base.pLocal = parseDouble("p_local", *v);
+    if (const auto *v = spec.find("per_packet_dest"))
+        base.perPacketDestination = parseBool("per_packet_dest", *v);
+    return base;
+}
+
 std::unique_ptr<traffic::TrafficGenerator>
 buildTwoLevel(const WorkloadSpec &spec, const WorkloadContext &ctx)
 {
     traffic::TwoLevelParams p = ctx.twoLevel;
     p.networkInjectionRate = ctx.injectionRate;
     p.seed = ctx.seed;
-    if (const auto *v = spec.find("tasks"))
-        p.avgConcurrentTasks = parseDouble("tasks", *v);
-    if (const auto *v = spec.find("locality_radius")) {
-        p.localityRadius =
-            static_cast<std::int32_t>(parseInt("locality_radius", *v));
-    }
-    if (const auto *v = spec.find("p_local"))
-        p.pLocal = parseDouble("p_local", *v);
-    if (const auto *v = spec.find("per_packet_dest"))
-        p.perPacketDestination = parseBool("per_packet_dest", *v);
-    return std::make_unique<traffic::TwoLevelWorkload>(ctx.topo, p);
+    // The constructor runs TwoLevelParams::validate() on the result.
+    return std::make_unique<traffic::TwoLevelWorkload>(
+        ctx.topo, applyTwoLevelKeys(spec, p));
 }
 
 std::unique_ptr<traffic::TrafficGenerator>
@@ -143,7 +158,9 @@ void
 registerBuiltins(WorkloadFactory &factory)
 {
     factory.add("two-level",
-                "the paper's two-level self-similar model (Section 4.3)",
+                "the paper's two-level self-similar model (Section 4.3); "
+                "tasks in [1, 10000] with duration/tasks >= 1 cycle, "
+                "locality_radius >= 1, p_local in [0, 1]",
                 {"tasks", "locality_radius", "p_local", "per_packet_dest"},
                 buildTwoLevel);
 
@@ -351,11 +368,17 @@ WorkloadFactory::build(const WorkloadSpec &spec,
 }
 
 std::vector<std::string>
-validateWorkloadSpec(const std::string &text)
+validateWorkloadSpec(const std::string &text,
+                     const traffic::TwoLevelParams &twoLevel)
 {
     try {
         const WorkloadSpec spec = WorkloadSpec::parse(text);
-        return WorkloadFactory::instance().validate(spec);
+        auto problems = WorkloadFactory::instance().validate(spec);
+        if (!problems.empty())
+            return problems;
+        if (spec.name == "two-level")
+            return applyTwoLevelKeys(spec, twoLevel).validate();
+        return twoLevel.validate();
     } catch (const ConfigError &e) {
         return {e.what()};
     }

@@ -125,8 +125,16 @@ class WorkloadFactory
     std::vector<Entry> entries_;
 };
 
-/** Parse + validate a raw spec string; empty = valid. */
-std::vector<std::string> validateWorkloadSpec(const std::string &text);
+/**
+ * Parse + validate a raw spec string; empty = valid.  Also checks, with
+ * TwoLevelParams::validate(), the two-level block an experiment carries
+ * as the spec leaves it: a `two-level` spec's keys are applied to
+ * `twoLevel` first.  The block is checked whatever the spec names,
+ * since the experiment carries it for every workload.
+ */
+std::vector<std::string>
+validateWorkloadSpec(const std::string &text,
+                     const traffic::TwoLevelParams &twoLevel = {});
 
 /** Parse, validate and build in one step.  @throws ConfigError */
 std::unique_ptr<traffic::TrafficGenerator>

@@ -1,8 +1,9 @@
 /**
  * @file
- * Golden-master regression test: one fixed-seed 4x4-mesh run with the
- * history-DVS policy (plus a matched no-DVS reference point) pinned to
- * exact RunResults values.
+ * Golden-master regression test: fixed-seed runs pinned to exact
+ * RunResults values — a 4x4-mesh history-DVS run (plus a matched no-DVS
+ * reference point, a toggle-backend variant and an adaptive
+ * near-saturation point), and the paper's own 8x8 configuration.
  *
  * The simulator is seed-deterministic by design — same spec + seed must
  * reproduce bit-identical packet counts and (up to shortest-double
@@ -12,7 +13,7 @@
  * the pinned numbers; intentional changes must update the pins (and say
  * so in the commit).
  *
- * Every pinned point runs at partitions 1, 2 and 4 against the same
+ * Every pinned 4x4 point runs at partitions 1, 2 and 4 against the same
  * pins: the partitioned stepper replays the serial execution order
  * exactly (DESIGN.md "Partitioned stepping"), so a single set of
  * frozen numbers locks down both the serial and the parallel engines.
@@ -99,6 +100,31 @@ forEachPartitionCount(ExperimentSpec spec, double rate, AssertFn &&verify)
         spec.network.partitions = partitions;
         verify(dvsnet::exp::runPoint(spec, rate, kGoldenSeed));
     }
+}
+
+/**
+ * The paper's own configuration (Sections 4.2-4.3) over a short window:
+ * the default 8x8 mesh under history DVS, driven by 100 two-level tasks
+ * of 128 Pareto ON/OFF sources each.  Serial engine only.  These pins
+ * predate the ON/OFF generator's skip rule (an emission that cannot
+ * fire is drawn but never queued), so they also show the rule leaves
+ * results unchanged at the scale where such emissions were a quarter of
+ * all kernel events.  Its boundary ties are too rare here to pin; the
+ * lockstep suite in test_onoff.cpp covers them.
+ */
+ExperimentSpec
+paperSpec8x8()
+{
+    ExperimentSpec spec;
+    spec.network.radix = 8;
+    spec.network.policy = PolicyKind::History;
+    spec.workload.avgConcurrentTasks = 100.0;
+    spec.workload.sourcesPerTask = 128;
+    spec.workload.meanTaskDurationCycles = 1e6;
+    spec.workload.seed = kGoldenSeed;
+    spec.warmup = 8000;
+    spec.measure = 12000;
+    return spec;
 }
 
 } // namespace
@@ -228,6 +254,37 @@ TEST(GoldenRun, AdaptiveDynamicThresholdNearSaturationPinnedResults)
             EXPECT_GT(r.invariantChecks, 0u);
             EXPECT_EQ(r.invariantFailures, 0u);
         });
+}
+
+TEST(GoldenRun, PaperTwoLevelHistoryDvs8x8MeshPinnedResults)
+{
+    const RunResults r =
+        dvsnet::exp::runPoint(paperSpec8x8(), 1.0, kGoldenSeed);
+    EXPECT_EQ(r.measuredCycles, 12000u);
+    EXPECT_EQ(r.packetsCreated, 15286u);
+    EXPECT_EQ(r.packetsDelivered, 15215u);
+    EXPECT_EQ(r.flitsEjected, 76476u);
+
+    expectNearRel(r.offeredLoadPktsPerCycle, 1.2738333333333334,
+                  "offered load");
+    expectNearRel(r.throughputPktsPerCycle, 1.2743333333333333,
+                  "throughput pkts");
+    expectNearRel(r.throughputFlitsPerCycle, 6.3730000000000002,
+                  "throughput flits");
+    expectNearRel(r.avgLatencyCycles, 80.294957016102543, "avg latency");
+    expectNearRel(r.maxLatencyCycles, 530.02999999999997, "max latency");
+    expectNearRel(r.avgPowerW, 217.94786786303231, "avg power");
+    expectNearRel(r.normalizedPower, 0.60811347059997845,
+                  "normalized power");
+    expectNearRel(r.savingsFactor, 1.6444299433350447, "savings factor");
+    expectNearRel(r.transitionEnergyJ, 0.00013401615766245559,
+                  "transition energy");
+    expectNearRel(r.totalEnergyJ, 0.0026153744143563883, "total energy");
+    expectNearRel(r.avgChannelLevel, 1.9464285714285714,
+                  "avg channel level");
+
+    EXPECT_EQ(r.invariantChecks, 1785u);
+    EXPECT_EQ(r.invariantFailures, 0u);
 }
 
 TEST(GoldenRun, NamedInvariantsAllExercised)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/fatal.hpp"
 #include "network/sweep.hpp"
@@ -36,6 +37,26 @@ anyContains(const std::vector<std::string> &problems,
                            return p.find(needle) != std::string::npos;
                        });
 }
+
+/** Two-level spec strings outside TwoLevelParams::validate()'s bounds,
+ *  with the field each problem must name. */
+const struct
+{
+    const char *spec;
+    const char *field;
+} kBadTwoLevelSpecs[] = {
+    {"two-level:tasks=0", "avgConcurrentTasks"},
+    {"two-level:tasks=nan", "avgConcurrentTasks"},
+    {"two-level:tasks=1e300", "avgConcurrentTasks"},
+    {"two-level:tasks=1e-300", "avgConcurrentTasks"},
+    {"two-level:p_local=2", "pLocal"},
+    {"two-level:locality_radius=0", "localityRadius"},
+};
+
+/** Mean task durations (the benches' task_duration key) out of bounds:
+ *  too long for the tick range, or a session gap under one cycle. */
+const double kBadTaskDurations[] = {
+    1e300, std::numeric_limits<double>::infinity(), 1e-300};
 
 } // namespace
 
@@ -137,6 +158,27 @@ TEST(WorkloadFactory, BuildRejectsBadValuesAndMissingPath)
     EXPECT_THROW(buildWorkload("cmp:window=abc", ctx), ConfigError);
     EXPECT_THROW(buildWorkload("cmp:window=0", ctx), ConfigError);
     EXPECT_THROW(buildWorkload("trace", ctx), ConfigError);
+
+    for (const auto &bad : kBadTwoLevelSpecs)
+        EXPECT_THROW(buildWorkload(bad.spec, ctx), ConfigError) << bad.spec;
+    for (const double duration : kBadTaskDurations) {
+        WorkloadContext bad = ctx;
+        bad.twoLevel.meanTaskDurationCycles = duration;
+        EXPECT_THROW(buildWorkload("two-level", bad), ConfigError)
+            << duration;
+    }
+
+    // Figs. 10-11's 100 and 50 tasks and the quick benches' 12, at task
+    // durations from 1k to 1M cycles, still build.
+    for (const int tasks : {12, 50, 100}) {
+        for (const double duration : {1e3, 1e4, 1e5, 1e6}) {
+            WorkloadContext ok = ctx;
+            ok.twoLevel.meanTaskDurationCycles = duration;
+            EXPECT_NO_THROW(buildWorkload(
+                "two-level:tasks=" + std::to_string(tasks), ok))
+                << tasks << " tasks, duration " << duration;
+        }
+    }
 }
 
 TEST(WorkloadFactory, ExperimentSpecValidatesWorkloadSpec)
@@ -152,4 +194,23 @@ TEST(WorkloadFactory, ExperimentSpecValidatesWorkloadSpec)
 
     spec.workloadSpec = "cmp:window=4";
     EXPECT_TRUE(spec.validate().empty());
+
+    for (const auto &bad : kBadTwoLevelSpecs) {
+        spec.workloadSpec = bad.spec;
+        EXPECT_TRUE(anyContains(spec.validate(), bad.field)) << bad.spec;
+    }
+    spec.workloadSpec = "two-level";
+    for (const double duration : kBadTaskDurations) {
+        spec.workload.meanTaskDurationCycles = duration;
+        EXPECT_TRUE(anyContains(spec.validate(), "meanTaskDurationCycles"))
+            << duration;
+    }
+    for (const int tasks : {12, 50, 100}) {
+        for (const double duration : {1e3, 1e4, 1e5, 1e6}) {
+            spec.workload.meanTaskDurationCycles = duration;
+            spec.workloadSpec = "two-level:tasks=" + std::to_string(tasks);
+            EXPECT_TRUE(spec.validate().empty())
+                << tasks << " tasks, duration " << duration;
+        }
+    }
 }
