@@ -150,15 +150,12 @@ BM_IdleRouterStep(benchmark::State &state)
 BENCHMARK(BM_IdleRouterStep);
 
 /** Whole-network simulation throughput: cycles simulated per second.
- *  Args: {radix, partitions} — partitions > 1 steps the mesh with the
- *  lockstep partitioned engine (bit-identical results, parallel
- *  compute phase). */
+ *  Arg: mesh radix. */
 void
 BM_NetworkCyclesPerSecond(benchmark::State &state)
 {
     network::NetworkConfig cfg;
     cfg.radix = static_cast<std::int32_t>(state.range(0));
-    cfg.partitions = static_cast<std::int32_t>(state.range(1));
     cfg.policy = network::PolicyKind::History;
     network::Network net(cfg);
     traffic::PatternTraffic traffic(net.topology(),
@@ -176,9 +173,8 @@ BM_NetworkCyclesPerSecond(benchmark::State &state)
     state.SetLabel("items = simulated cycles");
 }
 BENCHMARK(BM_NetworkCyclesPerSecond)
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({8, 4})
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -230,8 +226,7 @@ measureEventQueue(std::uint64_t events,
 
 /**
  * Timed whole-network pass: radix x radix mesh, history-DVS policy,
- * uniform traffic at `rate` packets/node/cycle, stepped with
- * `partitions` lockstep lanes (1 = the serial engine).  Reports
+ * uniform traffic at `rate` packets/node/cycle.  Reports
  * simulated cycles/sec, kernel events/sec and delivered flits/sec —
  * the end-to-end throughput figures tracked by the committed baseline.
  * Run at several operating points: the historical 0.01
@@ -239,16 +234,14 @@ measureEventQueue(std::uint64_t events,
  * pkts/node/cycle = 0.1 flits/node/cycle with 5-flit packets) where
  * activity gating pays off most, a near-saturation point (0.07) that
  * exercises the fused router pass and link-delivery batching with
- * everything awake, and partitioned twins of the loaded points (the
- * partitioned engine replays the serial order bit-exactly, so its
- * twin's flit counts match by construction).  Best-of-3 like the
+ * everything awake, and a 16x16 loaded point.  Best-of-3 like the
  * event-queue pass: every repetition simulates the identical seeded
  * run, so the fastest wall clock is the least-perturbed one.
  */
 Json
 measureNetwork(const char *name, std::int32_t radix,
-               std::int32_t partitions, std::int32_t numVcs, double rate,
-               Cycle warmup, Cycle measure,
+               std::int32_t numVcs, double rate, Cycle warmup,
+               Cycle measure,
                const char *linkPower = "table",
                const char *workloadSpec = "uniform")
 {
@@ -258,7 +251,6 @@ measureNetwork(const char *name, std::int32_t radix,
     for (int rep = 0; rep < 3; ++rep) {
         network::NetworkConfig cfg;
         cfg.radix = radix;
-        cfg.partitions = partitions;
         cfg.router.numVcs = numVcs;
         cfg.policy = network::PolicyKind::History;
         cfg.linkPowerSpec = linkPower;
@@ -300,7 +292,6 @@ measureNetwork(const char *name, std::int32_t radix,
     j["type"] = Json("micro");
     j["name"] = Json(name);
     j["radix"] = Json(static_cast<std::int64_t>(radix));
-    j["partitions"] = Json(static_cast<std::int64_t>(partitions));
     j["num_vcs"] = Json(static_cast<std::int64_t>(numVcs));
     j["rate_pkts_per_node_cycle"] = Json(rate);
     j["link_power"] = Json(linkPower);
@@ -387,58 +378,47 @@ writeArtifact(const std::string &path, std::uint64_t seed,
     {
         const char *name;
         std::int32_t radix;
-        std::int32_t partitions;
         std::int32_t numVcs;
         double rate;
         const char *linkPower = "table";
         const char *workload = "uniform";
     };
     constexpr NetPoint kNetPoints[] = {
-        {"network_8x8_history_uniform", 8, 1, 2, 0.01},
+        {"network_8x8_history_uniform", 8, 2, 0.01},
         // 0.02 = 0.1 flits/node/cycle
-        {"network_8x8_history_lowload", 8, 1, 2, 0.02},
+        {"network_8x8_history_lowload", 8, 2, 0.02},
         // Near saturation: every router steps nearly every cycle, so
         // this point is dominated by the fused drain/SA pass and link
         // batching rather than by idle-skipping.
-        {"network_8x8_history_saturated", 8, 1, 2, 0.07},
-        // Partitioned twins: same specs stepped with 4 lockstep lanes.
-        // Identical simulated results by construction (the lockstep
-        // suite enforces it); the wall-clock ratio against the serial
-        // twin is the intra-run parallel speedup.  The 16x16 pair is
-        // the headline comparison — 256 routers give each lane enough
-        // work per quantum to amortize the barrier (EXPERIMENTS.md,
-        // "Partitioned stepping").
-        {"network_8x8_history_saturated_p4", 8, 4, 2, 0.07},
-        {"network_16x16_history_loaded", 16, 1, 2, 0.05},
-        {"network_16x16_history_loaded_p4", 16, 4, 2, 0.05},
+        {"network_8x8_history_saturated", 8, 2, 0.07},
+        {"network_16x16_history_loaded", 16, 2, 0.05},
         // Wide-geometry points: dense input-VC spaces past the 64-bit
         // single-word boundary (5 ports x 16 VCs = 80 and 5 x 13 = 65),
         // exercising the multi-word InputVcSet scans end to end
         // (EXPERIMENTS.md, "Wide-geometry fast path").
-        {"network_8x8_history_wide16vc", 8, 1, 16, 0.05},
-        {"network_16x16_history_wide13vc", 16, 1, 13, 0.05},
+        {"network_8x8_history_wide16vc", 8, 16, 0.05},
+        {"network_16x16_history_wide13vc", 16, 13, 0.05},
         // Toggle link-power backend: the per-flit toggle/coupling
         // energy path rides the channel-send hot loop, so this point
         // keeps the per-flit charge from silently regressing it
         // (compare against network_8x8_history_saturated).
-        {"network_8x8_history_saturated_toggle", 8, 1, 2, 0.07,
-         "toggle"},
+        {"network_8x8_history_saturated_toggle", 8, 2, 0.07, "toggle"},
         // The paper's Sec. 4.3 two-level task workload (exponential
         // task arrivals driving banks of ON/OFF sources) through the
         // workload factory: the generator's per-cycle bookkeeping is
         // on the hot path for every figure bench, so the baseline
         // guards it alongside the synthetic-pattern points.  Rate is
         // network-wide packets/cycle for factory workloads.
-        {"network_8x8_history_twolevel", 8, 1, 2, 1.2, "table",
+        {"network_8x8_history_twolevel", 8, 2, 1.2, "table",
          "two-level"},
     };
     for (const NetPoint &pt : kNetPoints) {
         if (!g_netFilter.empty() &&
             std::string(pt.name).find(g_netFilter) == std::string::npos)
             continue;
-        Json nw = measureNetwork(pt.name, pt.radix, pt.partitions,
-                                 pt.numVcs, pt.rate, nwWarmup,
-                                 nwMeasure, pt.linkPower, pt.workload);
+        Json nw = measureNetwork(pt.name, pt.radix, pt.numVcs, pt.rate,
+                                 nwWarmup, nwMeasure, pt.linkPower,
+                                 pt.workload);
         std::printf("  %s: %.3g cycles/sec, %.3g events/sec, "
                     "%.3g flits/sec\n",
                     pt.name, nw.find("cycles_per_sec")->asDouble(),

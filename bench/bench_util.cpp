@@ -83,8 +83,6 @@ parseOptions(int argc, char **argv)
     opts.sweepPoints = opts.raw.getIntEnv("points", pointsDef);
     opts.threads =
         static_cast<std::size_t>(opts.raw.getIntEnv("threads", 0));
-    opts.partitions =
-        static_cast<std::int32_t>(opts.raw.getIntEnv("partitions", 1));
     opts.jsonPath = opts.raw.getString("json", "");
     opts.workload = opts.raw.getString("workload", "");
     if (!opts.workload.empty()) {
@@ -208,7 +206,6 @@ paperSpec(const BenchOptions &opts)
         spec.workloadSpec = opts.workload;
     if (!opts.linkPower.empty())
         spec.network.linkPowerSpec = opts.linkPower;
-    spec.network.partitions = opts.partitions;
     spec.warmup = opts.warmup;
     spec.measure = opts.measure;
     // Some benches build a TwoLevelWorkload from the block directly, so
@@ -244,8 +241,6 @@ printHeader(const std::string &figure, const std::string &what,
     root["seed"] = Json(std::to_string(opts.seed));
     root["threads"] = Json(static_cast<std::uint64_t>(
         exp::resolveThreadCount(opts.threads)));
-    root["partitions"] =
-        Json(static_cast<std::int64_t>(opts.partitions));
     root["quick"] = Json(opts.quick);
     root["workload"] =
         Json(opts.workload.empty() ? std::string("default")

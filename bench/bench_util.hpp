@@ -51,14 +51,6 @@ struct BenchOptions
      *  changes wall-clock only, never the numbers. */
     std::size_t threads = 0;
 
-    /** Intra-run partition count (`--partitions N`): step each network
-     *  with N lockstep worker lanes (1 = the serial stepper).  The
-     *  partitioned engine replays the serial execution order exactly,
-     *  so — like threads — this changes wall-clock only, never the
-     *  numbers.  Invalid counts (not dividing the router count) are
-     *  rejected with a ConfigError naming the limit. */
-    std::int32_t partitions = 1;
-
     /** Smoke-test fidelity (`--quick`): tiny warm-up/measure windows,
      *  2-point sweeps and a scaled-down workload.  Explicit keys and
      *  DVSNET_* environment variables still override. */

@@ -120,9 +120,9 @@ DvsChannel::send(const router::Flit &flit, Tick earliest)
         ++*ctrFlitsSent_;
 
     // Data-dependent backends charge a per-flit energy pulse from the
-    // toggle activity between consecutive payload words.  Sends are
-    // replayed in deterministic (tick, seq) order by the partitioned
-    // stepper, so prevPayload_ — and every pulse — is engine-invariant.
+    // toggle activity between consecutive payload words.  The router
+    // loop issues sends in a fixed serial order, so prevPayload_ — and
+    // every pulse — is reproducible per seed.
     if (chargeFlitEnergy_) {
         const std::uint64_t payload = power::flitPayloadWord(flit);
         ledger_->addFlitEnergy(

@@ -1,7 +1,6 @@
 #include "network/network.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/fatal.hpp"
 
@@ -79,8 +78,6 @@ toJson(const NetworkConfig &config)
     j["packet_length"] =
         Json(static_cast<std::int64_t>(config.packetLength));
     j["link_power"] = Json(config.linkPowerSpec);
-    j["partitions"] =
-        Json(static_cast<std::int64_t>(config.partitions));
     return j;
 }
 
@@ -122,24 +119,6 @@ NetworkConfig::validate() const
         staticLevel >= link::kNumDvsLevels) {
         complain("staticLevel ", staticLevel, " is outside the ",
                  link::kNumDvsLevels, "-level table");
-    }
-    if (partitions < 1) {
-        complain("partitions must be >= 1 (got ", partitions, ")");
-    } else if (partitions > 1 && radix >= 2 && dims >= 1) {
-        // Node count only means something once radix/dims are sane
-        // (they complain separately above).
-        std::int64_t nodes = 1;
-        for (std::int32_t d = 0; d < dims && nodes <= (1 << 30); ++d)
-            nodes *= radix;
-        if (partitions > nodes) {
-            complain("partitions (", partitions,
-                     ") exceeds the router count: a radix-", radix, " ",
-                     dims, "-cube has only ", nodes, " routers");
-        } else if (nodes % partitions != 0) {
-            complain("partitions (", partitions,
-                     ") must divide the router count evenly (radix-",
-                     radix, " ", dims, "-cube has ", nodes, " routers)");
-        }
     }
     return problems;
 }
@@ -248,45 +227,6 @@ Network::build()
     for (const auto &ch : topo_.channels()) {
         channels_[static_cast<std::size_t>(ch.id)]->setReenableHook(
             [this, src = ch.src] { wakeRouter(src); });
-    }
-
-    // Partitioned stepping engine (DESIGN.md "Partitioned stepping"):
-    // contiguous node blocks, one lockstep lane each.  Routers keep
-    // their lane sink installed permanently — Router::step only runs
-    // from stepQuantum, which owns both phases.
-    partitionMap_ =
-        PartitionMap::contiguous(topo_.numNodes(), config_.partitions);
-    if (config_.partitions > 1) {
-        // Quantum legality: one router cycle per quantum is exact
-        // because the fastest possible cross-partition delivery
-        // (fastest link serialization + wire flight) still lands at
-        // least one full quantum after it was sent.
-        DVSNET_ASSERT(
-            kRouterClockPeriod <= minCrossPartitionLatency(),
-            "stepping quantum exceeds the minimum cross-partition "
-            "link latency");
-        const auto lanes = static_cast<std::size_t>(config_.partitions);
-        boundaryOps_.resize(lanes);
-        laneSinks_.reserve(lanes);
-        for (std::size_t l = 0; l < lanes; ++l)
-            laneSinks_.push_back(
-                std::make_unique<LaneSink>(boundaryOps_, l));
-        laneSlices_.assign(lanes + 1, 0);
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            routers_[static_cast<std::size_t>(n)]->setDeferredOpSink(
-                laneSinks_[static_cast<std::size_t>(
-                               partitionMap_.ofNode(n))]
-                    .get());
-        }
-        // The partition count is a determinism contract (it fixes the
-        // lane structure of the boundary merge); worker threads are an
-        // execution resource.  Clamp the pool to the hardware and let
-        // each worker step a stride of partitions — bit-exact results
-        // regardless of how lanes map onto threads, and no condvar
-        // thrashing when partitions exceed cores (1-core CI boxes).
-        const std::size_t hw = std::max<std::size_t>(
-            1, std::thread::hardware_concurrency());
-        pool_ = std::make_unique<sim::LockstepPool>(std::min(lanes, hw));
     }
 
     // DVS controllers, one per channel (Fig. 6: at each output port).
@@ -412,17 +352,6 @@ Network::startStepping()
 }
 
 Tick
-Network::minCrossPartitionLatency() const
-{
-    // A flit or credit sent at tick t serializes for one link period
-    // and then propagates for the wire flight time; the fastest level
-    // bounds the period from below.  (Frequency locks and slower
-    // levels only lengthen this.)
-    return levels_.level(levels_.fastest()).period +
-           config_.link.propagationDelay;
-}
-
-Tick
 Network::routerClockEdgeAfterNow() const
 {
     const Tick now = kernel_.now();
@@ -433,11 +362,9 @@ Network::routerClockEdgeAfterNow() const
 void
 Network::stepQuantum()
 {
-    // The quantum is one router cycle — the largest step that stays
-    // exact, since kernel events (policy windows, delivery splices,
-    // traffic processes) interleave between edges and the minimum
-    // cross-partition delivery latency exceeds one cycle (asserted in
-    // build()).
+    // One router-clock edge: the injection scan, then one pass over the
+    // active routers.  Kernel events (policy windows, delivery splices,
+    // traffic processes) interleave between edges in (tick, seq) order.
     const Tick now = kernel_.now();
     ++*ctrCycles_;
 
@@ -477,17 +404,6 @@ Network::stepQuantum()
         wokenRouters_.clear();
         std::sort(activeRouters_.begin(), activeRouters_.end());
     }
-    if (pool_ == nullptr)
-        stepRoutersSerial(now);
-    else
-        stepRoutersPartitioned(now);
-
-    kernel_.at(now + kRouterClockPeriod, [this] { stepQuantum(); });
-}
-
-void
-Network::stepRoutersSerial(Tick now)
-{
     const std::size_t count = activeRouters_.size();
     std::size_t kept = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -499,91 +415,8 @@ Network::stepRoutersSerial(Tick now)
     }
     activeRouters_.resize(kept);
     *ctrRouterSteps_ += count;
-}
 
-void
-Network::stepRoutersPartitioned(Tick now)
-{
-    const std::size_t count = activeRouters_.size();
-    const auto lanes = static_cast<std::size_t>(
-        partitionMap_.partitions());
-
-    // Slice the sorted snapshot into per-partition sub-ranges; blocks
-    // are contiguous id ranges, so one binary search per boundary.
-    laneSlices_[0] = 0;
-    for (std::size_t p = 1; p < lanes; ++p) {
-        laneSlices_[p] = static_cast<std::size_t>(
-            std::lower_bound(
-                activeRouters_.begin(), activeRouters_.end(),
-                partitionMap_.firstNode(static_cast<std::int32_t>(p))) -
-            activeRouters_.begin());
-    }
-    laneSlices_[lanes] = count;
-
-    // Compute phase: every stepped router records its channel calls
-    // (flit sends, credit returns, ejections) in its partition's lane
-    // instead of making them, so a step touches nothing outside its
-    // partition — inbox reads are owner-only, canAccept probes are
-    // const reads of the router's own channels, and all shared state
-    // (kernel, ledger, counters, other routers' inboxes) waits for the
-    // replay below.  Activity results are discarded here: a push from
-    // another partition can keep a router active, so activity is
-    // settled during the replay, in apply order.
-    auto computeLane = [this, now](std::size_t lane) {
-        LaneSink &sink = *laneSinks_[lane];
-        const std::size_t end = laneSlices_[lane + 1];
-        for (std::size_t i = laneSlices_[lane]; i < end; ++i) {
-            const NodeId n = activeRouters_[i];
-            sink.beginRouter(n, now);
-            routers_[static_cast<std::size_t>(n)]->step(now);
-        }
-    };
-    const std::size_t workers = pool_->laneCount();
-    if (count >= 2 * lanes && workers > 1) {
-        // Each worker steps a stride of partitions; every partition
-        // still records into its own merge-buffer lane, so the replay
-        // order below is independent of the worker<->lane mapping.
-        pool_->run([&](std::size_t worker) {
-            for (std::size_t lane = worker; lane < lanes;
-                 lane += workers)
-                computeLane(lane);
-        });
-    } else {
-        // Near-idle quantum (or a single hardware thread): the
-        // fork-join hand-off costs more than the work.  Same code path
-        // (defer + replay), just inline — bit-exactness is
-        // unconditional either way.
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-            computeLane(lane);
-    }
-
-    // Apply phase: replay the recorded ops in ascending (when, seq)
-    // order — `when` is constant within the quantum and seq's high
-    // bits are the router id, so the merge yields exactly the serial
-    // stepper's execution order.  Settling router n's activity flag
-    // after its own ops and before any higher router's reproduces the
-    // serial loop's flag timeline, which matters: a later router's
-    // credit push into an already-idled earlier router must count as a
-    // wake, exactly as it does serially.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const NodeId n = activeRouters_[i];
-        while (const auto *e = boundaryOps_.peekMerged()) {
-            if (static_cast<NodeId>(e->seq >> 32) != n)
-                break;
-            e->item.apply();
-            boundaryOps_.popMerged();
-        }
-        if (!routers_[static_cast<std::size_t>(n)]->isIdle())
-            activeRouters_[kept++] = n;
-        else
-            routerActive_[static_cast<std::size_t>(n)] = 0;
-    }
-    DVSNET_ASSERT(boundaryOps_.empty(),
-                  "boundary ops left unapplied after the merge");
-    boundaryOps_.clear();
-    activeRouters_.resize(kept);
-    *ctrRouterSteps_ += count;
+    kernel_.at(now + kRouterClockPeriod, [this] { stepQuantum(); });
 }
 
 void

@@ -26,14 +26,10 @@
 #include "link/dvs_level.hpp"
 #include "link/dvs_link.hpp"
 #include "network/metrics.hpp"
-#include "network/partition.hpp"
 #include "power/energy_ledger.hpp"
-#include "router/deferred_ops.hpp"
 #include "router/router.hpp"
 #include "router/routing.hpp"
 #include "sim/kernel.hpp"
-#include "sim/lockstep_pool.hpp"
-#include "sim/merge_buffer.hpp"
 #include "topo/topology.hpp"
 #include "traffic/traffic.hpp"
 
@@ -90,18 +86,6 @@ struct NetworkConfig
      * is built per network and drives every channel.
      */
     std::string linkPowerSpec = "table";
-
-    /**
-     * Domain-decomposition width of the per-quantum router step: the
-     * mesh is split into this many contiguous node-id blocks, each
-     * stepped by its own thread under a barrier-synced quantum, with
-     * cross-partition channel calls buffered and replayed in
-     * deterministic (tick, seq) order — results are bit-identical to
-     * the serial stepper for any value (see DESIGN.md "Partitioned
-     * stepping").  Must be >= 1, at most the router count, and divide
-     * it evenly; 1 (the default) keeps the serial fast path.
-     */
-    std::int32_t partitions = 1;
 
     /**
      * Check the configuration for nonsense (radix < 2, zero VCs,
@@ -266,58 +250,10 @@ class Network
         std::uint64_t created = 0;  ///< total packets generated here
     };
 
-    /**
-     * Per-partition op recorder: stamps each deferred channel call with
-     * the merge key that reproduces serial order — `when` = the quantum
-     * tick, `seq` = (router id << 32) | per-router op index.  One sink
-     * per partition lane; its owning worker calls beginRouter() before
-     * stepping each router of its block (ascending ids, so lane keys
-     * are strictly increasing as MergeBuffer requires).
-     */
-    class LaneSink final : public router::DeferredOpSink
-    {
-      public:
-        LaneSink(sim::MergeBuffer<router::DeferredOp> &buffer,
-                 std::size_t lane)
-            : buffer_(buffer), lane_(lane)
-        {}
-
-        void
-        beginRouter(NodeId node, Tick now)
-        {
-            node_ = node;
-            opIndex_ = 0;
-            now_ = now;
-        }
-
-        void
-        push(const router::DeferredOp &op) override
-        {
-            // 32 op-index bits: even a kMaxPorts * kMaxVcsPerPort router
-            // emits far fewer ops per cycle than 2^32.
-            DVSNET_ASSERT(opIndex_ < (std::uint64_t{1} << 32),
-                          "router op index overflows the seq field");
-            buffer_.push(lane_, now_,
-                         (static_cast<std::uint64_t>(node_) << 32) |
-                             opIndex_++,
-                         op);
-        }
-
-      private:
-        sim::MergeBuffer<router::DeferredOp> &buffer_;
-        std::size_t lane_;
-        NodeId node_ = 0;
-        std::uint64_t opIndex_ = 0;
-        Tick now_ = 0;
-    };
-
     void build();
     void startStepping();
     Tick routerClockEdgeAfterNow() const;
     void stepQuantum();
-    void stepRoutersSerial(Tick now);
-    void stepRoutersPartitioned(Tick now);
-    Tick minCrossPartitionLatency() const;
     void injectFromQueue(NodeId node);
 
     /** Add a router to the step set (no-op if already active). */
@@ -346,7 +282,7 @@ class Network
      *  their executions here. */
     mutable CounterRegistry registry_;
 
-    // --- activity gating (see stepCycle) ---
+    // --- activity gating (see stepQuantum) ---
     // Invariant: a router with buffered flits or pending inbox items is
     // in exactly one of activeRouters_/wokenRouters_ (flag == 1); all
     // other routers are provably no-op to step and are skipped.
@@ -356,16 +292,6 @@ class Network
     bool sourcesUnsorted_ = false;  ///< appended since the last edge sort
     std::vector<std::uint8_t> routerActive_;  ///< per-node membership flag
     std::vector<std::uint8_t> sourceActive_;  ///< per-node membership flag
-
-    // --- partitioned stepping (config_.partitions > 1 only) ---
-    // pool_ doubles as the engine-enabled flag; laneSlices_ holds the
-    // P+1 bounds of the per-partition sub-ranges of the sorted
-    // activeRouters_ snapshot, recomputed each quantum.
-    PartitionMap partitionMap_;
-    std::unique_ptr<sim::LockstepPool> pool_;
-    sim::MergeBuffer<router::DeferredOp> boundaryOps_;
-    std::vector<std::unique_ptr<LaneSink>> laneSinks_;
-    std::vector<std::size_t> laneSlices_;
 
     // Cached observability counters (registered in build()).
     std::uint64_t *ctrCycles_ = nullptr;

@@ -29,10 +29,11 @@
  * Determinism contract: synthetic traffic carries no payload bytes, so
  * per-flit activity is derived from `flitPayloadWord` — a splitmix64
  * hash of the flit's identity (packet id, sequence number), which the
- * simulator assigns deterministically.  Channel sends are replayed in
- * serial (tick, seq) order by the partitioned stepper, so per-flit
- * charges are bit-identical across `--partitions` and `--threads`
- * (DESIGN.md "Link power backends").
+ * simulator assigns deterministically.  Each network's router loop
+ * issues channel sends serially in a fixed order (ascending router id,
+ * then switch-grant order), so per-flit charges are bit-identical
+ * across runs and `--threads` settings (DESIGN.md "Link power
+ * backends").
  */
 
 #pragma once
@@ -98,9 +99,9 @@ class LinkPowerModel
 /**
  * Deterministic payload word for a flit: synthetic traffic carries no
  * data bytes, so activity is derived from a splitmix64 hash of the
- * flit's identity.  Packet ids and sequence numbers are assigned
- * identically by the serial and partitioned steppers, so the word — and
- * every energy pulse derived from it — is engine-invariant.
+ * flit's identity.  Packet ids and sequence numbers are assigned in
+ * injection order, which is seed-deterministic, so the word — and every
+ * energy pulse derived from it — is reproducible per seed.
  */
 std::uint64_t flitPayloadWord(const router::Flit &flit);
 

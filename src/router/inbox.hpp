@@ -119,16 +119,15 @@ class Inbox
      * mid-step, or stepped earlier in the same cycle).
      *
      * Link batching consults this — not raw empty() — when deciding
-     * between a direct push and a deferred splice event.  Counting
-     * same-tick pops back in matters for the partitioned stepper
-     * (DESIGN.md, "Partitioned stepping"): serially a sender with a
-     * lower id than the receiver probes the inbox *before* the
-     * receiver's same-cycle drain, while the parallel engine replays
-     * the probe *after* the compute-phase drain.  Since exactly one
-     * link feeds each inbox, the two states differ only by those
-     * same-tick pops, so this predicate evaluates identically at both
-     * sites — keeping burst/step/wake counters bit-equal across
-     * engines.
+     * between a direct push and a deferred splice event.  The same-tick
+     * pop clause matters when the owner has a lower id than the sender:
+     * it stepped earlier this cycle and drained the inbox, so the inbox
+     * reads empty although its owner was just awake.  A direct push
+     * then saves the splice event; if the drain left the owner idle,
+     * the push wakes it a few cycles early instead.  Without the clause
+     * every benchmark workload runs more kernel events, and wall time
+     * is unchanged within noise (EXPERIMENTS.md, "Inbox same-tick-pop
+     * clause").
      */
     bool
     ownerAwakeAt(Tick now) const

@@ -321,29 +321,12 @@ Router::applySwitchGrants(Tick now)
         // Return a credit upstream for the freed buffer slot.  Terminal
         // input ports have no credit path (the injection process observes
         // buffer occupancy directly).
-        if (in.creditReturn != nullptr) {
-            if (deferredOps_ != nullptr) {
-                DeferredOp op;
-                op.credit = in.creditReturn;
-                op.vc = g.inVc;
-                op.tick = now;
-                deferredOps_->push(op);
-            } else {
-                in.creditReturn->sendCredit(g.inVc, now);
-            }
-        }
+        if (in.creditReturn != nullptr)
+            in.creditReturn->sendCredit(g.inVc, now);
 
         // Hand the flit to the channel, re-tagged with its downstream VC.
         flit.vc = outVc;
-        if (deferredOps_ != nullptr) {
-            DeferredOp op;
-            op.link = out.link;
-            op.flit = flit;
-            op.tick = now + extraDelayTicks_;
-            deferredOps_->push(op);
-        } else {
-            out.link->send(flit, now + extraDelayTicks_);
-        }
+        out.link->send(flit, now + extraDelayTicks_);
         ++out.forwardedWindow;
         ++stats_.flitsForwarded;
         ++stats_.switchGrants;

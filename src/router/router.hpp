@@ -36,7 +36,6 @@
 #include "router/allocator.hpp"
 #include "router/limits.hpp"
 #include "router/buffer.hpp"
-#include "router/deferred_ops.hpp"
 #include "router/flit.hpp"
 #include "router/inbox.hpp"
 #include "router/link_iface.hpp"
@@ -115,16 +114,6 @@ class Router
      * router back into the active set.
      */
     void setWakeHook(InlineFn hook) { wake_ = std::move(hook); }
-
-    /**
-     * Route this router's channel calls (flit sends and credit
-     * returns) into `sink` instead of making them inline — the
-     * partitioned stepper's compute phase, where a step must stay
-     * partition-local (see router/deferred_ops.hpp).  The caller
-     * replays the recorded ops in serial order afterwards.  nullptr
-     * restores inline calls (the default).
-     */
-    void setDeferredOpSink(DeferredOpSink *sink) { deferredOps_ = sink; }
 
     /**
      * Execute one router-core cycle ending at tick `now`.  Returns the
@@ -260,7 +249,6 @@ class Router
     PortSet activeVcPorts_;   ///< ports with any Active VC
     std::uint64_t portVcMask_ = 0;     ///< low numVcs bits set
     InlineFn wake_;  ///< network-level wake, chained from inbox hooks
-    DeferredOpSink *deferredOps_ = nullptr;  ///< non-null: defer sends
 
     // Fused drain/SA scratch: drainFlitsAndBid fills the per-port VC
     // request masks and per-VC target ports in the same pass that

@@ -141,6 +141,21 @@ TEST(Inbox, NextArrival)
     EXPECT_EQ(box.nextArrival(), Tick{42});
 }
 
+TEST(Inbox, OwnerAwakeWhileNonEmptyOrPoppedThisTick)
+{
+    // Link batching pushes directly into an awake owner's inbox; an
+    // inbox drained this tick still counts as awake (EXPERIMENTS.md,
+    // "Inbox same-tick-pop clause").
+    Inbox<int> box;
+    EXPECT_FALSE(box.ownerAwakeAt(100));
+    box.push(100, 1);
+    EXPECT_TRUE(box.ownerAwakeAt(50));
+    EXPECT_EQ(box.pop(100), 1);
+    ASSERT_TRUE(box.empty());
+    EXPECT_TRUE(box.ownerAwakeAt(100));
+    EXPECT_FALSE(box.ownerAwakeAt(101));
+}
+
 TEST(InboxDeathTest, NonMonotonePushPanics)
 {
     Inbox<int> box;

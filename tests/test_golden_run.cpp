@@ -13,11 +13,6 @@
  * the pinned numbers; intentional changes must update the pins (and say
  * so in the commit).
  *
- * Every pinned 4x4 point runs at partitions 1, 2 and 4 against the same
- * pins: the partitioned stepper replays the serial execution order
- * exactly (DESIGN.md "Partitioned stepping"), so a single set of
- * frozen numbers locks down both the serial and the parallel engines.
- *
  * The pinned values were captured from the run itself (see the spec
  * below); tolerances are 1e-9 relative, far tighter than any
  * legitimate nondeterminism and far looser than double round-trip.
@@ -39,9 +34,6 @@ namespace
 {
 
 constexpr std::uint64_t kGoldenSeed = 424242;
-
-/** Partition counts every pinned point is verified at. */
-constexpr std::int32_t kPartitionCounts[] = {1, 2, 4};
 
 /** The golden configuration: small enough to run in ~a second. */
 ExperimentSpec
@@ -89,23 +81,19 @@ expectNearRel(double actual, double expected, const char *what)
         << what;
 }
 
-/** Run `spec` once per tested partition count and hand each result to
- *  the caller's pinned assertions. */
+/** Run `spec` at the golden seed and hand the result to the caller's
+ *  pinned assertions. */
 template <typename AssertFn>
 void
-forEachPartitionCount(ExperimentSpec spec, double rate, AssertFn &&verify)
+runPinned(const ExperimentSpec &spec, double rate, AssertFn &&verify)
 {
-    for (const std::int32_t partitions : kPartitionCounts) {
-        SCOPED_TRACE(testing::Message() << "partitions=" << partitions);
-        spec.network.partitions = partitions;
-        verify(dvsnet::exp::runPoint(spec, rate, kGoldenSeed));
-    }
+    verify(dvsnet::exp::runPoint(spec, rate, kGoldenSeed));
 }
 
 /**
  * The paper's own configuration (Sections 4.2-4.3) over a short window:
  * the default 8x8 mesh under history DVS, driven by 100 two-level tasks
- * of 128 Pareto ON/OFF sources each.  Serial engine only.  These pins
+ * of 128 Pareto ON/OFF sources each.  These pins
  * predate the ON/OFF generator's skip rule (an emission that cannot
  * fire is drawn but never queued), so they also show the rule leaves
  * results unchanged at the scale where such emissions were a quarter of
@@ -131,7 +119,7 @@ paperSpec8x8()
 
 TEST(GoldenRun, HistoryDvs4x4MeshPinnedResults)
 {
-    forEachPartitionCount(
+    runPinned(
         goldenSpec(PolicyKind::History), kInjectionRate,
         [](const RunResults &r) {
             // Exact integer pins: any change in packet behavior trips
@@ -170,12 +158,10 @@ TEST(GoldenRun, HistoryDvs4x4MeshToggleBackendPinnedResults)
     // the data-dependent toggle link-power backend.  The packet-level
     // pins must match the table-backend run exactly — the backend only
     // changes energy accounting, never traffic — while the power pins
-    // capture the payload-hash-driven per-flit charges.  Pinned across
-    // partitions 1/2/4 like every golden: the per-flit deposits happen
-    // inside the deferred-op replay, so they are bit-reproducible.
+    // capture the payload-hash-driven per-flit charges.
     ExperimentSpec spec = goldenSpec(PolicyKind::History);
     spec.network.linkPowerSpec = "toggle";
-    forEachPartitionCount(spec, kInjectionRate, [](const RunResults &r) {
+    runPinned(spec, kInjectionRate, [](const RunResults &r) {
         EXPECT_EQ(r.measuredCycles, 12000u);
         EXPECT_EQ(r.packetsCreated, 3851u);
         EXPECT_EQ(r.packetsDelivered, 3839u);
@@ -200,7 +186,7 @@ TEST(GoldenRun, HistoryDvs4x4MeshToggleBackendPinnedResults)
 
 TEST(GoldenRun, NoDvs4x4MeshPinnedReferencePoint)
 {
-    forEachPartitionCount(
+    runPinned(
         goldenSpec(PolicyKind::None), kInjectionRate,
         [](const RunResults &r) {
             EXPECT_EQ(r.measuredCycles, 12000u);
@@ -220,7 +206,7 @@ TEST(GoldenRun, NoDvs4x4MeshPinnedReferencePoint)
 
 TEST(GoldenRun, AdaptiveDynamicThresholdNearSaturationPinnedResults)
 {
-    forEachPartitionCount(
+    runPinned(
         adaptiveSaturationSpec(), kSaturationRate,
         [](const RunResults &r) {
             // Exact integer pins.  packetsDelivered << packetsCreated

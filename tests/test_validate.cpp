@@ -103,71 +103,6 @@ TEST(NetworkConfigValidate, NetworkConstructorThrowsConfigError)
     }
 }
 
-TEST(NetworkConfigValidate, PartitionsMustBePositive)
-{
-    NetworkConfig cfg;
-    cfg.partitions = 0;
-    EXPECT_TRUE(mentions(cfg.validate(), "partitions must be >= 1"));
-    cfg.partitions = -2;
-    EXPECT_TRUE(mentions(cfg.validate(), "partitions must be >= 1"));
-}
-
-TEST(NetworkConfigValidate, PartitionsMustNotExceedRouterCount)
-{
-    NetworkConfig cfg;
-    cfg.radix = 4;  // 16 routers
-    cfg.partitions = 32;
-    const auto problems = cfg.validate();
-    // The message must name the limit: the topology's router count.
-    EXPECT_TRUE(mentions(problems, "exceeds the router count"));
-    EXPECT_TRUE(mentions(problems, "16 routers"));
-
-    cfg.partitions = 16;
-    EXPECT_TRUE(cfg.validate().empty());
-}
-
-TEST(NetworkConfigValidate, PartitionsMustDivideTopologyCleanly)
-{
-    NetworkConfig cfg;
-    cfg.radix = 4;  // 16 routers
-    cfg.partitions = 3;
-    const auto problems = cfg.validate();
-    EXPECT_TRUE(mentions(problems, "divide the router count"));
-    EXPECT_TRUE(mentions(problems, "16 routers"));
-
-    for (const std::int32_t ok : {1, 2, 4, 8, 16}) {
-        cfg.partitions = ok;
-        EXPECT_TRUE(cfg.validate().empty()) << "partitions=" << ok;
-    }
-}
-
-TEST(NetworkConfigValidate, PartitionsSkippedWhenTopologyAlreadyInvalid)
-{
-    // With a nonsensical radix the router count is meaningless; only
-    // the radix problem should be reported, not a bogus partition one.
-    NetworkConfig cfg;
-    cfg.radix = 0;
-    cfg.partitions = 3;
-    const auto problems = cfg.validate();
-    EXPECT_TRUE(mentions(problems, "radix"));
-    EXPECT_FALSE(mentions(problems, "partitions"));
-}
-
-TEST(NetworkConfigValidate, BadPartitionsThrowFromNetworkConstructor)
-{
-    NetworkConfig cfg;
-    cfg.radix = 4;
-    cfg.partitions = 5;
-    EXPECT_THROW(Network net(cfg), ConfigError);
-    try {
-        Network net(cfg);
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("16 routers"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
 TEST(ExperimentSpecValidate, DefaultsAreValid)
 {
     EXPECT_TRUE(ExperimentSpec{}.validate().empty());

@@ -10,32 +10,34 @@
  *  - randomized separable-allocator equivalence against naive reference
  *    implementations, at geometries straddling the 64-bit boundary
  *    (5x12 = 60, 5x13 = 65, 8x12 = 96 dense input VCs);
- *  - whole-network lockstep equivalence (serial vs partitioned) on wide
- *    configs — a 4x4 mesh with 13 VCs/port and a 3x3x3 torus with
- *    12 VCs/port (7 ports x 12 VCs = 84 dense VCs);
+ *  - whole-network runs pinned to exact results on wide configs — a 4x4
+ *    mesh with 13 VCs/port and a 3x3x3 torus with 12 VCs/port (7 ports
+ *    x 12 VCs = 84 dense VCs), the only whole-network runs of a 3-D
+ *    torus and of more than 64 dense input VCs;
  *  - geometry-limit validation: configs beyond the router/limits.hpp
  *    capacities must surface as ConfigError naming the bound.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "exp/experiment.hpp"
 #include "network/network.hpp"
 #include "network/sweep.hpp"
 #include "router/allocator.hpp"
 #include "router/limits.hpp"
 #include "router/router.hpp"
-#include "workload/factory.hpp"
 
 using dvsnet::ConfigError;
 using dvsnet::PortId;
 using dvsnet::Tick;
 using dvsnet::VcId;
 using dvsnet::network::ExperimentSpec;
-using dvsnet::network::Network;
 using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
 using dvsnet::router::RouterConfig;
@@ -310,50 +312,19 @@ TEST(WideGeometrySwitchAllocator, MatchesReferenceAtWideVcCounts)
 namespace
 {
 
-/** Serial-vs-partitioned bit-equality on a wide config (the same
- *  contract test_parallel_stepper.cpp pins for classic geometries). */
-void
-expectWideLockstep(ExperimentSpec spec, double rate, std::uint64_t seed,
-                   const std::vector<std::int32_t> &partitionCounts)
-{
-    auto capture = [&](std::int32_t partitions) {
-        ExperimentSpec s = spec;
-        s.network.partitions = partitions;
-        Network net(s.network);
-        dvsnet::workload::WorkloadContext context{net.topology(), rate,
-                                                  seed, s.workload};
-        const auto generator =
-            dvsnet::workload::buildWorkload(s.workloadSpec, context);
-        net.attachTraffic(*generator);
-        RunResults res = net.run(s.warmup, s.measure);
-        return std::make_pair(res, net.observability().toJson().dump(2));
-    };
+constexpr double kRelTol = 1e-9;
 
-    const auto serial = capture(1);
-    EXPECT_EQ(serial.first.invariantFailures, 0u);
-    EXPECT_GT(serial.first.packetsDelivered, 0u);
-    for (const std::int32_t p : partitionCounts) {
-        SCOPED_TRACE(testing::Message() << "partitions=" << p);
-        const auto parallel = capture(p);
-        EXPECT_EQ(serial.first.packetsCreated,
-                  parallel.first.packetsCreated);
-        EXPECT_EQ(serial.first.packetsDelivered,
-                  parallel.first.packetsDelivered);
-        EXPECT_EQ(serial.first.flitsEjected, parallel.first.flitsEjected);
-        EXPECT_EQ(serial.first.avgLatencyCycles,
-                  parallel.first.avgLatencyCycles);
-        EXPECT_EQ(serial.first.maxLatencyCycles,
-                  parallel.first.maxLatencyCycles);
-        EXPECT_EQ(serial.first.avgPowerW, parallel.first.avgPowerW);
-        EXPECT_EQ(serial.first.avgChannelLevel,
-                  parallel.first.avgChannelLevel);
-        EXPECT_EQ(serial.second, parallel.second);
-    }
+void
+expectNearRel(double actual, double expected, const char *what)
+{
+    EXPECT_NEAR(actual, expected,
+                kRelTol * std::max(1.0, std::abs(expected)))
+        << what;
 }
 
 } // namespace
 
-TEST(WideGeometryNetwork, Mesh4x4With13VcsLockstep)
+TEST(WideGeometryNetwork, Mesh4x4With13VcsPinnedResults)
 {
     // 5 ports x 13 VCs = 65 dense input VCs: one past the single-word
     // boundary, so every InputVcSet operation exercises word 1.
@@ -367,13 +338,24 @@ TEST(WideGeometryNetwork, Mesh4x4With13VcsLockstep)
     spec.workload.seed = 0x51DE;
     spec.warmup = 2000;
     spec.measure = 6000;
-    expectWideLockstep(spec, 0.2, 0x51DE, {2, 4});
+    const RunResults r = dvsnet::exp::runPoint(spec, 0.2, 0x51DE);
+
+    // Pins captured from the run itself, as in test_golden_run.cpp.
+    EXPECT_EQ(r.packetsCreated, 1488u);
+    EXPECT_EQ(r.packetsDelivered, 1477u);
+    EXPECT_EQ(r.flitsEjected, 7426u);
+    expectNearRel(r.avgLatencyCycles, 60.121337846987174, "avg latency");
+    expectNearRel(r.maxLatencyCycles, 201.07499999999999, "max latency");
+    expectNearRel(r.avgPowerW, 62.59565841522722, "avg power");
+    expectNearRel(r.avgChannelLevel, 1.0, "avg channel level");
+    EXPECT_GT(r.invariantChecks, 0u);
+    EXPECT_EQ(r.invariantFailures, 0u);
 }
 
-TEST(WideGeometryNetwork, Torus3x3x3With12VcsLockstep)
+TEST(WideGeometryNetwork, Torus3x3x3With12VcsPinnedResults)
 {
-    // 3-D torus: 7 ports x 12 VCs = 84 dense input VCs, wraparound
-    // channels crossing partition boundaries both ways.
+    // 3-D torus: 7 ports x 12 VCs = 84 dense input VCs, with
+    // wraparound channels in all three dimensions.
     ExperimentSpec spec;
     spec.network.radix = 3;
     spec.network.dims = 3;
@@ -386,7 +368,17 @@ TEST(WideGeometryNetwork, Torus3x3x3With12VcsLockstep)
     spec.workload.seed = 0x7045;
     spec.warmup = 1500;
     spec.measure = 4500;
-    expectWideLockstep(spec, 0.15, 0x7045, {3, 9});
+    const RunResults r = dvsnet::exp::runPoint(spec, 0.15, 0x7045);
+
+    EXPECT_EQ(r.packetsCreated, 662u);
+    EXPECT_EQ(r.packetsDelivered, 659u);
+    EXPECT_EQ(r.flitsEjected, 3306u);
+    expectNearRel(r.avgLatencyCycles, 50.366740515933238, "avg latency");
+    expectNearRel(r.maxLatencyCycles, 97.375, "max latency");
+    expectNearRel(r.avgPowerW, 211.26034715139187, "avg power");
+    expectNearRel(r.avgChannelLevel, 1.0, "avg channel level");
+    EXPECT_GT(r.invariantChecks, 0u);
+    EXPECT_EQ(r.invariantFailures, 0u);
 }
 
 TEST(WideGeometryLimits, ValidateNamesEachBound)
