@@ -15,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -443,6 +444,24 @@ writeArtifact(const std::string &path, std::uint64_t seed,
     std::fprintf(stderr, "wrote JSON artifact: %s\n", path.c_str());
 }
 
+/**
+ * Value of `--seed` / `--threads`: a non-negative integer parsed by
+ * Config::getInt's rule (strtoll, base 0, the whole string) that also
+ * fits in int64.  Anything else is fatal and names the flag, instead
+ * of silently becoming 0, a prefix, or a wrapped negative.
+ */
+std::uint64_t
+nonNegativeFlag(const char *flag, const char *value)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(value, &end, 0);
+    if (end == value || *end != '\0' || errno == ERANGE || parsed < 0)
+        DVSNET_FATAL("flag '", flag, "': '", value,
+                     "' is not a non-negative integer");
+    return static_cast<std::uint64_t>(parsed);
+}
+
 } // namespace
 
 /**
@@ -471,9 +490,9 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (const char *v = takeValue("--seed"))
-            g_seed = std::strtoull(v, nullptr, 0);
+            g_seed = nonNegativeFlag("--seed", v);
         else if (const char *v = takeValue("--threads"))
-            threads = std::strtoull(v, nullptr, 0);
+            threads = nonNegativeFlag("--threads", v);
         else if (const char *v = takeValue("--json"))
             jsonPath = v;
         else if (const char *v = takeValue("--net-filter"))

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -26,9 +27,16 @@ namespace dvsnet::router
  *
  * Stored as a flat vector with a drain cursor rather than a deque: the
  * router's step polls ready()/empty() every cycle, and a contiguous
- * buffer that resets to offset zero whenever it fully drains (the
- * common case — deliveries are future-dated, so a step consumes
- * everything due) keeps those polls to two adjacent loads.
+ * buffer keeps those polls to two adjacent loads.  Storage is bounded
+ * by the items in flight, not by the traffic ever received: the vector
+ * resets to offset zero when it fully drains, and a pop erases the
+ * consumed prefix once it is at least kCompactMinSlots long and at
+ * least as long as the live part.  Under sustained load an inbox always
+ * holds a future-dated delivery and never fully drains, so the erase is
+ * what keeps it within about twice the peak in-flight count plus
+ * kCompactMinSlots.  Each erase moves at most as many live slots as
+ * were popped since the last one, so the cost stays amortized O(1) per
+ * pop, and pushes reuse warm storage instead of growing the vector.
  */
 template <typename T>
 class Inbox
@@ -108,6 +116,10 @@ class Inbox
         if (++head_ == queue_.size()) {
             queue_.clear();
             head_ = 0;
+        } else if (head_ >= kCompactMinSlots && head_ >= size()) {
+            queue_.erase(queue_.begin(),
+                         queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
         }
         return item;
     }
@@ -140,6 +152,9 @@ class Inbox
 
     bool empty() const { return head_ == queue_.size(); }
 
+    /** Slots held, consumed or not (>= size(); for storage-bound tests). */
+    std::size_t storageSize() const { return queue_.size(); }
+
     /** Arrival tick of the earliest item; kTickNever if empty. */
     Tick
     nextArrival() const
@@ -148,8 +163,11 @@ class Inbox
     }
 
   private:
+    /** Shortest consumed prefix a pop erases (see the class comment). */
+    static constexpr std::size_t kCompactMinSlots = 64;
+
     std::vector<Slot> queue_;  ///< [head_, size) = pending items
-    std::size_t head_ = 0;     ///< drain cursor, reset on full drain
+    std::size_t head_ = 0;     ///< drain cursor, reset on drain or erase
     Tick lastPopTick_ = kTickNever;  ///< tick of the most recent pop
     InlineFn wake_;  ///< optional push notification (activity gating)
 };

@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "router/buffer.hpp"
 #include "router/inbox.hpp"
 
@@ -154,6 +160,68 @@ TEST(Inbox, OwnerAwakeWhileNonEmptyOrPoppedThisTick)
     ASSERT_TRUE(box.empty());
     EXPECT_TRUE(box.ownerAwakeAt(100));
     EXPECT_FALSE(box.ownerAwakeAt(101));
+}
+
+TEST(Inbox, StorageBoundedWhenNeverFullyDrained)
+{
+    // Under sustained load an inbox always holds a future-dated
+    // delivery, so it never fully drains; the consumed prefix must
+    // still be released instead of growing with every push.
+    Inbox<int> box;
+    box.push(0, 0);
+    std::size_t maxStorage = 0;
+    for (int i = 1; i <= 100000; ++i) {
+        box.push(i, i);
+        maxStorage = std::max(maxStorage, box.storageSize());
+        ASSERT_EQ(box.pop(i), i - 1);
+        ASSERT_EQ(box.size(), 1u);
+        ASSERT_EQ(box.nextArrival(), Tick(i));
+    }
+    EXPECT_LE(maxStorage, 128u);
+}
+
+TEST(Inbox, FifoOrderAndStorageBoundUnderRandomBursts)
+{
+    // Bursts of pushes (single and batched) and partial drains against
+    // a deque reference: erasing the consumed prefix must keep FIFO
+    // order and arrival gating, and storage stays within
+    // 2 x peak in-flight + 64.
+    Inbox<int> box;
+    std::deque<std::pair<Tick, int>> ref;
+    std::vector<Inbox<int>::Slot> batch;
+    std::mt19937 rng(7);
+    Tick now = 0;
+    int next = 0;
+    std::size_t peakLive = 0;
+    for (int step = 0; step < 20000; ++step) {
+        now += rng() % 4;
+        const std::size_t burst = rng() % (step % 500 < 250 ? 40 : 8);
+        const bool batched = step % 3 == 0;
+        batch.clear();
+        for (std::size_t k = 0; k < burst; ++k) {
+            const Tick when = now + 1 + rng() % 3 + k;
+            const Tick at = ref.empty() ? when
+                                        : std::max(when, ref.back().first);
+            if (batched)
+                batch.push_back({at, next});
+            else
+                box.push(at, next);
+            ref.emplace_back(at, next++);
+        }
+        box.pushBatch(batch);
+        peakLive = std::max(peakLive, ref.size());
+        std::size_t pops = rng() % 24;
+        while (pops-- > 0 && !ref.empty() && ref.front().first <= now) {
+            ASSERT_TRUE(box.ready(now));
+            ASSERT_EQ(box.pop(now), ref.front().second);
+            ref.pop_front();
+        }
+        ASSERT_EQ(box.size(), ref.size());
+        ASSERT_EQ(box.nextArrival(),
+                  ref.empty() ? dvsnet::kTickNever : ref.front().first);
+        ASSERT_EQ(box.ready(now), !ref.empty() && ref.front().first <= now);
+        ASSERT_LE(box.storageSize(), 2 * peakLive + 64);
+    }
 }
 
 TEST(InboxDeathTest, NonMonotonePushPanics)

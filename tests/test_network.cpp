@@ -2,7 +2,8 @@
  * @file
  * End-to-end network integration tests: delivery integrity, zero-load
  * latency, DVS behavior under idle/light/heavy load, power
- * normalization, determinism, torus and adaptive-routing variants.
+ * normalization, determinism, torus and adaptive-routing variants,
+ * inbox storage at saturation.
  */
 
 #include <gtest/gtest.h>
@@ -313,6 +314,33 @@ TEST(Network, LightLoadSkipsIdleRoutersAndWakesOnDelivery)
     // this load, and every skipped-then-used router implies a wake.
     EXPECT_LT(steps, cycles * nodes);
     EXPECT_GT(wakes, 0u);
+}
+
+TEST(Network, InboxStorageBoundedAtSaturation)
+{
+    // The saturated-uniform benchmark point (8x8 mesh, History DVS,
+    // uniform traffic at 0.07 pkt/node/cycle): inboxes always hold a
+    // future-dated flit or credit and never fully drain.  Each must
+    // still hold at most twice its port buffer, not a slot for every
+    // item it has ever received.
+    const NetworkConfig cfg;
+    Network net(cfg);
+    PatternTraffic traffic(net.topology(), Pattern::UniformRandom, 0.07,
+                           1);
+    net.attachTraffic(traffic);
+    const RunResults res = net.run(2000, 6000);
+    ASSERT_GT(res.packetsDelivered, 20000u);
+
+    const std::size_t bound = 2 * cfg.router.bufferPerPort;
+    for (NodeId n = 0; n < net.topology().numNodes(); ++n) {
+        auto &r = net.router(n);
+        for (dvsnet::PortId p = 0; p < r.config().numPorts; ++p) {
+            EXPECT_LE(r.flitInbox(p).storageSize(), bound)
+                << "flit inbox of router " << n << " port " << p;
+            EXPECT_LE(r.creditInbox(p).storageSize(), bound)
+                << "credit inbox of router " << n << " port " << p;
+        }
+    }
 }
 
 TEST(NetworkDeathTest, SelfAddressedPacketRejected)
