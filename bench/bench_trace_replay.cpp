@@ -3,13 +3,20 @@
  * Trace record -> binary/CSV round-trip -> replay, on the paper's 8x8
  * mesh.
  *
- * Records a live workload run into a packet trace, writes it in both
- * on-disk formats, replays each through an identically configured
- * network, and verifies the replays are bit-identical to each other and
- * packet-for-packet identical to the live run — the property that makes
- * traces usable for policy comparisons under *literally* the same
- * packet sequence, not merely the same seed.  A fourth run replays the
- * binary trace under history-DVS to demonstrate exactly that.
+ * Records a workload into a packet trace, writes it in both on-disk
+ * formats, replays each through an identically configured network, and
+ * verifies the replays are bit-identical to each other and to a live
+ * run of the workload — the property that makes traces usable for
+ * policy comparisons under *literally* the same packet sequence, not
+ * merely the same seed.  A fourth run replays the binary trace under
+ * history-DVS to demonstrate exactly that.
+ *
+ * An open-loop workload is recorded with its generator alone
+ * (traffic::PacketStream::record), which marks the packets created on a
+ * router clock edge after that edge's step; replays pull the trace at
+ * the network's clock edges and honour those marks.  A closed-loop one
+ * ("cmp") is recorded from a live run; its replay is open loop, so only
+ * the two replays are compared.
  *
  * Also reports the binary format's size advantage (varint-delta
  * entries vs CSV text).
@@ -18,12 +25,12 @@
  * two-level model); `rate=R` sets the target injection rate.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
 #include "bench_util.hpp"
 #include "common/fatal.hpp"
+#include "traffic/stream.hpp"
 #include "traffic/trace.hpp"
 #include "workload/factory.hpp"
 #include "workload/trace_binary.hpp"
@@ -43,49 +50,17 @@ runReplay(const network::ExperimentSpec &spec,
     return net.run(spec.warmup, spec.measure);
 }
 
-/**
- * Packet-for-packet agreement with the live run: every count exact;
- * the latency mean within accumulation rounding.  (Two same-cycle
- * completions with symmetric paths can swap Welford-add order between
- * a live run and a replay, perturbing the mean by ~1 ulp while every
- * packet's latency — and so every count and sum — is unchanged.)
- */
+/** Bit identity: equal RunResults JSON, every field to the last bit. */
 void
-expectSamePackets(const char *what, const network::RunResults &a,
-                  const network::RunResults &b)
+expectIdentical(const char *what, const network::RunResults &a,
+                const network::RunResults &b)
 {
-    const double latencyDrift =
-        std::abs(a.avgLatencyCycles - b.avgLatencyCycles);
-    if (a.packetsCreated != b.packetsCreated ||
-        a.packetsDelivered != b.packetsDelivered ||
-        a.flitsEjected != b.flitsEjected ||
-        a.throughputPktsPerCycle != b.throughputPktsPerCycle ||
-        latencyDrift > 1e-9 * (1.0 + a.avgLatencyCycles)) {
-        DVSNET_FATAL(what,
-                     " replay diverged from the recorded run: created ",
-                     b.packetsCreated, " vs ", a.packetsCreated,
-                     ", delivered ", b.packetsDelivered, " vs ",
-                     a.packetsDelivered, ", avg latency ",
-                     b.avgLatencyCycles, " vs ", a.avgLatencyCycles);
-    }
-}
-
-/** The two replay paths must agree to the last bit. */
-void
-expectBitIdentical(const network::RunResults &a,
-                   const network::RunResults &b)
-{
-    if (a.packetsCreated != b.packetsCreated ||
-        a.packetsDelivered != b.packetsDelivered ||
-        a.flitsEjected != b.flitsEjected ||
-        a.avgLatencyCycles != b.avgLatencyCycles ||
-        a.maxLatencyCycles != b.maxLatencyCycles ||
-        a.throughputPktsPerCycle != b.throughputPktsPerCycle ||
-        a.avgPowerW != b.avgPowerW) {
-        DVSNET_FATAL("CSV and binary replays diverged: avg latency ",
-                     a.avgLatencyCycles, " vs ", b.avgLatencyCycles,
-                     ", delivered ", a.packetsDelivered, " vs ",
-                     b.packetsDelivered);
+    if (network::toJson(a).dump() != network::toJson(b).dump()) {
+        DVSNET_FATAL(what, " diverged: created ", b.packetsCreated, " vs ",
+                     a.packetsCreated, ", delivered ", b.packetsDelivered,
+                     " vs ", a.packetsDelivered, ", avg latency ",
+                     b.avgLatencyCycles, " vs ", a.avgLatencyCycles,
+                     ", avg power ", b.avgPowerW, " vs ", a.avgPowerW);
     }
 }
 
@@ -110,10 +85,11 @@ main(int argc, char **argv)
     const std::string csvPath = prefix + ".trace.csv";
     const std::string dvstPath = prefix + ".trace.dvst";
 
-    // 1. Record a live run.
+    // 1. Record the workload and run it live.
     traffic::Trace trace;
     network::RunResults original;
     NodeId numNodes = 0;
+    bool openLoop = true;
     {
         network::Network net(spec.network);
         numNodes = net.topology().numNodes();
@@ -121,10 +97,21 @@ main(int argc, char **argv)
                                           spec.workload};
         const auto generator =
             workload::buildWorkload(spec.workloadSpec, context);
-        traffic::TraceRecorder recorder(*generator);
-        net.attachTraffic(recorder);
-        original = net.run(spec.warmup, spec.measure);
-        trace = recorder.trace();
+        openLoop = !generator->wantsDeliveries();
+        if (openLoop) {
+            const auto recording =
+                workload::buildWorkload(spec.workloadSpec, context);
+            const auto stream = traffic::PacketStream::record(
+                *recording, cyclesToTicks(spec.warmup + spec.measure));
+            trace = traffic::Trace::read(*stream.cursor());
+            net.attachTraffic(*generator);
+            original = net.run(spec.warmup, spec.measure);
+        } else {
+            traffic::TraceRecorder recorder(*generator);
+            net.attachTraffic(recorder);
+            original = net.run(spec.warmup, spec.measure);
+            trace = recorder.trace();
+        }
     }
     if (trace.empty())
         DVSNET_FATAL("recorded run generated no packets");
@@ -136,17 +123,20 @@ main(int argc, char **argv)
     const auto csvBytes = std::filesystem::file_size(csvPath);
     const auto dvstBytes = std::filesystem::file_size(dvstPath);
 
-    // 3. Replay each format through an identical network; all three
-    // runs must agree packet-for-packet.
+    // 3. Replay each format through an identical network; the replays
+    // must agree with each other and, for open-loop traffic, with the
+    // live run, bit for bit.
     traffic::TraceTraffic csvReplay(traffic::Trace::load(csvPath,
                                                          numNodes));
     const auto csvResults = runReplay(spec, csvReplay);
-    expectSamePackets("CSV", original, csvResults);
-
     workload::BinaryTraceReplay binaryReplay(dvstPath);
     const auto binaryResults = runReplay(spec, binaryReplay);
-    expectSamePackets("binary", original, binaryResults);
-    expectBitIdentical(csvResults, binaryResults);
+    if (openLoop) {
+        expectIdentical("CSV replay vs the live run", original, csvResults);
+        expectIdentical("binary replay vs the live run", original,
+                        binaryResults);
+    }
+    expectIdentical("CSV and binary replays", csvResults, binaryResults);
 
     // 4. The payoff: the same packets under history-DVS.
     network::ExperimentSpec dvsSpec = spec;
@@ -190,12 +180,19 @@ main(int argc, char **argv)
                              static_cast<double>(dvstBytes),
                          2) +
                   "x"});
-    std::printf("\ntrace: %zu entries\n", trace.size());
+    std::size_t afterStep = 0;
+    for (const auto &entry : trace.entries())
+        afterStep += entry.afterStep ? 1 : 0;
+    std::printf("\ntrace: %zu entries, %zu created after a clock edge's "
+                "step\n",
+                trace.size(), afterStep);
     bench::printTable(f, opts);
 
     Json files = Json::object();
     files["type"] = Json("trace_files");
     files["entries"] = Json(static_cast<std::uint64_t>(trace.size()));
+    files["after_step_entries"] =
+        Json(static_cast<std::uint64_t>(afterStep));
     files["csv_bytes"] = Json(static_cast<std::uint64_t>(csvBytes));
     files["binary_bytes"] = Json(static_cast<std::uint64_t>(dvstBytes));
     files["compression_vs_csv"] = Json(static_cast<double>(csvBytes) /

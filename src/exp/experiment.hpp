@@ -99,9 +99,14 @@ struct RunnerOptions
 };
 
 /**
- * Execute one measurement point with an explicit workload seed — the
- * primitive every runner worker calls.  Throws ConfigError on an
- * invalid spec or rate.
+ * Execute one measurement point with an explicit workload seed.  An
+ * open-loop workload (wantsDeliveries() false) is recorded first, with
+ * its generator running alone (traffic::PacketStream::record), and the
+ * network then pulls that stream (Network::attachStream); a closed-loop
+ * one runs live.  Either way the result is bit-identical to attaching
+ * the generator to the network.  ExperimentRunner does the same, but
+ * records each stream once for all its jobs with equal generator
+ * inputs.  Throws ConfigError on an invalid spec or rate.
  */
 network::RunResults runPoint(const network::ExperimentSpec &spec,
                              double injectionRate, std::uint64_t seed);

@@ -1,7 +1,9 @@
 #include "exp/runner.hpp"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "common/fatal.hpp"
@@ -49,9 +51,11 @@ pointSeed(std::uint64_t baseSeed, const std::string &key)
     return pointSeed(baseSeed, h);
 }
 
-network::RunResults
-runPoint(const network::ExperimentSpec &spec, double injectionRate,
-         std::uint64_t seed)
+namespace
+{
+
+void
+validatePoint(const network::ExperimentSpec &spec, double injectionRate)
 {
     auto problems = spec.validate();
     if (!(injectionRate > 0.0) || !std::isfinite(injectionRate)) {
@@ -59,14 +63,86 @@ runPoint(const network::ExperimentSpec &spec, double injectionRate,
     }
     if (!problems.empty())
         throw ConfigError(joinProblems("invalid experiment", problems));
+}
 
+/**
+ * The point's packets, recorded with the generator alone through the
+ * end of the run; null for a closed-loop workload, which must run live.
+ * The generator is gone before any network is built.
+ */
+std::shared_ptr<const traffic::PacketStream>
+recordPointStream(const network::ExperimentSpec &spec, double injectionRate,
+                  std::uint64_t seed)
+{
+    const auto &cfg = spec.network;
+    const topo::KAryNCube topo(cfg.radix, cfg.dims, cfg.torus);
+    const auto generator = workload::buildWorkload(
+        spec.workloadSpec,
+        workload::WorkloadContext{topo, injectionRate, seed, spec.workload});
+    if (generator->wantsDeliveries())
+        return nullptr;
+    return std::make_shared<const traffic::PacketStream>(
+        traffic::PacketStream::record(
+            *generator, cyclesToTicks(spec.warmup + spec.measure)));
+}
+
+/** Run a validated point from `stream`, or live when it is null. */
+network::RunResults
+runPointOn(const network::ExperimentSpec &spec, double injectionRate,
+           std::uint64_t seed, const traffic::PacketStream *stream)
+{
     network::Network net(spec.network);
+    if (stream != nullptr) {
+        net.attachStream(stream->cursor());
+        return net.run(spec.warmup, spec.measure);
+    }
     workload::WorkloadContext context{net.topology(), injectionRate, seed,
                                       spec.workload};
     const auto generator =
         workload::buildWorkload(spec.workloadSpec, context);
     net.attachTraffic(*generator);
     return net.run(spec.warmup, spec.measure);
+}
+
+/**
+ * Everything a job's traffic generator reads: the workload spec string
+ * and parameter block, the topology, the rate (exact bits), the seed
+ * and the run length.  Jobs with equal keys create identical packets.
+ */
+std::string
+streamKey(const PointJob &job)
+{
+    const network::ExperimentSpec &spec = job.spec;
+    const traffic::TwoLevelParams &w = spec.workload;
+    static_assert(sizeof(traffic::TwoLevelParams) == 112,
+                  "TwoLevelParams changed: key every field it has here");
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+    std::ostringstream key;
+    key << spec.workloadSpec << '\n'
+        << spec.network.radix << ' ' << spec.network.dims << ' '
+        << spec.network.torus << ' ' << bits(job.injectionRate) << ' '
+        << job.seed << ' ' << spec.warmup + spec.measure;
+    for (const double v :
+         {w.avgConcurrentTasks, w.meanTaskDurationCycles, w.durationSpread,
+          w.networkInjectionRate, w.rateSpread, w.onOff.onShape,
+          w.onOff.offShape, w.onOff.meanOnCycles, w.onOff.meanOffCycles,
+          w.pLocal})
+        key << ' ' << bits(v);
+    key << ' ' << w.sourcesPerTask << ' ' << w.localityRadius << ' '
+        << w.perPacketDestination << ' ' << w.seed;
+    return key.str();
+}
+
+} // namespace
+
+network::RunResults
+runPoint(const network::ExperimentSpec &spec, double injectionRate,
+         std::uint64_t seed)
+{
+    validatePoint(spec, injectionRate);
+    const auto stream = recordPointStream(spec, injectionRate, seed);
+    return runPointOn(spec, injectionRate, seed, stream.get());
 }
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
@@ -79,15 +155,17 @@ ExperimentRunner::~ExperimentRunner() = default;
 std::size_t
 ExperimentRunner::submit(PointJob job)
 {
+    std::string key = streamKey(job);
     std::size_t index;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         index = results_.size();
         results_.emplace_back();
         ++submitted_;
+        ++streams_[key].consumers;
     }
-    pool_.post([this, index, job = std::move(job)] {
-        execute(index, job);
+    pool_.post([this, index, job = std::move(job), key = std::move(key)] {
+        execute(index, job, key);
     });
     return index;
 }
@@ -111,8 +189,38 @@ ExperimentRunner::submitSweep(const network::ExperimentSpec &spec,
     return first;
 }
 
+std::shared_ptr<const traffic::PacketStream>
+ExperimentRunner::acquireStream(const std::string &key, const PointJob &job)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    SharedStream &slot = streams_.at(key);
+    streamReady_.wait(lock, [&slot] { return slot.ready || !slot.producing; });
+    if (slot.ready)
+        return slot.stream;
+
+    // First here, or the last attempt failed: record it.
+    slot.producing = true;
+    lock.unlock();
+    std::shared_ptr<const traffic::PacketStream> stream;
+    try {
+        stream = recordPointStream(job.spec, job.injectionRate, job.seed);
+    } catch (...) {
+        lock.lock();
+        slot.producing = false;
+        streamReady_.notify_all();
+        throw;
+    }
+    lock.lock();
+    slot.stream = stream;
+    slot.ready = true;
+    slot.producing = false;
+    streamReady_.notify_all();
+    return stream;
+}
+
 void
-ExperimentRunner::execute(std::size_t index, const PointJob &job)
+ExperimentRunner::execute(std::size_t index, const PointJob &job,
+                          const std::string &key)
 {
     PointResult result;
     result.injectionRate = job.injectionRate;
@@ -121,7 +229,11 @@ ExperimentRunner::execute(std::size_t index, const PointJob &job)
 
     const auto start = std::chrono::steady_clock::now();
     try {
-        result.results = runPoint(job.spec, job.injectionRate, job.seed);
+        // Validated first, so every job fails with runPoint's message.
+        validatePoint(job.spec, job.injectionRate);
+        const auto stream = acquireStream(key, job);
+        result.results = runPointOn(job.spec, job.injectionRate, job.seed,
+                                    stream.get());
         result.ok = true;
     } catch (const std::exception &e) {
         result.error = e.what();
@@ -135,6 +247,9 @@ ExperimentRunner::execute(std::size_t index, const PointJob &job)
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        const auto slot = streams_.find(key);
+        if (--slot->second.consumers == 0)
+            streams_.erase(slot);
         results_[index] = std::move(result);
         ++completed_;
         // The callback runs under the lock: serialized by construction,

@@ -15,6 +15,13 @@
  *    point's PointResult::error; the other points still run.
  *  - **Timing & progress**: each result records its wall-clock cost and
  *    an optional callback observes completion counts.
+ *  - **Shared traffic**: jobs whose traffic generators read equal inputs
+ *    (workload spec and parameter block, topology, rate, seed and run
+ *    length; not policy, routing or any other network field) share one
+ *    recorded packet stream.  The first of them to run records it while
+ *    the others wait; it is freed when the last of them finishes.  A
+ *    failed recording wakes the waiters, and the next one retries, so
+ *    every job's result is what exp::runPoint gives it.
  *
  * Typical use:
  *
@@ -27,11 +34,17 @@
 
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "exp/experiment.hpp"
 #include "exp/worker_pool.hpp"
+#include "traffic/stream.hpp"
 
 namespace dvsnet::exp
 {
@@ -79,13 +92,30 @@ class ExperimentRunner
           const std::vector<double> &rates, RunnerOptions options = {});
 
   private:
-    void execute(std::size_t index, const PointJob &job);
+    /** One packet stream and the submitted jobs that read it. */
+    struct SharedStream
+    {
+        /** Null when ready for a closed-loop workload: it runs live. */
+        std::shared_ptr<const traffic::PacketStream> stream;
+        bool ready = false;
+        bool producing = false;
+        std::size_t consumers = 0;  ///< submitted jobs not yet finished
+    };
+
+    void execute(std::size_t index, const PointJob &job,
+                 const std::string &key);
+
+    /** The job's stream: recorded here, or by another job meanwhile. */
+    std::shared_ptr<const traffic::PacketStream>
+    acquireStream(const std::string &key, const PointJob &job);
 
     RunnerOptions options_;
-    std::mutex mutex_;  ///< guards results_ and the counters
+    std::mutex mutex_;  ///< guards results_, the counters and streams_
     std::vector<PointResult> results_;
     std::size_t submitted_ = 0;
     std::size_t completed_ = 0;
+    std::unordered_map<std::string, SharedStream> streams_;  ///< by key
+    std::condition_variable streamReady_;
     WorkerPool pool_;  ///< last member: workers stop before state dies
 };
 

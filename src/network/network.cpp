@@ -272,6 +272,10 @@ Network::makePolicy() const
 void
 Network::attachTraffic(traffic::TrafficGenerator &generator)
 {
+    if (auto stream = generator.openStream()) {
+        attachStream(std::move(stream));
+        return;
+    }
     if (generator.wantsDeliveries()) {
         setDeliveryHook([&generator](const traffic::PacketRequest &req,
                                      Tick arrival) {
@@ -285,6 +289,29 @@ Network::attachTraffic(traffic::TrafficGenerator &generator)
 }
 
 void
+Network::attachStream(std::unique_ptr<traffic::PacketCursor> stream)
+{
+    DVSNET_ASSERT(stream && !stream_, "one packet stream per network");
+    stream_ = std::move(stream);
+    streamHasNext_ = stream_->next(streamNext_);
+}
+
+void
+Network::pullStream(bool withAfterStep)
+{
+    const Tick now = kernel_.now();
+    DVSNET_ASSERT(now <= stream_->horizon(), "packet stream ran out at tick ",
+                  stream_->horizon(), "; the network is at ", now);
+    while (streamHasNext_ &&
+           (streamNext_.when < now ||
+            (streamNext_.when == now &&
+             (withAfterStep || !streamNext_.afterStep)))) {
+        createPacket(streamNext_.request, streamNext_.when);
+        streamHasNext_ = stream_->next(streamNext_);
+    }
+}
+
+void
 Network::setDeliveryHook(DeliveryFn hook)
 {
     deliveryHook_ = std::move(hook);
@@ -294,6 +321,12 @@ Network::setDeliveryHook(DeliveryFn hook)
 
 void
 Network::injectPacket(const traffic::PacketRequest &request)
+{
+    createPacket(request, kernel_.now());
+}
+
+void
+Network::createPacket(const traffic::PacketRequest &request, Tick created)
 {
     const NodeId src = request.src;
     const NodeId dst = request.dst;
@@ -307,7 +340,7 @@ Network::injectPacket(const traffic::PacketRequest &request)
     desc.dst = dst;
     desc.length =
         request.sizeFlits != 0 ? request.sizeFlits : config_.packetLength;
-    desc.created = kernel_.now();
+    desc.created = created;
 
     if (deliveryHook_)
         inFlightRequests_.emplace(desc.id, request);
@@ -365,8 +398,11 @@ Network::stepQuantum()
     // One router-clock edge: the injection scan, then one pass over the
     // active routers.  Kernel events (policy windows, delivery splices,
     // traffic processes) interleave between edges in (tick, seq) order.
+    // A packet stream stands in for a generator's events up to here.
     const Tick now = kernel_.now();
     ++*ctrCycles_;
+    if (stream_)
+        pullStream(false);
 
     // Injection scan: only sources with queued packets, in ascending
     // node order (the full 0..N-1 scan this replaces, restricted to
@@ -483,8 +519,18 @@ Network::onFlitEjected(const router::Flit &flit, Tick arrival)
 void
 Network::runUntilCycle(Cycle cycle)
 {
+    const Tick until = cyclesToTicks(cycle);
+    if (stream_ && until > stream_->horizon()) {
+        throw ConfigError(detail::concat(
+            "packet stream covers ticks up to ", stream_->horizon(),
+            ", not the requested run to cycle ", cycle));
+    }
     startStepping();
-    kernel_.run(cyclesToTicks(cycle));
+    kernel_.run(until);
+    // A live generator has created every packet up to `until` by now,
+    // after-step ones included.
+    if (stream_)
+        pullStream(true);
 }
 
 void

@@ -117,9 +117,25 @@ class Network
 
     /**
      * Attach and start a traffic generator.  Generators opting in via
-     * wantsDeliveries() are additionally wired to the delivery hook.
+     * wantsDeliveries() are additionally wired to the delivery hook.  A
+     * generator replaying a recording (openStream()) is attached
+     * through attachStream() instead of started.
      */
     void attachTraffic(traffic::TrafficGenerator &generator);
+
+    /**
+     * Feed the network from a recorded packet stream (the pull path).
+     * At each router clock edge T, before the injection scan, the
+     * network creates every packet recorded before T plus those at T
+     * without the after-step bit; runUntilCycle() ends by creating the
+     * rest up to the current tick, so a window begun next starts on the
+     * same packet as a live run.  Every packet keeps its recorded
+     * creation tick, so a stream recorded from an open-loop generator
+     * (traffic::PacketStream::record) reproduces attaching that
+     * generator bit for bit.  One stream per network.
+     * @throws ConfigError from runUntilCycle() past the stream's horizon
+     */
+    void attachStream(std::unique_ptr<traffic::PacketCursor> stream);
 
     /**
      * Create one packet (enters the source queue).  A zero
@@ -256,6 +272,16 @@ class Network
     void stepQuantum();
     void injectFromQueue(NodeId node);
 
+    /** Enqueue one packet created at `created` (<= now). */
+    void createPacket(const traffic::PacketRequest &request, Tick created);
+
+    /**
+     * Create the stream's packets due by now: those before now, and
+     * those at now either before the step (`withAfterStep` false) or
+     * all of them.
+     */
+    void pullStream(bool withAfterStep);
+
     /** Add a router to the step set (no-op if already active). */
     void wakeRouter(NodeId node);
 
@@ -301,6 +327,11 @@ class Network
     router::PacketId nextPacketId_ = 1;
     bool stepping_ = false;
     Cycle measureStartCycle_ = 0;
+
+    /** Pull path (attachStream): the cursor and its next packet. */
+    std::unique_ptr<traffic::PacketCursor> stream_;
+    traffic::StreamPacket streamNext_;
+    bool streamHasNext_ = false;
 
     /** Delivery-notification plumbing: empty hook = fully disabled
      *  (no per-packet map entries, no lookups on ejection). */

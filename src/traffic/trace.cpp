@@ -1,5 +1,6 @@
 #include "traffic/trace.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <limits>
@@ -35,19 +36,28 @@ badLine(std::size_t lineNo, const std::string &line,
 } // namespace
 
 void
-Trace::append(Tick when, NodeId src, NodeId dst,
-              std::uint16_t sizeFlits, std::uint8_t trafficClass)
+Trace::append(const TraceEntry &entry)
 {
-    DVSNET_ASSERT(entries_.empty() || when >= entries_.back().when,
+    DVSNET_ASSERT(entries_.empty() || entry.when >= entries_.back().when,
                   "trace times must be non-decreasing");
-    entries_.push_back({when, src, dst, sizeFlits, trafficClass});
+    entries_.push_back(entry);
 }
 
 void
-Trace::append(Tick when, const PacketRequest &request)
+Trace::append(const StreamPacket &packet)
 {
-    append(when, request.src, request.dst, request.sizeFlits,
-           request.trafficClass);
+    const PacketRequest &r = packet.request;
+    append(TraceEntry{packet.when, r.src, r.dst, r.sizeFlits,
+                      r.trafficClass, packet.afterStep});
+}
+
+Trace
+Trace::read(PacketCursor &cursor)
+{
+    Trace trace;
+    for (StreamPacket packet; cursor.next(packet);)
+        trace.append(packet);
+    return trace;
 }
 
 bool
@@ -63,15 +73,22 @@ Trace::hasExtendedFields() const
 std::string
 Trace::toCsv() const
 {
-    const bool extended = hasExtendedFields();
+    const bool bits =
+        std::any_of(entries_.begin(), entries_.end(),
+                    [](const TraceEntry &e) { return e.afterStep; });
+    const bool extended = bits || hasExtendedFields();
     std::ostringstream oss;
-    oss << (extended ? "tick,src,dst,size,class\n" : "tick,src,dst\n");
+    oss << (bits       ? "tick,src,dst,size,class,after_step\n"
+            : extended ? "tick,src,dst,size,class\n"
+                       : "tick,src,dst\n");
     for (const auto &e : entries_) {
         oss << e.when << "," << e.src << "," << e.dst;
         if (extended) {
             oss << "," << e.sizeFlits << ","
                 << static_cast<unsigned>(e.trafficClass);
         }
+        if (bits)
+            oss << "," << (e.afterStep ? 1 : 0);
         oss << "\n";
     }
     return oss.str();
@@ -98,8 +115,9 @@ Trace::fromCsv(const std::string &csv, NodeId numNodes)
                 continue;  // header
         }
 
-        // Split on commas; 3 (tick,src,dst) or 5 (+size,class) fields.
-        std::uint64_t fields[5] = {0, 0, 0, 0, 0};
+        // Split on commas; 3 (tick,src,dst), 5 (+size,class) or 6
+        // (+after_step) fields.
+        std::uint64_t fields[6] = {0, 0, 0, 0, 0, 0};
         std::size_t count = 0;
         const char *cursor = line.c_str();
         const char *lineEnd = cursor + line.size();
@@ -107,7 +125,7 @@ Trace::fromCsv(const std::string &csv, NodeId numNodes)
             const char *comma = cursor;
             while (comma != lineEnd && *comma != ',')
                 ++comma;
-            if (count == 5)
+            if (count == 6)
                 badLine(lineNo, line, "too many fields");
             if (!parseField(cursor, comma, fields[count])) {
                 badLine(lineNo, line,
@@ -118,9 +136,11 @@ Trace::fromCsv(const std::string &csv, NodeId numNodes)
                 break;
             cursor = comma + 1;
         }
-        if (count != 3 && count != 5) {
+        if (count != 3 && count != 5 && count != 6) {
             badLine(lineNo, line,
-                    detail::concat("expected 3 or 5 fields, got ", count));
+                    detail::concat("expected 3 or 5 fields, or 6 with "
+                                   "after_step, got ",
+                                   count));
         }
 
         const Tick when = static_cast<Tick>(fields[0]);
@@ -150,12 +170,14 @@ Trace::fromCsv(const std::string &csv, NodeId numNodes)
             badLine(lineNo, line, "size overflows 16 bits");
         if (fields[4] > std::numeric_limits<std::uint8_t>::max())
             badLine(lineNo, line, "class overflows 8 bits");
+        if (fields[5] > 1)
+            badLine(lineNo, line, "after_step must be 0 or 1");
 
         trace.entries_.push_back(
             {when, static_cast<NodeId>(fields[1]),
              static_cast<NodeId>(fields[2]),
              static_cast<std::uint16_t>(fields[3]),
-             static_cast<std::uint8_t>(fields[4])});
+             static_cast<std::uint8_t>(fields[4]), fields[5] == 1});
     }
     return trace;
 }
@@ -185,26 +207,60 @@ Trace::load(const std::string &path, NodeId numNodes)
     return fromCsv(oss.str(), numNodes);
 }
 
+namespace
+{
+
+/** Reads a trace's entries in order. */
+class TraceCursor final : public PacketCursor
+{
+  public:
+    explicit TraceCursor(const std::vector<TraceEntry> &entries)
+        : it_(entries.begin()), end_(entries.end())
+    {
+    }
+
+    bool
+    next(StreamPacket &out) override
+    {
+        if (it_ == end_)
+            return false;
+        out = (it_++)->toPacket();
+        return true;
+    }
+
+    Tick horizon() const override { return kTickNever; }
+
+  private:
+    std::vector<TraceEntry>::const_iterator it_;
+    std::vector<TraceEntry>::const_iterator end_;
+};
+
+} // namespace
+
 void
-TraceTraffic::start(sim::Kernel &kernel, PacketSink sink)
+ReplayTraffic::start(sim::Kernel &kernel, PacketSink sink)
 {
     kernel_ = &kernel;
     sink_ = std::move(sink);
-    if (!trace_.empty())
-        scheduleNext(0);
+    cursor_ = openStream();
+    if (cursor_->next(next_))
+        scheduleNext();
 }
 
 void
-TraceTraffic::scheduleNext(std::size_t index)
+ReplayTraffic::scheduleNext()
 {
-    const TraceEntry &e = trace_.entries()[index];
-    const Tick when = std::max(e.when, kernel_->now());
-    kernel_->at(when, [this, index] {
-        const TraceEntry &entry = trace_.entries()[index];
-        sink_(entry.toRequest());
-        if (index + 1 < trace_.size())
-            scheduleNext(index + 1);
+    kernel_->at(std::max(next_.when, kernel_->now()), [this] {
+        sink_(next_.request);
+        if (cursor_->next(next_))
+            scheduleNext();
     });
+}
+
+std::unique_ptr<PacketCursor>
+TraceTraffic::openStream()
+{
+    return std::make_unique<TraceCursor>(trace_.entries());
 }
 
 } // namespace dvsnet::traffic

@@ -2,12 +2,16 @@
  * @file
  * Traffic trace capture and replay.
  *
- * A TraceRecorder wraps any generator's packet stream and logs
- * (tick, src, dst, size, class) tuples; TraceTraffic replays a trace
- * exactly, enabling bit-identical workload reproduction across
- * simulator configurations (e.g. comparing DVS policies under
- * *literally* the same packet sequence instead of merely the same seed)
- * and import of externally produced traces.
+ * A Trace is an ordered list of (tick, src, dst, size, class,
+ * after-step) entries: a packet stream (traffic/traffic.hpp) that can
+ * live on disk.  TraceTraffic replays one exactly, enabling bit-identical
+ * workload reproduction across simulator configurations (e.g. comparing
+ * DVS policies under *literally* the same packet sequence instead of
+ * merely the same seed) and import of externally produced traces.
+ * Open-loop traffic is recorded with traffic::PacketStream::record(),
+ * which also sets each entry's after-step bit; TraceRecorder wraps a
+ * live generator instead, for closed-loop workloads, and leaves the bit
+ * clear.
  *
  * Two on-disk forms exist: a human-readable CSV (this file) and the
  * compact varint-delta binary format in workload/trace_binary.hpp —
@@ -20,6 +24,7 @@
 
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +42,7 @@ struct TraceEntry
     NodeId dst = kInvalidId;
     std::uint16_t sizeFlits = 0;    ///< 0 = network default length
     std::uint8_t trafficClass = 0;  ///< generator-defined flow class
+    bool afterStep = false;  ///< see StreamPacket::afterStep
 
     bool operator==(const TraceEntry &) const = default;
 
@@ -46,6 +52,9 @@ struct TraceEntry
     {
         return PacketRequest{src, dst, sizeFlits, trafficClass, 0};
     }
+
+    /** The stream packet this entry replays. */
+    StreamPacket toPacket() const { return {when, toRequest(), afterStep}; }
 };
 
 /** An ordered packet trace. */
@@ -55,12 +64,21 @@ class Trace
     Trace() = default;
 
     /** Append an entry (ticks must be non-decreasing). */
-    void append(Tick when, NodeId src, NodeId dst,
-                std::uint16_t sizeFlits = 0,
-                std::uint8_t trafficClass = 0);
+    void append(const TraceEntry &entry);
 
-    /** Append a recorded request at `when`. */
-    void append(Tick when, const PacketRequest &request);
+    /** Convenience: an entry with the after-step bit clear. */
+    void
+    append(Tick when, NodeId src, NodeId dst, std::uint16_t sizeFlits = 0,
+           std::uint8_t trafficClass = 0)
+    {
+        append(TraceEntry{when, src, dst, sizeFlits, trafficClass});
+    }
+
+    /** Append a stream packet (its tag is not kept). */
+    void append(const StreamPacket &packet);
+
+    /** Every packet `cursor` yields, from where it stands. */
+    static Trace read(PacketCursor &cursor);
 
     const std::vector<TraceEntry> &entries() const { return entries_; }
 
@@ -71,14 +89,16 @@ class Trace
     bool hasExtendedFields() const;
 
     /**
-     * Serialize as CSV: "tick,src,dst" lines, or
-     * "tick,src,dst,size,class" when extended fields are present.
+     * Serialize as CSV: "tick,src,dst" lines, "tick,src,dst,size,class"
+     * when extended fields are present, or
+     * "tick,src,dst,size,class,after_step" when any after-step bit is.
      */
     std::string toCsv() const;
 
     /**
      * Parse the CSV form.  Accepts CRLF line endings, a trailing
-     * newline, an optional header, and 3- or 5-column rows.
+     * newline, an optional header, and 3-, 5- or 6-column rows (a 6th
+     * column is the after-step bit, 0 or 1).
      * @param numNodes when > 0, node ids must lie in [0, numNodes)
      * @throws ConfigError (line-numbered) on malformed rows,
      *         decreasing ticks, or out-of-range node ids
@@ -99,6 +119,8 @@ class Trace
  * it through to the network.  Fully transparent: delivery
  * notifications are forwarded to the inner generator, so closed-loop
  * workloads (request/reply) can be recorded from a live network run.
+ * It cannot see the network's steps, so every after-step bit is clear;
+ * record open-loop traffic with PacketStream::record() instead.
  */
 class TraceRecorder final : public TrafficGenerator
 {
@@ -112,7 +134,7 @@ class TraceRecorder final : public TrafficGenerator
         kernel_ = &kernel;
         inner_.start(kernel, [this, sink = std::move(sink)](
                                  const PacketRequest &request) {
-            trace_.append(kernel_->now(), request);
+            trace_.append(StreamPacket{kernel_->now(), request});
             sink(request);
         });
     }
@@ -137,23 +159,41 @@ class TraceRecorder final : public TrafficGenerator
     Trace trace_;
 };
 
+/**
+ * Base of the generators that replay a finished recording (TraceTraffic,
+ * workload::BinaryTraceReplay).  A network attaching one pulls its
+ * openStream() cursor at each router clock edge, so every packet is
+ * created on the side of an edge's step its after-step bit names.
+ * start() serves use without a network: it emits each packet at its
+ * tick on `kernel`.
+ */
+class ReplayTraffic : public TrafficGenerator
+{
+  public:
+    void start(sim::Kernel &kernel, PacketSink sink) final;
+
+  private:
+    void scheduleNext();
+
+    std::unique_ptr<PacketCursor> cursor_;
+    StreamPacket next_;
+    sim::Kernel *kernel_ = nullptr;
+    PacketSink sink_;
+};
+
 /** Replays a trace verbatim. */
-class TraceTraffic final : public TrafficGenerator
+class TraceTraffic final : public ReplayTraffic
 {
   public:
     /** @param trace trace to replay (copied) */
     explicit TraceTraffic(Trace trace) : trace_(std::move(trace)) {}
 
-    void start(sim::Kernel &kernel, PacketSink sink) override;
+    std::unique_ptr<PacketCursor> openStream() override;
 
     const char *name() const override { return "trace-replay"; }
 
   private:
-    void scheduleNext(std::size_t index);
-
     Trace trace_;
-    sim::Kernel *kernel_ = nullptr;
-    PacketSink sink_;
 };
 
 } // namespace dvsnet::traffic

@@ -12,12 +12,18 @@
  * closes the loop between network latency and offered load — a DVS
  * policy that slows links now also slows the workload that feeds them,
  * as in a real system.
+ *
+ * Open-loop traffic can also reach a network as a finished recording:
+ * a PacketCursor over StreamPackets, which the network pulls at its
+ * router clock edges (Network::attachStream; traffic/stream.hpp
+ * records one from any open-loop generator).
  */
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "common/types.hpp"
 #include "sim/kernel.hpp"
@@ -50,6 +56,44 @@ struct PacketRequest
 /** Callback a generator invokes to create one packet now. */
 using PacketSink = std::function<void(const PacketRequest &request)>;
 
+/**
+ * One packet of a recorded stream: its creation tick, the request, and
+ * which side of a router clock edge's step it was created on.
+ *
+ * Only packets created exactly on an edge can carry `afterStep`.  In a
+ * live run the same-tick order of a generator event and the network's
+ * step is the kernel's FIFO order, so a packet at edge T is queued
+ * before the step at T (and injected by it) or after it (and injected
+ * one edge later).  The bit records which, so a replay injects every
+ * packet on the edge the live run did.
+ */
+struct StreamPacket
+{
+    Tick when = 0;
+    PacketRequest request;
+    bool afterStep = false;
+
+    bool operator==(const StreamPacket &) const = default;
+};
+
+/** Sequential read access to a packet stream, in creation order. */
+class PacketCursor
+{
+  public:
+    virtual ~PacketCursor() = default;
+
+    /** Read the next packet into `out`; false at the end of the stream. */
+    virtual bool next(StreamPacket &out) = 0;
+
+    /**
+     * Last tick the stream covers.  A recording of a generator ends at
+     * its horizon, and a network that runs past it fails rather than
+     * silently running out of packets; kTickNever marks a complete
+     * stream (a trace: no packet follows its last one).
+     */
+    virtual Tick horizon() const = 0;
+};
+
 /** A source of packet arrivals. */
 class TrafficGenerator
 {
@@ -80,6 +124,15 @@ class TrafficGenerator
         (void)request;
         (void)arrival;
     }
+
+    /**
+     * Generators that replay a finished recording (packet traces)
+     * return a cursor over it from the first packet; the generator must
+     * outlive the cursor.  A network attaching such a generator pulls
+     * the cursor at its clock edges instead of calling start().  The
+     * default, nullptr, means the generator runs live.
+     */
+    virtual std::unique_ptr<PacketCursor> openStream() { return nullptr; }
 
     /** Short name for reports. */
     virtual const char *name() const = 0;

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "common/fatal.hpp"
+#include "common/varint.hpp"
 
 namespace dvsnet::workload
 {
@@ -60,51 +61,57 @@ getU64(const unsigned char *p)
     return v;
 }
 
-/** Append `v` as LEB128 to `buf`; returns bytes written (<= 10). */
-std::size_t
-encodeVarint(unsigned char *buf, std::uint64_t v)
-{
-    std::size_t n = 0;
-    do {
-        unsigned char byte = v & 0x7f;
-        v >>= 7;
-        if (v != 0)
-            byte |= 0x80;
-        buf[n++] = byte;
-    } while (v != 0);
-    return n;
-}
-
 /**
- * Read one LEB128 varint.  Returns false on clean EOF *before the
- * first byte*; throws on truncation mid-varint or overlong encoding.
+ * Read one varint of entry `entryIndex`.  Returns false on a clean EOF
+ * *before the first byte*; throws on truncation mid-varint or overlong
+ * encoding.
  */
 bool
-decodeVarint(std::istream &in, std::uint64_t &out, std::uint64_t entryIndex)
+readVarint(std::istream &in, std::uint64_t &out, std::uint64_t entryIndex)
 {
-    out = 0;
-    int shift = 0;
-    bool firstByte = true;
-    while (true) {
-        const int c = in.get();
-        if (c == std::char_traits<char>::eof()) {
-            if (firstByte)
-                return false;
-            throw ConfigError(detail::concat(
-                "binary trace: truncated varint in entry ", entryIndex));
-        }
-        firstByte = false;
-        const auto byte = static_cast<unsigned char>(c);
-        if (shift >= 63 && (byte >> 1) != 0) {
-            throw ConfigError(detail::concat(
-                "binary trace: varint overflow in entry ", entryIndex));
-        }
-        out |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return true;
-        shift += 7;
+    switch (getVarint([&in] { return in.get(); }, out)) {
+      case VarintStatus::Ok:
+        return true;
+      case VarintStatus::End:
+        return false;
+      case VarintStatus::Truncated:
+        throw ConfigError(detail::concat(
+            "binary trace: truncated varint in entry ", entryIndex));
+      case VarintStatus::Overflow:
+        break;
     }
+    throw ConfigError(detail::concat(
+        "binary trace: varint overflow in entry ", entryIndex));
 }
+
+/** Streams a binary trace file as the network pulls it. */
+class FileTraceCursor final : public traffic::PacketCursor
+{
+  public:
+    explicit FileTraceCursor(const std::string &path)
+        : file_(path, std::ios::binary)
+    {
+        if (!file_)
+            throw ConfigError("cannot open binary trace '" + path + "'");
+        reader_ = std::make_unique<BinaryTraceReader>(file_);
+    }
+
+    bool
+    next(traffic::StreamPacket &out) override
+    {
+        traffic::TraceEntry entry;
+        if (!reader_->next(entry))
+            return false;
+        out = entry.toPacket();
+        return true;
+    }
+
+    Tick horizon() const override { return kTickNever; }
+
+  private:
+    std::ifstream file_;
+    std::unique_ptr<BinaryTraceReader> reader_;
+};
 
 } // namespace
 
@@ -132,13 +139,18 @@ BinaryTraceWriter::append(const traffic::TraceEntry &entry)
             "binary trace: decreasing tick ", entry.when, " after ",
             lastTick_, " in entry ", count_));
     }
-    // Worst case 5 varints x 10 bytes.
-    unsigned char buf[50];
-    std::size_t n = encodeVarint(buf, entry.when - lastTick_);
-    n += encodeVarint(buf + n, static_cast<std::uint64_t>(entry.src));
-    n += encodeVarint(buf + n, static_cast<std::uint64_t>(entry.dst));
-    n += encodeVarint(buf + n, entry.sizeFlits);
-    n += encodeVarint(buf + n, entry.trafficClass);
+    const Tick delta = entry.when - lastTick_;
+    if (delta >> 63 != 0) {
+        throw ConfigError(detail::concat(
+            "binary trace: tick gap ", delta, " too large in entry ",
+            count_));
+    }
+    unsigned char buf[5 * kMaxVarintBytes];
+    std::size_t n = putVarint(buf, delta << 1 | (entry.afterStep ? 1 : 0));
+    n += putVarint(buf + n, static_cast<std::uint64_t>(entry.src));
+    n += putVarint(buf + n, static_cast<std::uint64_t>(entry.dst));
+    n += putVarint(buf + n, entry.sizeFlits);
+    n += putVarint(buf + n, entry.trafficClass);
     out_.write(reinterpret_cast<const char *>(buf), static_cast<long>(n));
     if (!out_) {
         throw ConfigError(detail::concat(
@@ -183,10 +195,10 @@ BinaryTraceReader::BinaryTraceReader(std::istream &in) : in_(in)
             "binary trace: bad magic (not a DVST trace file)");
     }
     header_.version = getU16(header + 4);
-    if (header_.version != kTraceVersion) {
+    if (header_.version != 1 && header_.version != kTraceVersion) {
         throw ConfigError(detail::concat(
             "binary trace: unsupported version ", header_.version,
-            " (this build reads version ", kTraceVersion, ")"));
+            " (this build reads versions 1 and ", kTraceVersion, ")"));
     }
     if (getU16(header + 6) != 0)
         throw ConfigError("binary trace: nonzero reserved flags");
@@ -210,8 +222,8 @@ BinaryTraceReader::next(traffic::TraceEntry &entry)
         return false;
     }
 
-    std::uint64_t delta = 0;
-    if (!decodeVarint(in_, delta, count_)) {
+    std::uint64_t head = 0;
+    if (!readVarint(in_, head, count_)) {
         if (header_.entryCount != 0 && count_ < header_.entryCount) {
             throw ConfigError(detail::concat(
                 "binary trace: ended after ", count_, " of ",
@@ -222,7 +234,7 @@ BinaryTraceReader::next(traffic::TraceEntry &entry)
     }
     std::uint64_t fields[4];
     for (auto &f : fields) {
-        if (!decodeVarint(in_, f, count_)) {
+        if (!readVarint(in_, f, count_)) {
             throw ConfigError(detail::concat(
                 "binary trace: truncated entry ", count_));
         }
@@ -251,11 +263,20 @@ BinaryTraceReader::next(traffic::TraceEntry &entry)
                                          ": class overflows 8 bits"));
     }
 
+    // Version 2 folds the after-step bit into the delta; version 1
+    // entries have it clear.
+    const bool v2 = header_.version == 2;
+    const std::uint64_t delta = v2 ? head >> 1 : head;
+    if (delta > kTickNever - lastTick_) {
+        throw ConfigError(detail::concat("binary trace: entry ", count_,
+                                         ": tick overflows 64 bits"));
+    }
     entry.when = lastTick_ + delta;
     entry.src = static_cast<NodeId>(fields[0]);
     entry.dst = static_cast<NodeId>(fields[1]);
     entry.sizeFlits = static_cast<std::uint16_t>(fields[2]);
     entry.trafficClass = static_cast<std::uint8_t>(fields[3]);
+    entry.afterStep = v2 && (head & 1) != 0;
     lastTick_ = entry.when;
     ++count_;
     return true;
@@ -288,10 +309,8 @@ loadBinaryTrace(const std::string &path)
     BinaryTraceReader reader(in);
     traffic::Trace trace;
     traffic::TraceEntry entry;
-    while (reader.next(entry)) {
-        trace.append(entry.when, entry.src, entry.dst, entry.sizeFlits,
-                     entry.trafficClass);
-    }
+    while (reader.next(entry))
+        trace.append(entry);
     return trace;
 }
 
@@ -311,34 +330,15 @@ loadAnyTrace(const std::string &path, NodeId numNodes)
     return traffic::Trace::load(path, numNodes);
 }
 
-BinaryTraceReplay::BinaryTraceReplay(const std::string &path)
-    : file_(path, std::ios::binary)
+BinaryTraceReplay::BinaryTraceReplay(const std::string &path) : path_(path)
 {
-    if (!file_)
-        throw ConfigError("cannot open binary trace '" + path + "'");
-    reader_ = std::make_unique<BinaryTraceReader>(file_);
-    havePending_ = reader_->next(pending_);
+    FileTraceCursor check(path_);  // fail at construction on a bad file
 }
 
-void
-BinaryTraceReplay::start(sim::Kernel &kernel, traffic::PacketSink sink)
+std::unique_ptr<traffic::PacketCursor>
+BinaryTraceReplay::openStream()
 {
-    kernel_ = &kernel;
-    sink_ = std::move(sink);
-    if (havePending_)
-        scheduleNext();
-}
-
-void
-BinaryTraceReplay::scheduleNext()
-{
-    const Tick when = std::max(pending_.when, kernel_->now());
-    kernel_->at(when, [this] {
-        sink_(pending_.toRequest());
-        havePending_ = reader_->next(pending_);
-        if (havePending_)
-            scheduleNext();
-    });
+    return std::make_unique<FileTraceCursor>(path_);
 }
 
 } // namespace dvsnet::workload

@@ -7,24 +7,27 @@
  *
  *     offset  size  field
  *     0       4     magic "DVST"
- *     4       2     version (currently 1)
+ *     4       2     version (currently 2; 1 is still read)
  *     6       2     flags (reserved, must be 0)
  *     8       4     numNodes (0 = unknown; else ids checked < numNodes)
  *     12      8     entryCount (0 = unknown, read to EOF; writers on
  *                   seekable streams backpatch the real count)
  *     20      ...   entries
  *
- * Each entry is five LEB128 varints: tick delta from the previous
- * entry (first entry: from 0), src, dst, sizeFlits, trafficClass.
- * Delta-encoding plus varints makes dense traces ~5-7 bytes/entry
- * against 12+ bytes of CSV text, and the format streams: both reader
- * and writer touch O(1) memory regardless of trace length — no mmap,
- * no whole-file buffering.
+ * Each entry is five LEB128 varints (common/varint.hpp): the tick
+ * delta from the previous entry (first entry: from 0) shifted left
+ * once with the after-step bit (traffic::StreamPacket) in bit 0, src,
+ * dst, sizeFlits, trafficClass.  Version 1 files hold the plain delta
+ * and load with every after-step bit clear.  Delta-encoding plus
+ * varints makes dense traces ~5-7 bytes/entry against 12+ bytes of CSV
+ * text, and the format streams: both reader and writer touch O(1)
+ * memory regardless of trace length — no mmap, no whole-file
+ * buffering.
  *
- * All format violations (bad magic, unsupported version, truncated
- * varints, decreasing ticks can't happen by construction — deltas are
- * unsigned) raise ConfigError with the entry index, so a corrupt or
- * foreign file fails fast.
+ * All format violations (bad magic, unknown version or flags,
+ * truncated varints, a tick past the 64-bit range — decreasing ticks
+ * can't happen by construction, deltas are unsigned) raise ConfigError
+ * with the entry index, so a corrupt or foreign file fails fast.
  */
 
 #pragma once
@@ -43,7 +46,7 @@ namespace dvsnet::workload
 /** Parsed binary-trace header. */
 struct BinaryTraceHeader
 {
-    std::uint16_t version = 1;
+    std::uint16_t version = 2;
     std::uint32_t numNodes = 0;   ///< 0 = unknown
     std::uint64_t entryCount = 0; ///< 0 = unknown (stream to EOF)
 };
@@ -51,8 +54,8 @@ struct BinaryTraceHeader
 /** File magic, "DVST" in little-endian byte order. */
 inline constexpr std::uint32_t kTraceMagic = 0x54535644u;
 
-/** Current format version. */
-inline constexpr std::uint16_t kTraceVersion = 1;
+/** Format version written; readers also accept version 1. */
+inline constexpr std::uint16_t kTraceVersion = 2;
 
 /** Conventional file extension for binary traces. */
 inline constexpr const char *kTraceExtension = ".dvst";
@@ -75,7 +78,8 @@ class BinaryTraceWriter
                                std::uint32_t numNodes = 0);
 
     /** Append one entry; ticks must be non-decreasing.
-     *  @throws ConfigError on a decreasing tick or write failure */
+     *  @throws ConfigError on a decreasing tick, a tick gap of 2^63 or
+     *  more, or a write failure */
     void append(const traffic::TraceEntry &entry);
 
     /** Flush and backpatch the entry count; idempotent.  Must be
@@ -108,7 +112,8 @@ class BinaryTraceReader
     /**
      * Read the next entry into `entry`.  Returns false at end of
      * trace.  @throws ConfigError on truncation, a trailing partial
-     * entry, an entry-count mismatch, or an out-of-range node id.
+     * entry, an entry-count mismatch, an out-of-range node id, or a
+     * tick past the 64-bit range.
      */
     bool next(traffic::TraceEntry &entry);
 
@@ -140,31 +145,26 @@ bool isBinaryTracePath(const std::string &path);
 traffic::Trace loadAnyTrace(const std::string &path, NodeId numNodes = 0);
 
 /**
- * Replays a binary trace file directly from disk, reading entries as
- * their events fire — memory stays O(1) no matter how long the trace
- * is, which is the point of the binary format.  Semantically identical
- * to TraceTraffic over loadBinaryTrace() of the same file.
+ * Replays a binary trace file directly from disk: its cursor reads
+ * entries as the network pulls them, so memory stays O(1) no matter
+ * how long the trace is, which is the point of the binary format.
+ * Semantically identical to TraceTraffic over loadBinaryTrace() of the
+ * same file.
  */
-class BinaryTraceReplay final : public traffic::TrafficGenerator
+class BinaryTraceReplay final : public traffic::ReplayTraffic
 {
   public:
     /** @throws ConfigError when the file cannot be opened or its
      *  header is invalid */
     explicit BinaryTraceReplay(const std::string &path);
 
-    void start(sim::Kernel &kernel, traffic::PacketSink sink) override;
+    /** A fresh read of the file.  @throws ConfigError as the ctor */
+    std::unique_ptr<traffic::PacketCursor> openStream() override;
 
     const char *name() const override { return "binary-trace-replay"; }
 
   private:
-    void scheduleNext();
-
-    std::ifstream file_;
-    std::unique_ptr<BinaryTraceReader> reader_;
-    traffic::TraceEntry pending_{};
-    bool havePending_ = false;
-    sim::Kernel *kernel_ = nullptr;
-    traffic::PacketSink sink_;
+    std::string path_;
 };
 
 } // namespace dvsnet::workload

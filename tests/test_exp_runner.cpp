@@ -1,18 +1,22 @@
 /**
  * @file
  * ExperimentRunner tests: seed derivation, submission-order results,
- * per-job failure isolation, progress reporting, and — the hard
- * requirement — bit-identical results between serial and parallel
- * execution of the same sweep.
+ * per-job failure isolation, progress reporting, shared packet streams
+ * (one generation per set of equal generator inputs, and a failed one
+ * failing only its own job), and — the hard requirement — bit-identical
+ * results between serial and parallel execution of the same sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
 #include "common/fatal.hpp"
 #include "exp/runner.hpp"
 #include "exp/worker_pool.hpp"
+#include "traffic/pattern_traffic.hpp"
+#include "workload/factory.hpp"
 
 using dvsnet::ConfigError;
 using dvsnet::exp::ExperimentRunner;
@@ -251,4 +255,166 @@ TEST(Runner, RunnerIsReusableAfterCollect)
     ASSERT_EQ(second.size(), 1u);
     EXPECT_TRUE(second[0].ok);
     expectIdentical(first[0].results, second[0].results);
+}
+
+namespace
+{
+
+std::atomic<int> gStarts{0};
+std::atomic<int> gFailuresLeft{0};
+
+/**
+ * Uniform traffic that counts its start() calls, i.e. how often a
+ * stream is generated, and throws from the first gFailuresLeft of them.
+ */
+class CountingTraffic final : public dvsnet::traffic::TrafficGenerator
+{
+  public:
+    CountingTraffic(const dvsnet::topo::KAryNCube &topo, double rate,
+                    std::uint64_t seed)
+        : inner_(topo, dvsnet::traffic::Pattern::UniformRandom,
+                 rate / topo.numNodes(), seed)
+    {
+    }
+
+    void
+    start(dvsnet::sim::Kernel &kernel,
+          dvsnet::traffic::PacketSink sink) override
+    {
+        ++gStarts;
+        if (gFailuresLeft.fetch_sub(1) > 0)
+            throw ConfigError("counting workload: scripted failure");
+        inner_.start(kernel, std::move(sink));
+    }
+
+    const char *name() const override { return "counting"; }
+
+  private:
+    dvsnet::traffic::PatternTraffic inner_;
+};
+
+/** "counting[:variant=N]": the variant only changes the spec string. */
+void
+registerCounting()
+{
+    dvsnet::workload::WorkloadFactory::instance().add(
+        "counting", "test: uniform traffic counting generations",
+        {"variant"},
+        [](const dvsnet::workload::WorkloadSpec &,
+           const dvsnet::workload::WorkloadContext &ctx) {
+            return std::make_unique<CountingTraffic>(
+                ctx.topo, ctx.injectionRate, ctx.seed);
+        });
+}
+
+PointJob
+countingJob(PolicyKind policy)
+{
+    PointJob job;
+    job.spec = smallSpec(policy);
+    job.spec.workloadSpec = "counting";
+    job.spec.warmup = 1000;
+    job.spec.measure = 2000;
+    job.injectionRate = 0.6;
+    job.seed = 11;
+    return job;
+}
+
+std::string
+resultsJson(const RunResults &results)
+{
+    return dvsnet::network::toJson(results).dump();
+}
+
+} // namespace
+
+TEST(RunnerStreams, EqualGeneratorInputsShareOneGeneration)
+{
+    registerCounting();
+    gFailuresLeft = 0;
+
+    // Three jobs the generator cannot tell apart: they differ in policy,
+    // and in how the same run length splits into warm-up and window.
+    std::vector<PointJob> jobs = {countingJob(PolicyKind::None),
+                                  countingJob(PolicyKind::History),
+                                  countingJob(PolicyKind::History)};
+    jobs[2].spec.warmup = 2500;
+    jobs[2].spec.measure = 500;
+    const std::size_t shared = jobs.size();
+
+    // Each of these differs from them in one input the key covers.
+    std::vector<PointJob> own(8, countingJob(PolicyKind::History));
+    own[0].injectionRate = 0.61;
+    own[1].seed = 12;
+    own[2].spec.measure = 2001;
+    own[3].spec.network.radix = 5;
+    own[4].spec.network.torus = true;
+    own[5].spec.workloadSpec = "counting:variant=1";
+    own[6].spec.workload.avgConcurrentTasks = 11;
+    own[7].spec.workload.onOff.meanOnCycles = 301;
+    jobs.insert(jobs.end(), own.begin(), own.end());
+
+    std::vector<std::string> expected;
+    for (const auto &job : jobs) {
+        expected.push_back(resultsJson(dvsnet::exp::runPoint(
+            job.spec, job.injectionRate, job.seed)));
+    }
+
+    for (const std::size_t threads : {1u, 4u}) {
+        gStarts = 0;
+        ExperimentRunner runner(withThreads(threads));
+        for (const auto &job : jobs)
+            runner.submit(job);
+        const auto results = runner.collect();
+        EXPECT_EQ(gStarts.load(), static_cast<int>(1 + own.size()))
+            << threads << " threads";
+        ASSERT_EQ(results.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            ASSERT_TRUE(results[i].ok) << results[i].error;
+            EXPECT_EQ(resultsJson(results[i].results), expected[i])
+                << "job " << i << (i < shared ? " (shared)" : " (own)")
+                << ", " << threads << " threads";
+        }
+    }
+}
+
+TEST(RunnerStreams, FailedGenerationFailsOnlyItsOwnJob)
+{
+    registerCounting();
+    const PolicyKind policies[] = {PolicyKind::None, PolicyKind::History,
+                                   PolicyKind::DynamicThreshold,
+                                   PolicyKind::LinkUtilOnly};
+    for (const std::size_t threads : {1u, 4u}) {
+        std::vector<std::string> expected;
+        gFailuresLeft = 0;
+        for (const PolicyKind policy : policies) {
+            const PointJob job = countingJob(policy);
+            expected.push_back(resultsJson(dvsnet::exp::runPoint(
+                job.spec, job.injectionRate, job.seed)));
+        }
+
+        // The first generation throws; the jobs waiting on it wake, and
+        // one of them generates the stream the rest then share.
+        gFailuresLeft = 1;
+        gStarts = 0;
+        ExperimentRunner runner(withThreads(threads));
+        for (const PolicyKind policy : policies)
+            runner.submit(countingJob(policy));
+        const auto results = runner.collect();
+        EXPECT_EQ(gStarts.load(), 2) << threads << " threads";
+
+        std::size_t failed = 0;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            if (!results[i].ok) {
+                ++failed;
+                EXPECT_NE(results[i].error.find("scripted failure"),
+                          std::string::npos);
+                continue;
+            }
+            EXPECT_EQ(resultsJson(results[i].results), expected[i])
+                << "job " << i << ", " << threads << " threads";
+        }
+        EXPECT_EQ(failed, 1u) << threads << " threads";
+    }
+    gFailuresLeft = 0;
 }

@@ -33,6 +33,18 @@ struct InvariantCase
     double rate;
 };
 
+/**
+ * Names the case in test output and ctest names.  Without it gtest
+ * prints the struct's raw bytes, and the padding bytes after `torus`
+ * are never written, so the names changed from one build to the next.
+ */
+void PrintTo(const InvariantCase &c, std::ostream *os)
+{
+    *os << (c.torus ? "torus" : "mesh") << c.radix << ' '
+        << dvsnet::network::policyKindName(c.policy) << ' '
+        << dvsnet::network::routingKindName(c.routing) << ' ' << c.rate;
+}
+
 class FlowControlInvariant
     : public ::testing::TestWithParam<InvariantCase>
 {};

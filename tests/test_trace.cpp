@@ -95,6 +95,19 @@ TEST(Trace, CsvParsesExtendedFiveFieldRows)
     EXPECT_EQ(t.entries()[0], (TraceEntry{100, 1, 2, 5, 1}));
 }
 
+TEST(Trace, CsvAfterStepColumnRoundTrips)
+{
+    Trace t;
+    t.append(TraceEntry{1000, 1, 2, 0, 0, false});
+    t.append(TraceEntry{1000, 3, 4, 0, 0, true});
+    const std::string csv = t.toCsv();
+    EXPECT_EQ(csv.rfind("tick,src,dst,size,class,after_step\n", 0), 0u);
+    EXPECT_EQ(Trace::fromCsv(csv).entries(), t.entries());
+    // Without any bit set the 3- and 5-column forms are kept.
+    EXPECT_EQ(Trace::fromCsv("100,1,2,0,0,0\n").toCsv(),
+              "tick,src,dst\n100,1,2\n");
+}
+
 namespace
 {
 
@@ -137,7 +150,9 @@ TEST(Trace, CsvRejectsMalformedRows)
               std::string::npos);
     EXPECT_NE(csvError("100,1,2,3\n").find("expected 3 or 5 fields"),
               std::string::npos);
-    EXPECT_NE(csvError("100,1,2,3,4,5\n").find("too many fields"),
+    EXPECT_NE(csvError("100,1,2,3,4,1,0\n").find("too many fields"),
+              std::string::npos);
+    EXPECT_NE(csvError("100,1,2,3,4,5\n").find("after_step must be 0 or 1"),
               std::string::npos);
     EXPECT_NE(csvError("abc,1,2\n").find("bad field 1"),
               std::string::npos);

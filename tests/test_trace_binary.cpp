@@ -15,6 +15,7 @@
 
 #include "common/fatal.hpp"
 #include "common/rng.hpp"
+#include "common/varint.hpp"
 #include "sim/kernel.hpp"
 #include "traffic/trace.hpp"
 #include "workload/trace_binary.hpp"
@@ -63,11 +64,32 @@ fromBinary(const std::string &bytes)
     BinaryTraceReader reader(in);
     Trace trace;
     TraceEntry entry;
-    while (reader.next(entry)) {
-        trace.append(entry.when, entry.src, entry.dst, entry.sizeFlits,
-                     entry.trafficClass);
-    }
+    while (reader.next(entry))
+        trace.append(entry);
     return trace;
+}
+
+/** A version-1 file: the plain tick delta, no after-step bit. */
+std::string
+versionOneBytes(const std::vector<TraceEntry> &entries)
+{
+    std::string bytes = "DVST";
+    const unsigned char fixed[] = {1, 0,  0, 0,  0, 0, 0, 0,
+                                   static_cast<unsigned char>(entries.size()),
+                                   0, 0, 0, 0, 0, 0, 0};
+    bytes.append(reinterpret_cast<const char *>(fixed), sizeof fixed);
+    Tick last = 0;
+    for (const auto &e : entries) {
+        unsigned char buf[5 * dvsnet::kMaxVarintBytes];
+        std::size_t n = dvsnet::putVarint(buf, e.when - last);
+        n += dvsnet::putVarint(buf + n, static_cast<std::uint64_t>(e.src));
+        n += dvsnet::putVarint(buf + n, static_cast<std::uint64_t>(e.dst));
+        n += dvsnet::putVarint(buf + n, e.sizeFlits);
+        n += dvsnet::putVarint(buf + n, e.trafficClass);
+        bytes.append(reinterpret_cast<const char *>(buf), n);
+        last = e.when;
+    }
+    return bytes;
 }
 
 } // namespace
@@ -117,9 +139,61 @@ TEST(BinaryTrace, HeaderCarriesNodeCountAndEntryCount)
 
     std::istringstream in(bytes, std::ios::binary);
     BinaryTraceReader reader(in);
-    EXPECT_EQ(reader.header().version, 1u);
+    EXPECT_EQ(reader.header().version, 2u);
     EXPECT_EQ(reader.header().numNodes, 16u);
     EXPECT_EQ(reader.header().entryCount, 2u);  // backpatched
+}
+
+TEST(BinaryTrace, AfterStepBitRoundTrips)
+{
+    Trace t;
+    t.append(TraceEntry{1000, 1, 2, 0, 0, false});
+    t.append(TraceEntry{1000, 3, 4, 5, 1, true});
+    t.append(TraceEntry{2000, 4, 3, 0, 0, true});
+    t.append(TraceEntry{2500, 2, 1});
+    EXPECT_EQ(fromBinary(toBinary(t)).entries(), t.entries());
+    // And so does the CSV form, in its sixth column.
+    EXPECT_EQ(Trace::fromCsv(t.toCsv()).entries(), t.entries());
+}
+
+TEST(BinaryTrace, VersionOneLoadsWithTheBitClear)
+{
+    const std::vector<TraceEntry> entries = {
+        {1000, 1, 2}, {1001, 2, 3, 5, 1}, {3000, 3, 1}};
+    std::istringstream in(versionOneBytes(entries), std::ios::binary);
+    BinaryTraceReader reader(in);
+    EXPECT_EQ(reader.header().version, 1u);
+    std::vector<TraceEntry> back;
+    for (TraceEntry e; reader.next(e);)
+        back.push_back(e);
+    EXPECT_EQ(back, entries);
+}
+
+TEST(BinaryTrace, RejectsUnknownFlags)
+{
+    Trace t;
+    t.append(1, 0, 1);
+    std::string bytes = toBinary(t);
+    bytes[6] = 1;  // flags field, little-endian low byte
+    std::istringstream in(bytes, std::ios::binary);
+    EXPECT_THROW(BinaryTraceReader reader(in), ConfigError);
+}
+
+TEST(BinaryTrace, RejectsTicksPastTheRange)
+{
+    // Two deltas of 2^63 each overflow 64 bits on the second entry.
+    std::string bytes = versionOneBytes({{Tick{1} << 63, 0, 1}});
+    bytes[12] = 2;  // entry count
+    unsigned char buf[5 * dvsnet::kMaxVarintBytes];
+    std::size_t n = dvsnet::putVarint(buf, Tick{1} << 63);
+    for (int f = 0; f < 4; ++f)
+        n += dvsnet::putVarint(buf + n, 1);
+    bytes.append(reinterpret_cast<const char *>(buf), n);
+    std::istringstream in(bytes, std::ios::binary);
+    BinaryTraceReader reader(in);
+    TraceEntry entry;
+    EXPECT_TRUE(reader.next(entry));
+    EXPECT_THROW(reader.next(entry), ConfigError);
 }
 
 TEST(BinaryTrace, WriterRejectsDecreasingTicks)

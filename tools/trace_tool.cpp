@@ -5,12 +5,13 @@
  *
  *   trace_tool record out=FILE [workload=SPEC] [radix=N] [torus=0|1]
  *              [cycles=N] [rate=R] [seed=S]
- *       Run the named workload (any workload::WorkloadFactory spec;
- *       default "uniform") on a radix x radix mesh with DVS disabled,
- *       recording every injected packet.  The output format follows
- *       the file extension: ".dvst" = binary, anything else = CSV.
- *       Closed-loop workloads ("cmp") record correctly: the recorder
- *       is transparent to delivery notifications.
+ *       Record every packet the named workload (any
+ *       workload::WorkloadFactory spec; default "uniform") creates on a
+ *       radix x radix mesh.  An open-loop workload is recorded with its
+ *       generator alone (traffic::PacketStream::record), which sets the
+ *       after-step bits; a closed-loop one ("cmp") from a live run with
+ *       DVS disabled, bits clear.  The output format follows the file
+ *       extension: ".dvst" = binary, anything else = CSV.
  *
  *   trace_tool convert in=FILE out=FILE [nodes=N]
  *       Re-encode a trace (extension selects each side's format).
@@ -34,6 +35,7 @@
 #include "common/config.hpp"
 #include "common/fatal.hpp"
 #include "network/network.hpp"
+#include "traffic/stream.hpp"
 #include "traffic/trace.hpp"
 #include "workload/factory.hpp"
 #include "workload/trace_binary.hpp"
@@ -105,16 +107,23 @@ record(const Config &config)
         static_cast<std::uint64_t>(config.getInt("seed", 12345)),
         traffic::TwoLevelParams{}};
     const auto generator = workload::buildWorkload(spec, context);
-    traffic::TraceRecorder recorder(*generator);
-    net.attachTraffic(recorder);
-    net.run(0, cycles);
+    traffic::Trace trace;
+    if (generator->wantsDeliveries()) {
+        traffic::TraceRecorder recorder(*generator);
+        net.attachTraffic(recorder);
+        net.run(0, cycles);
+        trace = recorder.trace();
+    } else {
+        const auto stream =
+            traffic::PacketStream::record(*generator, cyclesToTicks(cycles));
+        trace = traffic::Trace::read(*stream.cursor());
+    }
 
-    saveTrace(recorder.trace(), out,
+    saveTrace(trace, out,
               static_cast<std::uint32_t>(net.topology().numNodes()));
     std::printf("recorded %zu packets over %llu cycles of '%s' -> %s\n",
-                recorder.trace().size(),
-                static_cast<unsigned long long>(cycles), spec.c_str(),
-                out.c_str());
+                trace.size(), static_cast<unsigned long long>(cycles),
+                spec.c_str(), out.c_str());
     return 0;
 }
 
@@ -142,6 +151,7 @@ struct Summary
     NodeId maxNode = -1;
     std::map<std::uint8_t, std::uint64_t> perClass;
     bool extended = false;
+    std::uint64_t afterStep = 0;
 
     void
     add(const traffic::TraceEntry &entry)
@@ -153,6 +163,7 @@ struct Summary
         ++perClass[entry.trafficClass];
         extended = extended || entry.sizeFlits != 0 ||
                    entry.trafficClass != 0;
+        afterStep += entry.afterStep ? 1 : 0;
         ++entries;
     }
 };
@@ -177,7 +188,8 @@ inspect(const Config &config)
             summary.add(entry);
     } else {
         std::printf("format:       CSV\n");
-        for (const auto &entry : traffic::Trace::load(in).entries())
+        const traffic::Trace trace = traffic::Trace::load(in);
+        for (const auto &entry : trace.entries())
             summary.add(entry);
     }
 
@@ -194,6 +206,8 @@ inspect(const Config &config)
     std::printf("extended:     %s\n",
                 summary.extended ? "yes (per-packet size/class)"
                                  : "no (default size, class 0)");
+    std::printf("after-step:   %llu entries\n",
+                static_cast<unsigned long long>(summary.afterStep));
     for (const auto &[cls, count] : summary.perClass) {
         std::printf("class %3u:    %llu packets\n", cls,
                     static_cast<unsigned long long>(count));
