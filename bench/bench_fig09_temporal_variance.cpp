@@ -36,9 +36,8 @@ main(int argc, char **argv)
     net.attachTraffic(workload);
 
     const NodeId node = static_cast<NodeId>(
-        opts.raw.getInt("node", net.topology().nodeId({3, 3})));
-    const Cycle interval =
-        static_cast<Cycle>(opts.raw.getInt("interval", 2000));
+        opts.raw.getCount("node", net.topology().nodeId({3, 3})));
+    const Cycle interval = opts.raw.getCount("interval", 2000);
 
     // Temporal variance in the two-level model lives at the task
     // timescale (1 ms = 1M cycles): within a task the 128-source
@@ -47,8 +46,8 @@ main(int argc, char **argv)
     // many task lifetimes — this bench defaults to 2M cycles (~60 s
     // wall) instead of the suite-wide default.  Quick mode keeps just
     // enough intervals for every aggregation row of the table.
-    opts.measure = static_cast<Cycle>(
-        opts.raw.getIntEnv("cycles", opts.quick ? 200000 : 2000000));
+    opts.measure =
+        opts.raw.getCountEnv("cycles", opts.quick ? 200000 : 2000000);
 
     // Sample per-interval creation counts across the run.
     std::vector<std::uint64_t> counts;

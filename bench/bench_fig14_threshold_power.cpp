@@ -23,7 +23,7 @@ main(int argc, char **argv)
                        "power under Table 2 threshold settings I-VI",
                        opts);
 
-    const auto rates = network::rateGrid(0.4, 2.0, static_cast<std::size_t>(opts.raw.getInt("points", 5)));
+    const auto rates = network::rateGrid(0.4, 2.0, static_cast<std::size_t>(opts.raw.getCount("points", 5)));
     const char *names[] = {"I", "II", "III", "IV", "V", "VI"};
 
     std::vector<network::ExperimentSpec> specs;

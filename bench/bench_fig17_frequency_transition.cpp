@@ -31,7 +31,7 @@ main(int argc, char **argv)
         "sensitivity to frequency transition duration (100/50/10 cycles)",
         opts);
 
-    const auto rates = network::rateGrid(0.6, 2.0, static_cast<std::size_t>(opts.raw.getInt("points", 3)));
+    const auto rates = network::rateGrid(0.6, 2.0, static_cast<std::size_t>(opts.raw.getCount("points", 3)));
     const Cycle locks[] = {100, 50, 10};
 
     struct SubPlot

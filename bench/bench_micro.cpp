@@ -15,7 +15,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/fatal.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
@@ -445,21 +445,17 @@ writeArtifact(const std::string &path, std::uint64_t seed,
 }
 
 /**
- * Value of `--seed` / `--threads`: a non-negative integer parsed by
- * Config::getInt's rule (strtoll, base 0, the whole string) that also
- * fits in int64.  Anything else is fatal and names the flag, instead
- * of silently becoming 0, a prefix, or a wrapped negative.
+ * Value of `--seed` / `--threads`: a count as the other benches read
+ * theirs (dvsnet::parseCount).  Anything else is fatal and names the
+ * flag, instead of silently becoming 0, a prefix, or a wrapped negative.
  */
 std::uint64_t
 nonNegativeFlag(const char *flag, const char *value)
 {
-    char *end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(value, &end, 0);
-    if (end == value || *end != '\0' || errno == ERANGE || parsed < 0)
-        DVSNET_FATAL("flag '", flag, "': '", value,
-                     "' is not a non-negative integer");
-    return static_cast<std::uint64_t>(parsed);
+    if (const auto parsed = parseCount(value))
+        return *parsed;
+    DVSNET_FATAL("flag '", flag, "': '", value,
+                 "' is not a non-negative integer");
 }
 
 } // namespace

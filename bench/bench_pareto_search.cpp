@@ -58,7 +58,7 @@ main(int argc, char **argv)
 
     CounterRegistry registry;
     search::SearchDriver driver(config, &registry);
-    const auto outcome = driver.run();
+    const auto outcome = bench::runSearch(driver);
     if (!outcome.completed)
         std::printf("note: evaluation budget exhausted before the last "
                     "rung — front reflects completed rungs only\n");

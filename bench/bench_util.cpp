@@ -63,26 +63,19 @@ parseOptions(int argc, char **argv)
     // Quick mode drops the defaults to smoke fidelity; explicit keys and
     // DVSNET_* environment variables keep their usual priority.
     opts.quick = opts.raw.getBool("quick", false);
-    const std::int64_t warmupDef =
-        opts.quick ? 4000 : static_cast<std::int64_t>(opts.warmup);
-    const std::int64_t lightWarmupDef =
-        opts.quick ? 1000 : static_cast<std::int64_t>(opts.lightWarmup);
-    const std::int64_t measureDef =
-        opts.quick ? 6000 : static_cast<std::int64_t>(opts.measure);
-    const std::int64_t pointsDef = opts.quick ? 2 : opts.sweepPoints;
-
+    // Counts are non-negative: a negative value is fatal, never wrapped.
     opts.warmup =
-        static_cast<Cycle>(opts.raw.getIntEnv("warmup", warmupDef));
-    opts.lightWarmup = static_cast<Cycle>(
-        opts.raw.getIntEnv("light_warmup", lightWarmupDef));
+        opts.raw.getCountEnv("warmup", opts.quick ? 4000 : opts.warmup);
+    opts.lightWarmup = opts.raw.getCountEnv(
+        "light_warmup", opts.quick ? 1000 : opts.lightWarmup);
     opts.measure =
-        static_cast<Cycle>(opts.raw.getIntEnv("cycles", measureDef));
-    opts.seed = static_cast<std::uint64_t>(
-        opts.raw.getIntEnv("seed", static_cast<std::int64_t>(opts.seed)));
+        opts.raw.getCountEnv("cycles", opts.quick ? 6000 : opts.measure);
+    opts.seed = opts.raw.getCountEnv("seed", opts.seed);
     opts.csv = opts.raw.getBool("csv", false);
-    opts.sweepPoints = opts.raw.getIntEnv("points", pointsDef);
-    opts.threads =
-        static_cast<std::size_t>(opts.raw.getIntEnv("threads", 0));
+    opts.sweepPoints = static_cast<std::int64_t>(opts.raw.getCountEnv(
+        "points", opts.quick ? 2 : static_cast<std::uint64_t>(
+                                       opts.sweepPoints)));
+    opts.threads = opts.raw.getCountEnv("threads", 0);
     opts.jsonPath = opts.raw.getString("json", "");
     opts.workload = opts.raw.getString("workload", "");
     if (!opts.workload.empty()) {

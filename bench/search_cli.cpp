@@ -93,6 +93,16 @@ searchConfigFromOptions(const BenchOptions &opts)
     return config;
 }
 
+search::SearchOutcome
+runSearch(search::SearchDriver &driver)
+{
+    try {
+        return driver.run();
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL(e.what());
+    }
+}
+
 Table
 frontTable(const search::ParetoFront &front)
 {

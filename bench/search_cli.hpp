@@ -44,6 +44,12 @@ std::vector<search::Candidate> fig15GridCandidates();
  */
 search::SearchConfig searchConfigFromOptions(const BenchOptions &opts);
 
+/**
+ * `driver.run()`, with a ConfigError (a warm journal of another schema,
+ * a failed evaluation) fatal and named, like a bad option.
+ */
+search::SearchOutcome runSearch(search::SearchDriver &driver);
+
 /** The `search=` spec string in effect for `opts` (default applied). */
 std::string searchSpecString(const BenchOptions &opts);
 

@@ -45,8 +45,8 @@ main(int argc, char **argv)
     const auto pattern =
         traffic::parsePattern(cfg.getString("pattern", "transpose"));
     const double rate = cfg.getDouble("rate", 0.02);  // per node
-    const auto cycles = static_cast<Cycle>(cfg.getIntEnv("cycles", 120000));
-    const auto warmup = static_cast<Cycle>(cfg.getIntEnv("warmup", 120000));
+    const Cycle cycles = cfg.getCountEnv("cycles", 120000);
+    const Cycle warmup = cfg.getCountEnv("warmup", 120000);
 
     std::printf("on-chip CMP scenario: 4x4 mesh, %s traffic, "
                 "%.3f pkt/node/cycle\n\n",

@@ -29,12 +29,10 @@ main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
     const double rate = cfg.getDouble("rate", 1.2);
-    const auto cycles = static_cast<Cycle>(cfg.getIntEnv("cycles", 120000));
-    const auto warmup = static_cast<Cycle>(cfg.getIntEnv("warmup", 120000));
-    const auto threads =
-        static_cast<std::size_t>(cfg.getIntEnv("threads", 0));
-    const auto seed =
-        static_cast<std::uint64_t>(cfg.getIntEnv("seed", 99));
+    const Cycle cycles = cfg.getCountEnv("cycles", 120000);
+    const Cycle warmup = cfg.getCountEnv("warmup", 120000);
+    const std::size_t threads = cfg.getCountEnv("threads", 0);
+    const std::uint64_t seed = cfg.getCountEnv("seed", 99);
 
     std::printf("policy explorer: 8x8 mesh, two-level workload at "
                 "%.2f pkt/cycle (seed=%llu, threads=%zu)\n\n",

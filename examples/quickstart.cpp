@@ -21,9 +21,8 @@ main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
     const double rate = cfg.getDouble("rate", 1.0);
-    const auto cycles = static_cast<Cycle>(cfg.getIntEnv("cycles", 100000));
-    const auto seed =
-        static_cast<std::uint64_t>(cfg.getIntEnv("seed", 42));
+    const Cycle cycles = cfg.getCountEnv("cycles", 100000);
+    const std::uint64_t seed = cfg.getCountEnv("seed", 42);
 
     std::printf("dvsnet quickstart: 8x8 mesh, two-level workload, "
                 "rate=%.2f pkt/cycle, %llu cycles, seed=%llu\n\n",

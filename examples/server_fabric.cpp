@@ -22,8 +22,7 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const auto phase =
-        static_cast<Cycle>(cfg.getIntEnv("phase_cycles", 80000));
+    const Cycle phase = cfg.getCountEnv("phase_cycles", 80000);
 
     std::printf("server fabric scenario: 8x8 mesh, load phases "
                 "quiet -> busy -> quiet (%llu cycles each)\n\n",

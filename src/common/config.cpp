@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/fatal.hpp"
@@ -106,21 +107,47 @@ Config::getBool(const std::string &key, bool def) const
     DVSNET_FATAL("config key '", key, "': '", *v, "' is not a boolean");
 }
 
-std::int64_t
-Config::getIntEnv(const std::string &key, std::int64_t def) const
+std::optional<std::uint64_t>
+parseCount(const std::string &text)
+{
+    // A sign is refused up front: strtoull would silently wrap "-1" to
+    // 2^64 - 1.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 0);
+    if (*end != '\0' || errno == ERANGE ||
+        parsed > static_cast<unsigned long long>(INT64_MAX))
+        return std::nullopt;
+    return parsed;
+}
+
+std::uint64_t
+Config::getCount(const std::string &key, std::uint64_t def) const
+{
+    auto v = lookup(key);
+    if (!v)
+        return def;
+    if (const auto parsed = parseCount(*v))
+        return *parsed;
+    DVSNET_FATAL("config key '", key, "': '", *v,
+                 "' is not a non-negative integer");
+}
+
+std::uint64_t
+Config::getCountEnv(const std::string &key, std::uint64_t def) const
 {
     if (has(key))
-        return getInt(key, def);
+        return getCount(key, def);
     std::string envKey = "DVSNET_";
     for (char c : key)
         envKey += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
     if (const char *env = std::getenv(envKey.c_str())) {
-        char *end = nullptr;
-        const long long parsed = std::strtoll(env, &end, 0);
-        if (end != env && *end == '\0')
-            return parsed;
+        if (const auto parsed = parseCount(env))
+            return *parsed;
         DVSNET_FATAL("environment ", envKey, "='", env,
-                     "' is not an integer");
+                     "' is not a non-negative integer");
     }
     return def;
 }

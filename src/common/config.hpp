@@ -17,6 +17,13 @@
 namespace dvsnet
 {
 
+/**
+ * `text` as a count: a non-negative integer in strtoull's base-0
+ * notation, the whole string, at most INT64_MAX (so every echo of it
+ * stays a JSON integer); nullopt otherwise.  Never wraps a sign.
+ */
+std::optional<std::uint64_t> parseCount(const std::string &text);
+
 /** String-keyed config with typed accessors and defaults. */
 class Config
 {
@@ -40,11 +47,18 @@ class Config
     bool getBool(const std::string &key, bool def) const;
 
     /**
-     * Like getInt but also consults an environment variable (upper-case
-     * key, prefixed DVSNET_) so e.g. DVSNET_CYCLES=500000 scales all
-     * bench fidelity at once.  Priority: explicit key > env > default.
+     * A count (cycles, seed, threads, points): a non-negative integer in
+     * getInt's notation, at most INT64_MAX.  Also consults an
+     * environment variable (upper-case key, prefixed DVSNET_) so e.g.
+     * DVSNET_CYCLES=500000 scales all bench fidelity at once.  Priority:
+     * explicit key > env > default.  A negative or out-of-range value
+     * is fatal and named, never wrapped.
      */
-    std::int64_t getIntEnv(const std::string &key, std::int64_t def) const;
+    std::uint64_t getCountEnv(const std::string &key,
+                              std::uint64_t def) const;
+
+    /** getCountEnv without the environment fallback. */
+    std::uint64_t getCount(const std::string &key, std::uint64_t def) const;
 
     /** All keys, for diagnostics. */
     const std::map<std::string, std::string> &entries() const

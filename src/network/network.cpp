@@ -48,10 +48,23 @@ routingKindName(RoutingKind kind)
 Json
 toJson(const NetworkConfig &config)
 {
+    // The search's evaluation key hashes this echo, so a field left out
+    // here lets two different simulations share one cached result.
+    static_assert(sizeof(NetworkConfig) == 216,
+                  "NetworkConfig changed: echo every field it has here");
+    static_assert(sizeof(router::RouterConfig) == 24,
+                  "RouterConfig changed: echo every field it has here");
+    static_assert(sizeof(link::DvsLinkParams) == 48,
+                  "DvsLinkParams changed: echo every field it has here");
+    static_assert(sizeof(core::HistoryDvsParams) == 56,
+                  "HistoryDvsParams changed: echo every field it has here");
+
     Json j = Json::object();
     j["radix"] = Json(static_cast<std::int64_t>(config.radix));
     j["dims"] = Json(static_cast<std::int64_t>(config.dims));
     j["torus"] = Json(config.torus);
+    // router.numPorts is not an input: Network derives it from the
+    // topology.
     Json router = Json::object();
     router["num_vcs"] = Json(static_cast<std::int64_t>(config.router.numVcs));
     router["buffer_per_port"] =
@@ -68,8 +81,22 @@ toJson(const NetworkConfig &config)
         Json(static_cast<std::uint64_t>(config.link.initialLevel));
     link["links_per_channel"] =
         Json(static_cast<std::uint64_t>(config.link.linksPerChannel));
+    link["propagation_delay_ticks"] =
+        Json(static_cast<std::uint64_t>(config.link.propagationDelay));
+    link["credit_direct_push_horizon_ticks"] =
+        Json(static_cast<std::uint64_t>(config.link.creditDirectPushHorizon));
     j["link"] = std::move(link);
     j["policy"] = Json(policyKindName(config.policy));
+    const core::HistoryDvsParams &p = config.policyParams;
+    Json params = Json::object();
+    params["weight"] = Json(p.weight);
+    params["weight_on_history"] = Json(p.weightOnHistory);
+    params["b_congested"] = Json(p.bCongested);
+    params["tl_low"] = Json(p.tlLow);
+    params["tl_high"] = Json(p.tlHigh);
+    params["th_low"] = Json(p.thLow);
+    params["th_high"] = Json(p.thHigh);
+    j["policy_params"] = std::move(params);
     j["policy_window"] = Json(static_cast<std::uint64_t>(config.policyWindow));
     j["policy_cooldown"] =
         Json(static_cast<std::uint64_t>(config.policyCooldown));

@@ -98,7 +98,11 @@ struct NetworkConfig
     std::vector<std::string> validate() const;
 };
 
-/** Config echo for run artifacts: every NetworkConfig field. */
+/**
+ * Config echo for run artifacts and search evaluation keys: every
+ * NetworkConfig field, except router.numPorts, which Network derives
+ * from the topology.
+ */
 Json toJson(const NetworkConfig &config);
 
 /** The simulated interconnection network. */

@@ -1,6 +1,7 @@
 #include "network/sweep.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/fatal.hpp"
 #include "exp/runner.hpp"
@@ -12,9 +13,23 @@ namespace dvsnet::network
 Json
 toJson(const ExperimentSpec &spec)
 {
+    // Hashed into the search's evaluation key, like the network echo.
+    static_assert(sizeof(ExperimentSpec) == 376,
+                  "ExperimentSpec changed: echo every field it has here");
+    static_assert(sizeof(traffic::TwoLevelParams) == 112,
+                  "TwoLevelParams changed: echo every field it has here");
+    static_assert(sizeof(traffic::OnOffParams) == 32,
+                  "OnOffParams changed: echo every field it has here");
+
     Json j = Json::object();
     j["network"] = toJson(spec.network);
+    Json onOff = Json::object();
+    onOff["on_shape"] = Json(spec.workload.onOff.onShape);
+    onOff["off_shape"] = Json(spec.workload.onOff.offShape);
+    onOff["mean_on_cycles"] = Json(spec.workload.onOff.meanOnCycles);
+    onOff["mean_off_cycles"] = Json(spec.workload.onOff.meanOffCycles);
     Json wl = Json::object();
+    wl["on_off"] = std::move(onOff);
     wl["avg_concurrent_tasks"] = Json(spec.workload.avgConcurrentTasks);
     wl["mean_task_duration_cycles"] =
         Json(spec.workload.meanTaskDurationCycles);
@@ -51,6 +66,14 @@ ExperimentSpec::validate() const
     std::vector<std::string> problems = network.validate();
     if (measure < 1)
         problems.push_back("measurement window must be >= 1 cycle");
+    constexpr Cycle kMaxRunCycles =
+        std::numeric_limits<Tick>::max() / kRouterClockPeriod;
+    if (measure > kMaxRunCycles || warmup > kMaxRunCycles - measure) {
+        problems.push_back(detail::concat(
+            "warm-up ", warmup, " + measurement ", measure,
+            " cycles overflows 64-bit ticks (at most ", kMaxRunCycles,
+            " cycles)"));
+    }
     // Covers the two-level block too, with a `two-level` spec string's
     // keys applied over it.
     for (auto &problem :

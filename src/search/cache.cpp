@@ -116,6 +116,7 @@ ResultCache::load(const std::string &path)
                                          "' for warm cache"));
     }
     std::size_t loaded = 0;
+    bool headerSeen = false;
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty())
@@ -128,8 +129,28 @@ ResultCache::load(const std::string &path)
             // everything before it is valid, so stop loading here.
             break;
         }
-        if (!record.isObject() || !record.find("key"))
-            continue;  // header or foreign line
+        if (!record.isObject())
+            continue;  // foreign line
+        if (const Json *schema = record.find("schema")) {
+            const std::string id =
+                schema->isString() ? schema->asString() : schema->dump();
+            if (id != kSearchJournalSchema) {
+                throw ConfigError(detail::concat(
+                    "journal '", path, "' has schema '", id,
+                    "', expected '", kSearchJournalSchema,
+                    "'; its evaluations cannot be reused"));
+            }
+            headerSeen = true;
+            continue;
+        }
+        if (!record.find("key"))
+            continue;  // foreign line
+        if (!headerSeen) {
+            throw ConfigError(detail::concat(
+                "journal '", path,
+                "' has records before any schema header, expected a '",
+                kSearchJournalSchema, "' header"));
+        }
         try {
             insert(EvalRecord::fromJson(record));
         } catch (const std::exception &) {

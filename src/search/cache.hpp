@@ -14,11 +14,12 @@
  * the schema, then one compact record per completed evaluation in the
  * driver's deterministic (rung, candidate) order.  The same file doubles
  * as the cache's on-disk form — `ResultCache::load` accepts any journal
- * (including one from a killed run: a truncated or torn final line just
- * ends the load), so `--resume <journal>` and shard-merge (`--cache` on
- * several journals) are the same mechanism.  Records carry no wall-clock
- * or host-dependent fields, which is what makes a resumed search's
- * rewritten journal byte-identical to a cold run's.
+ * of the current schema (including one from a killed run: a truncated
+ * or torn final line just ends the load), so `--resume <journal>` and
+ * shard-merge (`--cache` on several journals) are the same mechanism.
+ * Records carry no wall-clock or host-dependent fields, which is what
+ * makes a resumed search's rewritten journal byte-identical to a cold
+ * run's.
  */
 
 #pragma once
@@ -35,8 +36,12 @@
 namespace dvsnet::search
 {
 
-/** Journal/cache schema id (the header line's "schema" value). */
-inline constexpr const char *kSearchJournalSchema = "dvsnet-search-v1";
+/**
+ * Journal/cache schema id (the header line's "schema" value).  v2 keys
+ * every evaluation on the complete config echo and the search's common
+ * traffic seed; v1 keys named neither, so v1 journals are refused.
+ */
+inline constexpr const char *kSearchJournalSchema = "dvsnet-search-v2";
 
 /**
  * `value` re-serialized with every object's keys sorted recursively and
@@ -87,9 +92,11 @@ class ResultCache
     /**
      * Load every well-formed record from a journal file into the cache
      * (later loads win on key collision).  A torn or truncated tail —
-     * the signature of a killed run — ends the load silently; a missing
-     * file throws ConfigError (a named warm source must exist).
-     * Returns the number of records loaded from this file.
+     * the signature of a killed run — ends the load silently, and an
+     * empty file loads nothing.  Throws ConfigError when the file is
+     * missing (a named warm source must exist), when a header names
+     * another schema than kSearchJournalSchema, or when a record comes
+     * before any header.  Returns the number of records loaded.
      */
     std::size_t load(const std::string &path);
 

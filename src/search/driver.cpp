@@ -245,17 +245,13 @@ SearchDriver::specFor(const Candidate &candidate,
 }
 
 std::uint64_t
-SearchDriver::seedFor(const Candidate &candidate, std::size_t rung) const
+SearchDriver::seedFor(const Candidate &, std::size_t) const
 {
-    // Keyed by what is evaluated (parameters + fidelity windows), never
-    // by schedule position: any evaluator of the same candidate at the
-    // same fidelity — this search, a resumed one, or the grid baseline —
-    // derives the same seed and therefore the same bits.
-    const RungSpec &r = config_.rungs.at(rung);
-    const std::string key = canonicalJson(candidate.toJson()).dump() +
-                            "|warmup=" + std::to_string(r.warmup) +
-                            "|measure=" + std::to_string(r.measure);
-    return exp::pointSeed(config_.seed, key);
+    // Common random numbers: one traffic realization for every
+    // evaluation, so candidates differ only in their policy.  With
+    // warm-up equal on every rung, each rung's run is also a prefix of
+    // the next one's.
+    return exp::pointSeed(config_.seed, std::string("traffic"));
 }
 
 EvalRecord
@@ -421,21 +417,21 @@ SearchDriver::cull(const std::vector<std::size_t> &survivors,
     // margin in EVERY objective: if each rung objective sits within
     // slack of its full-fidelity value, then at full fidelity j is still
     // <= i everywhere — a culled candidate can never be a true Pareto
-    // point (see the file comment in driver.hpp).  Equal-vector pairs at
-    // zero slack keep the earlier candidate.
+    // point (see the file comment in driver.hpp).  An equal vector never
+    // culls: under common random numbers candidates tie exactly, and
+    // nothing then tells them apart.
     std::vector<std::size_t> kept;
     for (std::size_t i = 0; i < survivors.size(); ++i) {
         const auto objI = records[i].objectives();
         bool culled = false;
         for (std::size_t j = 0; j < survivors.size() && !culled; ++j) {
-            if (j == i)
-                continue;
             const auto objJ = records[j].objectives();
+            if (objJ == objI)
+                continue;
             bool margin = true;
             for (std::size_t k = 0; k < objI.size() && margin; ++k)
                 margin = objJ[k] + 2.0 * slack[k] <= objI[k];
-            if (margin && (objJ != objI || j < i))
-                culled = true;
+            culled = margin;
         }
         if (culled)
             ++registry_->counter("search.culled");

@@ -15,20 +15,24 @@
  *
  *     obj_d[i] + 2 * slack[i] <= obj_c[i]       for every objective i,
  *
- * so whenever the rung's objectives sit within `slack` of their
- * full-fidelity values, a culled candidate is provably dominated at full
- * fidelity too — no true Pareto point of the final metric is ever
- * discarded (tests/test_search_driver.cpp pins this on a closed-form
- * objective).  Only last-rung (full-fidelity) evaluations enter the
- * returned ParetoFront.
+ * and obj_d != obj_c (equal vectors never cull each other), so whenever
+ * the rung's objectives sit within `slack` of their full-fidelity
+ * values, a culled candidate is provably dominated at full fidelity too
+ * — no true Pareto point of the final metric is ever discarded
+ * (tests/test_search_driver.cpp pins this on a closed-form objective).
+ * Only last-rung (full-fidelity) evaluations enter the returned
+ * ParetoFront.
  *
  * Every evaluation is keyed by search::evalKey (canonical config JSON +
  * seed) and consulted against a warm ResultCache first; completed
  * evaluations are journaled per rung in deterministic candidate order.
- * Seeds derive from the candidate's canonical parameter JSON
- * (exp::pointSeed), never from schedule position, so a resumed, warmed
- * or re-sharded search reproduces a cold run's front and journal
- * byte-for-byte.
+ * Traffic uses common random numbers: every evaluation's seed derives
+ * from the search's master seed alone, so all candidates at a rung, and
+ * the grid baseline through evaluateFull, replay one traffic
+ * realization and differ only in their policy.  exp::ExperimentRunner
+ * then records that realization once per rung.  Seeds never depend on
+ * schedule position, so a resumed, warmed or re-sharded search
+ * reproduces a cold run's front and journal byte-for-byte.
  */
 
 #pragma once
@@ -206,7 +210,12 @@ class SearchDriver
     network::ExperimentSpec specFor(const Candidate &candidate,
                                     const RungSpec &rung) const;
 
-    /** Evaluation seed for `candidate` at rung index `rung`. */
+    /**
+     * Traffic seed of every evaluation: a function of the master seed
+     * alone (common random numbers; see the file comment).  Both
+     * arguments are unused; they name what the seed deliberately does
+     * not depend on.
+     */
     std::uint64_t seedFor(const Candidate &candidate,
                           std::size_t rung) const;
 

@@ -83,9 +83,9 @@ TEST(Config, EnvFallbackForIntEnv)
 {
     ::setenv("DVSNET_TESTKEY_ONLY", "123", 1);
     Config cfg;
-    EXPECT_EQ(cfg.getIntEnv("testkey_only", 7), 123);
+    EXPECT_EQ(cfg.getCountEnv("testkey_only", 7), 123u);
     ::unsetenv("DVSNET_TESTKEY_ONLY");
-    EXPECT_EQ(cfg.getIntEnv("testkey_only", 7), 7);
+    EXPECT_EQ(cfg.getCountEnv("testkey_only", 7), 7u);
 }
 
 TEST(Config, ExplicitKeyBeatsEnv)
@@ -93,8 +93,33 @@ TEST(Config, ExplicitKeyBeatsEnv)
     ::setenv("DVSNET_PRIO", "1", 1);
     Config cfg;
     cfg.set("prio", "2");
-    EXPECT_EQ(cfg.getIntEnv("prio", 0), 2);
+    EXPECT_EQ(cfg.getCountEnv("prio", 0), 2u);
     ::unsetenv("DVSNET_PRIO");
+}
+
+TEST(Config, CountsReachInt64Max)
+{
+    Config cfg = parse({"seed=9223372036854775807", "mask=0x10"});
+    EXPECT_EQ(cfg.getCount("seed", 0), 9223372036854775807ull);
+    EXPECT_EQ(cfg.getCount("mask", 0), 16u);
+    EXPECT_EQ(cfg.getCount("missing", 9), 9u);
+}
+
+TEST(Config, NegativeCountIsFatalNotWrapped)
+{
+    Config cfg = parse({"seed=-1", "cycles=9223372036854775808"});
+    EXPECT_EXIT(cfg.getCountEnv("seed", 0), ::testing::ExitedWithCode(1),
+                "config key 'seed': '-1' is not a non-negative integer");
+    EXPECT_EXIT(cfg.getCount("cycles", 0), ::testing::ExitedWithCode(1),
+                "config key 'cycles': '9223372036854775808' is not a "
+                "non-negative integer");
+
+    ::setenv("DVSNET_TESTKEY_NEGATIVE", "-5", 1);
+    EXPECT_EXIT(cfg.getCountEnv("testkey_negative", 0),
+                ::testing::ExitedWithCode(1),
+                "environment DVSNET_TESTKEY_NEGATIVE='-5' is not a "
+                "non-negative integer");
+    ::unsetenv("DVSNET_TESTKEY_NEGATIVE");
 }
 
 TEST(Config, EntriesExposesAll)

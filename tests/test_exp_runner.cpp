@@ -9,14 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "common/fatal.hpp"
+#include "counting_workload.hpp"
 #include "exp/runner.hpp"
 #include "exp/worker_pool.hpp"
-#include "traffic/pattern_traffic.hpp"
-#include "workload/factory.hpp"
 
 using dvsnet::ConfigError;
 using dvsnet::exp::ExperimentRunner;
@@ -28,6 +26,8 @@ using dvsnet::network::ExperimentSpec;
 using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
 using dvsnet::network::SweepPoint;
+using dvsnet::testutil::countingFailuresLeft;
+using dvsnet::testutil::countingStarts;
 
 namespace
 {
@@ -260,53 +260,6 @@ TEST(Runner, RunnerIsReusableAfterCollect)
 namespace
 {
 
-std::atomic<int> gStarts{0};
-std::atomic<int> gFailuresLeft{0};
-
-/**
- * Uniform traffic that counts its start() calls, i.e. how often a
- * stream is generated, and throws from the first gFailuresLeft of them.
- */
-class CountingTraffic final : public dvsnet::traffic::TrafficGenerator
-{
-  public:
-    CountingTraffic(const dvsnet::topo::KAryNCube &topo, double rate,
-                    std::uint64_t seed)
-        : inner_(topo, dvsnet::traffic::Pattern::UniformRandom,
-                 rate / topo.numNodes(), seed)
-    {
-    }
-
-    void
-    start(dvsnet::sim::Kernel &kernel,
-          dvsnet::traffic::PacketSink sink) override
-    {
-        ++gStarts;
-        if (gFailuresLeft.fetch_sub(1) > 0)
-            throw ConfigError("counting workload: scripted failure");
-        inner_.start(kernel, std::move(sink));
-    }
-
-    const char *name() const override { return "counting"; }
-
-  private:
-    dvsnet::traffic::PatternTraffic inner_;
-};
-
-/** "counting[:variant=N]": the variant only changes the spec string. */
-void
-registerCounting()
-{
-    dvsnet::workload::WorkloadFactory::instance().add(
-        "counting", "test: uniform traffic counting generations",
-        {"variant"},
-        [](const dvsnet::workload::WorkloadSpec &,
-           const dvsnet::workload::WorkloadContext &ctx) {
-            return std::make_unique<CountingTraffic>(
-                ctx.topo, ctx.injectionRate, ctx.seed);
-        });
-}
-
 PointJob
 countingJob(PolicyKind policy)
 {
@@ -330,8 +283,8 @@ resultsJson(const RunResults &results)
 
 TEST(RunnerStreams, EqualGeneratorInputsShareOneGeneration)
 {
-    registerCounting();
-    gFailuresLeft = 0;
+    dvsnet::testutil::registerCountingWorkload();
+    countingFailuresLeft = 0;
 
     // Three jobs the generator cannot tell apart: they differ in policy,
     // and in how the same run length splits into warm-up and window.
@@ -361,12 +314,12 @@ TEST(RunnerStreams, EqualGeneratorInputsShareOneGeneration)
     }
 
     for (const std::size_t threads : {1u, 4u}) {
-        gStarts = 0;
+        countingStarts = 0;
         ExperimentRunner runner(withThreads(threads));
         for (const auto &job : jobs)
             runner.submit(job);
         const auto results = runner.collect();
-        EXPECT_EQ(gStarts.load(), static_cast<int>(1 + own.size()))
+        EXPECT_EQ(countingStarts.load(), static_cast<int>(1 + own.size()))
             << threads << " threads";
         ASSERT_EQ(results.size(), jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -380,13 +333,13 @@ TEST(RunnerStreams, EqualGeneratorInputsShareOneGeneration)
 
 TEST(RunnerStreams, FailedGenerationFailsOnlyItsOwnJob)
 {
-    registerCounting();
+    dvsnet::testutil::registerCountingWorkload();
     const PolicyKind policies[] = {PolicyKind::None, PolicyKind::History,
                                    PolicyKind::DynamicThreshold,
                                    PolicyKind::LinkUtilOnly};
     for (const std::size_t threads : {1u, 4u}) {
         std::vector<std::string> expected;
-        gFailuresLeft = 0;
+        countingFailuresLeft = 0;
         for (const PolicyKind policy : policies) {
             const PointJob job = countingJob(policy);
             expected.push_back(resultsJson(dvsnet::exp::runPoint(
@@ -395,13 +348,13 @@ TEST(RunnerStreams, FailedGenerationFailsOnlyItsOwnJob)
 
         // The first generation throws; the jobs waiting on it wake, and
         // one of them generates the stream the rest then share.
-        gFailuresLeft = 1;
-        gStarts = 0;
+        countingFailuresLeft = 1;
+        countingStarts = 0;
         ExperimentRunner runner(withThreads(threads));
         for (const PolicyKind policy : policies)
             runner.submit(countingJob(policy));
         const auto results = runner.collect();
-        EXPECT_EQ(gStarts.load(), 2) << threads << " threads";
+        EXPECT_EQ(countingStarts.load(), 2) << threads << " threads";
 
         std::size_t failed = 0;
         for (std::size_t i = 0; i < results.size(); ++i) {
@@ -416,5 +369,5 @@ TEST(RunnerStreams, FailedGenerationFailsOnlyItsOwnJob)
         }
         EXPECT_EQ(failed, 1u) << threads << " threads";
     }
-    gFailuresLeft = 0;
+    countingFailuresLeft = 0;
 }

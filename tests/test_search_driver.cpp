@@ -10,7 +10,13 @@
  *    (asserted through the CounterRegistry) yet returns the same front;
  *  - on a closed-form synthetic objective whose rung error respects the
  *    declared slack, successive halving never discards a true
- *    full-fidelity Pareto point (checked against brute force).
+ *    full-fidelity Pareto point (checked against brute force);
+ *  - equal objective vectors never cull each other;
+ *  - every candidate at a rung replays one recorded traffic stream
+ *    (common random numbers), and the evaluation key still tells
+ *    candidates apart: it changes with every config field;
+ *  - a journal of another schema, or records before any header, are
+ *    refused with a ConfigError.
  */
 
 #include <gtest/gtest.h>
@@ -23,12 +29,15 @@
 
 #include "common/fatal.hpp"
 #include "common/rng.hpp"
+#include "counting_workload.hpp"
+#include "exp/experiment.hpp"
 #include "search/driver.hpp"
 
 using dvsnet::ConfigError;
 using dvsnet::CounterRegistry;
 using dvsnet::Cycle;
 using dvsnet::splitmix64;
+using dvsnet::exp::pointSeed;
 using dvsnet::network::ExperimentSpec;
 using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
@@ -77,10 +86,13 @@ constexpr double kSynthLatencyAmp = 5.0;
 constexpr double kSynthPowerAmp = 0.05;
 
 /**
- * Synthetic evaluator: the closed form plus a seed-deterministic
- * fidelity error that shrinks linearly to zero at the full measurement
- * window and never exceeds the amplitude — so rungs declaring the
- * amplitudes as absolute slack satisfy the promotion rule exactly.
+ * Synthetic evaluator: the closed form plus a fidelity error that
+ * shrinks linearly to zero at the full measurement window and never
+ * exceeds the amplitude — so rungs declaring the amplitudes as absolute
+ * slack satisfy the promotion rule exactly.  The error is drawn from the
+ * seed and the candidate's parameters: every candidate shares one seed
+ * (common random numbers), so the candidate-specific part is the error
+ * the slack has to cover.
  */
 SearchDriver::Evaluator
 synthEvaluator(Cycle fullMeasure)
@@ -100,7 +112,8 @@ synthEvaluator(Cycle fullMeasure)
         const double frac =
             1.0 - static_cast<double>(spec.measure) /
                       static_cast<double>(fullMeasure);
-        std::uint64_t state = seed;
+        std::uint64_t state =
+            pointSeed(seed, canonicalJson(c.toJson()).dump());
         const double u1 =
             static_cast<double>(splitmix64(state) >> 11) / 9007199254740992.0;
         const double u2 =
@@ -462,4 +475,268 @@ TEST(SearchDriverTest, EvaluateFullMatchesSearchLastRung)
     EXPECT_EQ(miss.key, hit.key);
     EXPECT_EQ(miss.results.avgLatencyCycles,
               hit.results.avgLatencyCycles);
+}
+
+TEST(SearchDriverTest, EqualObjectivesNeverCullEachOther)
+{
+    // Under common random numbers candidates often tie exactly.  A tie
+    // is no evidence either way, so it must never cull — at zero slack
+    // (explicit, or derived from a zero spread) as at any other.
+    for (const double fraction : {0.0, 1.0}) {
+        SearchConfig config = synthConfig(42);
+        for (auto &rung : config.rungs) {
+            rung.slackLatency = 0.0;
+            rung.slackPower = 0.0;
+            rung.slackFraction = fraction;
+        }
+        SearchDriver driver(config);
+        driver.setEvaluator(
+            [](const ExperimentSpec &spec, double, std::uint64_t) {
+                RunResults r;
+                r.measuredCycles = spec.measure;
+                r.avgLatencyCycles = 100.0;
+                r.avgPowerW = 1.0;
+                return r;
+            });
+        const SearchOutcome outcome = driver.run();
+        ASSERT_TRUE(outcome.completed);
+        EXPECT_EQ(outcome.culled, 0u) << "slack fraction " << fraction;
+        EXPECT_EQ(outcome.finalSurvivors.size(), outcome.candidates.size())
+            << "slack fraction " << fraction;
+    }
+
+    // Tied candidates still fall to one that beats them: at zero slack
+    // every candidate but the better one is culled after rung 0.
+    SearchConfig config = synthConfig(42);
+    for (auto &rung : config.rungs) {
+        rung.slackLatency = 0.0;
+        rung.slackPower = 0.0;
+        rung.slackFraction = 0.0;
+    }
+    const Candidate best = SearchDriver::candidateSet(config).at(3);
+    SearchDriver driver(config);
+    driver.setEvaluator(
+        [best](const ExperimentSpec &spec, double, std::uint64_t) {
+            const bool isBest =
+                spec.network.policyParams.tlLow == best.tlLow &&
+                spec.network.policyParams.tlHigh == best.tlHigh &&
+                spec.network.policyParams.weight == best.weight &&
+                spec.network.policyCooldown == best.cooldown &&
+                spec.network.link.freqTransitionLinkCycles ==
+                    best.freqLockCycles;
+            RunResults r;
+            r.measuredCycles = spec.measure;
+            r.avgLatencyCycles = isBest ? 90.0 : 100.0;
+            r.avgPowerW = isBest ? 0.9 : 1.0;
+            return r;
+        });
+    const SearchOutcome outcome = driver.run();
+    ASSERT_TRUE(outcome.completed);
+    EXPECT_EQ(outcome.finalSurvivors, std::vector<std::size_t>{3});
+    EXPECT_EQ(outcome.culled, outcome.candidates.size() - 1);
+}
+
+TEST(SearchDriverTest, CommonRandomNumbersRecordOneStreamPerRung)
+{
+    using dvsnet::testutil::countingStarts;
+    dvsnet::testutil::registerCountingWorkload();
+    dvsnet::testutil::countingFailuresLeft = 0;
+
+    SearchConfig config = realConfig();
+    config.base.workloadSpec = "counting";
+    // Ramps and locks short enough that the thresholds act inside
+    // these windows: two candidates differing only in TL_low must then
+    // simulate differently.
+    config.base.network.link.voltageTransitionLatency =
+        dvsnet::cyclesToTicks(50);
+    config.threads = 2;
+    Candidate lowTl;
+    lowTl.tlLow = 0.05;
+    Candidate highTl;
+    highTl.tlLow = 0.35;
+    config.seeded.push_back(lowTl);
+    config.seeded.push_back(highTl);
+    for (auto &rung : config.rungs)
+        rung.slackFraction = 1.0;  // a cull needs twice the spread: none
+
+    countingStarts = 0;
+    CounterRegistry registry;
+    SearchDriver driver(config, &registry);
+    const SearchOutcome outcome = driver.run();
+    ASSERT_TRUE(outcome.completed);
+    ASSERT_EQ(outcome.finalSurvivors.size(), outcome.candidates.size());
+
+    // Every candidate at a rung replays one recorded stream.
+    EXPECT_EQ(countingStarts.load(), static_cast<int>(config.rungs.size()));
+    const std::uint64_t seed = driver.seedFor(outcome.candidates.front(), 0);
+    for (const auto &candidate : outcome.candidates) {
+        for (std::size_t rung = 0; rung < config.rungs.size(); ++rung)
+            EXPECT_EQ(driver.seedFor(candidate, rung), seed);
+    }
+
+    // Same traffic, different policy: distinct keys, distinct results,
+    // both served from the search's last rung.
+    const auto low = driver.evaluateFull(lowTl);
+    const auto high = driver.evaluateFull(highTl);
+    EXPECT_EQ(registry.counterValue("search.network_evals"),
+              outcome.networkEvals);
+    EXPECT_NE(low.key, high.key);
+    EXPECT_NE(dvsnet::network::toJson(low.results).dump(),
+              dvsnet::network::toJson(high.results).dump());
+}
+
+TEST(EvalKey, EveryConfigFieldChangesTheKey)
+{
+    using dvsnet::search::evalKey;
+    using Mutation = void (*)(ExperimentSpec &);
+
+    // One entry per field of ExperimentSpec and of every struct it
+    // holds; the static_asserts in the config echo pin the sizes this
+    // list was written against.  router.numPorts is left out: Network
+    // derives it from the topology.
+#define DVSNET_FIELD(assignment)                                         \
+    {                                                                    \
+        #assignment, [](ExperimentSpec &s) { s.assignment; }             \
+    }
+    const std::vector<std::pair<const char *, Mutation>> fields = {
+        DVSNET_FIELD(network.radix = 4),
+        DVSNET_FIELD(network.dims = 3),
+        DVSNET_FIELD(network.torus = true),
+        DVSNET_FIELD(network.router.numVcs = 4),
+        DVSNET_FIELD(network.router.bufferPerPort = 64),
+        DVSNET_FIELD(network.router.pipelineLatency = 5),
+        DVSNET_FIELD(network.link.voltageTransitionLatency = 1234),
+        DVSNET_FIELD(network.link.freqTransitionLinkCycles = 50),
+        DVSNET_FIELD(network.link.initialLevel = 2),
+        DVSNET_FIELD(network.link.linksPerChannel = 4),
+        DVSNET_FIELD(network.link.propagationDelay = 2000),
+        DVSNET_FIELD(network.link.creditDirectPushHorizon = 8000),
+        DVSNET_FIELD(network.policy = PolicyKind::DynamicThreshold),
+        DVSNET_FIELD(network.policyParams.weight = 4.0),
+        DVSNET_FIELD(network.policyParams.weightOnHistory = false),
+        DVSNET_FIELD(network.policyParams.bCongested = 0.6),
+        DVSNET_FIELD(network.policyParams.tlLow = 0.25),
+        DVSNET_FIELD(network.policyParams.tlHigh = 0.45),
+        DVSNET_FIELD(network.policyParams.thLow = 0.65),
+        DVSNET_FIELD(network.policyParams.thHigh = 0.75),
+        DVSNET_FIELD(network.policyWindow = 100),
+        DVSNET_FIELD(network.policyCooldown = 2),
+        DVSNET_FIELD(network.staticLevel = 3),
+        DVSNET_FIELD(network.routing =
+                         dvsnet::network::RoutingKind::MinimalAdaptive),
+        DVSNET_FIELD(network.packetLength = 4),
+        DVSNET_FIELD(network.linkPowerSpec = "toggle"),
+        DVSNET_FIELD(workload.avgConcurrentTasks = 50.0),
+        DVSNET_FIELD(workload.meanTaskDurationCycles = 2e5),
+        DVSNET_FIELD(workload.durationSpread = 0.25),
+        DVSNET_FIELD(workload.networkInjectionRate = 2.0),
+        DVSNET_FIELD(workload.rateSpread = 0.25),
+        DVSNET_FIELD(workload.sourcesPerTask = 64),
+        DVSNET_FIELD(workload.onOff.onShape = 1.5),
+        DVSNET_FIELD(workload.onOff.offShape = 1.3),
+        DVSNET_FIELD(workload.onOff.meanOnCycles = 301.0),
+        DVSNET_FIELD(workload.onOff.meanOffCycles = 601.0),
+        DVSNET_FIELD(workload.localityRadius = 3),
+        DVSNET_FIELD(workload.pLocal = 0.75),
+        DVSNET_FIELD(workload.perPacketDestination = true),
+        DVSNET_FIELD(workload.seed = 99),
+        DVSNET_FIELD(workloadSpec = "uniform"),
+        DVSNET_FIELD(warmup = 20001),
+        DVSNET_FIELD(measure = 150001),
+    };
+#undef DVSNET_FIELD
+
+    const ExperimentSpec base;
+    const std::string baseKey = evalKey(base, 1.2, 7);
+    for (const auto &[name, mutate] : fields) {
+        ExperimentSpec spec = base;
+        mutate(spec);
+        EXPECT_NE(evalKey(spec, 1.2, 7), baseKey) << name;
+    }
+    EXPECT_NE(evalKey(base, 1.25, 7), baseKey) << "rate";
+    EXPECT_NE(evalKey(base, 1.2, 8), baseKey) << "seed";
+}
+
+namespace
+{
+
+/** A finished synthetic search's journal, header line first. */
+std::string
+synthJournal(const std::string &name)
+{
+    SearchConfig config = synthConfig(5);
+    config.journalPath = tmpPath(name);
+    runSynth(config);
+    return fileBytes(config.journalPath);
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/** The message of the ConfigError a warm start from `path` raises. */
+std::string
+warmStartError(const std::string &path)
+{
+    SearchConfig config = synthConfig(5);
+    config.warmJournals = {path};
+    try {
+        runSynth(config);
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(SearchJournal, OtherSchemaIsRejectedNamingBothIds)
+{
+    // A journal of the previous schema: its keys named neither the full
+    // config echo nor the common traffic seed, so nothing in it may be
+    // reused, and a resume from it must say so instead of silently
+    // re-running every evaluation.
+    const std::string bytes = synthJournal("journal_current.jsonl");
+    const std::string records = bytes.substr(bytes.find('\n') + 1);
+    const std::string path = tmpPath("journal_v1.jsonl");
+    writeFile(path, "{\"schema\":\"dvsnet-search-v1\",\"search\":{}}\n" +
+                        records);
+
+    const std::string error = warmStartError(path);
+    ASSERT_FALSE(error.empty()) << "a v1 journal warmed the cache";
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+    EXPECT_NE(error.find("dvsnet-search-v1"), std::string::npos) << error;
+    EXPECT_NE(error.find(dvsnet::search::kSearchJournalSchema),
+              std::string::npos)
+        << error;
+}
+
+TEST(SearchJournal, RecordsBeforeAnyHeaderAreRejected)
+{
+    const std::string bytes = synthJournal("journal_headed.jsonl");
+    const std::string path = tmpPath("journal_headless.jsonl");
+    writeFile(path, bytes.substr(bytes.find('\n') + 1));
+
+    const std::string error = warmStartError(path);
+    ASSERT_FALSE(error.empty()) << "a headerless journal warmed the cache";
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+    EXPECT_NE(error.find(dvsnet::search::kSearchJournalSchema),
+              std::string::npos)
+        << error;
+}
+
+TEST(SearchJournal, EmptyFileLoadsNothing)
+{
+    const std::string path = tmpPath("journal_empty.jsonl");
+    writeFile(path, "");
+    SearchConfig config = synthConfig(5);
+    config.warmJournals = {path};
+    CounterRegistry registry;
+    const SearchOutcome outcome = runSynth(config, &registry);
+    ASSERT_TRUE(outcome.completed);
+    EXPECT_EQ(registry.counterValue("search.warm_records"), 0u);
+    EXPECT_EQ(outcome.cacheHits, 0u);
 }

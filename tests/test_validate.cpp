@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/fatal.hpp"
 #include "network/network.hpp"
 #include "network/sweep.hpp"
@@ -129,6 +131,26 @@ TEST(ExperimentSpecValidate, FlagsWorkloadAndWindowProblems)
     EXPECT_TRUE(mentions(problems, "pLocal"));
     EXPECT_TRUE(mentions(problems, "localityRadius"));
     EXPECT_TRUE(mentions(problems, "measurement window"));
+}
+
+TEST(ExperimentSpecValidate, RunLengthMustFitSixtyFourBitTicks)
+{
+    // The wrap `cycles=-5` used to produce: 20000 + (2^64 - 5) cycles.
+    ExperimentSpec spec;
+    spec.warmup = 20000;
+    spec.measure = static_cast<dvsnet::Cycle>(-5);
+    EXPECT_TRUE(mentions(spec.validate(), "overflows 64-bit ticks"));
+
+    // Each window alone may fit while their sum does not.
+    constexpr dvsnet::Cycle kMax =
+        std::numeric_limits<dvsnet::Tick>::max() / dvsnet::kRouterClockPeriod;
+    spec.warmup = kMax / 2 + 1;
+    spec.measure = kMax / 2 + 1;
+    EXPECT_TRUE(mentions(spec.validate(), "overflows 64-bit ticks"));
+
+    spec.warmup = kMax - 1;
+    spec.measure = 1;
+    EXPECT_TRUE(spec.validate().empty());
 }
 
 TEST(ExperimentSpecValidate, IncludesNetworkProblems)

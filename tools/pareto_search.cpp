@@ -44,7 +44,7 @@ main(int argc, char **argv)
 
     CounterRegistry registry;
     search::SearchDriver driver(config, &registry);
-    const auto outcome = driver.run();
+    const auto outcome = bench::runSearch(driver);
 
     std::printf("\ncandidates: %zu   network evals: %llu (%llu full "
                 "fidelity)   cache hits: %llu   culled: %llu\n",

@@ -99,12 +99,11 @@ record(const Config &config)
     cfg.torus = config.getBool("torus", false);
     cfg.policy = network::PolicyKind::None;
 
-    const auto cycles =
-        static_cast<Cycle>(config.getInt("cycles", 50000));
+    const Cycle cycles = config.getCount("cycles", 50000);
     network::Network net(cfg);
     workload::WorkloadContext context{
         net.topology(), config.getDouble("rate", 1.0),
-        static_cast<std::uint64_t>(config.getInt("seed", 12345)),
+        config.getCount("seed", 12345),
         traffic::TwoLevelParams{}};
     const auto generator = workload::buildWorkload(spec, context);
     traffic::Trace trace;
