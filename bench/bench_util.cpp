@@ -245,7 +245,7 @@ printHeader(const std::string &figure, const std::string &what,
             opts.linkPower.empty() ? std::string("table") : opts.linkPower;
         Json linkPower = Json::object();
         linkPower["spec"] = Json(spec);
-        linkPower["backend"] = Json(power::LinkPowerSpec::parse(spec).name);
+        linkPower["backend"] = Json(Spec::parse(spec).name);
         root["link_power"] = std::move(linkPower);
     }
     root["warmup_cycles"] = Json(static_cast<std::uint64_t>(opts.warmup));

@@ -61,12 +61,12 @@ struct BenchOptions
     std::string jsonPath;
 
     /** Workload selector (`--workload <name>[:key=val,...]` against the
-     *  workload::WorkloadFactory registry); empty keeps each bench's
+     *  workload::workloadRegistry()); empty keeps each bench's
      *  default.  paperSpec() applies it, so every bench accepts it. */
     std::string workload;
 
     /** Link power backend (`--link-power <name>[:key=val,...]` against
-     *  the power::LinkPowerFactory registry); empty keeps the default
+     *  power::linkPowerRegistry()); empty keeps the default
      *  table backend.  paperSpec() applies it, so every bench accepts
      *  it; the spec is echoed in the artifact's `link_power` object. */
     std::string linkPower;

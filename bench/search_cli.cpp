@@ -76,9 +76,13 @@ searchConfigFromOptions(const BenchOptions &opts)
     const auto problems = search::validateSearchSpec(specString);
     if (!problems.empty())
         DVSNET_FATAL(joinProblems("invalid search=", problems));
-    config.rungs.clear();
-    search::applySearchSpec(config,
-                            search::SearchSpec::parse(specString));
+    try {
+        search::applySearchSpec(config, Spec::parse(specString));
+    } catch (const ConfigError &e) {
+        // A bad value (rungs=0, step=abc) is fatal and named, like a
+        // failure inside runSearch.
+        DVSNET_FATAL("invalid search=: ", e.what());
+    }
 
     config.journalPath = opts.raw.getString("journal", "");
     const std::string resume = opts.raw.getString("resume", "");

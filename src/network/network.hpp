@@ -82,7 +82,7 @@ struct NetworkConfig
      * Link power backend spec, `<name>[:key=val,...]` — "table" (the
      * paper's fitted law, default) or "toggle:key=val,..." (data-
      * dependent per-flit toggle/coupling energy).  Validated against
-     * the power::LinkPowerFactory registry; one shared backend instance
+     * power::linkPowerRegistry(); one shared backend instance
      * is built per network and drives every channel.
      */
     std::string linkPowerSpec = "table";

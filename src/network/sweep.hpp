@@ -33,7 +33,7 @@ struct ExperimentSpec
 
     /**
      * Workload selector, `<name>[:key=val,...]` against the
-     * workload::WorkloadFactory registry ("two-level", "uniform",
+     * workload::workloadRegistry() ("two-level", "uniform",
      * "cmp:window=8", "trace:path=FILE", ...).  The default reproduces
      * the paper's two-level model configured by `workload` above.
      */

@@ -1,8 +1,7 @@
 #include "power/link_power.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <charconv>
+#include <limits>
 
 #include "common/fatal.hpp"
 #include "common/rng.hpp"
@@ -13,110 +12,48 @@ namespace dvsnet::power
 namespace
 {
 
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    double out = 0.0;
-    const char *end = value.data() + value.size();
-    auto [ptr, ec] = std::from_chars(value.data(), end, out);
-    if (ec != std::errc{} || ptr != end) {
-        throw ConfigError(detail::concat("link-power key '", key,
-                                         "': expected a number, got '",
-                                         value, "'"));
-    }
-    return out;
-}
-
-std::int64_t
-parseInt(const std::string &key, const std::string &value)
-{
-    std::int64_t out = 0;
-    const char *end = value.data() + value.size();
-    auto [ptr, ec] = std::from_chars(value.data(), end, out);
-    if (ec != std::errc{} || ptr != end) {
-        throw ConfigError(detail::concat("link-power key '", key,
-                                         "': expected an integer, got '",
-                                         value, "'"));
-    }
-    return out;
-}
-
-std::string
-joinList(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const auto &item : items) {
-        if (!out.empty())
-            out += ", ";
-        out += item;
-    }
-    return out;
-}
-
 std::unique_ptr<LinkPowerModel>
-buildTable(const LinkPowerSpec &, const LinkPowerContext &context)
+buildTable(const Spec &, const LinkPowerContext &context)
 {
     return std::make_unique<TableLinkPowerModel>(context.coeffA,
                                                  context.coeffB);
 }
 
 std::unique_ptr<LinkPowerModel>
-buildToggle(const LinkPowerSpec &spec, const LinkPowerContext &context)
+buildToggle(const Spec &spec, const LinkPowerContext &context)
 {
+    constexpr double kNoLimit = std::numeric_limits<double>::infinity();
     auto params = ToggleLinkPowerModel::defaultParams(context);
-    if (const auto *v = spec.find("idle")) {
-        params.idleFraction = parseDouble("idle", *v);
-        if (params.idleFraction < 0.0 || params.idleFraction > 1.0) {
-            throw ConfigError(detail::concat(
-                "link-power key 'idle': must be in [0, 1], got ", *v));
-        }
-    }
-    if (const auto *v = spec.find("width")) {
-        const std::int64_t width = parseInt("width", *v);
-        if (width < 1 || width > 64) {
-            throw ConfigError(detail::concat(
-                "link-power key 'width': must be in [1, 64], got ", *v));
-        }
-        params.payloadWidth = static_cast<std::uint32_t>(width);
-    }
+    params.idleFraction = spec.number("idle", params.idleFraction, 0.0, 1.0);
+    params.payloadWidth = spec.integer("width", params.payloadWidth);
+    if (params.payloadWidth < 1 || params.payloadWidth > 64)
+        spec.reject("width", "must be in [1, 64]");
     // Re-derive the calibrated capacitances from the final idle fraction
     // and width (see defaultParams), then let explicit cw/cc override.
-    params.toggleCapacitanceF =
+    // An explicit Cw keeps the default Cc = Cw/2 coupling ratio unless
+    // the spec also pins Cc.
+    params.toggleCapacitanceF = spec.number(
+        "cw",
         8.0 * (1.0 - params.idleFraction) * context.coeffA *
-        static_cast<double>(context.linksPerChannel) /
-        (5.0 * static_cast<double>(params.payloadWidth));
-    params.couplingCapacitanceF = params.toggleCapacitanceF / 2.0;
-    if (const auto *v = spec.find("cw")) {
-        params.toggleCapacitanceF = parseDouble("cw", *v);
-        if (params.toggleCapacitanceF < 0.0) {
-            throw ConfigError(detail::concat(
-                "link-power key 'cw': must be >= 0, got ", *v));
-        }
-        // An explicit Cw keeps the default Cc = Cw/2 coupling ratio
-        // unless the spec also pins Cc.
-        params.couplingCapacitanceF = params.toggleCapacitanceF / 2.0;
-    }
-    if (const auto *v = spec.find("cc")) {
-        params.couplingCapacitanceF = parseDouble("cc", *v);
-        if (params.couplingCapacitanceF < 0.0) {
-            throw ConfigError(detail::concat(
-                "link-power key 'cc': must be >= 0, got ", *v));
-        }
-    }
+            static_cast<double>(context.linksPerChannel) /
+            (5.0 * static_cast<double>(params.payloadWidth)),
+        0.0, kNoLimit);
+    params.couplingCapacitanceF = spec.number(
+        "cc", params.toggleCapacitanceF / 2.0, 0.0, kNoLimit);
     return std::make_unique<ToggleLinkPowerModel>(params, context.coeffA,
                                                   context.coeffB);
 }
 
 void
-registerBuiltins(LinkPowerFactory &factory)
+registerBuiltins(LinkPowerRegistry &registry)
 {
-    factory.add("table",
-                "the paper's fitted P(V,f) = a*V^2*f + b per-level law",
-                {}, buildTable);
-    factory.add("toggle",
-                "data-dependent toggle/coupling energy per flit on top "
-                "of a static floor",
-                {"cw", "cc", "idle", "width"}, buildToggle);
+    registry.add("table",
+                 "the paper's fitted P(V,f) = a*V^2*f + b per-level law",
+                 {}, buildTable);
+    registry.add("toggle",
+                 "data-dependent toggle/coupling energy per flit on top "
+                 "of a static floor",
+                 {"cw", "cc", "idle", "width"}, buildToggle);
 }
 
 } // namespace
@@ -175,172 +112,22 @@ ToggleLinkPowerModel::flitEnergyJ(std::uint64_t payload,
            voltage * voltage;
 }
 
-LinkPowerSpec
-LinkPowerSpec::parse(const std::string &text)
+const LinkPowerRegistry &
+linkPowerRegistry()
 {
-    LinkPowerSpec spec;
-    const std::size_t colon = text.find(':');
-    spec.name = text.substr(0, colon);
-    if (spec.name.empty())
-        throw ConfigError("link-power spec: empty backend name");
-
-    if (colon == std::string::npos)
-        return spec;
-    std::size_t pos = colon + 1;
-    while (pos <= text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        const std::size_t eq = item.find('=');
-        if (item.empty() || eq == std::string::npos || eq == 0) {
-            throw ConfigError(detail::concat(
-                "link-power spec '", text, "': expected key=value, got '",
-                item, "'"));
-        }
-        spec.params.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-        pos = comma + 1;
-    }
-    return spec;
-}
-
-std::string
-LinkPowerSpec::toString() const
-{
-    std::string out = name;
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        out += i == 0 ? ':' : ',';
-        out += params[i].first;
-        out += '=';
-        out += params[i].second;
-    }
-    return out;
-}
-
-const std::string *
-LinkPowerSpec::find(const std::string &key) const
-{
-    for (const auto &[k, v] : params) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
-}
-
-LinkPowerFactory &
-LinkPowerFactory::instance()
-{
-    static LinkPowerFactory factory = [] {
-        LinkPowerFactory f;
-        registerBuiltins(f);
-        return f;
+    static const LinkPowerRegistry registry = [] {
+        LinkPowerRegistry r("link-power backend");
+        registerBuiltins(r);
+        return r;
     }();
-    return factory;
-}
-
-void
-LinkPowerFactory::add(const std::string &name,
-                      const std::string &description,
-                      std::vector<std::string> keys, Builder builder)
-{
-    DVSNET_ASSERT(!name.empty() && builder, "bad link-power registration");
-    for (auto &entry : entries_) {
-        if (entry.name == name) {
-            entry = Entry{name, description, std::move(keys),
-                          std::move(builder)};
-            return;
-        }
-    }
-    entries_.push_back(
-        Entry{name, description, std::move(keys), std::move(builder)});
-}
-
-bool
-LinkPowerFactory::known(const std::string &name) const
-{
-    return lookup(name) != nullptr;
-}
-
-std::vector<std::string>
-LinkPowerFactory::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto &entry : entries_)
-        out.push_back(entry.name);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::string
-LinkPowerFactory::description(const std::string &name) const
-{
-    const Entry *entry = lookup(name);
-    return entry != nullptr ? entry->description : std::string();
-}
-
-std::vector<std::string>
-LinkPowerFactory::keys(const std::string &name) const
-{
-    const Entry *entry = lookup(name);
-    return entry != nullptr ? entry->keys : std::vector<std::string>();
-}
-
-std::vector<std::string>
-LinkPowerFactory::validate(const LinkPowerSpec &spec) const
-{
-    std::vector<std::string> problems;
-    const Entry *entry = lookup(spec.name);
-    if (entry == nullptr) {
-        problems.push_back(detail::concat(
-            "unknown link-power backend '", spec.name, "' (registered: ",
-            joinList(names()), ")"));
-        return problems;
-    }
-    for (const auto &[key, value] : spec.params) {
-        (void)value;
-        if (std::find(entry->keys.begin(), entry->keys.end(), key) ==
-            entry->keys.end()) {
-            problems.push_back(detail::concat(
-                "link-power '", spec.name, "': unknown key '", key, "' (",
-                entry->keys.empty()
-                    ? "takes no keys"
-                    : detail::concat("valid: ", joinList(entry->keys)),
-                ")"));
-        }
-    }
-    return problems;
-}
-
-const LinkPowerFactory::Entry *
-LinkPowerFactory::lookup(const std::string &name) const
-{
-    for (const auto &entry : entries_) {
-        if (entry.name == name)
-            return &entry;
-    }
-    return nullptr;
-}
-
-std::unique_ptr<LinkPowerModel>
-LinkPowerFactory::build(const LinkPowerSpec &spec,
-                        const LinkPowerContext &context) const
-{
-    auto problems = validate(spec);
-    if (!problems.empty())
-        throw ConfigError(joinProblems("invalid link-power spec", problems));
-    const Entry *entry = lookup(spec.name);
-    auto model = entry->builder(spec, context);
-    DVSNET_ASSERT(model != nullptr, "link-power builder returned null");
-    return model;
+    return registry;
 }
 
 std::vector<std::string>
 validateLinkPowerSpec(const std::string &text)
 {
     try {
-        const LinkPowerSpec spec = LinkPowerSpec::parse(text);
-        return LinkPowerFactory::instance().validate(spec);
+        return linkPowerRegistry().validate(Spec::parse(text));
     } catch (const ConfigError &e) {
         return {e.what()};
     }
@@ -350,8 +137,9 @@ std::unique_ptr<LinkPowerModel>
 buildLinkPowerModel(const std::string &text,
                     const LinkPowerContext &context)
 {
-    return LinkPowerFactory::instance().build(LinkPowerSpec::parse(text),
-                                              context);
+    auto model = linkPowerRegistry().build(Spec::parse(text), context);
+    DVSNET_ASSERT(model != nullptr, "link-power builder returned null");
+    return model;
 }
 
 } // namespace dvsnet::power

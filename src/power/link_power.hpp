@@ -21,8 +21,8 @@
  *    top of a level-dependent static floor.
  *
  * Backends are selected by spec string, `<name>[:key=val,...]`
- * (`table`, `toggle:idle=0.5,width=32`), through `LinkPowerFactory` —
- * the same registry/rejection behavior as workload::WorkloadFactory.
+ * (`table`, `toggle:idle=0.5,width=32`), through linkPowerRegistry() —
+ * the grammar, value rules and rejection messages of common/spec.hpp.
  * The spec travels in NetworkConfig, so every entry point (benches via
  * `--link-power`, ExperimentSpec, exp::runPoint) drives any backend.
  *
@@ -41,11 +41,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include <functional>
-
+#include "common/spec.hpp"
 #include "router/flit.hpp"
 
 namespace dvsnet::power
@@ -208,80 +206,11 @@ class ToggleLinkPowerModel final : public LinkPowerModel
     std::uint64_t payloadMask_;
 };
 
-/** Parsed `<name>[:key=val,...]` link-power specification. */
-struct LinkPowerSpec
-{
-    std::string name;
-    std::vector<std::pair<std::string, std::string>> params;
+using LinkPowerRegistry =
+    Registry<std::unique_ptr<LinkPowerModel>, LinkPowerContext>;
 
-    /**
-     * Parse a spec string.  Grammar: name, optionally followed by ':'
-     * and a comma-separated key=value list.  @throws ConfigError on a
-     * syntactically malformed spec (empty name, missing '=', empty key).
-     */
-    static LinkPowerSpec parse(const std::string &text);
-
-    /** Canonical `<name>[:key=val,...]` rendering. */
-    std::string toString() const;
-
-    /** Value for `key`, or nullptr when absent. */
-    const std::string *find(const std::string &key) const;
-};
-
-/** Registry of named link-power backends. */
-class LinkPowerFactory
-{
-  public:
-    using Builder = std::function<std::unique_ptr<LinkPowerModel>(
-        const LinkPowerSpec &, const LinkPowerContext &)>;
-
-    /** The process-wide registry, pre-populated with the built-ins. */
-    static LinkPowerFactory &instance();
-
-    /**
-     * Register a backend.  `keys` is the exhaustive list of spec keys
-     * the builder accepts; anything else is rejected by validate().
-     * Re-registering a name replaces the entry (tests use this).
-     */
-    void add(const std::string &name, const std::string &description,
-             std::vector<std::string> keys, Builder builder);
-
-    bool known(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** One-line description for a registered name ("" if unknown). */
-    std::string description(const std::string &name) const;
-
-    /** Accepted keys for a registered name (empty if unknown). */
-    std::vector<std::string> keys(const std::string &name) const;
-
-    /**
-     * Problems with `spec`: unknown backend name (listing the
-     * registered ones) or unknown keys (listing the valid ones).
-     * Value errors surface later, from build().
-     */
-    std::vector<std::string> validate(const LinkPowerSpec &spec) const;
-
-    /** Construct the backend.  @throws ConfigError on an invalid spec
-     *  or bad parameter values. */
-    std::unique_ptr<LinkPowerModel>
-    build(const LinkPowerSpec &spec, const LinkPowerContext &context) const;
-
-  private:
-    struct Entry
-    {
-        std::string name;
-        std::string description;
-        std::vector<std::string> keys;
-        Builder builder;
-    };
-
-    const Entry *lookup(const std::string &name) const;
-
-    std::vector<Entry> entries_;
-};
+/** The process-wide link-power registry: the built-in backends. */
+const LinkPowerRegistry &linkPowerRegistry();
 
 /** Parse + validate a raw spec string; empty = valid. */
 std::vector<std::string> validateLinkPowerSpec(const std::string &text);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/fatal.hpp"
@@ -504,189 +505,26 @@ SearchDriver::run()
     return outcome;
 }
 
-SearchSpec
-SearchSpec::parse(const std::string &text)
-{
-    SearchSpec spec;
-    const std::size_t colon = text.find(':');
-    spec.name = text.substr(0, colon);
-    if (spec.name.empty())
-        throw ConfigError("search spec: empty strategy name");
-
-    if (colon == std::string::npos)
-        return spec;
-    std::size_t pos = colon + 1;
-    while (pos <= text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        const std::size_t eq = item.find('=');
-        if (item.empty() || eq == std::string::npos || eq == 0) {
-            throw ConfigError(detail::concat(
-                "search spec '", text, "': expected key=value, got '",
-                item, "'"));
-        }
-        spec.params.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-        pos = comma + 1;
-    }
-    return spec;
-}
-
-std::string
-SearchSpec::toString() const
-{
-    std::string out = name;
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        out += i == 0 ? ':' : ',';
-        out += params[i].first;
-        out += '=';
-        out += params[i].second;
-    }
-    return out;
-}
-
-const std::string *
-SearchSpec::find(const std::string &key) const
-{
-    for (const auto &[k, v] : params) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
-}
-
 namespace
 {
 
-constexpr const char *kStrategyName = "successive-halving";
-
-/** Accepted successive-halving keys, sorted for error messages. */
-const std::vector<std::string> &
-strategyKeys()
+/** The successive-halving strategy: `base` with the spec's candidate
+ *  count, evaluation budget and fidelity ladder applied. */
+SearchConfig
+successiveHalving(const Spec &spec, const SearchConfig &base)
 {
-    static const std::vector<std::string> keys = {
-        "budget", "candidates", "rungs", "slack", "step"};
-    return keys;
-}
-
-std::string
-joinList(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0)
-            out += ", ";
-        out += items[i];
-    }
-    return out;
-}
-
-std::uint64_t
-parseCount(const SearchSpec &spec, const std::string &key,
-           const std::string &value)
-{
-    try {
-        std::size_t used = 0;
-        const unsigned long long parsed = std::stoull(value, &used);
-        if (used == value.size())
-            return parsed;
-    } catch (const std::exception &) {
-    }
-    throw ConfigError(detail::concat("search spec '", spec.toString(),
-                                     "': key '", key,
-                                     "' needs a non-negative integer, "
-                                     "got '",
-                                     value, "'"));
-}
-
-double
-parseNumber(const SearchSpec &spec, const std::string &key,
-            const std::string &value)
-{
-    try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used == value.size() && std::isfinite(parsed))
-            return parsed;
-    } catch (const std::exception &) {
-    }
-    throw ConfigError(detail::concat("search spec '", spec.toString(),
-                                     "': key '", key,
-                                     "' needs a finite number, got '",
-                                     value, "'"));
-}
-
-} // namespace
-
-std::vector<std::string>
-validateSearchSpec(const std::string &text)
-{
-    SearchSpec spec;
-    try {
-        spec = SearchSpec::parse(text);
-    } catch (const ConfigError &e) {
-        return {e.what()};
-    }
-
-    std::vector<std::string> problems;
-    if (spec.name != kStrategyName) {
-        problems.push_back(detail::concat(
-            "unknown search strategy '", spec.name,
-            "' (registered: ", kStrategyName, ")"));
-        return problems;
-    }
-    for (const auto &[key, value] : spec.params) {
-        (void)value;
-        const auto &keys = strategyKeys();
-        if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
-            problems.push_back(detail::concat(
-                "search spec '", spec.name, "': unknown key '", key,
-                "' (valid: ", joinList(keys), ")"));
-        }
-    }
-    return problems;
-}
-
-void
-applySearchSpec(SearchConfig &config, const SearchSpec &spec)
-{
-    const auto problems = validateSearchSpec(spec.toString());
-    if (!problems.empty())
-        throw ConfigError(joinProblems("invalid search spec", problems));
-
-    if (const std::string *v = spec.find("candidates"))
-        config.randomCandidates = parseCount(spec, "candidates", *v);
-    if (const std::string *v = spec.find("budget"))
-        config.maxNetworkEvals = parseCount(spec, "budget", *v);
-
-    std::size_t numRungs = 3;
-    if (const std::string *v = spec.find("rungs")) {
-        numRungs = parseCount(spec, "rungs", *v);
-        if (numRungs == 0) {
-            throw ConfigError(detail::concat(
-                "search spec '", spec.toString(),
-                "': key 'rungs' must be >= 1"));
-        }
-    }
-    double step = 5.0;
-    if (const std::string *v = spec.find("step")) {
-        step = parseNumber(spec, "step", *v);
-        if (!(step > 1.0)) {
-            throw ConfigError(detail::concat(
-                "search spec '", spec.toString(),
-                "': key 'step' must be > 1"));
-        }
-    }
-    double slack = 0.15;
-    if (const std::string *v = spec.find("slack")) {
-        slack = parseNumber(spec, "slack", *v);
-        if (slack < 0.0) {
-            throw ConfigError(detail::concat(
-                "search spec '", spec.toString(),
-                "': key 'slack' must be >= 0"));
-        }
-    }
+    constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+    SearchConfig config = base;
+    config.randomCandidates =
+        spec.count("candidates", config.randomCandidates);
+    config.maxNetworkEvals = spec.count("budget", config.maxNetworkEvals);
+    const std::size_t numRungs = spec.count("rungs", 3);
+    if (numRungs == 0)
+        spec.reject("rungs", "must be >= 1");
+    const double step = spec.number("step", 5.0, 1.0, kNoLimit);
+    if (!(step > 1.0))
+        spec.reject("step", "must be > 1");
+    const double slack = spec.number("slack", 0.15, 0.0, kNoLimit);
 
     // Geometric fidelity ladder ending exactly at the base windows:
     // rung k measures 1/step^(K-1-k) of the full window, floored so
@@ -711,6 +549,40 @@ applySearchSpec(SearchConfig &config, const SearchSpec &spec)
             rung.measure = config.base.measure;
         config.rungs.push_back(rung);
     }
+    return config;
+}
+
+const Registry<SearchConfig, SearchConfig> &
+strategies()
+{
+    static const auto registry = [] {
+        Registry<SearchConfig, SearchConfig> r("search strategy");
+        r.add("successive-halving",
+              "cull candidates dominated with margin on a geometric "
+              "fidelity ladder",
+              {"budget", "candidates", "rungs", "slack", "step"},
+              successiveHalving);
+        return r;
+    }();
+    return registry;
+}
+
+} // namespace
+
+std::vector<std::string>
+validateSearchSpec(const std::string &text)
+{
+    try {
+        return strategies().validate(Spec::parse(text));
+    } catch (const ConfigError &e) {
+        return {e.what()};
+    }
+}
+
+void
+applySearchSpec(SearchConfig &config, const Spec &spec)
+{
+    config = strategies().build(spec, config);
 }
 
 } // namespace dvsnet::search

@@ -33,6 +33,10 @@
  * then records that realization once per rung.  Seeds never depend on
  * schedule position, so a resumed, warmed or re-sharded search
  * reproduces a cold run's front and journal byte-for-byte.
+ *
+ * The `search=` strategy spec (validateSearchSpec, applySearchSpec) is
+ * a spec string: its grammar, value rules and rejection messages are
+ * common/spec.hpp's.
  */
 
 #pragma once
@@ -44,6 +48,7 @@
 #include <vector>
 
 #include "common/counters.hpp"
+#include "common/spec.hpp"
 #include "network/sweep.hpp"
 #include "search/cache.hpp"
 #include "search/pareto.hpp"
@@ -241,35 +246,18 @@ class SearchDriver
 };
 
 /**
- * Parsed `<name>[:key=val,...]` search-strategy spec — the same grammar
- * as workload::WorkloadSpec / power::LinkPowerSpec, so the CLI composes
- * with the other registries' spec strings.  The only registered strategy
- * is "successive-halving"; its keys size the candidate set and fidelity
- * ladder against a base experiment.
+ * Problems with a raw `search=` spec string (unknown strategy or keys);
+ * empty = valid.  The only registered strategy is "successive-halving";
+ * its keys (budget, candidates, rungs, slack, step) size the candidate
+ * set and fidelity ladder against a base experiment.
  */
-struct SearchSpec
-{
-    std::string name;
-    std::vector<std::pair<std::string, std::string>> params;
-
-    /** @throws ConfigError on a syntactically malformed spec. */
-    static SearchSpec parse(const std::string &text);
-
-    /** Canonical `<name>[:key=val,...]` rendering. */
-    std::string toString() const;
-
-    /** Value for `key`, or nullptr when absent. */
-    const std::string *find(const std::string &key) const;
-};
-
-/** Problems with a raw spec string (unknown name/keys); empty = valid. */
 std::vector<std::string> validateSearchSpec(const std::string &text);
 
 /**
- * Fold a validated spec into `config`: candidate count, rung ladder
- * (geometric fidelity steps of the base windows), slack fraction and
- * evaluation budget.  @throws ConfigError on invalid values.
+ * Fold a spec into `config`: candidate count, rung ladder (geometric
+ * fidelity steps of the base windows), slack fraction and evaluation
+ * budget.  @throws ConfigError on an invalid spec or value.
  */
-void applySearchSpec(SearchConfig &config, const SearchSpec &spec);
+void applySearchSpec(SearchConfig &config, const Spec &spec);
 
 } // namespace dvsnet::search

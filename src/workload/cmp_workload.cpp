@@ -24,7 +24,7 @@ CmpParams::validate() const
     }
     if (hotNodes < 0)
         complain("cmp.hotNodes must be >= 0 (got ", hotNodes, ")");
-    if (pHot < 0.0 || pHot > 1.0)
+    if (!(pHot >= 0.0 && pHot <= 1.0))
         complain("cmp.pHot must be in [0, 1] (got ", pHot, ")");
     if (hotNodes == 0 && pHot > 0.0)
         complain("cmp.pHot > 0 requires a nonzero hot set (hotNodes)");

@@ -48,15 +48,14 @@ class CountingTraffic final : public traffic::TrafficGenerator
     traffic::PatternTraffic inner_;
 };
 
-/** Register "counting" with the workload factory (idempotent). */
+/** Register "counting" with the workload registry (idempotent). */
 inline void
 registerCountingWorkload()
 {
-    workload::WorkloadFactory::instance().add(
+    workload::workloadRegistry().add(
         "counting", "test: uniform traffic counting generations",
         {"variant"},
-        [](const workload::WorkloadSpec &,
-           const workload::WorkloadContext &ctx) {
+        [](const Spec &, const workload::WorkloadContext &ctx) {
             return std::make_unique<CountingTraffic>(
                 ctx.topo, ctx.injectionRate, ctx.seed);
         });

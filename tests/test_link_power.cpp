@@ -1,9 +1,10 @@
 /**
  * @file
- * Link power backend tests: spec grammar, factory registry/rejection
- * behavior, table-backend bit-identity with the fitted level law,
- * toggle-backend energy math + calibration, payload-hash determinism,
- * and end-to-end network runs under both backends.
+ * Link power backend tests: registry/rejection behavior (the spec
+ * grammar is tests/test_spec.cpp's), table-backend bit-identity with
+ * the fitted level law, toggle-backend energy math + calibration,
+ * payload-hash determinism, and end-to-end network runs under both
+ * backends.
  */
 
 #include <bit>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fatal.hpp"
+#include "common/spec.hpp"
 #include "exp/experiment.hpp"
 #include "link/dvs_level.hpp"
 #include "network/network.hpp"
@@ -20,13 +22,13 @@
 #include "router/flit.hpp"
 
 using dvsnet::ConfigError;
+using dvsnet::Spec;
 using dvsnet::link::DvsLevelTable;
 using dvsnet::power::buildLinkPowerModel;
 using dvsnet::power::flitPayloadWord;
 using dvsnet::power::LinkPowerContext;
-using dvsnet::power::LinkPowerFactory;
 using dvsnet::power::LinkPowerModel;
-using dvsnet::power::LinkPowerSpec;
+using dvsnet::power::linkPowerRegistry;
 using dvsnet::power::TableLinkPowerModel;
 using dvsnet::power::ToggleLinkPowerModel;
 using dvsnet::power::validateLinkPowerSpec;
@@ -44,17 +46,22 @@ standardContext()
 
 } // namespace
 
+// The grammar is shared (tests/test_spec.cpp); these pin the backend
+// strings the CLI documents, and that validateLinkPowerSpec reports a
+// malformed one as a problem rather than throwing.
+
 TEST(LinkPowerSpec, ParsesBareName)
 {
-    const auto spec = LinkPowerSpec::parse("table");
+    const Spec spec = Spec::parse("table");
     EXPECT_EQ(spec.name, "table");
     EXPECT_TRUE(spec.params.empty());
     EXPECT_EQ(spec.toString(), "table");
+    EXPECT_TRUE(validateLinkPowerSpec("table").empty());
 }
 
 TEST(LinkPowerSpec, ParsesKeyValueList)
 {
-    const auto spec = LinkPowerSpec::parse("toggle:idle=0.25,width=16");
+    const Spec spec = Spec::parse("toggle:idle=0.25,width=16");
     EXPECT_EQ(spec.name, "toggle");
     ASSERT_EQ(spec.params.size(), 2u);
     ASSERT_NE(spec.find("idle"), nullptr);
@@ -63,31 +70,38 @@ TEST(LinkPowerSpec, ParsesKeyValueList)
     EXPECT_EQ(*spec.find("width"), "16");
     EXPECT_EQ(spec.find("missing"), nullptr);
     EXPECT_EQ(spec.toString(), "toggle:idle=0.25,width=16");
+    EXPECT_TRUE(validateLinkPowerSpec(spec.toString()).empty());
 }
 
 TEST(LinkPowerSpec, RejectsMalformedSpecs)
 {
-    EXPECT_THROW(LinkPowerSpec::parse(""), ConfigError);
-    EXPECT_THROW(LinkPowerSpec::parse(":idle=1"), ConfigError);
-    EXPECT_THROW(LinkPowerSpec::parse("toggle:idle"), ConfigError);
-    EXPECT_THROW(LinkPowerSpec::parse("toggle:=0.5"), ConfigError);
-    EXPECT_THROW(LinkPowerSpec::parse("toggle:idle=0.5,"), ConfigError);
+    for (const char *text :
+         {"", ":idle=1", "toggle:idle", "toggle:=0.5", "toggle:idle=0.5,"}) {
+        EXPECT_THROW(Spec::parse(text), ConfigError) << "'" << text << "'";
+        EXPECT_FALSE(validateLinkPowerSpec(text).empty())
+            << "'" << text << "'";
+    }
 }
 
 TEST(LinkPowerFactory, KnowsBuiltins)
 {
-    auto &factory = LinkPowerFactory::instance();
-    EXPECT_TRUE(factory.known("table"));
-    EXPECT_TRUE(factory.known("toggle"));
-    EXPECT_FALSE(factory.known("nonsense"));
-    const auto names = factory.names();
+    const auto &registry = linkPowerRegistry();
+    const auto names = registry.names();
     EXPECT_NE(std::find(names.begin(), names.end(), "table"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "toggle"),
               names.end());
-    EXPECT_FALSE(factory.description("toggle").empty());
-    EXPECT_TRUE(factory.keys("table").empty());
-    EXPECT_EQ(factory.keys("toggle").size(), 4u);
+    EXPECT_EQ(std::find(names.begin(), names.end(), "nonsense"),
+              names.end());
+    EXPECT_FALSE(registry.description("toggle").empty());
+    // "table" takes no keys; "toggle" takes exactly these four.
+    const auto tableKeys = validateLinkPowerSpec("table:x=1");
+    ASSERT_EQ(tableKeys.size(), 1u);
+    EXPECT_NE(tableKeys[0].find("(takes no keys)"), std::string::npos);
+    const auto toggleKeys = validateLinkPowerSpec("toggle:x=1");
+    ASSERT_EQ(toggleKeys.size(), 1u);
+    EXPECT_NE(toggleKeys[0].find("(valid: cw, cc, idle, width)"),
+              std::string::npos);
 }
 
 TEST(LinkPowerFactory, RejectsUnknownNameListingRegistered)
@@ -132,22 +146,10 @@ TEST(LinkPowerFactory, BuildThrowsOnInvalidSpecOrValues)
     EXPECT_THROW(buildLinkPowerModel("toggle:cw=-1", ctx), ConfigError);
     EXPECT_THROW(buildLinkPowerModel("toggle:idle=abc", ctx),
                  ConfigError);
-}
-
-TEST(LinkPowerFactory, CustomRegistration)
-{
-    LinkPowerFactory factory;
-    factory.add("fixed", "constant power", {"w"},
-                [](const LinkPowerSpec &, const LinkPowerContext &ctx) {
-                    return std::make_unique<TableLinkPowerModel>(
-                        ctx.coeffA, ctx.coeffB);
-                });
-    EXPECT_TRUE(factory.known("fixed"));
-    EXPECT_FALSE(factory.known("table"));  // fresh registry, no builtins
-    const auto model =
-        factory.build(LinkPowerSpec::parse("fixed"), standardContext());
-    ASSERT_NE(model, nullptr);
-    EXPECT_STREQ(model->name(), "table");
+    // Non-finite values, which once built NaN or infinite power.
+    EXPECT_THROW(buildLinkPowerModel("toggle:idle=nan", ctx), ConfigError);
+    EXPECT_THROW(buildLinkPowerModel("toggle:cw=inf", ctx), ConfigError);
+    EXPECT_THROW(buildLinkPowerModel("toggle:cw=nan", ctx), ConfigError);
 }
 
 TEST(TableLinkPowerModel, BitIdenticalToFittedLevelLaw)

@@ -36,6 +36,7 @@
 using dvsnet::ConfigError;
 using dvsnet::CounterRegistry;
 using dvsnet::Cycle;
+using dvsnet::Spec;
 using dvsnet::splitmix64;
 using dvsnet::exp::pointSeed;
 using dvsnet::network::ExperimentSpec;
@@ -49,7 +50,6 @@ using dvsnet::search::RungSpec;
 using dvsnet::search::SearchConfig;
 using dvsnet::search::SearchDriver;
 using dvsnet::search::SearchOutcome;
-using dvsnet::search::SearchSpec;
 using dvsnet::search::validateSearchSpec;
 
 namespace
@@ -209,7 +209,10 @@ frontObjectives(const ParetoFront &front)
 
 TEST(SearchSpec, GrammarRoundTrip)
 {
-    const auto spec = SearchSpec::parse(
+    // The grammar is shared (tests/test_spec.cpp); this pins the search=
+    // string the CLI documents, and that validateSearchSpec reports a
+    // malformed one as a problem rather than throwing.
+    const auto spec = Spec::parse(
         "successive-halving:candidates=32,rungs=4,step=3,slack=0.1");
     EXPECT_EQ(spec.name, "successive-halving");
     ASSERT_EQ(spec.params.size(), 4u);
@@ -217,11 +220,14 @@ TEST(SearchSpec, GrammarRoundTrip)
     EXPECT_EQ(spec.find("missing"), nullptr);
     EXPECT_EQ(spec.toString(),
               "successive-halving:candidates=32,rungs=4,step=3,slack=0.1");
+    EXPECT_TRUE(validateSearchSpec(spec.toString()).empty());
 
-    EXPECT_THROW(SearchSpec::parse(""), ConfigError);
-    EXPECT_THROW(SearchSpec::parse("successive-halving:oops"),
-                 ConfigError);
-    EXPECT_THROW(SearchSpec::parse("successive-halving:=3"), ConfigError);
+    for (const char *text :
+         {"", "successive-halving:oops", "successive-halving:=3"}) {
+        EXPECT_THROW(Spec::parse(text), ConfigError) << "'" << text << "'";
+        EXPECT_FALSE(validateSearchSpec(text).empty())
+            << "'" << text << "'";
+    }
 }
 
 TEST(SearchSpec, ValidateRejectsUnknownNamesAndKeys)
@@ -251,7 +257,7 @@ TEST(SearchSpec, ApplyBuildsGeometricLadder)
     config.base.warmup = 20000;
     config.base.measure = 150000;
 
-    applySearchSpec(config, SearchSpec::parse(
+    applySearchSpec(config, Spec::parse(
         "successive-halving:candidates=12,rungs=3,step=5,slack=0.2,"
         "budget=40"));
     EXPECT_EQ(config.randomCandidates, 12u);
@@ -268,14 +274,22 @@ TEST(SearchSpec, ApplyBuildsGeometricLadder)
     EXPECT_DOUBLE_EQ(config.rungs[1].slackFraction, 0.2);
 
     EXPECT_THROW(applySearchSpec(
-                     config, SearchSpec::parse("successive-halving:"
-                                               "step=0.5")),
+                     config, Spec::parse("successive-halving:step=0.5")),
                  ConfigError);
     EXPECT_THROW(applySearchSpec(
-                     config, SearchSpec::parse("successive-halving:"
-                                               "rungs=0")),
+                     config, Spec::parse("successive-halving:rungs=0")),
                  ConfigError);
-    EXPECT_THROW(applySearchSpec(config, SearchSpec::parse("grid")),
+    EXPECT_THROW(applySearchSpec(config, Spec::parse("grid")),
+                 ConfigError);
+    // Negative counts are rejected, not wrapped to 2^64 - 1.
+    EXPECT_THROW(applySearchSpec(config, Spec::parse("successive-halving:"
+                                                     "candidates=-1")),
+                 ConfigError);
+    EXPECT_THROW(applySearchSpec(
+                     config, Spec::parse("successive-halving:budget=-1")),
+                 ConfigError);
+    EXPECT_THROW(applySearchSpec(
+                     config, Spec::parse("successive-halving:rungs=-1")),
                  ConfigError);
 }
 

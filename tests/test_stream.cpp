@@ -119,10 +119,9 @@ class EdgeScriptTraffic final : public TrafficGenerator
 void
 registerEdgeScript()
 {
-    dvsnet::workload::WorkloadFactory::instance().add(
+    dvsnet::workload::workloadRegistry().add(
         "edge-script", "test: packets on both sides of two edges' steps", {},
-        [](const dvsnet::workload::WorkloadSpec &,
-           const dvsnet::workload::WorkloadContext &) {
+        [](const dvsnet::Spec &, const dvsnet::workload::WorkloadContext &) {
             return std::make_unique<EdgeScriptTraffic>();
         });
 }

@@ -6,9 +6,9 @@
  *                 [journal=FILE] [resume=FILE] [cache=FILE[,FILE...]]
  *                 [--quick] [--json FILE] [--threads N] ...
  *
- * The `search=` spec mirrors the workload/link-power factory grammar
- * (only "successive-halving" is registered; keys: budget, candidates,
- * rungs, slack, step).  `journal=` writes the evaluation journal as it
+ * The `search=` spec is a spec string (common/spec.hpp), like
+ * `--workload` and `--link-power` (only "successive-halving" is
+ * registered; keys: budget, candidates, rungs, slack, step).  `journal=` writes the evaluation journal as it
  * goes; `resume=` warm-loads a (possibly torn) journal from a killed
  * run and rewrites it in place — the final front and journal are
  * byte-identical to an uninterrupted run at the same seed.  `cache=`

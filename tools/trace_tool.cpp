@@ -6,7 +6,7 @@
  *   trace_tool record out=FILE [workload=SPEC] [radix=N] [torus=0|1]
  *              [cycles=N] [rate=R] [seed=S]
  *       Record every packet the named workload (any
- *       workload::WorkloadFactory spec; default "uniform") creates on a
+ *       workload::workloadRegistry() spec; default "uniform") creates on a
  *       radix x radix mesh.  An open-loop workload is recorded with its
  *       generator alone (traffic::PacketStream::record), which sets the
  *       after-step bits; a closed-loop one ("cmp") from a live run with
@@ -57,10 +57,10 @@ usage()
         "\n"
         "formats by extension: .dvst = binary, anything else = CSV\n"
         "registered workloads:\n");
-    const auto &factory = workload::WorkloadFactory::instance();
-    for (const auto &name : factory.names()) {
+    const auto &registry = workload::workloadRegistry();
+    for (const auto &name : registry.names()) {
         std::fprintf(stderr, "  %-16s %s\n", name.c_str(),
-                     factory.description(name).c_str());
+                     registry.description(name).c_str());
     }
     return 1;
 }
