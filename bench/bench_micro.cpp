@@ -143,7 +143,8 @@ BM_IdleRouterStep(benchmark::State &state)
     const topo::KAryNCube mesh(8, 2, false);
     const router::DorRouting dor(mesh, 2);
     router::RouterConfig cfg;
-    router::Router r(0, cfg, dor);
+    const router::PacketTable packets;
+    router::Router r(0, cfg, dor, packets);
     Tick now = 0;
     for (auto _ : state)
         r.step(now += kRouterClockPeriod);

@@ -12,7 +12,8 @@ DvsChannel::DvsChannel(sim::Kernel &kernel, std::size_t ledgerIndex,
                        const DvsLinkParams &params,
                        power::EnergyLedger *ledger,
                        power::TransitionEnergyModel energyModel,
-                       const power::LinkPowerModel *powerModel)
+                       const power::LinkPowerModel *powerModel,
+                       const router::PacketTable *packets)
     : kernel_(kernel),
       ledgerIndex_(ledgerIndex),
       table_(table),
@@ -22,6 +23,7 @@ DvsChannel::DvsChannel(sim::Kernel &kernel, std::size_t ledgerIndex,
       defaultPowerModel_(table.coeffA(), table.coeffB()),
       powerModel_(powerModel != nullptr ? powerModel
                                         : &defaultPowerModel_),
+      packets_(packets),
       chargeFlitEnergy_(powerModel_->chargesFlitEnergy() &&
                         ledger != nullptr),
       level_(params.initialLevel),
@@ -31,6 +33,8 @@ DvsChannel::DvsChannel(sim::Kernel &kernel, std::size_t ledgerIndex,
                   "initial level out of range");
     DVSNET_ASSERT(params.freqTransitionLinkCycles > 0,
                   "frequency lock must take at least one cycle");
+    DVSNET_ASSERT(!chargeFlitEnergy_ || packets != nullptr,
+                  "a per-flit power backend needs the packet table");
     const DvsLevel &lvl = table.level(level_);
     period_ = lvl.period;
     voltage_ = lvl.voltage;
@@ -124,7 +128,8 @@ DvsChannel::send(const router::Flit &flit, Tick earliest)
     // loop issues sends in a fixed serial order, so prevPayload_ — and
     // every pulse — is reproducible per seed.
     if (chargeFlitEnergy_) {
-        const std::uint64_t payload = power::flitPayloadWord(flit);
+        const std::uint64_t payload =
+            power::flitPayloadWord(packets_->at(flit.slot).id, flit.seq);
         ledger_->addFlitEnergy(
             ledgerIndex_,
             powerModel_->flitEnergyJ(payload, prevPayload_, voltage_));

@@ -115,12 +115,16 @@ class DvsChannel final : public router::FlitChannel,
      * @param powerModel link power backend (shared, caller-owned,
      *        outlives us); nullptr selects a table backend fitted to
      *        `table`, reproducing the pre-seam numbers bit-identically
+     * @param packets packet table the sent flits' slots index
+     *        (caller-owned, outlives us); read only for the packet id a
+     *        per-flit charging backend hashes, and required then
      */
     DvsChannel(sim::Kernel &kernel, std::size_t ledgerIndex,
                const DvsLevelTable &table, const DvsLinkParams &params,
                power::EnergyLedger *ledger,
                power::TransitionEnergyModel energyModel = {},
-               const power::LinkPowerModel *powerModel = nullptr);
+               const power::LinkPowerModel *powerModel = nullptr,
+               const router::PacketTable *packets = nullptr);
 
     /**
      * Register this channel's counters and the transition-sequencing
@@ -227,6 +231,7 @@ class DvsChannel final : public router::FlitChannel,
     power::TransitionEnergyModel energyModel_;
     power::TableLinkPowerModel defaultPowerModel_;  ///< nullptr fallback
     const power::LinkPowerModel *powerModel_;
+    const router::PacketTable *packets_;  ///< for per-flit payload words
     bool chargeFlitEnergy_;       ///< cached: backend charges + ledger set
     std::uint64_t prevPayload_ = 0;  ///< last payload word carried
 

@@ -5,26 +5,27 @@
 namespace dvsnet::network
 {
 
-void
+router::PacketSlot
 MetricsCollector::onPacketCreated(const router::PacketDesc &pkt)
 {
-    auto [it, inserted] = pending_.emplace(pkt.id, PendingPacket{});
-    DVSNET_ASSERT(inserted, "duplicate packet id ", pkt.id);
-    it->second.inWindow = pkt.created >= windowStart_;
-    if (it->second.inWindow)
+    const router::PacketSlot slot = packets_.add(pkt);
+    router::Packet &entry = packets_.at(slot);
+    entry.inWindow = pkt.created >= windowStart_;
+    if (entry.inWindow)
         ++packetsCreated_;
+    return slot;
 }
 
 bool
 MetricsCollector::onFlitEjected(const router::Flit &flit, Tick arrival)
 {
-    auto it = pending_.find(flit.packet);
-    DVSNET_ASSERT(it != pending_.end(),
-                  "ejected flit of unknown packet ", flit.packet);
-    DVSNET_ASSERT(flit.seq == it->second.nextSeq,
-                  "flit reorder in packet ", flit.packet, ": got seq ",
-                  flit.seq, " expected ", it->second.nextSeq);
-    ++it->second.nextSeq;
+    DVSNET_ASSERT(packets_.live(flit.slot),
+                  "ejected flit of unknown packet (slot ", flit.slot, ")");
+    router::Packet &pkt = packets_.at(flit.slot);
+    DVSNET_ASSERT(flit.seq == pkt.nextSeq, "flit reorder in packet ",
+                  pkt.id, ": got seq ", flit.seq, " expected ",
+                  pkt.nextSeq);
+    ++pkt.nextSeq;
     lastEjection_ = arrival;
 
     if (arrival >= windowStart_)
@@ -33,19 +34,19 @@ MetricsCollector::onFlitEjected(const router::Flit &flit, Tick arrival)
     if (!flit.isTail())
         return false;
 
-    DVSNET_ASSERT(it->second.nextSeq == flit.packetLen,
-                  "packet ", flit.packet, " ejected short");
+    DVSNET_ASSERT(pkt.nextSeq == pkt.length, "packet ", pkt.id,
+                  " ejected short");
     if (arrival >= windowStart_)
         ++packetsEjected_;
-    const bool counted = it->second.inWindow;
+    const bool counted = pkt.inWindow;
     if (counted) {
         ++packetsDelivered_;
         const double latencyCycles =
-            static_cast<double>(arrival - flit.created) /
+            static_cast<double>(arrival - pkt.created) /
             static_cast<double>(kRouterClockPeriod);
         latency_.add(latencyCycles);
     }
-    pending_.erase(it);
+    packets_.release(flit.slot);
     return counted;
 }
 
@@ -53,10 +54,10 @@ std::size_t
 MetricsCollector::windowInFlight() const
 {
     std::size_t count = 0;
-    for (const auto &entry : pending_) {
-        if (entry.second.inWindow)
+    packets_.forEachLive([&count](const router::Packet &pkt) {
+        if (pkt.inWindow)
             ++count;
-    }
+    });
     return count;
 }
 
@@ -151,8 +152,8 @@ MetricsCollector::beginWindow(Tick now)
     packetsEjected_ = 0;
     flitsEjected_ = 0;
     latency_.reset();
-    for (auto &entry : pending_)
-        entry.second.inWindow = false;
+    packets_.forEachLive(
+        [](router::Packet &pkt) { pkt.inWindow = false; });
 }
 
 } // namespace dvsnet::network

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/counters.hpp"
 #include "common/json.hpp"
@@ -63,17 +62,31 @@ Json toJson(const RunResults &results);
  */
 RunResults runResultsFromJson(const Json &j);
 
-/** Collects packet lifecycle events. */
+/**
+ * Collects packet lifecycle events.  The collector keeps its per-packet
+ * state (next expected flit, in-window bit) in the network's
+ * PacketTable: it enters each packet there at creation and releases the
+ * slot when the tail ejects.
+ */
 class MetricsCollector
 {
   public:
-    /** Record a packet entering its source queue. */
-    void onPacketCreated(const router::PacketDesc &pkt);
+    /** @param packets the table flits index (caller-owned, outlives us) */
+    explicit MetricsCollector(router::PacketTable &packets)
+        : packets_(packets)
+    {}
+
+    /**
+     * Record a packet entering its source queue: enter it in the packet
+     * table and return its slot.  Ids must strictly increase.
+     */
+    router::PacketSlot onPacketCreated(const router::PacketDesc &pkt);
 
     /**
      * Record a flit ejected at its destination at `arrival`.
-     * Verifies in-packet ordering; returns true if this completed a
-     * packet (tail of a fully delivered packet).
+     * Verifies in-packet ordering; on the tail, releases the packet's
+     * slot.  Returns true if this completed a packet created inside
+     * the measurement window.
      */
     bool onFlitEjected(const router::Flit &flit, Tick arrival);
 
@@ -96,15 +109,15 @@ class MetricsCollector
     const RunningStat &latency() const { return latency_; }
 
     /** Packets currently in flight (created, not fully ejected). */
-    std::size_t inFlight() const { return pending_.size(); }
+    std::size_t inFlight() const { return packets_.size(); }
 
     /** In-flight packets that were created inside the window. */
     std::size_t windowInFlight() const;
 
     /**
      * Check packet accounting against `inv`: every window-created packet
-     * is either delivered or still pending (counter vs. pending-map
-     * redundant paths agree).
+     * is either delivered or still in the packet table (counters vs. a
+     * table scan, redundant paths that must agree).
      */
     void verify(SimAssert &inv) const;
 
@@ -112,13 +125,7 @@ class MetricsCollector
     Tick lastEjection() const { return lastEjection_; }
 
   private:
-    struct PendingPacket
-    {
-        std::uint16_t nextSeq = 0;
-        bool inWindow = false;
-    };
-
-    std::unordered_map<router::PacketId, PendingPacket> pending_;
+    router::PacketTable &packets_;
     RunningStat latency_;
     Tick windowStart_ = 0;
     std::uint64_t packetsCreated_ = 0;

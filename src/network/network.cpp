@@ -201,7 +201,7 @@ Network::build()
     sources_.resize(static_cast<std::size_t>(topo_.numNodes()));
     for (NodeId n = 0; n < topo_.numNodes(); ++n) {
         routers_.push_back(std::make_unique<router::Router>(
-            n, config_.router, *routing_));
+            n, config_.router, *routing_, packets_));
         sinks_.push_back(std::make_unique<EjectionSink>(*this));
         // The terminal output port drains into the node: effectively
         // infinite buffering ("immediate ejection").
@@ -216,7 +216,7 @@ Network::build()
         auto channel = std::make_unique<link::DvsChannel>(
             kernel_, static_cast<std::size_t>(ch.id), levels_,
             config_.link, ledger_.get(), power::TransitionEnergyModel{},
-            linkPowerModel_.get());
+            linkPowerModel_.get(), &packets_);
         channel->attachObservability(&registry_);
         channel->connectFlitSink(
             &routers_[static_cast<std::size_t>(ch.dst)]->flitInbox(
@@ -343,7 +343,7 @@ Network::setDeliveryHook(DeliveryFn hook)
 {
     deliveryHook_ = std::move(hook);
     if (!deliveryHook_)
-        inFlightRequests_.clear();
+        packets_.forEachLive([](router::Packet &pkt) { pkt.echo = false; });
 }
 
 void
@@ -369,14 +369,19 @@ Network::createPacket(const traffic::PacketRequest &request, Tick created)
         request.sizeFlits != 0 ? request.sizeFlits : config_.packetLength;
     desc.created = created;
 
-    if (deliveryHook_)
-        inFlightRequests_.emplace(desc.id, request);
+    const router::PacketSlot slot = metrics_.onPacketCreated(desc);
+    if (deliveryHook_) {
+        router::Packet &pkt = packets_.at(slot);
+        pkt.echo = true;
+        pkt.tag = request.tag;
+        pkt.requestedFlits = request.sizeFlits;
+        pkt.trafficClass = request.trafficClass;
+    }
 
     auto &state = sources_[static_cast<std::size_t>(src)];
-    state.queue.push_back(desc);
+    state.queue.push_back(slot);
     ++state.created;
     markSourceActive(src);
-    metrics_.onPacketCreated(desc);
 }
 
 void
@@ -490,7 +495,7 @@ Network::injectFromQueue(NodeId node)
         return;
 
     auto &r = *routers_[static_cast<std::size_t>(node)];
-    const router::PacketDesc &desc = state.queue.front();
+    const router::PacketSlot slot = state.queue.front();
 
     if (state.nextSeq == 0) {
         // Choose the terminal VC with the most space for the new packet.
@@ -510,37 +515,35 @@ Network::injectFromQueue(NodeId node)
         return;  // mid-packet backpressure
     }
 
-    router::Flit flit;
-    flit.packet = desc.id;
-    flit.src = desc.src;
-    flit.dst = desc.dst;
-    flit.seq = state.nextSeq;
-    flit.packetLen = desc.length;
-    flit.created = desc.created;
-    flit.vc = state.vc;
-
+    const router::Flit flit =
+        packets_.makeFlit(slot, state.nextSeq, state.vc);
     r.flitInbox(topo_.terminalPort()).push(kernel_.now(), flit);
 
-    if (++state.nextSeq == desc.length) {
+    if (flit.isTail()) {
         state.queue.pop_front();
         state.nextSeq = 0;
+    } else {
+        ++state.nextSeq;
     }
 }
 
 void
 Network::onFlitEjected(const router::Flit &flit, Tick arrival)
 {
-    const bool completed = metrics_.onFlitEjected(flit, arrival);
-    if (completed && deliveryHook_) {
-        const auto it = inFlightRequests_.find(flit.packet);
-        // Packets injected before the hook was installed have no echo
-        // entry; they complete silently.
-        if (it != inFlightRequests_.end()) {
-            const traffic::PacketRequest request = it->second;
-            inFlightRequests_.erase(it);
-            deliveryHook_(request, arrival);
-        }
+    // The metrics release the tail's slot, so copy its echo first.
+    // Packets injected before the hook was installed are not marked for
+    // echo; they complete silently.
+    traffic::PacketRequest request;
+    bool echo = false;
+    if (flit.isTail() && deliveryHook_) {
+        const router::Packet &pkt = packets_.at(flit.slot);
+        echo = pkt.echo;
+        request = traffic::PacketRequest{pkt.src, pkt.dst,
+                                         pkt.requestedFlits,
+                                         pkt.trafficClass, pkt.tag};
     }
+    if (metrics_.onFlitEjected(flit, arrival) && echo)
+        deliveryHook_(request, arrival);
 }
 
 void

@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -161,12 +160,12 @@ class Network
                            Tick arrival)>;
 
     /**
-     * Opt-in delivery callback: invoked once per packet when its last
-     * flit is ejected at the destination, with the original request and
-     * the ejection tick.  Only packets injected *after* the hook is set
-     * are reported (the echo map is populated at injection time).
-     * Setting an empty function disables the mechanism; when disabled
-     * the network keeps no per-packet request state at all.
+     * Opt-in delivery callback: invoked once per packet created inside
+     * the measurement window when its last flit is ejected at the
+     * destination, with the original request and the ejection tick.
+     * Only packets injected *after* the hook is set are reported (the
+     * packet table marks them for echo at injection time).  Setting an
+     * empty function disables the mechanism and clears every mark.
      */
     void setDeliveryHook(DeliveryFn hook);
 
@@ -264,7 +263,7 @@ class Network
 
     struct SourceState
     {
-        std::deque<router::PacketDesc> queue;
+        std::deque<router::PacketSlot> queue;  ///< packets not yet injected
         std::uint16_t nextSeq = 0;  ///< within queue.front()
         VcId vc = kInvalidId;       ///< terminal VC of the packet in flight
         std::uint64_t created = 0;  ///< total packets generated here
@@ -306,7 +305,12 @@ class Network
     std::vector<std::unique_ptr<core::PortDvsController>> controllers_;
     std::vector<std::unique_ptr<EjectionSink>> sinks_;
     std::vector<SourceState> sources_;
-    MetricsCollector metrics_;
+
+    /** Every packet in flight; flits, source queues, the metrics and
+     *  the delivery echo index it by slot.  Declared before metrics_,
+     *  which holds a reference to it. */
+    router::PacketTable packets_;
+    MetricsCollector metrics_{packets_};
 
     /** Mutable: invariant checks from const paths (collect()) count
      *  their executions here. */
@@ -338,10 +342,8 @@ class Network
     bool streamHasNext_ = false;
 
     /** Delivery-notification plumbing: empty hook = fully disabled
-     *  (no per-packet map entries, no lookups on ejection). */
+     *  (no packet marked for echo, no lookups on ejection). */
     DeliveryFn deliveryHook_;
-    std::unordered_map<router::PacketId, traffic::PacketRequest>
-        inFlightRequests_;
 };
 
 } // namespace dvsnet::network

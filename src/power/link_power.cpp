@@ -59,12 +59,11 @@ registerBuiltins(LinkPowerRegistry &registry)
 } // namespace
 
 std::uint64_t
-flitPayloadWord(const router::Flit &flit)
+flitPayloadWord(router::PacketId packet, std::uint16_t seq)
 {
     // Golden-ratio mix of the flit's deterministic identity; splitmix64
     // gives avalanche so consecutive seq numbers produce ~random words.
-    std::uint64_t state =
-        flit.packet * 0x9e3779b97f4a7c15ull + flit.seq;
+    std::uint64_t state = packet * 0x9e3779b97f4a7c15ull + seq;
     return splitmix64(state);
 }
 

@@ -95,13 +95,15 @@ class LinkPowerModel
 };
 
 /**
- * Deterministic payload word for a flit: synthetic traffic carries no
- * data bytes, so activity is derived from a splitmix64 hash of the
- * flit's identity.  Packet ids and sequence numbers are assigned in
- * injection order, which is seed-deterministic, so the word — and every
- * energy pulse derived from it — is reproducible per seed.
+ * Deterministic payload word for flit `seq` of packet `packet`:
+ * synthetic traffic carries no data bytes, so activity is derived from
+ * a splitmix64 hash of the flit's identity.  Packet ids are assigned in
+ * creation order, which is seed-deterministic, so the word — and every
+ * energy pulse derived from it — is reproducible per seed.  The hash
+ * takes the 64-bit id, not the flit's packet-table slot: slots are
+ * reused as packets complete, so two packets in one run can share one.
  */
-std::uint64_t flitPayloadWord(const router::Flit &flit);
+std::uint64_t flitPayloadWord(router::PacketId packet, std::uint16_t seq);
 
 /**
  * What the network already knows when it builds a backend: the fitted

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -25,18 +26,15 @@ namespace dvsnet::router
 /**
  * FIFO of (arrival tick, item) pairs with monotone arrival times.
  *
- * Stored as a flat vector with a drain cursor rather than a deque: the
- * router's step polls ready()/empty() every cycle, and a contiguous
- * buffer keeps those polls to two adjacent loads.  Storage is bounded
- * by the items in flight, not by the traffic ever received: the vector
- * resets to offset zero when it fully drains, and a pop erases the
- * consumed prefix once it is at least kCompactMinSlots long and at
- * least as long as the live part.  Under sustained load an inbox always
- * holds a future-dated delivery and never fully drains, so the erase is
- * what keeps it within about twice the peak in-flight count plus
- * kCompactMinSlots.  Each erase moves at most as many live slots as
- * were popped since the last one, so the cost stays amortized O(1) per
- * pop, and pushes reuse warm storage instead of growing the vector.
+ * Stored as a power-of-two ring rather than a deque: the router's step
+ * polls ready()/empty() every cycle, and a contiguous ring keeps those
+ * polls to two adjacent loads and a pop to a masked increment.  The
+ * ring starts empty, is allocated on the first push, and doubles when
+ * a push finds it full, so its capacity is the next power of two at or
+ * above the peak number of items in flight (minimum kMinSlots) — not
+ * the traffic ever received.  Under sustained load an inbox always
+ * holds a future-dated delivery and never fully drains; the ring wraps
+ * instead of moving live items.
  */
 template <typename T>
 class Inbox
@@ -60,10 +58,13 @@ class Inbox
     void
     push(Tick when, const T &item)
     {
-        DVSNET_ASSERT(queue_.empty() || when >= queue_.back().when,
+        DVSNET_ASSERT(empty() || when >= back().when,
                       "inbox arrival times must be monotone");
         const bool wasEmpty = empty();
-        queue_.push_back(Slot{when, item});
+        if (size_ == ring_.size())
+            grow(size_ + 1);
+        ring_[(head_ + size_) & mask_] = Slot{when, item};
+        ++size_;
         if (wasEmpty && wake_)
             wake_();
     }
@@ -83,11 +84,13 @@ class Inbox
     {
         if (batch.empty())
             return;
-        DVSNET_ASSERT(queue_.empty() ||
-                          batch.front().when >= queue_.back().when,
+        DVSNET_ASSERT(empty() || batch.front().when >= back().when,
                       "inbox batch arrival times must be monotone");
         const bool wasEmpty = empty();
-        queue_.insert(queue_.end(), batch.begin(), batch.end());
+        if (size_ + batch.size() > ring_.size())
+            grow(size_ + batch.size());
+        for (const Slot &slot : batch)
+            ring_[(head_ + size_++) & mask_] = slot;
         if (wasEmpty && wake_)
             wake_();
     }
@@ -103,7 +106,7 @@ class Inbox
     bool
     ready(Tick now) const
     {
-        return head_ < queue_.size() && queue_[head_].when <= now;
+        return !empty() && ring_[head_].when <= now;
     }
 
     /** Pop the earliest item (precondition: ready(now)). */
@@ -112,15 +115,9 @@ class Inbox
     {
         DVSNET_ASSERT(ready(now), "inbox pop with nothing ready");
         lastPopTick_ = now;
-        T item = queue_[head_].item;
-        if (++head_ == queue_.size()) {
-            queue_.clear();
-            head_ = 0;
-        } else if (head_ >= kCompactMinSlots && head_ >= size()) {
-            queue_.erase(queue_.begin(),
-                         queue_.begin() + static_cast<std::ptrdiff_t>(head_));
-            head_ = 0;
-        }
+        const T item = ring_[head_].item;
+        head_ = (head_ + 1) & mask_;
+        --size_;
         return item;
     }
 
@@ -148,26 +145,46 @@ class Inbox
     }
 
     /** Items in flight (arrived or not). */
-    std::size_t size() const { return queue_.size() - head_; }
+    std::size_t size() const { return size_; }
 
-    bool empty() const { return head_ == queue_.size(); }
+    bool empty() const { return size_ == 0; }
 
-    /** Slots held, consumed or not (>= size(); for storage-bound tests). */
-    std::size_t storageSize() const { return queue_.size(); }
+    /** Slots held (the ring's capacity; for storage-bound tests). */
+    std::size_t storageSize() const { return ring_.size(); }
 
     /** Arrival tick of the earliest item; kTickNever if empty. */
     Tick
     nextArrival() const
     {
-        return empty() ? kTickNever : queue_[head_].when;
+        return empty() ? kTickNever : ring_[head_].when;
     }
 
   private:
-    /** Shortest consumed prefix a pop erases (see the class comment). */
-    static constexpr std::size_t kCompactMinSlots = 64;
+    /** Smallest ring allocated (see the class comment). */
+    static constexpr std::size_t kMinSlots = 8;
 
-    std::vector<Slot> queue_;  ///< [head_, size) = pending items
-    std::size_t head_ = 0;     ///< drain cursor, reset on drain or erase
+    const Slot &back() const { return ring_[(head_ + size_ - 1) & mask_]; }
+
+    /** Re-home the live items at offset zero of a ring of at least
+     *  `needed` slots (a power of two, at least kMinSlots). */
+    void
+    grow(std::size_t needed)
+    {
+        std::size_t capacity = std::max(kMinSlots, ring_.size());
+        while (capacity < needed)
+            capacity *= 2;
+        std::vector<Slot> ring(capacity);
+        for (std::size_t i = 0; i < size_; ++i)
+            ring[i] = ring_[(head_ + i) & mask_];
+        ring_ = std::move(ring);
+        head_ = 0;
+        mask_ = capacity - 1;
+    }
+
+    std::vector<Slot> ring_;  ///< power-of-two ring; empty until a push
+    std::size_t head_ = 0;    ///< index of the earliest item
+    std::size_t size_ = 0;    ///< items in flight
+    std::size_t mask_ = 0;    ///< ring_.size() - 1 once allocated
     Tick lastPopTick_ = kTickNever;  ///< tick of the most recent pop
     InlineFn wake_;  ///< optional push notification (activity gating)
 };

@@ -62,13 +62,14 @@ validatedRouter(const RouterConfig &config)
 } // namespace
 
 Router::Router(NodeId id, const RouterConfig &config,
-               const RoutingAlgorithm &routing)
+               const RoutingAlgorithm &routing, const PacketTable &packets)
     : id_(id),
       // config_ is declared before the allocators, so validation throws
       // here before their (assert-guarded) construction sees a geometry
       // beyond the mask capacities.
       config_(validatedRouter(config)),
       routing_(routing),
+      packets_(packets),
       vcAlloc_(config.numPorts, config.numVcs,
                config.numPorts * config.numVcs),
       swAlloc_(config.numPorts, config.numVcs)
@@ -221,7 +222,7 @@ Router::drainFlitsAndBid(Tick now)
         if (pendingFlitPorts_.test(p)) {
             while (in.flitInbox.ready(now)) {
                 Flit flit = in.flitInbox.pop(now);
-                DVSNET_ASSERT(flit.vc >= 0 && flit.vc < config_.numVcs,
+                DVSNET_ASSERT(flit.vc < config_.numVcs,
                               "flit VC out of range");
                 flit.arrived = now;
                 const std::int32_t idx = vcIndex(p, flit.vc);
@@ -325,7 +326,7 @@ Router::applySwitchGrants(Tick now)
             in.creditReturn->sendCredit(g.inVc, now);
 
         // Hand the flit to the channel, re-tagged with its downstream VC.
-        flit.vc = outVc;
+        flit.vc = static_cast<std::uint8_t>(outVc);
         out.link->send(flit, now + extraDelayTicks_);
         ++out.forwardedWindow;
         ++stats_.flitsForwarded;
@@ -399,9 +400,12 @@ Router::routeCompute()
         auto &vc = in.buffer.vc(v);
         DVSNET_ASSERT(!vc.empty() && vc.front().isHead(),
                       "routing state without a head flit");
-        const Flit &head = vc.front();
+        // The head flit's packet names the destination; body flits
+        // follow the route chosen here, so this is the one table read
+        // per packet per router.
+        const NodeId dst = packets_.at(vc.front().slot).dst;
 
-        routing_.route(id_, p, v, head.dst, candidates_);
+        routing_.route(id_, p, v, dst, candidates_);
         DVSNET_ASSERT(!candidates_.empty(), "no route candidates");
 
         // Adaptive output selection: among candidate ports, prefer

@@ -81,10 +81,12 @@ class Router
      * @param id node id of this router
      * @param config geometry and pipeline depth
      * @param routing routing algorithm (owned by the caller, outlives us)
+     * @param packets the network's packet table, which the flits'
+     *        slots index (owned by the caller, outlives us)
+     * @throws ConfigError when `config.validate()` reports problems.
      */
-    /** @throws ConfigError when `config.validate()` reports problems. */
     Router(NodeId id, const RouterConfig &config,
-           const RoutingAlgorithm &routing);
+           const RoutingAlgorithm &routing, const PacketTable &packets);
 
     NodeId id() const { return id_; }
     const RouterConfig &config() const { return config_; }
@@ -212,6 +214,7 @@ class Router
     NodeId id_;
     RouterConfig config_;
     const RoutingAlgorithm &routing_;
+    const PacketTable &packets_;
     std::vector<InputUnit> inputs_;
     std::vector<OutputUnit> outputs_;
     SeparableVcAllocator vcAlloc_;

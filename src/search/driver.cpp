@@ -15,6 +15,16 @@ namespace dvsnet::search
 namespace
 {
 
+/**
+ * Caps on the counts a `search=` spec or a SearchConfig may ask for.
+ * Both sizes are built in memory before any evaluation runs (the rung
+ * ladder, the candidate set), so a huge count must be refused up front
+ * rather than exhaust memory.  The repo's searches use at most 4 rungs
+ * and 32 random candidates.
+ */
+constexpr std::size_t kMaxRungs = 64;
+constexpr std::size_t kMaxRandomCandidates = 1000000;
+
 /** Sampled parameters rounded so the canonical echo stays readable. */
 double
 round3(double value)
@@ -76,8 +86,19 @@ SearchConfig::validate() const
     if (seeded.empty() && randomCandidates == 0)
         problems.push_back("candidate set is empty (no seeded or "
                            "random candidates)");
+    if (randomCandidates > kMaxRandomCandidates) {
+        problems.push_back(detail::concat(
+            "random candidates ", randomCandidates, " exceed the cap of ",
+            kMaxRandomCandidates));
+    }
     if (rungs.empty())
         problems.push_back("fidelity ladder is empty (need >= 1 rung)");
+    if (rungs.size() > kMaxRungs) {
+        problems.push_back(detail::concat("fidelity ladder of ",
+                                          rungs.size(),
+                                          " rungs exceeds the cap of ",
+                                          kMaxRungs));
+    }
 
     for (std::size_t i = 0; i < rungs.size(); ++i) {
         const auto &rung = rungs[i];
@@ -517,10 +538,15 @@ successiveHalving(const Spec &spec, const SearchConfig &base)
     SearchConfig config = base;
     config.randomCandidates =
         spec.count("candidates", config.randomCandidates);
+    if (config.randomCandidates > kMaxRandomCandidates) {
+        spec.reject("candidates",
+                    detail::concat("must be <= ", kMaxRandomCandidates));
+    }
     config.maxNetworkEvals = spec.count("budget", config.maxNetworkEvals);
     const std::size_t numRungs = spec.count("rungs", 3);
-    if (numRungs == 0)
-        spec.reject("rungs", "must be >= 1");
+    if (numRungs == 0 || numRungs > kMaxRungs)
+        spec.reject("rungs", detail::concat("must be in [1, ", kMaxRungs,
+                                            "]"));
     const double step = spec.number("step", 5.0, 1.0, kNoLimit);
     if (!(step > 1.0))
         spec.reject("step", "must be > 1");

@@ -105,7 +105,8 @@ struct SearchConfig
      *  bench seeds the Fig. 15 threshold grid here). */
     std::vector<Candidate> seeded;
 
-    /** Rng-sampled candidates appended after the seeded ones. */
+    /** Rng-sampled candidates appended after the seeded ones (at
+     *  most 10^6; validate() enforces the cap). */
     std::size_t randomCandidates = 16;
 
     // Sampling bounds for the random candidates.
@@ -115,7 +116,8 @@ struct SearchConfig
     Cycle cooldownMax = 4;
     Cycle freqLockMin = 50, freqLockMax = 400;
 
-    /** Fidelity ladder, cheapest first; the last rung is "full". */
+    /** Fidelity ladder, cheapest first; the last rung is "full" (at
+     *  most 64 rungs; validate() enforces the cap). */
     std::vector<RungSpec> rungs;
 
     std::size_t threads = 0;  ///< evaluation worker threads (0 = all)

@@ -21,20 +21,22 @@ using dvsnet::Tick;
 using dvsnet::router::Flit;
 using dvsnet::router::Inbox;
 using dvsnet::router::InputBuffer;
+using dvsnet::router::PacketDesc;
+using dvsnet::router::PacketTable;
 using dvsnet::router::VirtualChannel;
 
 namespace
 {
 
+/** Flit `seq` of a 5-flit packet on VC 0, built through a table. */
 Flit
-makeFlit(std::uint16_t seq, std::uint16_t len = 5)
+makeFlit(std::uint16_t seq)
 {
-    Flit f;
-    f.packet = 1;
-    f.seq = seq;
-    f.packetLen = len;
-    f.vc = 0;
-    return f;
+    PacketTable table;
+    PacketDesc desc;
+    desc.id = 1;
+    desc.length = 5;
+    return table.makeFlit(table.add(desc), seq);
 }
 
 } // namespace
@@ -222,6 +224,40 @@ TEST(Inbox, FifoOrderAndStorageBoundUnderRandomBursts)
         ASSERT_EQ(box.ready(now), !ref.empty() && ref.front().first <= now);
         ASSERT_LE(box.storageSize(), 2 * peakLive + 64);
     }
+}
+
+TEST(Inbox, RingCapacityIsNextPowerOfTwoOfPeak)
+{
+    // The ring is allocated on the first push (8 slots), wraps without
+    // growing while the count in flight stays within it, and doubles
+    // only when a push finds it full, keeping FIFO order across the
+    // wrap point.
+    Inbox<int> box;
+    EXPECT_EQ(box.storageSize(), 0u);
+    box.push(0, 0);
+    EXPECT_EQ(box.storageSize(), 8u);
+    int next = 1;
+    int expect = 0;
+    for (int round = 0; round < 100; ++round) {
+        while (box.size() < 6)
+            box.push(next, next), ++next;
+        while (box.size() > 2)
+            ASSERT_EQ(box.pop(next), expect++);
+    }
+    EXPECT_EQ(box.storageSize(), 8u);
+    // head_ now sits mid-ring; fill past 8 so the growth re-homes a
+    // wrapped sequence.
+    while (box.size() < 9)
+        box.push(next, next), ++next;
+    EXPECT_EQ(box.storageSize(), 16u);
+    std::vector<Inbox<int>::Slot> batch;
+    for (int k = 0; k < 20; ++k)
+        batch.push_back({Tick(next), next}), ++next;
+    box.pushBatch(batch);
+    EXPECT_EQ(box.storageSize(), 32u);
+    while (!box.empty())
+        ASSERT_EQ(box.pop(next), expect++);
+    EXPECT_EQ(expect, next);
 }
 
 TEST(InboxDeathTest, NonMonotonePushPanics)

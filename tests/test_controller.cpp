@@ -15,6 +15,7 @@
 #include "router/routing.hpp"
 #include "sim/kernel.hpp"
 #include "topo/topology.hpp"
+#include "test_packets.hpp"
 
 using dvsnet::Cycle;
 using dvsnet::Tick;
@@ -58,6 +59,7 @@ struct Harness
     KAryNCube topo{2, 2, false};
     dvsnet::router::DorRouting routing{topo, 2};
     dvsnet::router::RouterConfig cfg;
+    dvsnet::testutil::TestPackets packets;
     dvsnet::router::Router router;
     DvsLevelTable table = DvsLevelTable::standard10();
     DvsChannel channel;
@@ -68,7 +70,7 @@ struct Harness
 
     explicit Harness(Cycle window = 200)
         : cfg(makeCfg()),
-          router(0, cfg, routing),
+          router(0, cfg, routing, packets.table),
           channel(kernel, 0, table, DvsLinkParams{}, nullptr),
           controller(kernel, &channel, &router,
                      KAryNCube::dirPort(0, true), makePolicy(),
@@ -153,10 +155,7 @@ TEST(Controller, PolicySeesUtilizationMeasurements)
     Harness h(100);
     // Three flits over the first window of 100 cycles: LU = 3 link
     // cycles / 100 router cycles (both 1 ns at level 0) = 0.03.
-    Flit f;
-    f.packet = 1;
-    f.packetLen = 1;
-    f.vc = 0;
+    const Flit f = h.packets.single();
     h.channel.send(f, cyclesToTicks(1));
     h.channel.send(f, cyclesToTicks(2));
     h.channel.send(f, cyclesToTicks(3));
@@ -171,10 +170,7 @@ TEST(Controller, PolicySeesUtilizationMeasurements)
 TEST(Controller, WindowsAreIndependent)
 {
     Harness h(100);
-    Flit f;
-    f.packet = 1;
-    f.packetLen = 1;
-    f.vc = 0;
+    const Flit f = h.packets.single();
     for (int i = 0; i < 10; ++i)
         h.channel.send(f, cyclesToTicks(1 + i));
     h.kernel.run(cyclesToTicks(200));

@@ -12,6 +12,7 @@
 #include "link/dvs_link.hpp"
 #include "power/energy_ledger.hpp"
 #include "sim/kernel.hpp"
+#include "test_packets.hpp"
 
 using dvsnet::CounterRegistry;
 using dvsnet::Json;
@@ -150,6 +151,7 @@ struct ObsHarness
     Inbox<VcId> creditSink;
     EnergyLedger ledger{1, 1.6};
     CounterRegistry registry;
+    dvsnet::testutil::TestPackets packets;
     DvsChannel channel;
 
     explicit ObsHarness(DvsLinkParams params = {})
@@ -166,10 +168,7 @@ struct ObsHarness
 TEST(DvsObservability, CountsSendsAndSteps)
 {
     ObsHarness h;
-    Flit f;
-    f.packet = 1;
-    f.packetLen = 1;
-    f.vc = 0;
+    const Flit f = h.packets.single();
     h.channel.send(f, 0);
     h.channel.send(f, 2000);
     EXPECT_EQ(h.registry.counterValue("link.flits_sent"), 2u);
@@ -212,10 +211,7 @@ TEST(DvsObservability, DetachStopsCounting)
 {
     ObsHarness h;
     h.channel.attachObservability(nullptr);
-    Flit f;
-    f.packet = 1;
-    f.packetLen = 1;
-    f.vc = 0;
+    const Flit f = h.packets.single();
     h.channel.send(f, 0);
     EXPECT_EQ(h.registry.counterValue("link.flits_sent"), 0u);
 }

@@ -11,6 +11,7 @@
 #include "link/dvs_link.hpp"
 #include "power/energy_ledger.hpp"
 #include "sim/kernel.hpp"
+#include "test_packets.hpp"
 
 using dvsnet::Tick;
 using dvsnet::VcId;
@@ -35,6 +36,7 @@ struct Harness
     Inbox<Flit> flitSink;
     Inbox<VcId> creditSink;
     EnergyLedger ledger{1, 1.6};
+    dvsnet::testutil::TestPackets packets;
     DvsChannel channel;
 
     explicit Harness(DvsLinkParams params = {})
@@ -43,17 +45,10 @@ struct Harness
         channel.connectFlitSink(&flitSink);
         channel.connectCreditSink(&creditSink);
     }
-};
 
-Flit
-someFlit()
-{
-    Flit f;
-    f.packet = 1;
-    f.packetLen = 1;
-    f.vc = 0;
-    return f;
-}
+    /** The flit of a new one-flit packet. */
+    Flit someFlit() { return packets.single(); }
+};
 
 } // namespace
 
@@ -78,7 +73,7 @@ TEST(DvsChannel, InitialLevelParameterRespected)
 TEST(DvsChannel, SendDeliversAfterSerializationAndPropagation)
 {
     Harness h;
-    const Tick dep = h.channel.send(someFlit(), 5000);
+    const Tick dep = h.channel.send(h.someFlit(), 5000);
     EXPECT_EQ(dep, Tick{5000});
     h.channel.flushPending();  // peek past the delivery batch
     EXPECT_EQ(h.flitSink.nextArrival(), Tick{5000 + 2 * 1000});
@@ -87,18 +82,18 @@ TEST(DvsChannel, SendDeliversAfterSerializationAndPropagation)
 TEST(DvsChannel, BackToBackSendsSpacedByPeriod)
 {
     Harness h;
-    EXPECT_EQ(h.channel.send(someFlit(), 1000), Tick{1000});
-    EXPECT_EQ(h.channel.send(someFlit(), 1000), Tick{2000});
-    EXPECT_EQ(h.channel.send(someFlit(), 1500), Tick{3000});
+    EXPECT_EQ(h.channel.send(h.someFlit(), 1000), Tick{1000});
+    EXPECT_EQ(h.channel.send(h.someFlit(), 1000), Tick{2000});
+    EXPECT_EQ(h.channel.send(h.someFlit(), 1500), Tick{3000});
 }
 
 TEST(DvsChannel, CanAcceptReflectsBacklog)
 {
     Harness h;
     EXPECT_TRUE(h.channel.canAccept(0));
-    h.channel.send(someFlit(), 0);      // busy until 1000
+    h.channel.send(h.someFlit(), 0);      // busy until 1000
     EXPECT_TRUE(h.channel.canAccept(0));  // next would start at 1000 <= 0+1000
-    h.channel.send(someFlit(), 0);      // busy until 2000
+    h.channel.send(h.someFlit(), 0);      // busy until 2000
     EXPECT_FALSE(h.channel.canAccept(0));
     EXPECT_TRUE(h.channel.canAccept(1000));
 }
@@ -106,8 +101,8 @@ TEST(DvsChannel, CanAcceptReflectsBacklog)
 TEST(DvsChannel, BatchedDeliveriesSpliceViaKernelEvent)
 {
     Harness h;
-    h.channel.send(someFlit(), 0);
-    h.channel.send(someFlit(), 0);
+    h.channel.send(h.someFlit(), 0);
+    h.channel.send(h.someFlit(), 0);
     // Both deliveries sit in the channel until the splice event fires
     // at the first pending arrival (0 + serialization + wire = 2000).
     EXPECT_EQ(h.channel.pendingFlits(), 2u);
@@ -121,10 +116,10 @@ TEST(DvsChannel, BatchedDeliveriesSpliceViaKernelEvent)
 TEST(DvsChannel, BurstSplitsOnGapAndLevelChange)
 {
     Harness h;
-    h.channel.send(someFlit(), 0);  // starts burst 1
-    h.channel.send(someFlit(), 0);  // back-to-back: same burst
+    h.channel.send(h.someFlit(), 0);  // starts burst 1
+    h.channel.send(h.someFlit(), 0);  // back-to-back: same burst
     EXPECT_EQ(h.channel.flitBursts(), 1u);
-    h.channel.send(someFlit(), 5000);  // serialization gap: burst 2
+    h.channel.send(h.someFlit(), 5000);  // serialization gap: burst 2
     EXPECT_EQ(h.channel.flitBursts(), 2u);
 
     // A requestStep changes period_ mid-flight; the next send must
@@ -132,14 +127,14 @@ TEST(DvsChannel, BurstSplitsOnGapAndLevelChange)
     ASSERT_TRUE(h.channel.requestStep(false, 6000));
     const Tick lockEnd = 6000 + 100 * h.table.level(1).period;
     h.kernel.run(lockEnd);  // functional again (voltage still ramping)
-    h.channel.send(someFlit(), lockEnd);
+    h.channel.send(h.someFlit(), lockEnd);
     EXPECT_EQ(h.channel.flitBursts(), 3u);
 }
 
 TEST(DvsChannel, FlushPendingIsIdempotentAndKeepsArrivals)
 {
     Harness h;
-    h.channel.send(someFlit(), 0);
+    h.channel.send(h.someFlit(), 0);
     h.channel.sendCredit(1, 0);
     h.channel.flushPending();
     EXPECT_EQ(h.channel.pendingFlits(), 0u);
@@ -156,12 +151,12 @@ TEST(DvsChannel, SlowLevelStretchesSerialization)
     DvsLinkParams p;
     p.initialLevel = 9;  // 125 MHz, period 8000
     Harness h(p);
-    const Tick dep = h.channel.send(someFlit(), 0);
+    const Tick dep = h.channel.send(h.someFlit(), 0);
     EXPECT_EQ(dep, Tick{0});
     h.channel.flushPending();
     // 8000 serialization + 1000 fixed wire flight.
     EXPECT_EQ(h.flitSink.nextArrival(), Tick{9000});
-    EXPECT_EQ(h.channel.send(someFlit(), 0), Tick{8000});
+    EXPECT_EQ(h.channel.send(h.someFlit(), 0), Tick{8000});
 }
 
 TEST(DvsChannel, CreditTakesOneLinkCycle)
@@ -247,7 +242,7 @@ TEST(DvsChannel, SendsBlockedDuringLockResumeAfter)
     EXPECT_FALSE(h.channel.canAccept(h.kernel.now()));
     h.kernel.run(lockEnd);
     EXPECT_TRUE(h.channel.canAccept(h.kernel.now()));
-    const Tick dep = h.channel.send(someFlit(), h.kernel.now());
+    const Tick dep = h.channel.send(h.someFlit(), h.kernel.now());
     EXPECT_GE(dep, lockEnd);
 }
 
@@ -288,9 +283,9 @@ TEST(DvsChannel, UtilizationWindowCountsBusyFraction)
 {
     Harness h;
     // 3 flits of 1000 ticks each in a 10000-tick window.
-    h.channel.send(someFlit(), 0);
-    h.channel.send(someFlit(), 3000);
-    h.channel.send(someFlit(), 7000);
+    h.channel.send(h.someFlit(), 0);
+    h.channel.send(h.someFlit(), 3000);
+    h.channel.send(h.someFlit(), 7000);
     EXPECT_NEAR(h.channel.takeUtilizationWindow(10000), 0.3, 1e-9);
     // Window resets.
     EXPECT_NEAR(h.channel.takeUtilizationWindow(20000), 0.0, 1e-9);
@@ -300,7 +295,7 @@ TEST(DvsChannel, UtilizationSaturatesAtOne)
 {
     Harness h;
     for (int i = 0; i < 12; ++i)
-        h.channel.send(someFlit(), 0);
+        h.channel.send(h.someFlit(), 0);
     EXPECT_DOUBLE_EQ(h.channel.takeUtilizationWindow(10000), 1.0);
 }
 

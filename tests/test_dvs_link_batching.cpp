@@ -32,6 +32,7 @@
 
 #include "link/dvs_link.hpp"
 #include "sim/kernel.hpp"
+#include "test_packets.hpp"
 
 using dvsnet::Cycle;
 using dvsnet::kRouterClockPeriod;
@@ -232,7 +233,7 @@ runTrial(std::uint64_t seed, const DvsLinkParams &params, int numOps)
     std::vector<Tick> refFlitArrivals;
     std::vector<std::uint64_t> refFlitIds;
     std::vector<std::pair<Tick, VcId>> refCreditArrivals;
-    std::uint64_t nextFlitId = 1;
+    dvsnet::testutil::TestPackets packets;
 
     Tick t = 0;
     for (int op = 0; op < numOps; ++op) {
@@ -253,12 +254,8 @@ runTrial(std::uint64_t seed, const DvsLinkParams &params, int numOps)
                 continue;
             const int count = burstDist(rng);
             for (int i = 0; i < count; ++i) {
-                Flit f;
-                f.packet = nextFlitId;
-                f.packetLen = 1;
-                f.vc = 0;
-                refFlitIds.push_back(nextFlitId);
-                ++nextFlitId;
+                const Flit f = packets.single();
+                refFlitIds.push_back(packets.idOf(f));
                 const Tick dep = channel.send(f, t);
                 const Tick refDep = ref.send(t, refFlitArrivals);
                 ASSERT_EQ(dep, refDep);
@@ -294,7 +291,7 @@ runTrial(std::uint64_t seed, const DvsLinkParams &params, int numOps)
         ASSERT_EQ(flitSink.nextArrival(), refFlitArrivals[i])
             << "flit " << i;
         const Flit got = flitSink.pop(refFlitArrivals[i]);
-        ASSERT_EQ(got.packet, refFlitIds[i]) << "flit " << i;
+        ASSERT_EQ(packets.idOf(got), refFlitIds[i]) << "flit " << i;
     }
     EXPECT_TRUE(flitSink.empty());
 

@@ -20,6 +20,7 @@
 #include "network/sweep.hpp"
 #include "power/link_power.hpp"
 #include "router/flit.hpp"
+#include "test_packets.hpp"
 
 using dvsnet::ConfigError;
 using dvsnet::Spec;
@@ -274,16 +275,26 @@ TEST(ToggleLinkPowerModel, SpecKeysOverrideDefaults)
 
 TEST(ToggleLinkPowerModel, PayloadHashIsDeterministic)
 {
-    dvsnet::router::Flit a;
-    a.packet = 77;
-    a.seq = 3;
-    dvsnet::router::Flit b = a;
-    EXPECT_EQ(flitPayloadWord(a), flitPayloadWord(b));
-    b.seq = 4;
-    EXPECT_NE(flitPayloadWord(a), flitPayloadWord(b));
-    b.seq = 3;
-    b.packet = 78;
-    EXPECT_NE(flitPayloadWord(a), flitPayloadWord(b));
+    EXPECT_EQ(flitPayloadWord(77, 3), flitPayloadWord(77, 3));
+    EXPECT_NE(flitPayloadWord(77, 3), flitPayloadWord(77, 4));
+    EXPECT_NE(flitPayloadWord(77, 3), flitPayloadWord(78, 3));
+}
+
+TEST(ToggleLinkPowerModel, PayloadHashesPacketIdNotSlot)
+{
+    // Packet-table slots are reused: packets 1 and 2 below share slot
+    // 0.  Their payload words must still differ, because the channel
+    // hashes the 64-bit id the slot holds, not the slot.
+    dvsnet::testutil::TestPackets packets;
+    const dvsnet::router::Flit first = packets.single();
+    const auto firstId = packets.idOf(first);
+    packets.table.release(first.slot);
+    const dvsnet::router::Flit second = packets.single();
+    ASSERT_EQ(second.slot, first.slot);
+    EXPECT_NE(flitPayloadWord(firstId, first.seq),
+              flitPayloadWord(packets.idOf(second), second.seq));
+    EXPECT_EQ(flitPayloadWord(packets.idOf(second), second.seq),
+              flitPayloadWord(2, 0));
 }
 
 TEST(LinkPowerNetwork, ConfigValidationRejectsBadSpec)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "network/metrics.hpp"
 
 using dvsnet::Tick;
@@ -13,6 +16,8 @@ using dvsnet::cyclesToTicks;
 using dvsnet::network::MetricsCollector;
 using dvsnet::router::Flit;
 using dvsnet::router::PacketDesc;
+using dvsnet::router::PacketSlot;
+using dvsnet::router::PacketTable;
 
 namespace
 {
@@ -29,108 +34,132 @@ desc(std::uint64_t id, Tick created, std::uint16_t len = 5)
     return d;
 }
 
-Flit
-flit(std::uint64_t id, std::uint16_t seq, std::uint16_t len, Tick created)
+/** A collector over its own packet table; packets are named by id. */
+struct Harness
 {
-    Flit f;
-    f.packet = id;
-    f.seq = seq;
-    f.packetLen = len;
-    f.created = created;
-    return f;
-}
+    PacketTable table;
+    MetricsCollector m{table};
+    std::vector<std::pair<std::uint64_t, PacketSlot>> slots;
+
+    void
+    create(const PacketDesc &d)
+    {
+        slots.emplace_back(d.id, m.onPacketCreated(d));
+    }
+
+    /** Flit `seq` of packet `id`, built through the table. */
+    Flit
+    flit(std::uint64_t id, std::uint16_t seq) const
+    {
+        for (const auto &[pid, slot] : slots) {
+            if (pid == id)
+                return table.makeFlit(slot, seq);
+        }
+        ADD_FAILURE() << "no packet " << id;
+        return Flit{};
+    }
+
+    bool
+    eject(std::uint64_t id, std::uint16_t seq, Tick arrival)
+    {
+        return m.onFlitEjected(flit(id, seq), arrival);
+    }
+};
 
 } // namespace
 
 TEST(Metrics, LatencySpansCreationToTailEjection)
 {
-    MetricsCollector m;
-    m.onPacketCreated(desc(1, cyclesToTicks(10), 2));
-    m.onFlitEjected(flit(1, 0, 2, cyclesToTicks(10)), cyclesToTicks(50));
-    const bool done =
-        m.onFlitEjected(flit(1, 1, 2, cyclesToTicks(10)),
-                        cyclesToTicks(60));
+    Harness h;
+    h.create(desc(1, cyclesToTicks(10), 2));
+    h.eject(1, 0, cyclesToTicks(50));
+    const bool done = h.eject(1, 1, cyclesToTicks(60));
     EXPECT_TRUE(done);
-    EXPECT_EQ(m.latency().count(), 1u);
-    EXPECT_DOUBLE_EQ(m.latency().mean(), 50.0);
+    EXPECT_EQ(h.m.latency().count(), 1u);
+    EXPECT_DOUBLE_EQ(h.m.latency().mean(), 50.0);
 }
 
 TEST(Metrics, CountsCreatedAndDelivered)
 {
-    MetricsCollector m;
-    m.onPacketCreated(desc(1, 100, 1));
-    m.onPacketCreated(desc(2, 200, 1));
-    m.onFlitEjected(flit(1, 0, 1, 100), 500);
-    EXPECT_EQ(m.packetsCreated(), 2u);
-    EXPECT_EQ(m.packetsDelivered(), 1u);
-    EXPECT_EQ(m.inFlight(), 1u);
+    Harness h;
+    h.create(desc(1, 100, 1));
+    h.create(desc(2, 200, 1));
+    h.eject(1, 0, 500);
+    EXPECT_EQ(h.m.packetsCreated(), 2u);
+    EXPECT_EQ(h.m.packetsDelivered(), 1u);
+    EXPECT_EQ(h.m.inFlight(), 1u);
 }
 
 TEST(Metrics, WindowExcludesWarmupPackets)
 {
-    MetricsCollector m;
-    m.onPacketCreated(desc(1, 100, 1));  // warm-up packet
-    m.beginWindow(1000);
-    m.onPacketCreated(desc(2, 2000, 1));
-    EXPECT_EQ(m.packetsCreated(), 1u);
+    Harness h;
+    h.create(desc(1, 100, 1));  // warm-up packet
+    h.m.beginWindow(1000);
+    h.create(desc(2, 2000, 1));
+    EXPECT_EQ(h.m.packetsCreated(), 1u);
 
     // Warm-up packet delivered inside the window: counts for throughput
     // (flits/packets ejected) but not for latency.
-    m.onFlitEjected(flit(1, 0, 1, 100), 3000);
-    m.onFlitEjected(flit(2, 0, 1, 2000), 4000);
-    EXPECT_EQ(m.flitsEjected(), 2u);
-    EXPECT_EQ(m.packetsEjected(), 2u);
-    EXPECT_EQ(m.packetsDelivered(), 1u);
-    EXPECT_EQ(m.latency().count(), 1u);
-    EXPECT_DOUBLE_EQ(m.latency().mean(), 2.0);
+    h.eject(1, 0, 3000);
+    h.eject(2, 0, 4000);
+    EXPECT_EQ(h.m.flitsEjected(), 2u);
+    EXPECT_EQ(h.m.packetsEjected(), 2u);
+    EXPECT_EQ(h.m.packetsDelivered(), 1u);
+    EXPECT_EQ(h.m.latency().count(), 1u);
+    EXPECT_DOUBLE_EQ(h.m.latency().mean(), 2.0);
 }
 
 TEST(Metrics, EjectionsBeforeWindowNotCounted)
 {
-    MetricsCollector m;
-    m.onPacketCreated(desc(1, 0, 1));
-    m.onFlitEjected(flit(1, 0, 1, 0), 500);
-    m.beginWindow(1000);
-    EXPECT_EQ(m.flitsEjected(), 0u);
-    EXPECT_EQ(m.packetsEjected(), 0u);
+    Harness h;
+    h.create(desc(1, 0, 1));
+    h.eject(1, 0, 500);
+    h.m.beginWindow(1000);
+    EXPECT_EQ(h.m.flitsEjected(), 0u);
+    EXPECT_EQ(h.m.packetsEjected(), 0u);
 }
 
 TEST(Metrics, LastEjectionTracksTime)
 {
-    MetricsCollector m;
-    m.onPacketCreated(desc(1, 0, 2));
-    m.onFlitEjected(flit(1, 0, 2, 0), 700);
-    EXPECT_EQ(m.lastEjection(), Tick{700});
+    Harness h;
+    h.create(desc(1, 0, 2));
+    h.eject(1, 0, 700);
+    EXPECT_EQ(h.m.lastEjection(), Tick{700});
 }
 
 TEST(MetricsDeathTest, ReorderedFlitPanics)
 {
-    MetricsCollector m;
-    m.onPacketCreated(desc(1, 0, 3));
-    m.onFlitEjected(flit(1, 0, 3, 0), 100);
-    EXPECT_DEATH(m.onFlitEjected(flit(1, 2, 3, 0), 200), "reorder");
+    Harness h;
+    h.create(desc(1, 0, 3));
+    h.eject(1, 0, 100);
+    EXPECT_DEATH(h.eject(1, 2, 200), "reorder");
 }
 
 TEST(MetricsDeathTest, UnknownPacketPanics)
 {
-    MetricsCollector m;
-    EXPECT_DEATH(m.onFlitEjected(flit(99, 0, 1, 0), 100), "unknown packet");
+    // The tail's ejection released the packet's slot, so a second
+    // ejection of that flit names no packet.
+    Harness h;
+    h.create(desc(1, 0, 1));
+    const Flit stale = h.flit(1, 0);
+    EXPECT_TRUE(h.m.onFlitEjected(stale, 100));
+    EXPECT_DEATH(h.m.onFlitEjected(stale, 200), "unknown packet");
 }
 
 TEST(MetricsDeathTest, DuplicatePacketIdPanics)
 {
-    MetricsCollector m;
-    m.onPacketCreated(desc(1, 0, 1));
-    EXPECT_DEATH(m.onPacketCreated(desc(1, 0, 1)), "duplicate");
+    Harness h;
+    h.create(desc(1, 0, 1));
+    EXPECT_DEATH(h.create(desc(1, 0, 1)), "duplicate");
 }
 
 TEST(Metrics, MultiplePacketsAverageLatency)
 {
-    MetricsCollector m;
-    m.onPacketCreated(desc(1, 0, 1));
-    m.onPacketCreated(desc(2, 0, 1));
-    m.onFlitEjected(flit(1, 0, 1, 0), cyclesToTicks(10));
-    m.onFlitEjected(flit(2, 0, 1, 0), cyclesToTicks(30));
-    EXPECT_DOUBLE_EQ(m.latency().mean(), 20.0);
-    EXPECT_DOUBLE_EQ(m.latency().max(), 30.0);
+    Harness h;
+    h.create(desc(1, 0, 1));
+    h.create(desc(2, 0, 1));
+    h.eject(1, 0, cyclesToTicks(10));
+    h.eject(2, 0, cyclesToTicks(30));
+    EXPECT_DOUBLE_EQ(h.m.latency().mean(), 20.0);
+    EXPECT_DOUBLE_EQ(h.m.latency().max(), 30.0);
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "router/router.hpp"
@@ -21,6 +22,9 @@ using dvsnet::cyclesToTicks;
 using dvsnet::kRouterClockPeriod;
 using dvsnet::router::DorRouting;
 using dvsnet::router::Flit;
+using dvsnet::router::PacketDesc;
+using dvsnet::router::PacketSlot;
+using dvsnet::router::PacketTable;
 using dvsnet::router::Router;
 using dvsnet::router::RouterConfig;
 using dvsnet::topo::KAryNCube;
@@ -63,11 +67,13 @@ struct Harness
     KAryNCube topo{2, 2, false};
     DorRouting routing{topo, 2};
     RouterConfig cfg;
+    PacketTable packets;
     Router router;
     StubChannel xPlus, yPlus, terminal;
     StubCreditPath creditBack;
+    std::vector<std::pair<std::uint64_t, PacketSlot>> slots;
 
-    Harness() : cfg(makeCfg()), router(0, cfg, routing)
+    Harness() : cfg(makeCfg()), router(0, cfg, routing, packets)
     {
         router.connectOutput(KAryNCube::dirPort(0, true), &xPlus, 64);
         router.connectOutput(KAryNCube::dirPort(1, true), &yPlus, 64);
@@ -88,6 +94,35 @@ struct Harness
         return c;
     }
 
+    /**
+     * Flit `seq` of packet `pkt` (`len` flits, from node 0 to `dst`) on
+     * VC `vc`, built through the packet table; the first flit asked
+     * for enters the packet.
+     */
+    Flit
+    packetFlit(std::uint64_t pkt, std::uint16_t seq, std::uint16_t len,
+               NodeId dst, VcId vc)
+    {
+        for (const auto &[id, slot] : slots) {
+            if (id == pkt)
+                return packets.makeFlit(slot, seq, vc);
+        }
+        PacketDesc desc;
+        desc.id = pkt;
+        desc.src = 0;
+        desc.dst = dst;
+        desc.length = len;
+        slots.emplace_back(pkt, packets.add(desc));
+        return packets.makeFlit(slots.back().second, seq, vc);
+    }
+
+    /** Id of the packet `flit` belongs to. */
+    std::uint64_t
+    packetOf(const Flit &flit) const
+    {
+        return packets.at(flit.slot).id;
+    }
+
     /** Deliver a flit into an input port at cycle `cycle`. */
     void
     deliver(PortId inPort, const Flit &flit, dvsnet::Cycle cycle)
@@ -104,27 +139,13 @@ struct Harness
     }
 };
 
-Flit
-packetFlit(std::uint64_t pkt, std::uint16_t seq, std::uint16_t len,
-           NodeId dst, VcId vc)
-{
-    Flit f;
-    f.packet = pkt;
-    f.seq = seq;
-    f.packetLen = len;
-    f.src = 0;
-    f.dst = dst;
-    f.vc = vc;
-    return f;
-}
-
 } // namespace
 
 TEST(Router, HeadFlitTraversesAfterThreeStages)
 {
     Harness h;
     // Single-flit packet to node 1 (+x from node 0).
-    h.deliver(h.topo.terminalPort(), packetFlit(1, 0, 1, 1, 0), 1);
+    h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
     h.stepTo(1, 10);
     ASSERT_EQ(h.xPlus.sent.size(), 1u);
     // Arrives cycle 1: RC@1, VA@2, SA@3 -> handed to the channel with
@@ -136,7 +157,7 @@ TEST(Router, BodyFlitsFollowAtOnePerCycle)
 {
     Harness h;
     for (std::uint16_t s = 0; s < 5; ++s)
-        h.deliver(h.topo.terminalPort(), packetFlit(1, s, 5, 1, 0),
+        h.deliver(h.topo.terminalPort(), h.packetFlit(1, s, 5, 1, 0),
                   1 + s);
     h.stepTo(1, 12);
     ASSERT_EQ(h.xPlus.sent.size(), 5u);
@@ -151,7 +172,7 @@ TEST(Router, FlitsKeepPacketOrder)
     Harness h;
     for (std::uint16_t s = 0; s < 5; ++s)
         h.deliver(KAryNCube::dirPort(0, false),
-                  packetFlit(7, s, 5, 1, 1), 1);
+                  h.packetFlit(7, s, 5, 1, 1), 1);
     h.stepTo(1, 20);
     ASSERT_EQ(h.xPlus.sent.size(), 5u);
     for (std::uint16_t s = 0; s < 5; ++s)
@@ -161,7 +182,7 @@ TEST(Router, FlitsKeepPacketOrder)
 TEST(Router, OutputFlitCarriesDownstreamVc)
 {
     Harness h;
-    h.deliver(h.topo.terminalPort(), packetFlit(1, 0, 1, 1, 0), 1);
+    h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
     h.stepTo(1, 10);
     ASSERT_EQ(h.xPlus.sent.size(), 1u);
     const VcId outVc = h.xPlus.sent[0].first.vc;
@@ -171,7 +192,7 @@ TEST(Router, OutputFlitCarriesDownstreamVc)
 TEST(Router, CreditReturnedWhenFlitLeavesBuffer)
 {
     Harness h;
-    h.deliver(KAryNCube::dirPort(0, false), packetFlit(1, 0, 1, 1, 1), 1);
+    h.deliver(KAryNCube::dirPort(0, false), h.packetFlit(1, 0, 1, 1, 1), 1);
     h.stepTo(1, 10);
     ASSERT_EQ(h.creditBack.credits.size(), 1u);
     EXPECT_EQ(h.creditBack.credits[0].first, 1);  // the VC it occupied
@@ -181,7 +202,7 @@ TEST(Router, CreditReturnedWhenFlitLeavesBuffer)
 TEST(Router, NoCreditForTerminalInjection)
 {
     Harness h;
-    h.deliver(h.topo.terminalPort(), packetFlit(1, 0, 1, 1, 0), 1);
+    h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
     h.stepTo(1, 10);
     EXPECT_TRUE(h.creditBack.credits.empty());
 }
@@ -193,7 +214,7 @@ TEST(Router, CreditExhaustionStallsAndRecovers)
     StubChannel tiny;
     h.router.connectOutput(KAryNCube::dirPort(0, true), &tiny, 2);
     for (std::uint16_t s = 0; s < 5; ++s)
-        h.deliver(h.topo.terminalPort(), packetFlit(1, s, 5, 1, 0), 1 + s);
+        h.deliver(h.topo.terminalPort(), h.packetFlit(1, s, 5, 1, 0), 1 + s);
     h.stepTo(1, 30);
     // Only 2 flits can leave before credits run dry.
     EXPECT_EQ(tiny.sent.size(), 2u);
@@ -209,8 +230,8 @@ TEST(Router, CreditExhaustionStallsAndRecovers)
 TEST(Router, TwoPacketsToDifferentOutputsProceedInParallel)
 {
     Harness h;
-    h.deliver(h.topo.terminalPort(), packetFlit(1, 0, 1, 1, 0), 1);
-    h.deliver(KAryNCube::dirPort(0, false), packetFlit(2, 0, 1, 2, 0), 1);
+    h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
+    h.deliver(KAryNCube::dirPort(0, false), h.packetFlit(2, 0, 1, 2, 0), 1);
     h.stepTo(1, 12);
     EXPECT_EQ(h.xPlus.sent.size(), 1u);
     EXPECT_EQ(h.yPlus.sent.size(), 1u);
@@ -221,15 +242,15 @@ TEST(Router, SecondPacketInSameVcWaitsForTail)
     Harness h;
     const PortId in = KAryNCube::dirPort(0, false);
     // Two 2-flit packets back-to-back in the same input VC.
-    h.deliver(in, packetFlit(1, 0, 2, 1, 0), 1);
-    h.deliver(in, packetFlit(1, 1, 2, 1, 0), 2);
-    h.deliver(in, packetFlit(2, 0, 2, 1, 0), 3);
-    h.deliver(in, packetFlit(2, 1, 2, 1, 0), 4);
+    h.deliver(in, h.packetFlit(1, 0, 2, 1, 0), 1);
+    h.deliver(in, h.packetFlit(1, 1, 2, 1, 0), 2);
+    h.deliver(in, h.packetFlit(2, 0, 2, 1, 0), 3);
+    h.deliver(in, h.packetFlit(2, 1, 2, 1, 0), 4);
     h.stepTo(1, 30);
     ASSERT_EQ(h.xPlus.sent.size(), 4u);
     // Packet 2's head re-runs RC/VA after packet 1's tail departs.
-    EXPECT_EQ(h.xPlus.sent[1].first.packet, 1u);
-    EXPECT_EQ(h.xPlus.sent[2].first.packet, 2u);
+    EXPECT_EQ(h.packetOf(h.xPlus.sent[1].first), 1u);
+    EXPECT_EQ(h.packetOf(h.xPlus.sent[2].first), 2u);
     EXPECT_GE(h.xPlus.sent[2].second,
               h.xPlus.sent[1].second + 2 * kRouterClockPeriod);
 }
@@ -251,7 +272,7 @@ TEST(Router, BlockedChannelExertsBackpressure)
     Harness h;
     ClosedChannel closed;
     h.router.connectOutput(KAryNCube::dirPort(0, true), &closed, 64);
-    h.deliver(h.topo.terminalPort(), packetFlit(1, 0, 1, 1, 0), 1);
+    h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
     h.stepTo(1, 20);
     EXPECT_EQ(h.router.bufferOccupancy(h.topo.terminalPort()), 1u);
     EXPECT_FALSE(h.router.isIdle());
@@ -261,7 +282,7 @@ TEST(Router, IdleReflectsState)
 {
     Harness h;
     EXPECT_TRUE(h.router.isIdle());
-    h.deliver(h.topo.terminalPort(), packetFlit(1, 0, 1, 1, 0), 1);
+    h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
     EXPECT_FALSE(h.router.isIdle());
     h.stepTo(1, 10);
     EXPECT_TRUE(h.router.isIdle());
@@ -271,7 +292,7 @@ TEST(Router, TerminalFreeSlotsTracksOccupancy)
 {
     Harness h;
     EXPECT_EQ(h.router.terminalFreeSlots(0), 64u);
-    h.deliver(h.topo.terminalPort(), packetFlit(1, 0, 5, 1, 0), 1);
+    h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 5, 1, 0), 1);
     h.router.step(cyclesToTicks(1));
     EXPECT_EQ(h.router.terminalFreeSlots(0), 63u);
 }
@@ -280,7 +301,7 @@ TEST(Router, BufferUtilWindowSeesDownstreamOccupancy)
 {
     Harness h;
     const PortId out = KAryNCube::dirPort(0, true);
-    h.deliver(h.topo.terminalPort(), packetFlit(1, 0, 1, 1, 0), 1);
+    h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
     h.stepTo(1, 10);
     // One flit committed downstream, no credit returned yet: occupancy
     // 1 of 128 for part of the window.
@@ -294,7 +315,7 @@ TEST(Router, BufferUtilWindowSeesDownstreamOccupancy)
 TEST(Router, BufferAgeWindowCountsResidency)
 {
     Harness h;
-    h.deliver(KAryNCube::dirPort(0, false), packetFlit(1, 0, 1, 1, 0), 1);
+    h.deliver(KAryNCube::dirPort(0, false), h.packetFlit(1, 0, 1, 1, 0), 1);
     h.stepTo(1, 10);
     const auto [ageSum, departed] =
         h.router.takeBufferAgeWindow(KAryNCube::dirPort(0, false));
@@ -311,7 +332,7 @@ TEST(Router, ForwardedWindowCounts)
 {
     Harness h;
     for (std::uint16_t s = 0; s < 3; ++s)
-        h.deliver(h.topo.terminalPort(), packetFlit(1, s, 3, 1, 0), 1 + s);
+        h.deliver(h.topo.terminalPort(), h.packetFlit(1, s, 3, 1, 0), 1 + s);
     h.stepTo(1, 12);
     const PortId out = KAryNCube::dirPort(0, true);
     EXPECT_EQ(h.router.takeForwardedWindow(out), 3u);
@@ -322,7 +343,7 @@ TEST(Router, StatsAccumulate)
 {
     Harness h;
     for (std::uint16_t s = 0; s < 5; ++s)
-        h.deliver(h.topo.terminalPort(), packetFlit(1, s, 5, 1, 0), 1 + s);
+        h.deliver(h.topo.terminalPort(), h.packetFlit(1, s, 5, 1, 0), 1 + s);
     h.stepTo(1, 20);
     EXPECT_EQ(h.router.stats().flitsArrived, 5u);
     EXPECT_EQ(h.router.stats().flitsForwarded, 5u);
@@ -335,7 +356,7 @@ TEST(Router, EjectionAtDestination)
 {
     Harness h;
     // Packet addressed to node 0 itself: goes out the terminal port.
-    h.deliver(KAryNCube::dirPort(0, false), packetFlit(1, 0, 1, 0, 0), 1);
+    h.deliver(KAryNCube::dirPort(0, false), h.packetFlit(1, 0, 1, 0, 0), 1);
     h.stepTo(1, 10);
     EXPECT_EQ(h.terminal.sent.size(), 1u);
     EXPECT_TRUE(h.xPlus.sent.empty());

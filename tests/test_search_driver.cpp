@@ -291,6 +291,16 @@ TEST(SearchSpec, ApplyBuildsGeometricLadder)
     EXPECT_THROW(applySearchSpec(
                      config, Spec::parse("successive-halving:rungs=-1")),
                  ConfigError);
+    // Huge counts are refused before the ladder or the candidate set
+    // is built in memory.
+    EXPECT_THROW(applySearchSpec(config,
+                                 Spec::parse("successive-halving:"
+                                             "rungs=100000000")),
+                 ConfigError);
+    EXPECT_THROW(applySearchSpec(config,
+                                 Spec::parse("successive-halving:"
+                                             "candidates=1000000000")),
+                 ConfigError);
 }
 
 TEST(SearchConfigTest, ValidateCatchesNonsense)
@@ -302,6 +312,26 @@ TEST(SearchConfigTest, ValidateCatchesNonsense)
     const auto problems = config.validate();
     EXPECT_GE(problems.size(), 3u);
     EXPECT_THROW(SearchDriver{config}, ConfigError);
+}
+
+TEST(SearchConfigTest, ValidateCapsRungsAndCandidates)
+{
+    // A config built in code meets the same caps as a search= spec.
+    SearchConfig config = synthConfig(1);
+    ASSERT_TRUE(config.validate().empty());
+    config.rungs.assign(65, config.rungs.back());
+    config.randomCandidates = 1000001;
+    const auto problems = config.validate();
+    ASSERT_EQ(problems.size(), 2u);
+    EXPECT_NE(problems[0].find("cap of 1000000"), std::string::npos)
+        << problems[0];
+    EXPECT_NE(problems[1].find("cap of 64"), std::string::npos)
+        << problems[1];
+    EXPECT_THROW(SearchDriver{config}, ConfigError);
+
+    config.rungs.resize(64);
+    config.randomCandidates = 1000000;
+    EXPECT_TRUE(config.validate().empty());
 }
 
 TEST(SearchDriverTest, CandidateSetDeterministicAndDeduped)

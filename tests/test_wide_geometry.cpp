@@ -434,8 +434,9 @@ TEST(WideGeometryLimits, RouterConstructorThrowsConfigError)
 
     RouterConfig cfg;
     cfg.numVcs = dvsnet::router::kMaxVcsPerPort + 1;
+    const dvsnet::router::PacketTable packets;
     try {
-        dvsnet::router::Router bad(0, cfg, routing);
+        dvsnet::router::Router bad(0, cfg, routing, packets);
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
         EXPECT_NE(std::string(e.what()).find("kMaxVcsPerPort"),
