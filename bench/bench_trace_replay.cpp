@@ -103,7 +103,7 @@ main(int argc, char **argv)
                 workload::buildWorkload(spec.workloadSpec, context);
             const auto stream = traffic::PacketStream::record(
                 *recording, cyclesToTicks(spec.warmup + spec.measure));
-            trace = traffic::Trace::read(*stream.cursor());
+            trace = traffic::Trace::read(*stream->cursor());
             net.attachTraffic(*generator);
             original = net.run(spec.warmup, spec.measure);
         } else {
@@ -129,7 +129,7 @@ main(int argc, char **argv)
     traffic::TraceTraffic csvReplay(traffic::Trace::load(csvPath,
                                                          numNodes));
     const auto csvResults = runReplay(spec, csvReplay);
-    workload::BinaryTraceReplay binaryReplay(dvstPath);
+    workload::BinaryTraceReplay binaryReplay(dvstPath, numNodes);
     const auto binaryResults = runReplay(spec, binaryReplay);
     if (openLoop) {
         expectIdentical("CSV replay vs the live run", original, csvResults);
@@ -141,7 +141,7 @@ main(int argc, char **argv)
     // 4. The payoff: the same packets under history-DVS.
     network::ExperimentSpec dvsSpec = spec;
     dvsSpec.network.policy = network::PolicyKind::History;
-    workload::BinaryTraceReplay dvsReplay(dvstPath);
+    workload::BinaryTraceReplay dvsReplay(dvstPath, numNodes);
     const auto dvsResults = runReplay(dvsSpec, dvsReplay);
 
     const struct

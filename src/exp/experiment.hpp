@@ -32,12 +32,13 @@ namespace dvsnet::exp
 std::uint64_t pointSeed(std::uint64_t baseSeed, std::uint64_t index);
 
 /**
- * Seed for a point identified by a *name* rather than a position:
+ * Seed for a stream identified by a *name* rather than a position:
  * pointSeed over an FNV-1a hash of `key`.  Used by drivers whose work
- * set can grow or reorder between runs (the Pareto search derives each
- * evaluation's seed from its candidate's canonical parameter JSON), so
- * the seed — and therefore the result — depends only on what is being
- * evaluated, never on when or where in the schedule it runs.
+ * set can grow or reorder between runs, so a seed never depends on when
+ * or where in the schedule it is drawn.  The Pareto search derives every
+ * evaluation's traffic seed from the master seed and "traffic" alone
+ * (common random numbers: every candidate replays one traffic
+ * realization), and its candidate sampler's from "candidate-set".
  */
 std::uint64_t pointSeed(std::uint64_t baseSeed, const std::string &key);
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -68,11 +69,16 @@ validatePoint(const network::ExperimentSpec &spec, double injectionRate)
 /**
  * The point's packets, recorded with the generator alone through the
  * end of the run; null for a closed-loop workload, which must run live.
- * The generator is gone before any network is built.
+ * `started` receives the stream once its generator has started, while it
+ * records (PacketStream::recordFrom).  The generator is gone before the
+ * caller builds its own network.
  */
 std::shared_ptr<const traffic::PacketStream>
-recordPointStream(const network::ExperimentSpec &spec, double injectionRate,
-                  std::uint64_t seed)
+recordPointStream(
+    const network::ExperimentSpec &spec, double injectionRate,
+    std::uint64_t seed,
+    const std::function<void(std::shared_ptr<const traffic::PacketStream>)>
+        &started = {})
 {
     const auto &cfg = spec.network;
     const topo::KAryNCube topo(cfg.radix, cfg.dims, cfg.torus);
@@ -81,9 +87,13 @@ recordPointStream(const network::ExperimentSpec &spec, double injectionRate,
         workload::WorkloadContext{topo, injectionRate, seed, spec.workload});
     if (generator->wantsDeliveries())
         return nullptr;
-    return std::make_shared<const traffic::PacketStream>(
-        traffic::PacketStream::record(
-            *generator, cyclesToTicks(spec.warmup + spec.measure)));
+    auto stream = std::make_shared<traffic::PacketStream>(
+        cyclesToTicks(spec.warmup + spec.measure));
+    stream->recordFrom(*generator, [&] {
+        if (started)
+            started(stream);
+    });
+    return stream;
 }
 
 /** Run a validated point from `stream`, or live when it is null. */
@@ -198,23 +208,32 @@ ExperimentRunner::acquireStream(const std::string &key, const PointJob &job)
     if (slot.ready)
         return slot.stream;
 
-    // First here, or the last attempt failed: record it.
+    // First here, or the last attempt failed before its generator
+    // started: record it, and share it as soon as it has started.
     slot.producing = true;
     lock.unlock();
-    std::shared_ptr<const traffic::PacketStream> stream;
-    try {
-        stream = recordPointStream(job.spec, job.injectionRate, job.seed);
-    } catch (...) {
-        lock.lock();
+    const auto share = [&](std::shared_ptr<const traffic::PacketStream> s) {
+        std::lock_guard<std::mutex> guard(mutex_);
+        slot.stream = std::move(s);
+        slot.ready = true;
         slot.producing = false;
         streamReady_.notify_all();
+    };
+    std::shared_ptr<const traffic::PacketStream> stream;
+    try {
+        stream = recordPointStream(job.spec, job.injectionRate, job.seed,
+                                   share);
+    } catch (...) {
+        // Once shared, the stream carries the error to its readers.
+        lock.lock();
+        if (!slot.ready) {
+            slot.producing = false;
+            streamReady_.notify_all();
+        }
         throw;
     }
-    lock.lock();
-    slot.stream = stream;
-    slot.ready = true;
-    slot.producing = false;
-    streamReady_.notify_all();
+    if (stream == nullptr)
+        share(nullptr);  // closed loop: every job runs live
     return stream;
 }
 

@@ -18,9 +18,14 @@
  *  - **Shared traffic**: jobs whose traffic generators read equal inputs
  *    (workload spec and parameter block, topology, rate, seed and run
  *    length; not policy, routing or any other network field) share one
- *    recorded packet stream.  The first of them to run records it while
- *    the others wait; it is freed when the last of them finishes.  A
- *    failed recording wakes the waiters, and the next one retries, so
+ *    recorded packet stream.  The first of them to run records it, and
+ *    hands it to the others as soon as its generator has started: they
+ *    run their networks from it while it records, paced by the recorder
+ *    (traffic::PacketStream), and the recorder runs its own network
+ *    once the recording is done.  The stream is freed when the last of
+ *    them finishes.  A recording that fails before its generator starts
+ *    wakes the waiters, and the next one retries; one that fails later
+ *    fails every job reading it with the recorder's error.  Either way
  *    every job's result is what exp::runPoint gives it.
  *
  * Typical use:
@@ -97,15 +102,18 @@ class ExperimentRunner
     {
         /** Null when ready for a closed-loop workload: it runs live. */
         std::shared_ptr<const traffic::PacketStream> stream;
-        bool ready = false;
-        bool producing = false;
+        bool ready = false;      ///< shared: its generator has started
+        bool producing = false;  ///< a job is starting its generator
         std::size_t consumers = 0;  ///< submitted jobs not yet finished
     };
 
     void execute(std::size_t index, const PointJob &job,
                  const std::string &key);
 
-    /** The job's stream: recorded here, or by another job meanwhile. */
+    /**
+     * The job's stream: recorded here, or by another job, and possibly
+     * still recording.
+     */
     std::shared_ptr<const traffic::PacketStream>
     acquireStream(const std::string &key, const PointJob &job);
 

@@ -18,16 +18,27 @@
  * Encoding: one LEB128 varint per packet holding
  * `tick delta << 2 | extended << 1 | afterStep`, then src and dst; an
  * extended packet (non-zero size, class or tag) adds those three.  That
- * is ~4 bytes per packet on the paper's 8x8 mesh.  A recorded stream is
- * immutable, so threads share it read-only, each through its own
- * cursor.
+ * is ~4 bytes per packet on the paper's 8x8 mesh.
+ *
+ * Sharing: a stream can be read while it records.  Its records fill
+ * fixed-size blocks that never move, no record straddles two blocks, and
+ * one atomic word publishes how many packets are readable and whether
+ * the recording has ended.  The recorder publishes every
+ * kPublishEvery packets and when it ends, and never waits for a reader;
+ * a cursor on another thread reads up to the published count without a
+ * lock.  A cursor at the published end of an unfinished stream blocks
+ * until the recorder publishes more (it reads on), finishes (it returns
+ * end of stream) or fails (it throws the recorder's error).
  */
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
-#include <vector>
 
 #include "common/types.hpp"
 #include "traffic/traffic.hpp"
@@ -35,30 +46,63 @@
 namespace dvsnet::traffic
 {
 
-/** A compact, append-only sequence of StreamPackets. */
+/** A compact, append-only sequence of StreamPackets (see file comment). */
 class PacketStream
 {
   public:
-    /** An empty stream covering ticks up to `horizon`. */
-    explicit PacketStream(Tick horizon = kTickNever) : horizon_(horizon) {}
+    /** Bytes per storage block. */
+    static constexpr std::size_t kBlockBytes = 64 * 1024;
+
+    /** Packets between two publications while recording. */
+    static constexpr std::size_t kPublishEvery = 256;
+
+    /** An empty stream covering ticks up to `horizon`, open to append(). */
+    explicit PacketStream(Tick horizon = kTickNever);
+    ~PacketStream();
+
+    PacketStream(const PacketStream &) = delete;
+    PacketStream &operator=(const PacketStream &) = delete;
 
     /**
-     * Record every packet `generator` creates at a tick <= `horizon`.
-     * A live generator runs alone on a bare sim::Kernel and is spent
-     * afterwards; a replaying one (openStream()) is copied with its
-     * after-step bits.  @pre !generator.wantsDeliveries(): closed-loop
-     * traffic depends on the network and must run live.
+     * A finished recording of every packet `generator` creates at a
+     * tick <= `horizon` (see recordFrom()).
      */
-    static PacketStream record(TrafficGenerator &generator, Tick horizon);
+    static std::unique_ptr<const PacketStream>
+    record(TrafficGenerator &generator, Tick horizon);
 
-    /** Append one packet; ticks must be non-decreasing. */
+    /**
+     * Record into this empty stream every packet `generator` creates at
+     * a tick <= horizon(), then finish().  A live generator runs alone on
+     * a bare sim::Kernel and is spent afterwards; a replaying one
+     * (openStream()) is copied with its after-step bits.  `started`, if
+     * set, runs once the generator has started: from then on cursors on
+     * other threads may read the stream as it records.  On an exception
+     * the stream fails with it, so its cursors throw it too, and the
+     * exception propagates.  @pre !generator.wantsDeliveries():
+     * closed-loop traffic depends on the network and must run live.
+     */
+    void recordFrom(TrafficGenerator &generator,
+                    const std::function<void()> &started = {});
+
+    /**
+     * Append one packet; ticks must be non-decreasing.  Cursors read it
+     * once it is published: with every kPublishEvery-th packet, or at
+     * finish().
+     */
     void append(const StreamPacket &packet);
 
-    /** Packets held. */
+    /**
+     * End the stream: publish every packet appended, after which a
+     * cursor at the end returns false.  A stream built by hand must be
+     * finished before a cursor reads to its end.
+     */
+    void finish();
+
+    /** Packets appended. */
     std::size_t size() const { return size_; }
 
     /** Encoded size in bytes. */
-    std::size_t bytes() const { return bytes_.size(); }
+    std::size_t bytes() const { return bytes_; }
 
     /** Last tick the stream covers (kTickNever: complete). */
     Tick horizon() const { return horizon_; }
@@ -67,10 +111,40 @@ class PacketStream
     std::unique_ptr<PacketCursor> cursor() const;
 
   private:
-    std::vector<unsigned char> bytes_;
+    struct Block;
+    class Cursor;
+
+    enum State : std::uint64_t
+    {
+        kRecording = 0,
+        kFinished = 1,
+        kFailed = 2,
+    };
+
+    /** Publish size() packets and `state` to cursors, and wake them. */
+    void publish(State state);
+
+    /** Neither finished nor failed yet; the recorder's view. */
+    bool recording() const;
+
+    /**
+     * Block until more than `read` packets are published or the stream
+     * ends, then return the published count: `read` means the end of a
+     * finished stream.  @throws the recorder's error at the end of a
+     * failed one.
+     */
+    std::size_t await(std::size_t read) const;
+
+    std::unique_ptr<Block> head_;
+    Block *tail_;           ///< the block append() writes
+    unsigned char *pos_;    ///< next free byte in *tail_
     std::size_t size_ = 0;
+    std::size_t bytes_ = 0;
     Tick last_ = 0;  ///< tick of the last packet appended
     Tick horizon_;
+    /** Published packets << 2 | State. */
+    std::atomic<std::uint64_t> frontier_{0};
+    std::exception_ptr error_;  ///< set before kFailed is published
 };
 
 } // namespace dvsnet::traffic

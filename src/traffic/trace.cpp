@@ -166,6 +166,10 @@ Trace::fromCsv(const std::string &csv, NodeId numNodes)
                                        ")"));
             }
         }
+        if (fields[1] == fields[2]) {
+            badLine(lineNo, line,
+                    detail::concat("src and dst are both ", fields[1]));
+        }
         if (fields[3] > std::numeric_limits<std::uint16_t>::max())
             badLine(lineNo, line, "size overflows 16 bits");
         if (fields[4] > std::numeric_limits<std::uint8_t>::max())

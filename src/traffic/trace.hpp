@@ -18,8 +18,9 @@
  * the scale format for long runs.  Both round-trip losslessly.
  *
  * Malformed trace input (bad fields, decreasing ticks, out-of-range
- * node ids) raises ConfigError with the offending line number, so a
- * corrupt trace fails fast instead of silently misparsing.
+ * node ids, a packet addressed to its own source) raises ConfigError
+ * with the offending line number, so a corrupt trace fails fast instead
+ * of silently misparsing.
  */
 
 #pragma once
@@ -101,7 +102,8 @@ class Trace
      * column is the after-step bit, 0 or 1).
      * @param numNodes when > 0, node ids must lie in [0, numNodes)
      * @throws ConfigError (line-numbered) on malformed rows,
-     *         decreasing ticks, or out-of-range node ids
+     *         decreasing ticks, out-of-range node ids, or equal src
+     *         and dst
      */
     static Trace fromCsv(const std::string &csv, NodeId numNodes = 0);
 

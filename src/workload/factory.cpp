@@ -66,9 +66,11 @@ buildTrace(const Spec &spec, const WorkloadContext &ctx)
             "workload 'trace' requires a path key (trace:path=FILE)");
     }
     if (isBinaryTracePath(*path)) {
-        // Stream straight from disk; the header's numNodes field (when
-        // present) already guards node ranges.
-        return std::make_unique<BinaryTraceReplay>(*path);
+        // Stream straight from disk.  The header's node count may be 0
+        // (unknown) or another network's, so each entry is checked
+        // against this one's as it is read.
+        return std::make_unique<BinaryTraceReplay>(*path,
+                                                   ctx.topo.numNodes());
     }
     return std::make_unique<traffic::TraceTraffic>(
         traffic::Trace::load(*path, ctx.topo.numNodes()));

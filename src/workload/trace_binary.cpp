@@ -88,12 +88,12 @@ readVarint(std::istream &in, std::uint64_t &out, std::uint64_t entryIndex)
 class FileTraceCursor final : public traffic::PacketCursor
 {
   public:
-    explicit FileTraceCursor(const std::string &path)
+    FileTraceCursor(const std::string &path, NodeId numNodes)
         : file_(path, std::ios::binary)
     {
         if (!file_)
             throw ConfigError("cannot open binary trace '" + path + "'");
-        reader_ = std::make_unique<BinaryTraceReader>(file_);
+        reader_ = std::make_unique<BinaryTraceReader>(file_, numNodes);
     }
 
     bool
@@ -184,7 +184,8 @@ BinaryTraceWriter::finish()
         throw ConfigError("binary trace: flush failed");
 }
 
-BinaryTraceReader::BinaryTraceReader(std::istream &in) : in_(in)
+BinaryTraceReader::BinaryTraceReader(std::istream &in, NodeId numNodes)
+    : in_(in)
 {
     unsigned char header[kHeaderBytes];
     in_.read(reinterpret_cast<char *>(header), kHeaderBytes);
@@ -204,6 +205,11 @@ BinaryTraceReader::BinaryTraceReader(std::istream &in) : in_(in)
         throw ConfigError("binary trace: nonzero reserved flags");
     header_.numNodes = getU32(header + 8);
     header_.entryCount = getU64(header + 12);
+    // Ids must lie below the smaller of the two counts given.
+    nodeLimit_ = header_.numNodes;
+    const auto network = static_cast<std::uint64_t>(numNodes);
+    if (numNodes > 0 && (nodeLimit_ == 0 || network < nodeLimit_))
+        nodeLimit_ = network;
 }
 
 bool
@@ -248,11 +254,16 @@ BinaryTraceReader::next(traffic::TraceEntry &entry)
                                              fields[i],
                                              " overflows NodeId"));
         }
-        if (header_.numNodes != 0 && fields[i] >= header_.numNodes) {
+        if (nodeLimit_ != 0 && fields[i] >= nodeLimit_) {
             throw ConfigError(detail::concat(
                 "binary trace: entry ", count_, ": ", what, " id ",
-                fields[i], " out of range [0, ", header_.numNodes, ")"));
+                fields[i], " out of range [0, ", nodeLimit_, ")"));
         }
+    }
+    if (fields[0] == fields[1]) {
+        throw ConfigError(detail::concat("binary trace: entry ", count_,
+                                         ": src and dst are both ",
+                                         fields[0]));
     }
     if (fields[2] > std::numeric_limits<std::uint16_t>::max()) {
         throw ConfigError(detail::concat("binary trace: entry ", count_,
@@ -301,12 +312,12 @@ saveBinaryTrace(const traffic::Trace &trace, const std::string &path,
 }
 
 traffic::Trace
-loadBinaryTrace(const std::string &path)
+loadBinaryTrace(const std::string &path, NodeId numNodes)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw ConfigError("cannot open binary trace '" + path + "'");
-    BinaryTraceReader reader(in);
+    BinaryTraceReader reader(in, numNodes);
     traffic::Trace trace;
     traffic::TraceEntry entry;
     while (reader.next(entry))
@@ -326,19 +337,22 @@ traffic::Trace
 loadAnyTrace(const std::string &path, NodeId numNodes)
 {
     if (isBinaryTracePath(path))
-        return loadBinaryTrace(path);
+        return loadBinaryTrace(path, numNodes);
     return traffic::Trace::load(path, numNodes);
 }
 
-BinaryTraceReplay::BinaryTraceReplay(const std::string &path) : path_(path)
+BinaryTraceReplay::BinaryTraceReplay(const std::string &path,
+                                     NodeId numNodes)
+    : path_(path), numNodes_(numNodes)
 {
-    FileTraceCursor check(path_);  // fail at construction on a bad file
+    // Fail at construction on a bad file.
+    FileTraceCursor check(path_, numNodes_);
 }
 
 std::unique_ptr<traffic::PacketCursor>
 BinaryTraceReplay::openStream()
 {
-    return std::make_unique<FileTraceCursor>(path_);
+    return std::make_unique<FileTraceCursor>(path_, numNodes_);
 }
 
 } // namespace dvsnet::workload

@@ -27,7 +27,9 @@
  * All format violations (bad magic, unknown version or flags,
  * truncated varints, a tick past the 64-bit range — decreasing ticks
  * can't happen by construction, deltas are unsigned) raise ConfigError
- * with the entry index, so a corrupt or foreign file fails fast.
+ * with the entry index, so a corrupt or foreign file fails fast.  So do
+ * entries no network can create: a self-addressed one, or a node id
+ * past the header's count or the reading network's.
  */
 
 #pragma once
@@ -104,16 +106,18 @@ class BinaryTraceReader
 {
   public:
     /** @param in source stream (caller-owned, binary mode)
+     *  @param numNodes when > 0, node ids must also lie in
+     *         [0, numNodes): the network the trace feeds
      *  @throws ConfigError on a bad magic/version/flags header */
-    explicit BinaryTraceReader(std::istream &in);
+    explicit BinaryTraceReader(std::istream &in, NodeId numNodes = 0);
 
     const BinaryTraceHeader &header() const { return header_; }
 
     /**
      * Read the next entry into `entry`.  Returns false at end of
      * trace.  @throws ConfigError on truncation, a trailing partial
-     * entry, an entry-count mismatch, an out-of-range node id, or a
-     * tick past the 64-bit range.
+     * entry, an entry-count mismatch, an out-of-range node id, equal
+     * src and dst, or a tick past the 64-bit range.
      */
     bool next(traffic::TraceEntry &entry);
 
@@ -123,6 +127,7 @@ class BinaryTraceReader
   private:
     std::istream &in_;
     BinaryTraceHeader header_;
+    std::uint64_t nodeLimit_ = 0;  ///< ids must be below; 0 = unchecked
     Tick lastTick_ = 0;
     std::uint64_t count_ = 0;
     bool done_ = false;
@@ -132,15 +137,18 @@ class BinaryTraceReader
 void saveBinaryTrace(const traffic::Trace &trace, const std::string &path,
                      std::uint32_t numNodes = 0);
 
-/** Read a whole binary trace file.  @throws ConfigError */
-traffic::Trace loadBinaryTrace(const std::string &path);
+/** Read a whole binary trace file; `numNodes` as BinaryTraceReader's.
+ *  @throws ConfigError */
+traffic::Trace loadBinaryTrace(const std::string &path,
+                               NodeId numNodes = 0);
 
 /** True when `path` names a binary trace by extension (".dvst"). */
 bool isBinaryTracePath(const std::string &path);
 
 /**
  * Load a trace in either format, dispatching on the file extension
- * (".dvst" = binary, anything else = CSV).  @throws ConfigError
+ * (".dvst" = binary, anything else = CSV); when `numNodes` > 0, node
+ * ids must lie in [0, numNodes).  @throws ConfigError
  */
 traffic::Trace loadAnyTrace(const std::string &path, NodeId numNodes = 0);
 
@@ -154,17 +162,21 @@ traffic::Trace loadAnyTrace(const std::string &path, NodeId numNodes = 0);
 class BinaryTraceReplay final : public traffic::ReplayTraffic
 {
   public:
-    /** @throws ConfigError when the file cannot be opened or its
+    /** @param numNodes node count of the network it feeds: ids must
+     *         lie in [0, numNodes), whatever the header says
+     *  @throws ConfigError when the file cannot be opened or its
      *  header is invalid */
-    explicit BinaryTraceReplay(const std::string &path);
+    BinaryTraceReplay(const std::string &path, NodeId numNodes);
 
-    /** A fresh read of the file.  @throws ConfigError as the ctor */
+    /** A fresh read of the file; its next() throws ConfigError on a bad
+     *  entry (BinaryTraceReader::next).  @throws ConfigError as the ctor */
     std::unique_ptr<traffic::PacketCursor> openStream() override;
 
     const char *name() const override { return "binary-trace-replay"; }
 
   private:
     std::string path_;
+    NodeId numNodes_;
 };
 
 } // namespace dvsnet::workload

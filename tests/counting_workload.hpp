@@ -5,6 +5,12 @@
  * generated, and throws from the first countingFailuresLeft of them.
  * The variant only changes the spec string.  Shared by the runner's
  * stream-sharing tests and the search's common-random-numbers test.
+ *
+ * While countingGate is closed, start() waits for it to open.  A test
+ * that counts generations closes it while it submits a batch of jobs:
+ * the runner frees a stream when the last submitted job reading it
+ * finishes, so a job finishing before an equal one is submitted would
+ * make that one record the stream again.
  */
 
 #pragma once
@@ -22,6 +28,23 @@ namespace dvsnet::testutil
 
 inline std::atomic<int> countingStarts{0};
 inline std::atomic<int> countingFailuresLeft{0};
+inline std::atomic<bool> countingGate{true};  ///< open
+
+/** Close countingGate until destroyed. */
+class CountingGateClosed
+{
+  public:
+    CountingGateClosed() { countingGate = false; }
+
+    ~CountingGateClosed()
+    {
+        countingGate = true;
+        countingGate.notify_all();
+    }
+
+    CountingGateClosed(const CountingGateClosed &) = delete;
+    CountingGateClosed &operator=(const CountingGateClosed &) = delete;
+};
 
 class CountingTraffic final : public traffic::TrafficGenerator
 {
@@ -36,6 +59,7 @@ class CountingTraffic final : public traffic::TrafficGenerator
     void
     start(sim::Kernel &kernel, traffic::PacketSink sink) override
     {
+        countingGate.wait(false);
         ++countingStarts;
         if (countingFailuresLeft.fetch_sub(1) > 0)
             throw ConfigError("counting workload: scripted failure");

@@ -26,6 +26,7 @@ using dvsnet::network::ExperimentSpec;
 using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
 using dvsnet::network::SweepPoint;
+using dvsnet::testutil::CountingGateClosed;
 using dvsnet::testutil::countingFailuresLeft;
 using dvsnet::testutil::countingStarts;
 
@@ -316,8 +317,11 @@ TEST(RunnerStreams, EqualGeneratorInputsShareOneGeneration)
     for (const std::size_t threads : {1u, 4u}) {
         countingStarts = 0;
         ExperimentRunner runner(withThreads(threads));
-        for (const auto &job : jobs)
-            runner.submit(job);
+        {
+            const CountingGateClosed gate;  // no job ends mid-submission
+            for (const auto &job : jobs)
+                runner.submit(job);
+        }
         const auto results = runner.collect();
         EXPECT_EQ(countingStarts.load(), static_cast<int>(1 + own.size()))
             << threads << " threads";
@@ -351,8 +355,11 @@ TEST(RunnerStreams, FailedGenerationFailsOnlyItsOwnJob)
         countingFailuresLeft = 1;
         countingStarts = 0;
         ExperimentRunner runner(withThreads(threads));
-        for (const PolicyKind policy : policies)
-            runner.submit(countingJob(policy));
+        {
+            const CountingGateClosed gate;  // no job ends mid-submission
+            for (const PolicyKind policy : policies)
+                runner.submit(countingJob(policy));
+        }
         const auto results = runner.collect();
         EXPECT_EQ(countingStarts.load(), 2) << threads << " threads";
 

@@ -144,6 +144,19 @@ TEST(Trace, CsvRejectsOutOfRangeNodeIdsWithLineNumber)
               std::string::npos);
 }
 
+TEST(Trace, CsvRejectsSelfAddressedPacketsWithLineNumber)
+{
+    // No network can create a packet addressed to its own source, with
+    // or without a node count.
+    for (const NodeId numNodes : {0, 64}) {
+        const std::string what =
+            csvError("tick,src,dst\n500,1,2\n1000,3,3\n", numNodes);
+        EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+        EXPECT_NE(what.find("src and dst are both 3"), std::string::npos)
+            << what;
+    }
+}
+
 TEST(Trace, CsvRejectsMalformedRows)
 {
     EXPECT_NE(csvError("100,1\n").find("expected 3 or 5 fields"),

@@ -10,14 +10,18 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <vector>
 
 #include "common/fatal.hpp"
 #include "common/rng.hpp"
 #include "common/varint.hpp"
+#include "exp/experiment.hpp"
+#include "network/network.hpp"
 #include "sim/kernel.hpp"
 #include "traffic/trace.hpp"
+#include "workload/factory.hpp"
 #include "workload/trace_binary.hpp"
 
 using dvsnet::ConfigError;
@@ -119,8 +123,11 @@ TEST(BinaryTrace, RandomTracesRoundTripAndMatchCsvPath)
         const std::size_t entries = 1 + rng.uniformInt(200);
         for (std::size_t k = 0; k < entries; ++k) {
             when += rng.uniformInt(5000);  // non-decreasing, often equal
-            t.append(when, static_cast<NodeId>(rng.uniformInt(64)),
-                     static_cast<NodeId>(rng.uniformInt(64)),
+            // Readers reject self-addressed entries: dst differs from src.
+            const auto src = static_cast<NodeId>(rng.uniformInt(64));
+            const auto dst =
+                static_cast<NodeId>((src + 1 + rng.uniformInt(63)) % 64);
+            t.append(when, src, dst,
                      static_cast<std::uint16_t>(rng.uniformInt(32)),
                      static_cast<std::uint8_t>(rng.uniformInt(4)));
         }
@@ -270,8 +277,11 @@ TEST(BinaryTraceReplay, LockstepMatchesCsvReplay)
     Tick when = 0;
     for (int k = 0; k < 300; ++k) {
         when += rng.uniformInt(3) * 500;
-        t.append(when, static_cast<NodeId>(rng.uniformInt(16)),
-                 static_cast<NodeId>(rng.uniformInt(16)),
+        // Readers reject self-addressed entries: dst differs from src.
+        const auto src = static_cast<NodeId>(rng.uniformInt(16));
+        const auto dst =
+            static_cast<NodeId>((src + 1 + rng.uniformInt(15)) % 16);
+        t.append(when, src, dst,
                  static_cast<std::uint16_t>(1 + rng.uniformInt(8)),
                  static_cast<std::uint8_t>(rng.uniformInt(2)));
     }
@@ -292,7 +302,7 @@ TEST(BinaryTraceReplay, LockstepMatchesCsvReplay)
     };
 
     TraceTraffic csvReplay(Trace::fromCsv(t.toCsv()));
-    BinaryTraceReplay binaryReplay(path);
+    BinaryTraceReplay binaryReplay(path, 16);
     const auto fromCsvPath = capture(csvReplay);
     const auto fromBinaryPath = capture(binaryReplay);
     std::remove(path.c_str());
@@ -307,6 +317,99 @@ TEST(BinaryTraceReplay, LockstepMatchesCsvReplay)
 
 TEST(BinaryTraceReplay, MissingFileThrows)
 {
-    EXPECT_THROW(BinaryTraceReplay replay("/nonexistent/nope.dvst"),
+    EXPECT_THROW(BinaryTraceReplay replay("/nonexistent/nope.dvst", 16),
                  ConfigError);
+}
+
+namespace
+{
+
+/**
+ * The ConfigError messages the three ways from a trace file into an 8x8
+ * mesh give for the file at `path`: a live network attaching its
+ * replay, the recording exp::runPoint copies into a packet stream, and
+ * loadAnyTrace with the mesh's node count.  "" where nothing threw.
+ */
+std::vector<std::string>
+meshErrors(const std::string &path)
+{
+    dvsnet::network::ExperimentSpec spec;
+    spec.network.radix = 8;
+    spec.network.policy = dvsnet::network::PolicyKind::None;
+    spec.workloadSpec = "trace:path=" + path;
+    spec.warmup = 1000;
+    spec.measure = 1000;
+
+    std::vector<std::string> errors;
+    const auto attempt = [&errors](const std::function<void()> &body) {
+        try {
+            body();
+            errors.emplace_back();
+        } catch (const ConfigError &e) {
+            errors.emplace_back(e.what());
+        }
+    };
+    attempt([&] {
+        dvsnet::network::Network net(spec.network);
+        const auto replay = dvsnet::workload::buildWorkload(
+            spec.workloadSpec,
+            dvsnet::workload::WorkloadContext{net.topology(), 1.0, 1,
+                                              spec.workload});
+        net.attachTraffic(*replay);
+        net.run(spec.warmup, spec.measure);
+    });
+    attempt([&] { dvsnet::exp::runPoint(spec, 1.0, 1); });
+    attempt([&] { loadAnyTrace(path, 64); });
+    return errors;
+}
+
+/**
+ * Save `trace` with `headerNodes`; expect `message` from every path.
+ * The file is named after the running test, since ctest runs tests in
+ * parallel processes.
+ */
+void
+expectMeshRejects(const Trace &trace, std::uint32_t headerNodes,
+                  const std::string &message)
+{
+    const std::string path =
+        ::testing::TempDir() + "/dvsnet_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".dvst";
+    saveBinaryTrace(trace, path, headerNodes);
+    const auto errors = meshErrors(path);
+    std::remove(path.c_str());
+    const char *const paths[] = {"live attach", "runPoint", "loadAnyTrace"};
+    ASSERT_EQ(errors.size(), std::size(paths));
+    for (std::size_t i = 0; i < errors.size(); ++i) {
+        EXPECT_NE(errors[i].find(message), std::string::npos)
+            << paths[i] << ", header count " << headerNodes << ": '"
+            << errors[i] << "'";
+    }
+}
+
+} // namespace
+
+TEST(BinaryTraceReplay, RejectsIdsPastTheMeshWhenTheHeaderCountIsUnknown)
+{
+    Trace t;
+    t.append(500, 1, 2);
+    t.append(1000, 100, 3);
+    expectMeshRejects(t, 0, "entry 1: src id 100 out of range [0, 64)");
+}
+
+TEST(BinaryTraceReplay, RejectsIdsPastTheMeshUnderALargerHeaderCount)
+{
+    Trace t;
+    t.append(500, 1, 2);
+    t.append(1000, 3, 100);
+    expectMeshRejects(t, 256, "entry 1: dst id 100 out of range [0, 64)");
+}
+
+TEST(BinaryTraceReplay, RejectsSelfAddressedEntries)
+{
+    Trace t;
+    t.append(500, 1, 2);
+    t.append(1000, 3, 3);
+    expectMeshRejects(t, 64, "entry 1: src and dst are both 3");
 }

@@ -115,7 +115,7 @@ record(const Config &config)
     } else {
         const auto stream =
             traffic::PacketStream::record(*generator, cyclesToTicks(cycles));
-        trace = traffic::Trace::read(*stream.cursor());
+        trace = traffic::Trace::read(*stream->cursor());
     }
 
     saveTrace(trace, out,
