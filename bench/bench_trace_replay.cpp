@@ -18,8 +18,8 @@
  * ("cmp") is recorded from a live run; its replay is open loop, so only
  * the two replays are compared.
  *
- * Also reports the binary format's size advantage (varint-delta
- * entries vs CSV text).
+ * Also reports the binary format's size advantage (the packet stream's
+ * varint records vs CSV text).
  *
  * `--workload <spec>` selects what gets recorded (default: the paper's
  * two-level model); `rate=R` sets the target injection rate.
@@ -30,10 +30,8 @@
 
 #include "bench_util.hpp"
 #include "common/fatal.hpp"
-#include "traffic/stream.hpp"
 #include "traffic/trace.hpp"
 #include "workload/factory.hpp"
-#include "workload/trace_binary.hpp"
 
 using namespace dvsnet;
 
@@ -86,7 +84,7 @@ main(int argc, char **argv)
     const std::string dvstPath = prefix + ".trace.dvst";
 
     // 1. Record the workload and run it live.
-    traffic::Trace trace;
+    std::shared_ptr<const traffic::PacketStream> trace;
     network::RunResults original;
     NodeId numNodes = 0;
     bool openLoop = true;
@@ -101,35 +99,34 @@ main(int argc, char **argv)
         if (openLoop) {
             const auto recording =
                 workload::buildWorkload(spec.workloadSpec, context);
-            const auto stream = traffic::PacketStream::record(
+            trace = traffic::PacketStream::record(
                 *recording, cyclesToTicks(spec.warmup + spec.measure));
-            trace = traffic::Trace::read(*stream->cursor());
             net.attachTraffic(*generator);
             original = net.run(spec.warmup, spec.measure);
         } else {
             traffic::TraceRecorder recorder(*generator);
             net.attachTraffic(recorder);
             original = net.run(spec.warmup, spec.measure);
-            trace = recorder.trace();
+            trace = recorder.finish();
         }
     }
-    if (trace.empty())
+    if (trace->size() == 0)
         DVSNET_FATAL("recorded run generated no packets");
 
     // 2. Both on-disk forms.
-    trace.save(csvPath);
-    workload::saveBinaryTrace(trace, dvstPath,
-                              static_cast<std::uint32_t>(numNodes));
+    traffic::saveAnyTrace(*trace, csvPath);
+    traffic::saveAnyTrace(*trace, dvstPath,
+                          static_cast<std::uint32_t>(numNodes));
     const auto csvBytes = std::filesystem::file_size(csvPath);
     const auto dvstBytes = std::filesystem::file_size(dvstPath);
 
     // 3. Replay each format through an identical network; the replays
     // must agree with each other and, for open-loop traffic, with the
     // live run, bit for bit.
-    traffic::TraceTraffic csvReplay(traffic::Trace::load(csvPath,
-                                                         numNodes));
+    traffic::ReplayTraffic csvReplay(traffic::loadAnyTrace(csvPath,
+                                                           numNodes));
     const auto csvResults = runReplay(spec, csvReplay);
-    workload::BinaryTraceReplay binaryReplay(dvstPath, numNodes);
+    traffic::ReplayTraffic binaryReplay(dvstPath, numNodes);
     const auto binaryResults = runReplay(spec, binaryReplay);
     if (openLoop) {
         expectIdentical("CSV replay vs the live run", original, csvResults);
@@ -141,7 +138,7 @@ main(int argc, char **argv)
     // 4. The payoff: the same packets under history-DVS.
     network::ExperimentSpec dvsSpec = spec;
     dvsSpec.network.policy = network::PolicyKind::History;
-    workload::BinaryTraceReplay dvsReplay(dvstPath, numNodes);
+    traffic::ReplayTraffic dvsReplay(dvstPath, numNodes);
     const auto dvsResults = runReplay(dvsSpec, dvsReplay);
 
     const struct
@@ -168,9 +165,9 @@ main(int argc, char **argv)
     bench::printTable(t, opts);
 
     const double bytesPerEntryCsv =
-        static_cast<double>(csvBytes) / static_cast<double>(trace.size());
+        static_cast<double>(csvBytes) / static_cast<double>(trace->size());
     const double bytesPerEntryBin =
-        static_cast<double>(dvstBytes) / static_cast<double>(trace.size());
+        static_cast<double>(dvstBytes) / static_cast<double>(trace->size());
     Table f({"format", "bytes", "bytes/entry", "vs CSV"});
     f.addRow({"CSV", std::to_string(csvBytes),
               Table::num(bytesPerEntryCsv, 2), "1.00x"});
@@ -181,16 +178,17 @@ main(int argc, char **argv)
                          2) +
                   "x"});
     std::size_t afterStep = 0;
-    for (const auto &entry : trace.entries())
-        afterStep += entry.afterStep ? 1 : 0;
+    const auto cursor = trace->cursor();
+    for (traffic::StreamPacket p; cursor->next(p);)
+        afterStep += p.afterStep ? 1 : 0;
     std::printf("\ntrace: %zu entries, %zu created after a clock edge's "
                 "step\n",
-                trace.size(), afterStep);
+                trace->size(), afterStep);
     bench::printTable(f, opts);
 
     Json files = Json::object();
     files["type"] = Json("trace_files");
-    files["entries"] = Json(static_cast<std::uint64_t>(trace.size()));
+    files["entries"] = Json(static_cast<std::uint64_t>(trace->size()));
     files["after_step_entries"] =
         Json(static_cast<std::uint64_t>(afterStep));
     files["csv_bytes"] = Json(static_cast<std::uint64_t>(csvBytes));

@@ -210,6 +210,25 @@ paperSpec(const BenchOptions &opts)
 }
 
 void
+setPolicy(network::ExperimentSpec &spec, const std::string &name)
+{
+    using network::PolicyKind;
+    std::string names;
+    for (const PolicyKind kind :
+         {PolicyKind::None, PolicyKind::History, PolicyKind::LinkUtilOnly,
+          PolicyKind::StaticLevel, PolicyKind::DynamicThreshold}) {
+        if (name == network::policyKindName(kind)) {
+            spec.network.policy = kind;
+            return;
+        }
+        names += (names.empty() ? "" : ", ") +
+                 std::string(network::policyKindName(kind));
+    }
+    throw ConfigError(detail::concat("unknown policy '", name,
+                                     "' (valid: ", names, ")"));
+}
+
+void
 printHeader(const std::string &figure, const std::string &what,
             const BenchOptions &opts)
 {
@@ -333,10 +352,10 @@ runDvsComparison(const BenchOptions &opts, double taskCount,
 {
     network::ExperimentSpec baseSpec = paperSpec(opts);
     baseSpec.workload.avgConcurrentTasks = taskCount;
-    baseSpec.network.policy = network::PolicyKind::None;
+    setPolicy(baseSpec, "none");
 
     network::ExperimentSpec dvsSpec = baseSpec;
-    dvsSpec.network.policy = network::PolicyKind::History;
+    setPolicy(dvsSpec, "history");
 
     // All four series — both zero-load probes and both matched sweeps —
     // share one worker pool, so the whole figure parallelizes across

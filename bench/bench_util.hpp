@@ -122,6 +122,14 @@ runPoints(const BenchOptions &opts,
 network::ExperimentSpec paperSpec(const BenchOptions &opts);
 
 /**
+ * Set `spec`'s DVS policy by the name network::policyKindName() prints:
+ * "none", "history", "link-util-only", "static-level" or
+ * "dynamic-threshold".  @throws ConfigError listing those names on any
+ * other
+ */
+void setPolicy(network::ExperimentSpec &spec, const std::string &name);
+
+/**
  * Print the bench banner: figure id, description, fidelity.  Also
  * begins the run artifact (config echo, identity, fidelity); results
  * recorded afterwards by printTable/runSweeps/runPoints land in it.

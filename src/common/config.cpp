@@ -50,6 +50,23 @@ Config::has(const std::string &key) const
     return values_.count(key) > 0;
 }
 
+void
+Config::rejectUnknownKeys(std::initializer_list<const char *> accepted,
+                          const std::string &who) const
+{
+    for (const auto &[key, value] : values_) {
+        if (std::find(accepted.begin(), accepted.end(), key) !=
+            accepted.end()) {
+            continue;
+        }
+        std::string list;
+        for (const char *name : accepted)
+            list += (list.empty() ? "" : ", ") + std::string(name);
+        throw ConfigError(detail::concat(who, ": unknown key '", key,
+                                         "' (accepted: ", list, ")"));
+    }
+}
+
 std::optional<std::string>
 Config::lookup(const std::string &key) const
 {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -59,6 +60,14 @@ class Config
 
     /** getCountEnv without the environment fallback. */
     std::uint64_t getCount(const std::string &key, std::uint64_t def) const;
+
+    /**
+     * Reject any key outside `accepted`, so a misspelled or removed key
+     * is an error rather than a silent no-op.  @throws ConfigError
+     * "<who>: unknown key '<key>'" listing the accepted keys
+     */
+    void rejectUnknownKeys(std::initializer_list<const char *> accepted,
+                           const std::string &who) const;
 
     /** All keys, for diagnostics. */
     const std::map<std::string, std::string> &entries() const

@@ -532,7 +532,9 @@ Network::onFlitEjected(const router::Flit &flit, Tick arrival)
 {
     // The metrics release the tail's slot, so copy its echo first.
     // Packets injected before the hook was installed are not marked for
-    // echo; they complete silently.
+    // echo; they complete silently.  Every marked packet is echoed,
+    // whether or not it counts in the measurement window: a closed-loop
+    // generator waits for the packets in flight at the window start too.
     traffic::PacketRequest request;
     bool echo = false;
     if (flit.isTail() && deliveryHook_) {
@@ -542,7 +544,8 @@ Network::onFlitEjected(const router::Flit &flit, Tick arrival)
                                          pkt.requestedFlits,
                                          pkt.trafficClass, pkt.tag};
     }
-    if (metrics_.onFlitEjected(flit, arrival) && echo)
+    metrics_.onFlitEjected(flit, arrival);
+    if (echo)
         deliveryHook_(request, arrival);
 }
 

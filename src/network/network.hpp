@@ -160,12 +160,13 @@ class Network
                            Tick arrival)>;
 
     /**
-     * Opt-in delivery callback: invoked once per packet created inside
-     * the measurement window when its last flit is ejected at the
-     * destination, with the original request and the ejection tick.
-     * Only packets injected *after* the hook is set are reported (the
-     * packet table marks them for echo at injection time).  Setting an
-     * empty function disables the mechanism and clears every mark.
+     * Opt-in delivery callback: invoked once per packet when its last
+     * flit is ejected at the destination, with the original request and
+     * the ejection tick, whichever measurement window the packet was
+     * created in.  Only packets injected *after* the hook is set are
+     * reported (the packet table marks them for echo at injection
+     * time).  Setting an empty function disables the mechanism and
+     * clears every mark.
      */
     void setDeliveryHook(DeliveryFn hook);
 

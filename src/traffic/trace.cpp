@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
-#include <limits>
-#include <sstream>
+#include <istream>
+#include <ostream>
+#include <string_view>
 
 #include "common/fatal.hpp"
 
@@ -16,13 +17,15 @@ namespace
 
 /** Strict non-negative integer parse of [begin, end); no sign, no
  *  whitespace, no trailing junk. */
-bool
+std::errc
 parseField(const char *begin, const char *end, std::uint64_t &out)
 {
     if (begin == end)
-        return false;
+        return std::errc::invalid_argument;
     const auto res = std::from_chars(begin, end, out);
-    return res.ec == std::errc{} && res.ptr == end;
+    if (res.ec == std::errc{} && res.ptr != end)
+        return std::errc::invalid_argument;
+    return res.ec;
 }
 
 [[noreturn]] void
@@ -33,77 +36,71 @@ badLine(std::size_t lineNo, const std::string &line,
                                      " in '", line, "'"));
 }
 
+/**
+ * The packet on CSV line `lineNo`, checked against `previous`'s tick
+ * (0: none yet).  @throws ConfigError naming the line
+ */
+StreamPacket
+parseLine(const std::string &line, std::size_t lineNo, Tick previous,
+          std::uint64_t nodeLimit)
+{
+    // Split on commas; 3 (tick,src,dst), 5 (+size,class) or 6
+    // (+after_step) fields.
+    std::uint64_t fields[6] = {0, 0, 0, 0, 0, 0};
+    std::size_t count = 0;
+    bool tickOverflows = false;
+    const char *cursor = line.c_str();
+    const char *lineEnd = cursor + line.size();
+    while (true) {
+        const char *comma = std::find(cursor, lineEnd, ',');
+        if (count == 6)
+            badLine(lineNo, line, "too many fields");
+        const std::errc ec = parseField(cursor, comma, fields[count]);
+        if (count == 0 && ec == std::errc::result_out_of_range)
+            tickOverflows = true;
+        else if (ec != std::errc{})
+            badLine(lineNo, line, detail::concat("bad field ", count + 1));
+        ++count;
+        if (comma == lineEnd)
+            break;
+        cursor = comma + 1;
+    }
+    if (count != 3 && count != 5 && count != 6) {
+        badLine(lineNo, line,
+                detail::concat("expected 3 or 5 fields, or 6 with "
+                               "after_step, got ",
+                               count));
+    }
+    if (fields[5] > 1)
+        badLine(lineNo, line, "after_step must be 0 or 1");
+
+    RawPacket raw;
+    if (!tickOverflows)
+        raw.when = fields[0];
+    raw.src = fields[1];
+    raw.dst = fields[2];
+    raw.sizeFlits = fields[3];
+    raw.trafficClass = fields[4];
+    raw.afterStep = fields[5] == 1;
+    if (const std::string why = packetProblem(raw, previous, nodeLimit);
+        !why.empty()) {
+        badLine(lineNo, line, why);
+    }
+    return raw.packet();
+}
+
 } // namespace
 
-void
-Trace::append(const TraceEntry &entry)
+std::unique_ptr<const PacketStream>
+importCsv(std::istream &in, NodeId numNodes)
 {
-    DVSNET_ASSERT(entries_.empty() || entry.when >= entries_.back().when,
-                  "trace times must be non-decreasing");
-    entries_.push_back(entry);
-}
-
-void
-Trace::append(const StreamPacket &packet)
-{
-    const PacketRequest &r = packet.request;
-    append(TraceEntry{packet.when, r.src, r.dst, r.sizeFlits,
-                      r.trafficClass, packet.afterStep});
-}
-
-Trace
-Trace::read(PacketCursor &cursor)
-{
-    Trace trace;
-    for (StreamPacket packet; cursor.next(packet);)
-        trace.append(packet);
-    return trace;
-}
-
-bool
-Trace::hasExtendedFields() const
-{
-    for (const auto &e : entries_) {
-        if (e.sizeFlits != 0 || e.trafficClass != 0)
-            return true;
-    }
-    return false;
-}
-
-std::string
-Trace::toCsv() const
-{
-    const bool bits =
-        std::any_of(entries_.begin(), entries_.end(),
-                    [](const TraceEntry &e) { return e.afterStep; });
-    const bool extended = bits || hasExtendedFields();
-    std::ostringstream oss;
-    oss << (bits       ? "tick,src,dst,size,class,after_step\n"
-            : extended ? "tick,src,dst,size,class\n"
-                       : "tick,src,dst\n");
-    for (const auto &e : entries_) {
-        oss << e.when << "," << e.src << "," << e.dst;
-        if (extended) {
-            oss << "," << e.sizeFlits << ","
-                << static_cast<unsigned>(e.trafficClass);
-        }
-        if (bits)
-            oss << "," << (e.afterStep ? 1 : 0);
-        oss << "\n";
-    }
-    return oss.str();
-}
-
-Trace
-Trace::fromCsv(const std::string &csv, NodeId numNodes)
-{
-    Trace trace;
-    std::istringstream iss(csv);
+    auto stream = std::make_unique<PacketStream>();
+    const auto nodeLimit =
+        static_cast<std::uint64_t>(std::max<NodeId>(numNodes, 0));
     std::string line;
     bool first = true;
-    std::size_t lineNo = 0;
-    while (std::getline(iss, line)) {
-        ++lineNo;
+    Tick previous = 0;
+    for (std::size_t lineNo = 1; std::getline(in, line); ++lineNo) {
         // Tolerate CRLF input: std::getline strips the LF only.
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
@@ -114,132 +111,124 @@ Trace::fromCsv(const std::string &csv, NodeId numNodes)
             if (line.rfind("tick", 0) == 0)
                 continue;  // header
         }
-
-        // Split on commas; 3 (tick,src,dst), 5 (+size,class) or 6
-        // (+after_step) fields.
-        std::uint64_t fields[6] = {0, 0, 0, 0, 0, 0};
-        std::size_t count = 0;
-        const char *cursor = line.c_str();
-        const char *lineEnd = cursor + line.size();
-        while (true) {
-            const char *comma = cursor;
-            while (comma != lineEnd && *comma != ',')
-                ++comma;
-            if (count == 6)
-                badLine(lineNo, line, "too many fields");
-            if (!parseField(cursor, comma, fields[count])) {
-                badLine(lineNo, line,
-                        detail::concat("bad field ", count + 1));
-            }
-            ++count;
-            if (comma == lineEnd)
-                break;
-            cursor = comma + 1;
-        }
-        if (count != 3 && count != 5 && count != 6) {
-            badLine(lineNo, line,
-                    detail::concat("expected 3 or 5 fields, or 6 with "
-                                   "after_step, got ",
-                                   count));
-        }
-
-        const Tick when = static_cast<Tick>(fields[0]);
-        if (!trace.entries_.empty() && when < trace.entries_.back().when) {
-            badLine(lineNo, line,
-                    detail::concat("decreasing tick ", when, " (previous ",
-                                   trace.entries_.back().when, ")"));
-        }
-        for (int f = 1; f <= 2; ++f) {
-            const char *what = f == 1 ? "src" : "dst";
-            if (fields[f] >
-                static_cast<std::uint64_t>(
-                    std::numeric_limits<NodeId>::max())) {
-                badLine(lineNo, line,
-                        detail::concat(what, " id ", fields[f],
-                                       " overflows NodeId"));
-            }
-            if (numNodes > 0 &&
-                fields[f] >= static_cast<std::uint64_t>(numNodes)) {
-                badLine(lineNo, line,
-                        detail::concat(what, " id ", fields[f],
-                                       " out of range [0, ", numNodes,
-                                       ")"));
-            }
-        }
-        if (fields[1] == fields[2]) {
-            badLine(lineNo, line,
-                    detail::concat("src and dst are both ", fields[1]));
-        }
-        if (fields[3] > std::numeric_limits<std::uint16_t>::max())
-            badLine(lineNo, line, "size overflows 16 bits");
-        if (fields[4] > std::numeric_limits<std::uint8_t>::max())
-            badLine(lineNo, line, "class overflows 8 bits");
-        if (fields[5] > 1)
-            badLine(lineNo, line, "after_step must be 0 or 1");
-
-        trace.entries_.push_back(
-            {when, static_cast<NodeId>(fields[1]),
-             static_cast<NodeId>(fields[2]),
-             static_cast<std::uint16_t>(fields[3]),
-             static_cast<std::uint8_t>(fields[4]), fields[5] == 1});
+        const StreamPacket packet =
+            parseLine(line, lineNo, previous, nodeLimit);
+        stream->append(packet);
+        previous = packet.when;
     }
-    return trace;
+    stream->finish();
+    return stream;
 }
 
 void
-Trace::save(const std::string &path) const
+exportCsv(const PacketStream &stream, std::ostream &out)
 {
+    // A first pass picks the columns: the fewest that hold every packet.
+    bool extended = false;
+    bool bits = false;
+    const auto scan = stream.cursor();
+    for (StreamPacket p; scan->next(p);) {
+        extended = extended || p.request.sizeFlits != 0 ||
+                   p.request.trafficClass != 0;
+        bits = bits || p.afterStep;
+    }
+    extended = extended || bits;
+    out << (bits       ? "tick,src,dst,size,class,after_step\n"
+            : extended ? "tick,src,dst,size,class\n"
+                       : "tick,src,dst\n");
+    const auto rows = stream.cursor();
+    for (StreamPacket p; rows->next(p);) {
+        const PacketRequest &r = p.request;
+        out << p.when << "," << r.src << "," << r.dst;
+        if (extended) {
+            out << "," << r.sizeFlits << ","
+                << static_cast<unsigned>(r.trafficClass);
+        }
+        if (bits)
+            out << "," << (p.afterStep ? 1 : 0);
+        out << "\n";
+    }
+}
+
+bool
+isBinaryTracePath(const std::string &path)
+{
+    constexpr std::string_view kExtension = ".dvst";
+    return path.ends_with(kExtension);
+}
+
+std::unique_ptr<const PacketStream>
+loadAnyTrace(const std::string &path, NodeId numNodes)
+{
+    if (isBinaryTracePath(path)) {
+        auto stream = std::make_unique<PacketStream>();
+        DvstCursor cursor(path, numNodes);
+        for (StreamPacket p; cursor.next(p);)
+            stream->append(p);
+        stream->finish();
+        return stream;
+    }
+    std::ifstream in(path);
+    if (!in)
+        throw ConfigError("cannot open trace file '" + path + "'");
+    return importCsv(in, numNodes);
+}
+
+void
+saveAnyTrace(const PacketStream &stream, const std::string &path,
+             std::uint32_t numNodes)
+{
+    if (isBinaryTracePath(path)) {
+        stream.save(path, numNodes);
+        return;
+    }
     std::ofstream out(path);
     if (!out) {
         throw ConfigError("cannot open trace file '" + path +
                           "' for writing");
     }
-    out << toCsv();
-    out.flush();
+    exportCsv(stream, out);
+    out.close();
     if (!out)
         throw ConfigError("failed writing trace file '" + path + "'");
 }
 
-Trace
-Trace::load(const std::string &path, NodeId numNodes)
+void
+TraceRecorder::start(sim::Kernel &kernel, PacketSink sink)
 {
-    std::ifstream in(path);
-    if (!in)
-        throw ConfigError("cannot open trace file '" + path + "'");
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return fromCsv(oss.str(), numNodes);
+    inner_.start(kernel, [this, &kernel, sink = std::move(sink)](
+                             const PacketRequest &request) {
+        stream_->append({kernel.now(), request});
+        sink(request);
+    });
 }
 
-namespace
+std::shared_ptr<const PacketStream>
+TraceRecorder::finish()
 {
+    stream_->finish();
+    return stream_;
+}
 
-/** Reads a trace's entries in order. */
-class TraceCursor final : public PacketCursor
+ReplayTraffic::ReplayTraffic(std::shared_ptr<const PacketStream> stream)
+    : stream_(std::move(stream))
 {
-  public:
-    explicit TraceCursor(const std::vector<TraceEntry> &entries)
-        : it_(entries.begin()), end_(entries.end())
-    {
-    }
+}
 
-    bool
-    next(StreamPacket &out) override
-    {
-        if (it_ == end_)
-            return false;
-        out = (it_++)->toPacket();
-        return true;
-    }
+ReplayTraffic::ReplayTraffic(std::string path, NodeId numNodes)
+    : path_(std::move(path)), numNodes_(numNodes)
+{
+    // Fail at construction on a bad header.
+    DvstCursor check(path_, numNodes_);
+}
 
-    Tick horizon() const override { return kTickNever; }
-
-  private:
-    std::vector<TraceEntry>::const_iterator it_;
-    std::vector<TraceEntry>::const_iterator end_;
-};
-
-} // namespace
+std::unique_ptr<PacketCursor>
+ReplayTraffic::openStream()
+{
+    if (stream_)
+        return stream_->cursor();
+    return std::make_unique<DvstCursor>(path_, numNodes_);
+}
 
 void
 ReplayTraffic::start(sim::Kernel &kernel, PacketSink sink)
@@ -259,12 +248,6 @@ ReplayTraffic::scheduleNext()
         if (cursor_->next(next_))
             scheduleNext();
     });
-}
-
-std::unique_ptr<PacketCursor>
-TraceTraffic::openStream()
-{
-    return std::make_unique<TraceCursor>(trace_.entries());
 }
 
 } // namespace dvsnet::traffic

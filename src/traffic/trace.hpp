@@ -1,120 +1,76 @@
 /**
  * @file
- * Traffic trace capture and replay.
+ * Packet traces: packet streams (traffic/stream.hpp) on disk, recorded
+ * from live runs, and replayed into networks.
  *
- * A Trace is an ordered list of (tick, src, dst, size, class,
- * after-step) entries: a packet stream (traffic/traffic.hpp) that can
- * live on disk.  TraceTraffic replays one exactly, enabling bit-identical
- * workload reproduction across simulator configurations (e.g. comparing
- * DVS policies under *literally* the same packet sequence instead of
- * merely the same seed) and import of externally produced traces.
- * Open-loop traffic is recorded with traffic::PacketStream::record(),
- * which also sets each entry's after-step bit; TraceRecorder wraps a
- * live generator instead, for closed-loop workloads, and leaves the bit
- * clear.
+ * A trace file is a `.dvst` file (a PacketStream's own blocks, the
+ * scale format) or CSV, chosen by the file extension.  Both importers
+ * build a PacketStream and apply the same packetProblem() rules, so a
+ * trace no network can create raises ConfigError naming the CSV line or
+ * the `.dvst` entry instead of misparsing or aborting.  CSV carries
+ * every field but the tag; replays never need one, since a tag only
+ * reaches a generator through the delivery hook and a replay is open
+ * loop.
  *
- * Two on-disk forms exist: a human-readable CSV (this file) and the
- * compact varint-delta binary format in workload/trace_binary.hpp —
- * the scale format for long runs.  Both round-trip losslessly.
- *
- * Malformed trace input (bad fields, decreasing ticks, out-of-range
- * node ids, a packet addressed to its own source) raises ConfigError
- * with the offending line number, so a corrupt trace fails fast instead
- * of silently misparsing.
+ * ReplayTraffic replays a trace, enabling bit-identical workload
+ * reproduction across simulator configurations (comparing DVS policies
+ * under *literally* the same packet sequence instead of merely the same
+ * seed) and import of externally produced traces.  Open-loop traffic is
+ * recorded with PacketStream::record(), which also sets each packet's
+ * after-step bit; TraceRecorder wraps a live generator instead, for
+ * closed-loop workloads, and leaves the bit clear.
  */
 
 #pragma once
 
+#include <iosfwd>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
+#include "traffic/stream.hpp"
 #include "traffic/traffic.hpp"
 
 namespace dvsnet::traffic
 {
 
-/** One recorded packet creation. */
-struct TraceEntry
-{
-    Tick when = 0;
-    NodeId src = kInvalidId;
-    NodeId dst = kInvalidId;
-    std::uint16_t sizeFlits = 0;    ///< 0 = network default length
-    std::uint8_t trafficClass = 0;  ///< generator-defined flow class
-    bool afterStep = false;  ///< see StreamPacket::afterStep
+/**
+ * Parse CSV into a finished stream.  Accepts CRLF line endings, a
+ * trailing newline, an optional header, and 3-column rows
+ * (tick,src,dst), 5-column ones (+size,class) or 6-column ones
+ * (+after_step, 0 or 1).
+ * @param numNodes when > 0, node ids must lie in [0, numNodes)
+ * @throws ConfigError naming the line on a malformed row or a packet
+ *         packetProblem() rejects
+ */
+std::unique_ptr<const PacketStream> importCsv(std::istream &in,
+                                              NodeId numNodes = 0);
 
-    bool operator==(const TraceEntry &) const = default;
+/**
+ * Write `stream` as CSV: "tick,src,dst" rows, "tick,src,dst,size,class"
+ * when any packet has a size or class, or
+ * "tick,src,dst,size,class,after_step" when any after-step bit is set.
+ * Tags are not written.
+ */
+void exportCsv(const PacketStream &stream, std::ostream &out);
 
-    /** The request this entry replays (tag carries nothing on replay). */
-    PacketRequest
-    toRequest() const
-    {
-        return PacketRequest{src, dst, sizeFlits, trafficClass, 0};
-    }
+/** True when `path` names a `.dvst` file by its extension. */
+bool isBinaryTracePath(const std::string &path);
 
-    /** The stream packet this entry replays. */
-    StreamPacket toPacket() const { return {when, toRequest(), afterStep}; }
-};
+/**
+ * Load a trace file of either format into a finished stream.
+ * @param numNodes when > 0, node ids must lie in [0, numNodes)
+ * @throws ConfigError when the file cannot be read or is rejected
+ */
+std::unique_ptr<const PacketStream> loadAnyTrace(const std::string &path,
+                                                 NodeId numNodes = 0);
 
-/** An ordered packet trace. */
-class Trace
-{
-  public:
-    Trace() = default;
-
-    /** Append an entry (ticks must be non-decreasing). */
-    void append(const TraceEntry &entry);
-
-    /** Convenience: an entry with the after-step bit clear. */
-    void
-    append(Tick when, NodeId src, NodeId dst, std::uint16_t sizeFlits = 0,
-           std::uint8_t trafficClass = 0)
-    {
-        append(TraceEntry{when, src, dst, sizeFlits, trafficClass});
-    }
-
-    /** Append a stream packet (its tag is not kept). */
-    void append(const StreamPacket &packet);
-
-    /** Every packet `cursor` yields, from where it stands. */
-    static Trace read(PacketCursor &cursor);
-
-    const std::vector<TraceEntry> &entries() const { return entries_; }
-
-    std::size_t size() const { return entries_.size(); }
-    bool empty() const { return entries_.empty(); }
-
-    /** True when any entry carries an explicit size or class. */
-    bool hasExtendedFields() const;
-
-    /**
-     * Serialize as CSV: "tick,src,dst" lines, "tick,src,dst,size,class"
-     * when extended fields are present, or
-     * "tick,src,dst,size,class,after_step" when any after-step bit is.
-     */
-    std::string toCsv() const;
-
-    /**
-     * Parse the CSV form.  Accepts CRLF line endings, a trailing
-     * newline, an optional header, and 3-, 5- or 6-column rows (a 6th
-     * column is the after-step bit, 0 or 1).
-     * @param numNodes when > 0, node ids must lie in [0, numNodes)
-     * @throws ConfigError (line-numbered) on malformed rows,
-     *         decreasing ticks, out-of-range node ids, or equal src
-     *         and dst
-     */
-    static Trace fromCsv(const std::string &csv, NodeId numNodes = 0);
-
-    /** Write to / read from a CSV file.  @throws ConfigError on I/O
-     *  or (load) parse failure. */
-    void save(const std::string &path) const;
-    static Trace load(const std::string &path, NodeId numNodes = 0);
-
-  private:
-    std::vector<TraceEntry> entries_;
-};
+/**
+ * Save a finished stream in the format `path` names; `numNodes` goes
+ * into a `.dvst` header (0 = unknown).  @throws ConfigError on I/O
+ */
+void saveAnyTrace(const PacketStream &stream, const std::string &path,
+                  std::uint32_t numNodes = 0);
 
 /**
  * Wraps another generator, recording everything it emits while passing
@@ -130,16 +86,7 @@ class TraceRecorder final : public TrafficGenerator
     /** @param inner generator to observe (caller-owned, outlives us) */
     explicit TraceRecorder(TrafficGenerator &inner) : inner_(inner) {}
 
-    void
-    start(sim::Kernel &kernel, PacketSink sink) override
-    {
-        kernel_ = &kernel;
-        inner_.start(kernel, [this, sink = std::move(sink)](
-                                 const PacketRequest &request) {
-            trace_.append(StreamPacket{kernel_->now(), request});
-            sink(request);
-        });
-    }
+    void start(sim::Kernel &kernel, PacketSink sink) override;
 
     bool wantsDeliveries() const override
     {
@@ -153,49 +100,55 @@ class TraceRecorder final : public TrafficGenerator
 
     const char *name() const override { return "trace-recorder"; }
 
-    const Trace &trace() const { return trace_; }
+    /** End the recording and return it; call once, after the run. */
+    std::shared_ptr<const PacketStream> finish();
 
   private:
     TrafficGenerator &inner_;
-    sim::Kernel *kernel_ = nullptr;
-    Trace trace_;
+    std::shared_ptr<PacketStream> stream_ = std::make_shared<PacketStream>();
 };
 
 /**
- * Base of the generators that replay a finished recording (TraceTraffic,
- * workload::BinaryTraceReplay).  A network attaching one pulls its
- * openStream() cursor at each router clock edge, so every packet is
- * created on the side of an edge's step its after-step bit names.
- * start() serves use without a network: it emits each packet at its
- * tick on `kernel`.
+ * Replays a recording: a shared stream, or a `.dvst` file read from
+ * disk as the network pulls it, so memory stays O(1) however long the
+ * file is.  A network attaching it pulls its openStream() cursor at
+ * each router clock edge, so every packet is created on the side of an
+ * edge's step its after-step bit names.  start() serves use without a
+ * network: it emits each packet at its tick on `kernel`.
  */
-class ReplayTraffic : public TrafficGenerator
+class ReplayTraffic final : public TrafficGenerator
 {
   public:
-    void start(sim::Kernel &kernel, PacketSink sink) final;
+    /** @param stream the recording; it may still be recording */
+    explicit ReplayTraffic(std::shared_ptr<const PacketStream> stream);
 
-  private:
-    void scheduleNext();
+    /**
+     * @param numNodes node count of the network it feeds: ids must lie
+     *        in [0, numNodes), whatever the header says
+     * @throws ConfigError when the file cannot be opened or its header
+     *         is bad
+     */
+    ReplayTraffic(std::string path, NodeId numNodes);
 
-    std::unique_ptr<PacketCursor> cursor_;
-    StreamPacket next_;
-    sim::Kernel *kernel_ = nullptr;
-    PacketSink sink_;
-};
+    void start(sim::Kernel &kernel, PacketSink sink) override;
 
-/** Replays a trace verbatim. */
-class TraceTraffic final : public ReplayTraffic
-{
-  public:
-    /** @param trace trace to replay (copied) */
-    explicit TraceTraffic(Trace trace) : trace_(std::move(trace)) {}
-
+    /** A fresh read from the first packet; a file's throws ConfigError
+     *  on a bad entry (DvstCursor::next). */
     std::unique_ptr<PacketCursor> openStream() override;
 
     const char *name() const override { return "trace-replay"; }
 
   private:
-    Trace trace_;
+    void scheduleNext();
+
+    std::shared_ptr<const PacketStream> stream_;  ///< null: read path_
+    std::string path_;
+    NodeId numNodes_ = 0;
+
+    std::unique_ptr<PacketCursor> cursor_;  ///< start()'s read
+    StreamPacket next_;
+    sim::Kernel *kernel_ = nullptr;
+    PacketSink sink_;
 };
 
 } // namespace dvsnet::traffic

@@ -7,7 +7,6 @@
 #include "traffic/pattern_traffic.hpp"
 #include "traffic/trace.hpp"
 #include "workload/cmp_workload.hpp"
-#include "workload/trace_binary.hpp"
 
 namespace dvsnet::workload
 {
@@ -65,15 +64,15 @@ buildTrace(const Spec &spec, const WorkloadContext &ctx)
         throw ConfigError(
             "workload 'trace' requires a path key (trace:path=FILE)");
     }
-    if (isBinaryTracePath(*path)) {
+    if (traffic::isBinaryTracePath(*path)) {
         // Stream straight from disk.  The header's node count may be 0
         // (unknown) or another network's, so each entry is checked
         // against this one's as it is read.
-        return std::make_unique<BinaryTraceReplay>(*path,
-                                                   ctx.topo.numNodes());
+        return std::make_unique<traffic::ReplayTraffic>(*path,
+                                                        ctx.topo.numNodes());
     }
-    return std::make_unique<traffic::TraceTraffic>(
-        traffic::Trace::load(*path, ctx.topo.numNodes()));
+    return std::make_unique<traffic::ReplayTraffic>(
+        traffic::loadAnyTrace(*path, ctx.topo.numNodes()));
 }
 
 std::unique_ptr<traffic::TrafficGenerator>

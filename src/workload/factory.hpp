@@ -8,6 +8,11 @@
  *     cmp:window=8,hot_nodes=4,p_hot=0.3
  *     trace:path=warmup.dvst
  *
+ * A `trace` spec replays a recorded packet stream (traffic/trace.hpp):
+ * a `.dvst` file straight from disk, block by block, or a CSV file
+ * loaded into a stream first; either way every packet is checked
+ * against the topology's node count as it is read.
+ *
  * The spec travels through ExperimentSpec and the bench `--workload`
  * flag, so every experiment entry point drives any workload without
  * bespoke wiring.  The grammar, the value rules and the registry's

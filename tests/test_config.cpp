@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/config.hpp"
+#include "common/fatal.hpp"
 
 using dvsnet::Config;
 
@@ -128,4 +129,20 @@ TEST(Config, EntriesExposesAll)
     cfg.set("a", "1");
     cfg.set("b", "2");
     EXPECT_EQ(cfg.entries().size(), 2u);
+}
+
+TEST(Config, RejectUnknownKeysNamesTheKeyAndTheAcceptedOnes)
+{
+    Config c;
+    c.set("in", "a.csv");
+    c.set("nodes", "16");
+    EXPECT_NO_THROW(c.rejectUnknownKeys({"in", "out", "nodes"}, "convert"));
+    c.set("node", "16");
+    try {
+        c.rejectUnknownKeys({"in", "out", "nodes"}, "convert");
+        ADD_FAILURE() << "a misspelled key was accepted";
+    } catch (const dvsnet::ConfigError &e) {
+        EXPECT_STREQ(e.what(), "convert: unknown key 'node' (accepted: in, "
+                               "out, nodes)");
+    }
 }

@@ -150,3 +150,43 @@ TEST(DeliveryHook, OpenLoopGeneratorsGetNoCallbacks)
     EXPECT_EQ(net.metrics().packetsEjected(), 2u);
     EXPECT_TRUE(probe.echoes_.empty());
 }
+
+TEST(DeliveryHook, FiresForPacketsInFlightAtTheWindowStart)
+{
+    // Ten echo-requesting packets injected at cycle 1, then the window
+    // starts at cycle 4, while they are still in flight.  Each must
+    // still be echoed once: a closed-loop generator waits for it.
+    class BurstProbe final : public EchoProbe
+    {
+      public:
+        using EchoProbe::EchoProbe;
+
+        void
+        start(dvsnet::sim::Kernel &kernel, PacketSink sink) override
+        {
+            sink_ = std::move(sink);
+            kernel.at(cyclesToTicks(1), [this] {
+                for (const auto &request : sends_)
+                    sink_(request);
+            });
+        }
+    };
+
+    std::vector<PacketRequest> sends;
+    for (NodeId k = 0; k < 10; ++k)
+        sends.push_back({k, static_cast<NodeId>(15 - k), 5, 0,
+                         static_cast<std::uint64_t>(100 + k)});
+    Network net(smallMesh());
+    BurstProbe probe(sends);
+    net.attachTraffic(probe);
+    net.run(4, 2000);
+
+    EXPECT_EQ(net.metrics().flitsEjected(), 50u);
+    ASSERT_EQ(probe.echoes_.size(), sends.size());
+    for (const auto &sent : sends) {
+        std::size_t matches = 0;
+        for (const auto &echo : probe.echoes_)
+            matches += echo.request == sent ? 1 : 0;
+        EXPECT_EQ(matches, 1u) << "tag " << sent.tag;
+    }
+}

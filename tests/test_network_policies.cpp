@@ -20,9 +20,9 @@ using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
 using dvsnet::traffic::Pattern;
 using dvsnet::traffic::PatternTraffic;
-using dvsnet::traffic::Trace;
+using dvsnet::traffic::PacketStream;
+using dvsnet::traffic::ReplayTraffic;
 using dvsnet::traffic::TraceRecorder;
-using dvsnet::traffic::TraceTraffic;
 
 namespace
 {
@@ -91,23 +91,23 @@ TEST(TracedPolicyComparison, SameWorkloadDifferentPolicies)
     // identical offered traffic, so created counts match exactly and
     // the DVS run must still deliver everything at light load.
     dvsnet::topo::KAryNCube topo(4, 2, false);
-    Trace trace;
+    std::shared_ptr<const PacketStream> trace;
     {
         dvsnet::sim::Kernel kernel;
         PatternTraffic inner(topo, Pattern::UniformRandom, 0.008, 23);
         TraceRecorder recorder(inner);
         recorder.start(kernel, [](const dvsnet::traffic::PacketRequest &) {});
         kernel.run(dvsnet::cyclesToTicks(60000));
-        trace = recorder.trace();
+        trace = recorder.finish();
     }
-    ASSERT_GT(trace.size(), 1000u);
+    ASSERT_GT(trace->size(), 1000u);
 
     RunResults base, dvs;
     for (auto [kind, out] :
          {std::pair<PolicyKind, RunResults *>{PolicyKind::None, &base},
           {PolicyKind::History, &dvs}}) {
         Network net(smallConfig(kind));
-        TraceTraffic replay(trace);
+        ReplayTraffic replay(trace);
         net.attachTraffic(replay);
         *out = net.run(5000, 50000);
     }

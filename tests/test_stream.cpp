@@ -39,7 +39,6 @@
 #include "traffic/stream.hpp"
 #include "traffic/trace.hpp"
 #include "workload/factory.hpp"
-#include "workload/trace_binary.hpp"
 
 using dvsnet::ConfigError;
 using dvsnet::Cycle;
@@ -59,8 +58,6 @@ using dvsnet::traffic::PacketRequest;
 using dvsnet::traffic::PacketSink;
 using dvsnet::traffic::PacketStream;
 using dvsnet::traffic::StreamPacket;
-using dvsnet::traffic::Trace;
-using dvsnet::traffic::TraceEntry;
 using dvsnet::traffic::TrafficGenerator;
 
 namespace
@@ -254,7 +251,7 @@ TEST(StreamLockstep, RandomizedLiveMatchesRunPoint)
     const std::string dvstPath =
         ::testing::TempDir() + "/dvsnet_lockstep_trace.dvst";
     {
-        Trace trace;
+        PacketStream trace;
         Tick when = 0;
         bool lastAfterStep = false;
         for (int k = 0; k < 4000; ++k) {
@@ -269,11 +266,12 @@ TEST(StreamLockstep, RandomizedLiveMatchesRunPoint)
             const bool afterStep =
                 onEdge && ((when == prev && lastAfterStep) ||
                            rng.bernoulli(0.3));
-            trace.append(TraceEntry{when, src, dst, 0, 0, afterStep});
+            trace.append({when, {src, dst}, afterStep});
             lastAfterStep = afterStep;
         }
-        trace.save(csvPath);
-        dvsnet::workload::saveBinaryTrace(trace, dvstPath, 16);
+        trace.finish();
+        dvsnet::traffic::saveAnyTrace(trace, csvPath);
+        trace.save(dvstPath, 16);
     }
 
     const std::string workloads[] = {
@@ -454,22 +452,29 @@ readJittered(PacketCursor &cursor, std::uint64_t seed)
     return outcome;
 }
 
-/** A random trace on a 16-node network, src != dst, extended fields. */
-Trace
-randomTrace(std::uint64_t seed, int entries)
+/**
+ * A random trace on a 16-node network, src != dst, extended fields,
+ * then `extra` packets; finished.
+ */
+std::unique_ptr<PacketStream>
+randomTrace(std::uint64_t seed, int entries,
+            const std::vector<StreamPacket> &extra = {})
 {
     Rng rng(seed);
-    Trace trace;
+    auto trace = std::make_unique<PacketStream>();
     Tick when = 0;
     for (int k = 0; k < entries; ++k) {
         when += rng.uniformInt(3) * (kRouterClockPeriod / 2);
         const auto src = static_cast<NodeId>(rng.uniformInt(16));
         const auto dst =
             static_cast<NodeId>((src + 1 + rng.uniformInt(15)) % 16);
-        trace.append(when, src, dst,
-                     static_cast<std::uint16_t>(rng.uniformInt(9)),
-                     static_cast<std::uint8_t>(rng.uniformInt(3)));
+        trace->append({when,
+                       {src, dst, static_cast<std::uint16_t>(rng.uniformInt(9)),
+                        static_cast<std::uint8_t>(rng.uniformInt(3))}});
     }
+    for (const StreamPacket &p : extra)
+        trace->append(p);
+    trace->finish();
     return trace;
 }
 
@@ -514,7 +519,7 @@ TEST(StreamReaders, ReadersWhileRecordingSeeExactlyTheRecording)
     Watchdog watchdog;
     const std::string dvstPath =
         ::testing::TempDir() + "/dvsnet_stream_readers.dvst";
-    dvsnet::workload::saveBinaryTrace(randomTrace(5, 30000), dvstPath, 16);
+    randomTrace(5, 30000)->save(dvstPath, 16);
 
     struct Case
     {
@@ -651,11 +656,9 @@ TEST(StreamReaders, RecordingThatFailsAfterPublicationFailsEveryJob)
     Watchdog watchdog;
     // Entry 3000 is addressed to its own source; thousands of packets
     // are published before the recorder reaches it.
-    Trace trace = randomTrace(9, 3000);
-    trace.append(trace.entries().back().when + 1000, 5, 5);
     const std::string path =
         ::testing::TempDir() + "/dvsnet_fails_after_publication.dvst";
-    dvsnet::workload::saveBinaryTrace(trace, path, 16);
+    randomTrace(9, 3000, {{cyclesToTicks(3001), {5, 5}}})->save(path, 16);
     const std::string message = "entry 3000: src and dst are both 5";
 
     ExperimentSpec spec;

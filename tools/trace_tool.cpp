@@ -10,35 +10,32 @@
  *       radix x radix mesh.  An open-loop workload is recorded with its
  *       generator alone (traffic::PacketStream::record), which sets the
  *       after-step bits; a closed-loop one ("cmp") from a live run with
- *       DVS disabled, bits clear.  The output format follows the file
- *       extension: ".dvst" = binary, anything else = CSV.
+ *       DVS disabled, bits clear.
  *
  *   trace_tool convert in=FILE out=FILE [nodes=N]
- *       Re-encode a trace (extension selects each side's format).
- *       `nodes` stamps a node count into a binary output header so
- *       readers range-check ids (0 = unknown).
+ *       Re-encode a trace.  `nodes` stamps a node count into a binary
+ *       output header so readers range-check ids (0 = unknown).
  *
  *   trace_tool inspect in=FILE
- *       Print header/summary info.  Binary traces are streamed, so
- *       inspection of arbitrarily long traces is O(1) in memory.
+ *       Print header/summary info.  Binary traces are read one block at
+ *       a time, so inspecting one of any length takes O(1) memory.
  *
- * User errors (bad spec, malformed trace, unwritable path) exit 1 with
- * a message on stderr.
+ * The file extension selects each file's format: ".dvst" = binary (a
+ * packet stream's own blocks, tags kept), anything else = CSV.  User
+ * errors (a key the subcommand does not read, a bad spec, a malformed
+ * trace, an unwritable path) exit 1 with a message on stderr.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 
 #include "common/config.hpp"
 #include "common/fatal.hpp"
 #include "network/network.hpp"
-#include "traffic/stream.hpp"
 #include "traffic/trace.hpp"
 #include "workload/factory.hpp"
-#include "workload/trace_binary.hpp"
 
 using namespace dvsnet;
 
@@ -55,8 +52,10 @@ usage()
         "       trace_tool convert in=FILE out=FILE [nodes=N]\n"
         "       trace_tool inspect in=FILE\n"
         "\n"
-        "formats by extension: .dvst = binary, anything else = CSV\n"
-        "registered workloads:\n");
+        "formats by extension: .dvst = binary (version %u), anything\n"
+        "else = CSV; a key the subcommand does not read is an error\n"
+        "registered workloads:\n",
+        static_cast<unsigned>(traffic::DvstCursor::kVersion));
     const auto &registry = workload::workloadRegistry();
     for (const auto &name : registry.names()) {
         std::fprintf(stderr, "  %-16s %s\n", name.c_str(),
@@ -78,19 +77,12 @@ requireKey(const Config &config, const std::string &key,
     return value;
 }
 
-void
-saveTrace(const traffic::Trace &trace, const std::string &path,
-          std::uint32_t numNodes)
-{
-    if (workload::isBinaryTracePath(path))
-        workload::saveBinaryTrace(trace, path, numNodes);
-    else
-        trace.save(path);
-}
-
 int
 record(const Config &config)
 {
+    config.rejectUnknownKeys(
+        {"out", "workload", "radix", "torus", "cycles", "rate", "seed"},
+        "trace_tool record");
     const std::string out = requireKey(config, "out", "record");
     const std::string spec = config.getString("workload", "uniform");
 
@@ -106,22 +98,21 @@ record(const Config &config)
         config.getCount("seed", 12345),
         traffic::TwoLevelParams{}};
     const auto generator = workload::buildWorkload(spec, context);
-    traffic::Trace trace;
+    std::shared_ptr<const traffic::PacketStream> stream;
     if (generator->wantsDeliveries()) {
         traffic::TraceRecorder recorder(*generator);
         net.attachTraffic(recorder);
         net.run(0, cycles);
-        trace = recorder.trace();
+        stream = recorder.finish();
     } else {
-        const auto stream =
+        stream =
             traffic::PacketStream::record(*generator, cyclesToTicks(cycles));
-        trace = traffic::Trace::read(*stream->cursor());
     }
 
-    saveTrace(trace, out,
-              static_cast<std::uint32_t>(net.topology().numNodes()));
+    traffic::saveAnyTrace(
+        *stream, out, static_cast<std::uint32_t>(net.topology().numNodes()));
     std::printf("recorded %zu packets over %llu cycles of '%s' -> %s\n",
-                trace.size(), static_cast<unsigned long long>(cycles),
+                stream->size(), static_cast<unsigned long long>(cycles),
                 spec.c_str(), out.c_str());
     return 0;
 }
@@ -129,85 +120,73 @@ record(const Config &config)
 int
 convert(const Config &config)
 {
+    config.rejectUnknownKeys({"in", "out", "nodes"}, "trace_tool convert");
     const std::string in = requireKey(config, "in", "convert");
     const std::string out = requireKey(config, "out", "convert");
     const auto nodes =
         static_cast<std::uint32_t>(config.getInt("nodes", 0));
 
-    const traffic::Trace trace = workload::loadAnyTrace(in);
-    saveTrace(trace, out, nodes);
-    std::printf("converted %zu entries: %s -> %s\n", trace.size(),
+    const auto stream = traffic::loadAnyTrace(in);
+    traffic::saveAnyTrace(*stream, out, nodes);
+    std::printf("converted %zu entries: %s -> %s\n", stream->size(),
                 in.c_str(), out.c_str());
     return 0;
 }
 
-/** Shared summary accumulator for both formats. */
-struct Summary
-{
-    std::uint64_t entries = 0;
-    Tick first = 0;
-    Tick last = 0;
-    NodeId maxNode = -1;
-    std::map<std::uint8_t, std::uint64_t> perClass;
-    bool extended = false;
-    std::uint64_t afterStep = 0;
-
-    void
-    add(const traffic::TraceEntry &entry)
-    {
-        if (entries == 0)
-            first = entry.when;
-        last = entry.when;
-        maxNode = std::max({maxNode, entry.src, entry.dst});
-        ++perClass[entry.trafficClass];
-        extended = extended || entry.sizeFlits != 0 ||
-                   entry.trafficClass != 0;
-        afterStep += entry.afterStep ? 1 : 0;
-        ++entries;
-    }
-};
-
 int
 inspect(const Config &config)
 {
+    config.rejectUnknownKeys({"in"}, "trace_tool inspect");
     const std::string in = requireKey(config, "in", "inspect");
-    Summary summary;
 
-    if (workload::isBinaryTracePath(in)) {
-        std::ifstream file(in, std::ios::binary);
-        if (!file)
-            throw ConfigError("cannot open binary trace '" + in + "'");
-        workload::BinaryTraceReader reader(file);
+    std::unique_ptr<const traffic::PacketStream> csv;
+    std::unique_ptr<traffic::PacketCursor> cursor;
+    if (traffic::isBinaryTracePath(in)) {
+        auto file = std::make_unique<traffic::DvstCursor>(in);
         std::printf("format:       binary (version %u)\n",
-                    reader.header().version);
-        std::printf("header nodes: %u%s\n", reader.header().numNodes,
-                    reader.header().numNodes == 0 ? " (unknown)" : "");
-        traffic::TraceEntry entry;
-        while (reader.next(entry))
-            summary.add(entry);
+                    static_cast<unsigned>(traffic::DvstCursor::kVersion));
+        std::printf("header nodes: %u%s\n", file->headerNodes(),
+                    file->headerNodes() == 0 ? " (unknown)" : "");
+        cursor = std::move(file);
     } else {
         std::printf("format:       CSV\n");
-        const traffic::Trace trace = traffic::Trace::load(in);
-        for (const auto &entry : trace.entries())
-            summary.add(entry);
+        csv = traffic::loadAnyTrace(in);
+        cursor = csv->cursor();
+    }
+
+    std::uint64_t entries = 0;
+    std::uint64_t afterStep = 0;
+    Tick first = 0;
+    Tick last = 0;
+    NodeId maxNode = -1;
+    bool extended = false;
+    std::map<std::uint8_t, std::uint64_t> perClass;
+    for (traffic::StreamPacket p; cursor->next(p); ++entries) {
+        const traffic::PacketRequest &r = p.request;
+        first = entries == 0 ? p.when : first;
+        last = p.when;
+        maxNode = std::max({maxNode, r.src, r.dst});
+        ++perClass[r.trafficClass];
+        extended = extended || r.sizeFlits != 0 || r.trafficClass != 0;
+        afterStep += p.afterStep ? 1 : 0;
     }
 
     std::printf("entries:      %llu\n",
-                static_cast<unsigned long long>(summary.entries));
-    if (summary.entries == 0)
+                static_cast<unsigned long long>(entries));
+    if (entries == 0)
         return 0;
-    std::printf("max node id:  %d\n", summary.maxNode);
+    std::printf("max node id:  %d\n", maxNode);
     std::printf("tick span:    %llu .. %llu (%.1f cycles)\n",
-                static_cast<unsigned long long>(summary.first),
-                static_cast<unsigned long long>(summary.last),
-                static_cast<double>(summary.last - summary.first) /
+                static_cast<unsigned long long>(first),
+                static_cast<unsigned long long>(last),
+                static_cast<double>(last - first) /
                     static_cast<double>(kRouterClockPeriod));
     std::printf("extended:     %s\n",
-                summary.extended ? "yes (per-packet size/class)"
-                                 : "no (default size, class 0)");
+                extended ? "yes (per-packet size/class)"
+                         : "no (default size, class 0)");
     std::printf("after-step:   %llu entries\n",
-                static_cast<unsigned long long>(summary.afterStep));
-    for (const auto &[cls, count] : summary.perClass) {
+                static_cast<unsigned long long>(afterStep));
+    for (const auto &[cls, count] : perClass) {
         std::printf("class %3u:    %llu packets\n", cls,
                     static_cast<unsigned long long>(count));
     }
