@@ -18,12 +18,13 @@ using namespace dvsnet;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseOptions(argc, argv);
+    const auto opts = bench::parseOptions(argc, argv, 5);
     bench::printHeader("Figure 14",
                        "power under Table 2 threshold settings I-VI",
                        opts);
 
-    const auto rates = network::rateGrid(0.4, 2.0, static_cast<std::size_t>(opts.raw.getCount("points", 5)));
+    const auto rates = network::rateGrid(
+        0.4, 2.0, static_cast<std::size_t>(opts.sweepPoints));
     const char *names[] = {"I", "II", "III", "IV", "V", "VI"};
 
     std::vector<network::ExperimentSpec> specs;

@@ -26,12 +26,13 @@ using namespace dvsnet;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseOptions(argc, argv);
+    const auto opts = bench::parseOptions(argc, argv, 3);
     bench::printHeader(
         "Figure 16",
         "sensitivity to voltage transition latency (10/5/1 us)", opts);
 
-    const auto rates = network::rateGrid(0.6, 2.0, static_cast<std::size_t>(opts.raw.getCount("points", 3)));
+    const auto rates = network::rateGrid(
+        0.6, 2.0, static_cast<std::size_t>(opts.sweepPoints));
     const double vtransUs[] = {10.0, 5.0, 1.0};
 
     struct SubPlot

@@ -25,13 +25,14 @@ using namespace dvsnet;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseOptions(argc, argv);
+    const auto opts = bench::parseOptions(argc, argv, 3);
     bench::printHeader(
         "Figure 17",
         "sensitivity to frequency transition duration (100/50/10 cycles)",
         opts);
 
-    const auto rates = network::rateGrid(0.6, 2.0, static_cast<std::size_t>(opts.raw.getCount("points", 3)));
+    const auto rates = network::rateGrid(
+        0.6, 2.0, static_cast<std::size_t>(opts.sweepPoints));
     const Cycle locks[] = {100, 50, 10};
 
     struct SubPlot

@@ -5,7 +5,9 @@
  *   bench_json_check <artifact.json>
  *       Parse the artifact and check the required keys: schema id,
  *       binary/figure identity, config echo, seed, threads,
- *       wall_seconds and a non-empty results array.
+ *       wall_seconds and a non-empty results array.  Typed results are
+ *       checked too; a `sweep` result must hold as many points as the
+ *       artifact's `sweep_points` says each sweep ran.
  *
  *   bench_json_check <artifact.json> --schema <baseline.json>
  *       Additionally compare the artifact's *structure* against a
@@ -304,6 +306,23 @@ checkParetoSearchEntry(const Json &entry)
     }
 }
 
+/** Sweep `index` holds exactly the root's `sweep_points` points. */
+void
+checkSweepEntry(const Json &entry, std::size_t index, const Json &root)
+{
+    const Json *declared = root.find("sweep_points");
+    if (!declared || !declared->isNumber())
+        fail("sweep result without a numeric 'sweep_points' at the root");
+    const Json *points = entry.find("points");
+    if (!points || !points->isArray())
+        fail("sweep result missing array 'points'");
+    if (static_cast<double>(points->size()) != declared->asDouble()) {
+        fail("results[" + std::to_string(index) + "] is a sweep of " +
+             std::to_string(points->size()) + " points, but sweep_points "
+             "is " + declared->dump());
+    }
+}
+
 void
 validate(const Json &root)
 {
@@ -353,7 +372,8 @@ validate(const Json &root)
     // Known typed result entries: trace_files rows (bench_trace_replay)
     // must carry the full size-comparison record; pareto_search rows
     // (the search driver binaries) must carry the spec echo, the
-    // evaluation/cache counters and a well-formed front.
+    // evaluation/cache counters and a well-formed front; sweep rows
+    // must hold the point count the artifact declares.
     for (std::size_t i = 0; i < results.size(); ++i) {
         const Json &entry = results.at(i);
         if (!entry.isObject())
@@ -374,6 +394,8 @@ validate(const Json &root)
             }
         } else if (type->asString() == "pareto_search") {
             checkParetoSearchEntry(entry);
+        } else if (type->asString() == "sweep") {
+            checkSweepEntry(entry, i, root);
         }
     }
     // Per-point energy totals must have come from the same ledger that

@@ -181,22 +181,18 @@ BENCHMARK(BM_NetworkCyclesPerSecond)
 
 /**
  * Timed event-queue pass: steady-state schedule+execute at depth 1024
- * on a wheel of the given geometry.  Reports events/sec and ns/event —
- * the simulator's hottest loop.  Best-of-3: the pass is short enough
- * that scheduler preemption on a shared machine dominates single-run
- * variance; the fastest repetition is the least-perturbed estimate of
- * the code's actual cost.  The default-geometry point keeps its
- * historical name "event_queue_schedule_execute"; the wheel-geometry
- * sweep entries are named event_queue_wheel_s<shift>_b<buckets>.
+ * on the one event heap.  Reports events/sec and ns/event — the cost of
+ * every event the simulator dispatches.  Best-of-3: the pass is short
+ * enough that scheduler preemption on a shared machine dominates
+ * single-run variance; the fastest repetition is the least-perturbed
+ * estimate of the code's actual cost.
  */
 Json
-measureEventQueue(std::uint64_t events,
-                  const char *name = "event_queue_schedule_execute",
-                  sim::EventQueueConfig wheel = {})
+measureEventQueue(std::uint64_t events)
 {
     double secs = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-        sim::EventQueue q(wheel);
+        sim::EventQueue q;
         Tick t = 0;
         for (std::size_t i = 0; i < 1024; ++i)
             q.schedule(++t, [] {});
@@ -215,11 +211,8 @@ measureEventQueue(std::uint64_t events,
 
     Json j = Json::object();
     j["type"] = Json("micro");
-    j["name"] = Json(name);
+    j["name"] = Json("event_queue_schedule_execute");
     j["events"] = Json(events);
-    j["bucket_shift"] = Json(static_cast<std::int64_t>(wheel.bucketShift));
-    j["num_buckets"] =
-        Json(static_cast<std::uint64_t>(wheel.numBuckets));
     j["wall_seconds"] = Json(secs);
     j["events_per_sec"] = Json(static_cast<double>(events) / secs);
     j["ns_per_event"] = Json(secs * 1e9 / static_cast<double>(events));
@@ -355,25 +348,6 @@ writeArtifact(const std::string &path, std::uint64_t seed,
                 eq.find("ns_per_event")->asDouble());
     results.push(std::move(eq));
 
-    // Time-wheel geometry sweep (bucket width x bucket count): the data
-    // behind the recommended EventQueueConfig defaults in
-    // EXPERIMENTS.md.  Every geometry is semantics-preserving (the
-    // event-queue test suite pins that), so this is purely a perf map.
-    for (const int shift : {4, 6, 8, 10}) {
-        for (const std::size_t buckets : {std::size_t{1024},
-                                          std::size_t{4096}}) {
-            char wheelName[64];
-            std::snprintf(wheelName, sizeof wheelName,
-                          "event_queue_wheel_s%d_b%zu", shift, buckets);
-            Json w = measureEventQueue(eqEvents, wheelName,
-                                      {shift, buckets});
-            std::printf("  %s: %.3g events/sec (%.1f ns/event)\n",
-                        wheelName,
-                        w.find("events_per_sec")->asDouble(),
-                        w.find("ns_per_event")->asDouble());
-            results.push(std::move(w));
-        }
-    }
     const Cycle nwWarmup = quick ? 500 : 2000;
     const Cycle nwMeasure = quick ? 2000 : 20000;
     struct NetPoint

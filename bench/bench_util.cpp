@@ -34,7 +34,7 @@ ReportState g_report;
 } // namespace
 
 BenchOptions
-parseOptions(int argc, char **argv)
+parseOptions(int argc, char **argv, std::int64_t sweepPoints)
 {
     BenchOptions opts;
     if (argc > 0) {
@@ -73,8 +73,13 @@ parseOptions(int argc, char **argv)
     opts.seed = opts.raw.getCountEnv("seed", opts.seed);
     opts.csv = opts.raw.getBool("csv", false);
     opts.sweepPoints = static_cast<std::int64_t>(opts.raw.getCountEnv(
-        "points", opts.quick ? 2 : static_cast<std::uint64_t>(
-                                       opts.sweepPoints)));
+        "points",
+        opts.quick ? 2 : static_cast<std::uint64_t>(sweepPoints)));
+    if (opts.sweepPoints < 2) {
+        DVSNET_FATAL("config key 'points': a sweep needs at least 2 "
+                     "points, got ",
+                     opts.sweepPoints);
+    }
     opts.threads = opts.raw.getCountEnv("threads", 0);
     opts.jsonPath = opts.raw.getString("json", "");
     opts.workload = opts.raw.getString("workload", "");

@@ -80,8 +80,12 @@ struct BenchOptions
 /**
  * Parse `key=value` / `--key value` args + environment into options.
  * Every bench accepts `--threads N` and `--seed S` this way.
+ * `sweepPoints` is the bench's own points per sweep; `--quick` makes it
+ * 2, and `points=` or DVSNET_POINTS overrides both.  Fewer than 2
+ * points is fatal.
  */
-BenchOptions parseOptions(int argc, char **argv);
+BenchOptions parseOptions(int argc, char **argv,
+                          std::int64_t sweepPoints = 8);
 
 /** ExperimentRunner options matching `opts` (thread count). */
 exp::RunnerOptions runnerOptions(const BenchOptions &opts);

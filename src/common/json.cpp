@@ -511,4 +511,55 @@ Json::parse(const std::string &text)
     return Parser(text).parseDocument();
 }
 
+const Json &
+jsonMember(const Json &object, const char *key, const char *what)
+{
+    const Json *v = object.find(key);
+    if (!v) {
+        throw ConfigError(
+            detail::concat(what, " missing field '", key, "'"));
+    }
+    return *v;
+}
+
+namespace
+{
+
+[[noreturn]] void
+badMember(const Json &value, const char *key, const char *what,
+          const char *expected)
+{
+    throw ConfigError(detail::concat(what, " field '", key, "' must be ",
+                                     expected, ", got ", value.dump()));
+}
+
+} // namespace
+
+double
+jsonNumber(const Json &object, const char *key, const char *what)
+{
+    const Json &v = jsonMember(object, key, what);
+    if (!v.isNumber())
+        badMember(v, key, what, "a number");
+    return v.asDouble();
+}
+
+std::uint64_t
+jsonCount(const Json &object, const char *key, const char *what)
+{
+    const Json &v = jsonMember(object, key, what);
+    if (v.type() != Json::Type::Int || v.asInt() < 0)
+        badMember(v, key, what, "a non-negative integer");
+    return static_cast<std::uint64_t>(v.asInt());
+}
+
+const std::string &
+jsonString(const Json &object, const char *key, const char *what)
+{
+    const Json &v = jsonMember(object, key, what);
+    if (!v.isString())
+        badMember(v, key, what, "a string");
+    return v.asString();
+}
+
 } // namespace dvsnet

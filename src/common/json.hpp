@@ -120,4 +120,23 @@ class Json
     std::vector<std::pair<std::string, Json>> object_;
 };
 
+/**
+ * Checked member reads for loaders of files from outside the program.
+ * Each throws ConfigError naming `what` and `key` when `object` lacks
+ * the member or it holds another kind of value, where the typed reads
+ * above would panic.
+ */
+const Json &jsonMember(const Json &object, const char *key,
+                       const char *what);
+
+/** An integer or fractional number. */
+double jsonNumber(const Json &object, const char *key, const char *what);
+
+/** A non-negative integer: a negative one is refused, never wrapped. */
+std::uint64_t jsonCount(const Json &object, const char *key,
+                        const char *what);
+
+const std::string &jsonString(const Json &object, const char *key,
+                              const char *what);
+
 } // namespace dvsnet

@@ -104,21 +104,11 @@ runResultsFromJson(const Json &j)
 {
     if (!j.isObject())
         throw ConfigError("RunResults echo must be a JSON object");
-    auto number = [&j](const char *key) -> double {
-        const Json *v = j.find(key);
-        if (!v || !v->isNumber()) {
-            throw ConfigError(detail::concat(
-                "RunResults echo missing numeric field '", key, "'"));
-        }
-        return v->asDouble();
+    auto number = [&j](const char *key) {
+        return jsonNumber(j, key, "RunResults echo");
     };
-    auto count = [&j](const char *key) -> std::uint64_t {
-        const Json *v = j.find(key);
-        if (!v || !v->isNumber()) {
-            throw ConfigError(detail::concat(
-                "RunResults echo missing numeric field '", key, "'"));
-        }
-        return static_cast<std::uint64_t>(v->asInt());
+    auto count = [&j](const char *key) {
+        return jsonCount(j, key, "RunResults echo");
     };
 
     RunResults r;

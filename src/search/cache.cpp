@@ -1,11 +1,13 @@
 #include "search/cache.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <utility>
 
 #include "common/fatal.hpp"
 #include "network/metrics.hpp"
+#include "search/driver.hpp"
 
 namespace dvsnet::search
 {
@@ -81,29 +83,45 @@ EvalRecord::toJson() const
     return j;
 }
 
+namespace
+{
+
+/** A decimal seed string: digits only, any 64-bit value. */
+std::uint64_t
+parseSeed(const std::string &text)
+{
+    std::uint64_t seed = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, seed);
+    if (text.empty() || ec != std::errc() || ptr != end) {
+        throw ConfigError(detail::concat(
+            "journal record field 'seed' must be a decimal unsigned "
+            "64-bit integer, got '",
+            text, "'"));
+    }
+    return seed;
+}
+
+} // namespace
+
 EvalRecord
 EvalRecord::fromJson(const Json &j)
 {
     if (!j.isObject())
         throw ConfigError("journal record must be a JSON object");
-    auto field = [&j](const char *key) -> const Json & {
-        const Json *v = j.find(key);
-        if (!v) {
-            throw ConfigError(detail::concat(
-                "journal record missing field '", key, "'"));
-        }
-        return *v;
-    };
-
+    constexpr const char *what = "journal record";
     EvalRecord r;
-    r.key = field("key").asString();
-    r.rung = static_cast<std::size_t>(field("rung").asInt());
-    r.seed = std::stoull(field("seed").asString());
-    r.rate = field("rate").asDouble();
-    r.warmup = static_cast<Cycle>(field("warmup_cycles").asInt());
-    r.measure = static_cast<Cycle>(field("measure_cycles").asInt());
-    r.params = field("params");
-    r.results = network::runResultsFromJson(field("results"));
+    r.key = jsonString(j, "key", what);
+    r.rung = jsonCount(j, "rung", what);
+    r.seed = parseSeed(jsonString(j, "seed", what));
+    r.rate = jsonNumber(j, "rate", what);
+    r.warmup = jsonCount(j, "warmup_cycles", what);
+    r.measure = jsonCount(j, "measure_cycles", what);
+    // Checked now: a cache hit carries the echo into the front, whose
+    // table reads it back as a Candidate.
+    r.params = jsonMember(j, "params", what);
+    Candidate::fromJson(r.params);
+    r.results = network::runResultsFromJson(jsonMember(j, "results", what));
     return r;
 }
 

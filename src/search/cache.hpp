@@ -81,7 +81,10 @@ struct EvalRecord
     /** Compact single-line journal record. */
     Json toJson() const;
 
-    /** @throws ConfigError on missing/mis-typed fields. */
+    /**
+     * @throws ConfigError on a missing or mis-typed field, a negative
+     * count, or a `params` echo Candidate::fromJson refuses.
+     */
     static EvalRecord fromJson(const Json &j);
 };
 
@@ -92,11 +95,12 @@ class ResultCache
     /**
      * Load every well-formed record from a journal file into the cache
      * (later loads win on key collision).  A torn or truncated tail —
-     * the signature of a killed run — ends the load silently, and an
-     * empty file loads nothing.  Throws ConfigError when the file is
-     * missing (a named warm source must exist), when a header names
-     * another schema than kSearchJournalSchema, or when a record comes
-     * before any header.  Returns the number of records loaded.
+     * the signature of a killed run — ends the load silently, and so
+     * does any record EvalRecord::fromJson refuses; an empty file loads
+     * nothing.  Throws ConfigError when the file is missing (a named
+     * warm source must exist), when a header names another schema than
+     * kSearchJournalSchema, or when a record comes before any header.
+     * Returns the number of records loaded.
      */
     std::size_t load(const std::string &path);
 

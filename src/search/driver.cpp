@@ -32,17 +32,6 @@ round3(double value)
     return std::round(value * 1000.0) / 1000.0;
 }
 
-const Json &
-field(const Json &j, const char *key, const char *what)
-{
-    const Json *v = j.find(key);
-    if (!v) {
-        throw ConfigError(
-            detail::concat(what, " missing field '", key, "'"));
-    }
-    return *v;
-}
-
 } // namespace
 
 Json
@@ -63,14 +52,13 @@ Candidate::fromJson(const Json &j)
 {
     if (!j.isObject())
         throw ConfigError("candidate echo must be a JSON object");
+    constexpr const char *what = "candidate echo";
     Candidate c;
-    c.cooldown = static_cast<Cycle>(
-        field(j, "cooldown_windows", "candidate echo").asInt());
-    c.freqLockCycles = static_cast<Cycle>(
-        field(j, "freq_lock_cycles", "candidate echo").asInt());
-    c.tlHigh = field(j, "tl_high", "candidate echo").asDouble();
-    c.tlLow = field(j, "tl_low", "candidate echo").asDouble();
-    c.weight = field(j, "weight", "candidate echo").asDouble();
+    c.cooldown = jsonCount(j, "cooldown_windows", what);
+    c.freqLockCycles = jsonCount(j, "freq_lock_cycles", what);
+    c.tlHigh = jsonNumber(j, "tl_high", what);
+    c.tlLow = jsonNumber(j, "tl_low", what);
+    c.weight = jsonNumber(j, "weight", what);
     return c;
 }
 

@@ -1,61 +1,11 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "common/fatal.hpp"
 
 namespace dvsnet::sim
 {
 
-namespace
-{
-
-std::uint64_t
-packId(std::uint32_t gen, std::uint32_t slot)
-{
-    return (static_cast<std::uint64_t>(gen) << 32) | slot;
-}
-
-} // namespace
-
-EventQueue::EventQueue(const EventQueueConfig &config)
-    : config_(config),
-      bucketShift_(config.bucketShift),
-      numBuckets_(config.numBuckets),
-      bucketWidth_(Tick{1} << config.bucketShift),
-      wheelHorizon_(bucketWidth_ * static_cast<Tick>(config.numBuckets)),
-      bitmapWords_(config.numBuckets / 64),
-      buckets_(config.numBuckets),
-      occupied_(config.numBuckets / 64, 0)
-{
-    DVSNET_ASSERT(config.bucketShift >= 0 && config.bucketShift < 32,
-                  "bucket shift out of range");
-    DVSNET_ASSERT(config.numBuckets >= 64 &&
-                      (config.numBuckets & (config.numBuckets - 1)) == 0,
-                  "bucket count must be a power of two >= 64");
-}
-
 void
-EventQueue::pushKey(const Key &key)
-{
-    if (key.when >= wheelBase_ && key.when - wheelBase_ < wheelHorizon_) {
-        const auto idx = static_cast<std::size_t>(
-            (key.when >> bucketShift_) & (numBuckets_ - 1));
-        Bucket &b = buckets_[idx];
-        if (b.empty())
-            occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        b.push_back(key);
-        std::push_heap(b.begin(), b.end(), std::greater<Key>{});
-        ++wheelKeys_;
-    } else {
-        // Beyond the window — or behind the cursor (the wheel never
-        // moves backwards) — the heap is the always-correct fallback.
-        heap_.push(key);
-    }
-}
-
-EventQueue::EventId
 EventQueue::schedule(Tick when, EventFn fn)
 {
     DVSNET_ASSERT(static_cast<bool>(fn), "scheduling a null event");
@@ -64,146 +14,25 @@ EventQueue::schedule(Tick when, EventFn fn)
     if (!freeSlots_.empty()) {
         slot = freeSlots_.back();
         freeSlots_.pop_back();
+        slots_[slot] = std::move(fn);
     } else {
         slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
+        slots_.push_back(std::move(fn));
     }
-    slots_[slot].fn = std::move(fn);
-
-    pushKey(Key{when, nextSeq_++, slot});
-    ++liveCount_;
-    return packId(slots_[slot].gen, slot);
-}
-
-bool
-EventQueue::cancel(EventId id)
-{
-    const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
-    const auto gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= slots_.size() || slots_[slot].gen != gen ||
-        !slots_[slot].fn) {
-        return false;  // already fired, cancelled, or recycled
-    }
-    // The key stays in its tier until it pops; the slot is recycled then.
-    slots_[slot].fn.reset();
-    DVSNET_ASSERT(liveCount_ > 0, "cancel with no live events");
-    --liveCount_;
-    return true;
-}
-
-void
-EventQueue::recycle(std::uint32_t slot)
-{
-    ++slots_[slot].gen;
-    freeSlots_.push_back(slot);
-}
-
-std::size_t
-EventQueue::nextOccupied(std::size_t from) const
-{
-    std::size_t word = from >> 6;
-    std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from & 63));
-    for (std::size_t i = 0; i <= bitmapWords_; ++i) {
-        if (bits != 0)
-            return (word << 6) + static_cast<std::size_t>(
-                                     std::countr_zero(bits));
-        word = (word + 1) & (bitmapWords_ - 1);
-        bits = occupied_[word];
-    }
-    DVSNET_FATAL("wheel bitmap empty with wheelKeys_=", wheelKeys_);
-}
-
-const EventQueue::Key *
-EventQueue::wheelPeek()
-{
-    while (wheelKeys_ > 0) {
-        if (buckets_[cursorIdx_].empty()) {
-            // Advance the window to the next occupied bucket.  All wheel
-            // keys lie within [wheelBase_, wheelBase_ + horizon), so a
-            // single circular scan finds the earliest one.
-            const std::size_t idx = nextOccupied(cursorIdx_);
-            const std::size_t steps =
-                (idx - cursorIdx_ + numBuckets_) & (numBuckets_ - 1);
-            wheelBase_ += static_cast<Tick>(steps) * bucketWidth_;
-            cursorIdx_ = idx;
-        }
-        Bucket &b = buckets_[cursorIdx_];
-        while (!b.empty() && !slots_[b.front().slot].fn) {
-            recycle(b.front().slot);
-            std::pop_heap(b.begin(), b.end(), std::greater<Key>{});
-            b.pop_back();
-            --wheelKeys_;
-        }
-        if (!b.empty())
-            return &b.front();
-        occupied_[cursorIdx_ >> 6] &=
-            ~(std::uint64_t{1} << (cursorIdx_ & 63));
-    }
-    return nullptr;
-}
-
-const EventQueue::Key *
-EventQueue::heapPeek()
-{
-    while (!heap_.empty() && !slots_[heap_.top().slot].fn) {
-        recycle(heap_.top().slot);
-        heap_.pop();
-    }
-    return heap_.empty() ? nullptr : &heap_.top();
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    auto *self = const_cast<EventQueue *>(this);
-    const Key *w = self->wheelPeek();
-    const Key *h = self->heapPeek();
-    if (w == nullptr && h == nullptr)
-        return kTickNever;
-    if (w == nullptr)
-        return h->when;
-    if (h == nullptr)
-        return w->when;
-    return (*w > *h) ? h->when : w->when;
+    heap_.push(Key{when, nextSeq_++, slot});
 }
 
 Tick
 EventQueue::executeNext()
 {
-    const Key *w = wheelPeek();
-    const Key *h = heapPeek();
-    DVSNET_ASSERT(w != nullptr || h != nullptr,
-                  "executeNext on empty queue");
+    DVSNET_ASSERT(!heap_.empty(), "executeNext on empty queue");
+    const Key key = heap_.top();
+    heap_.pop();
 
-    // Strict (when, seq) order across tiers preserves same-tick FIFO
-    // even when one event sits in the wheel and the other in the heap.
-    const bool fromWheel = w != nullptr && (h == nullptr || !(*w > *h));
-    Key key;
-    if (fromWheel) {
-        Bucket &b = buckets_[cursorIdx_];
-        key = b.front();
-        std::pop_heap(b.begin(), b.end(), std::greater<Key>{});
-        b.pop_back();
-        --wheelKeys_;
-        if (b.empty())
-            occupied_[cursorIdx_ >> 6] &=
-                ~(std::uint64_t{1} << (cursorIdx_ & 63));
-    } else {
-        key = *h;
-        heap_.pop();
-        // With the wheel empty, re-anchor the window at the time just
-        // popped so subsequent near-future schedules use the wheel again.
-        if (wheelKeys_ == 0 && key.when >= wheelBase_ + wheelHorizon_) {
-            wheelBase_ = key.when & ~(bucketWidth_ - 1);
-            cursorIdx_ = static_cast<std::size_t>(
-                (key.when >> bucketShift_) & (numBuckets_ - 1));
-        }
-    }
-
-    EventFn fn = std::move(slots_[key.slot].fn);
-    slots_[key.slot].fn.reset();
-    recycle(key.slot);
-    --liveCount_;
+    // Move the callback out first: it may schedule, which can reuse the
+    // slot or grow slots_.
+    EventFn fn = std::move(slots_[key.slot]);
+    freeSlots_.push_back(key.slot);
     ++executed_;
     fn();
     return key.when;

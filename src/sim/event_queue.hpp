@@ -2,30 +2,21 @@
  * @file
  * Discrete-event queue with picosecond resolution.
  *
- * Events scheduled for the same tick execute in insertion (FIFO) order —
- * a determinism guarantee the rest of the simulator relies on (e.g. a
+ * Events execute in strict (tick, insertion sequence) order, so events
+ * scheduled for the same tick run in insertion (FIFO) order — a
+ * determinism guarantee the rest of the simulator relies on (e.g. a
  * router's cycle step always observes link deliveries scheduled earlier
- * at the same tick).  The queue executes in strict (tick, insertion
- * sequence) order regardless of which internal tier holds an event.
+ * at the same tick).
  *
- * Performance: this is the hottest structure in the simulator, so it is
- * two-tiered.  Near-horizon events (link deliveries, clock edges,
- * controller windows) go into a bucketed time wheel — a configurable
- * number of fixed-width buckets (see EventQueueConfig), each a small
- * binary min-heap of 24-byte POD keys, with an occupancy bitmap to find
- * the next non-empty bucket.
- * Events beyond the wheel horizon (voltage ramps, long off-periods,
- * task lifetimes) overflow into a single binary heap, which is also the
- * always-correct fallback for events behind the wheel cursor.  Callbacks
- * are heap-free InlineFn callables living in recycled side slots, so
- * sift operations only move keys.  Memory is bounded by the number of
- * *pending* events: a slot is recycled as soon as its key pops (fired
- * or cancelled).
+ * One binary min-heap of 24-byte (tick, sequence, slot) keys holds every
+ * pending event.  Callbacks are heap-free InlineFn callables living in
+ * recycled side slots, so sifts move only keys.  Memory is bounded by
+ * the number of pending events.  A scheduled event always fires: the
+ * simulator never retracts one, so the queue has no cancellation.
  */
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -43,56 +34,24 @@ namespace dvsnet::sim
  */
 using EventFn = InlineFn;
 
-/**
- * Time-wheel geometry.  The defaults (64-tick buckets x 4096 buckets =
- * a 262144-tick window) fit the simulator's event mix: one router cycle
- * spans ~16 buckets, so clock edges, link deliveries and controller
- * windows all land in the wheel while multi-ms DVS ramps overflow to
- * the heap.  Exposed as a runtime knob so tests can sweep coarser and
- * finer wheels (every geometry must preserve FIFO/cancel semantics) and
- * deployments with different event horizons can retune.
- */
-struct EventQueueConfig
-{
-    /** log2 of the bucket width in ticks. */
-    int bucketShift = 6;
-
-    /** Bucket count; a power of two and a multiple of 64. */
-    std::size_t numBuckets = 4096;
-};
-
-/** Two-tier (time wheel + overflow heap) event queue keyed by
- *  (tick, insertion sequence). */
+/** Event queue keyed by (tick, insertion sequence). */
 class EventQueue
 {
   public:
-    /**
-     * Opaque cancellation handle: packs the slot index and a per-slot
-     * generation counter so stale handles are detected.
-     */
-    using EventId = std::uint64_t;
+    /** Schedule `fn` at absolute tick `when`. */
+    void schedule(Tick when, EventFn fn);
 
-    EventQueue() : EventQueue(EventQueueConfig{}) {}
-    explicit EventQueue(const EventQueueConfig &config);
+    /** True if no events are pending. */
+    bool empty() const { return heap_.empty(); }
 
-    /** Schedule `fn` at absolute tick `when`. Returns a cancel handle. */
-    EventId schedule(Tick when, EventFn fn);
+    /** Number of pending events. */
+    std::size_t size() const { return heap_.size(); }
 
-    /**
-     * Cancel a previously scheduled event.  Returns true if the event was
-     * pending (it will not fire); false if it already fired or was
-     * cancelled.  Cancellation is lazy: the key is skipped on pop.
-     */
-    bool cancel(EventId id);
-
-    /** True if no live events remain. */
-    bool empty() const { return liveCount_ == 0; }
-
-    /** Number of live (non-cancelled, unfired) events. */
-    std::size_t size() const { return liveCount_; }
-
-    /** Tick of the earliest live event; kTickNever if empty. */
-    Tick nextTick() const;
+    /** Tick of the earliest pending event; kTickNever if empty. */
+    Tick nextTick() const
+    {
+        return heap_.empty() ? kTickNever : heap_.top().when;
+    }
 
     /**
      * Pop and execute the earliest event.  Returns its tick.
@@ -102,18 +61,6 @@ class EventQueue
 
     /** Total events ever executed (for micro-benchmarks/diagnostics). */
     std::uint64_t executedCount() const { return executed_; }
-
-    /** Pending keys (live + lazily cancelled) held by the wheel tier. */
-    std::size_t wheelPending() const { return wheelKeys_; }
-
-    /** Pending keys (live + lazily cancelled) held by the overflow heap. */
-    std::size_t overflowPending() const { return heap_.size(); }
-
-    /** Width of the wheel's near-future window, in ticks. */
-    Tick wheelHorizon() const { return wheelHorizon_; }
-
-    /** Geometry this queue was built with. */
-    const EventQueueConfig &config() const { return config_; }
 
   private:
     struct Key
@@ -128,54 +75,10 @@ class EventQueue
         }
     };
 
-    struct Slot
-    {
-        EventFn fn;             ///< empty = cancelled (key still queued)
-        std::uint32_t gen = 0;  ///< bumped when the slot is recycled
-    };
-
-    using Bucket = std::vector<Key>;
-
-    /** Route a key to the wheel (inside window) or the overflow heap. */
-    void pushKey(const Key &key);
-
-    /**
-     * Earliest pending wheel key, skipping/recycling cancelled keys and
-     * advancing the cursor past drained buckets.  nullptr if the wheel
-     * is empty.  The returned key lives at the cursor bucket's top.
-     */
-    const Key *wheelPeek();
-
-    /** Earliest pending heap key, skipping/recycling cancelled keys. */
-    const Key *heapPeek();
-
-    /** Index of the first occupied bucket at/after `from` (circular).
-     *  Precondition: some bucket is occupied. */
-    std::size_t nextOccupied(std::size_t from) const;
-
-    /** Return a slot to the free list after its key popped. */
-    void recycle(std::uint32_t slot);
-
-    // Wheel geometry, fixed at construction (see EventQueueConfig).
-    EventQueueConfig config_;
-    int bucketShift_;
-    std::size_t numBuckets_;
-    Tick bucketWidth_;
-    Tick wheelHorizon_;
-    std::size_t bitmapWords_;
-
-    std::vector<Bucket> buckets_;
-    std::vector<std::uint64_t> occupied_;
-    Tick wheelBase_ = 0;        ///< window start; multiple of bucketWidth_
-    std::size_t cursorIdx_ = 0; ///< bucket index of wheelBase_
-    std::size_t wheelKeys_ = 0; ///< pending keys (live + dead) in wheel
-
     std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap_;
-
-    std::vector<Slot> slots_;
+    std::vector<EventFn> slots_;
     std::vector<std::uint32_t> freeSlots_;
     std::uint64_t nextSeq_ = 0;
-    std::size_t liveCount_ = 0;
     std::uint64_t executed_ = 0;
 };
 

@@ -5,18 +5,18 @@
 namespace dvsnet::sim
 {
 
-EventQueue::EventId
+void
 Kernel::at(Tick when, EventFn fn)
 {
     DVSNET_ASSERT(when >= now_, "scheduling into the past: when=", when,
                   " now=", now_);
-    return queue_.schedule(when, std::move(fn));
+    queue_.schedule(when, std::move(fn));
 }
 
-EventQueue::EventId
+void
 Kernel::after(Tick delay, EventFn fn)
 {
-    return queue_.schedule(now_ + delay, std::move(fn));
+    queue_.schedule(now_ + delay, std::move(fn));
 }
 
 Tick

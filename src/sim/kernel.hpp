@@ -21,12 +21,6 @@ class Kernel
 {
   public:
     Kernel() = default;
-
-    /** Build with a non-default event-queue (time wheel) geometry. */
-    explicit Kernel(const EventQueueConfig &queueConfig)
-        : queue_(queueConfig)
-    {}
-
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;
 
@@ -34,13 +28,10 @@ class Kernel
     Tick now() const { return now_; }
 
     /** Schedule at an absolute tick (must be >= now). */
-    EventQueue::EventId at(Tick when, EventFn fn);
+    void at(Tick when, EventFn fn);
 
     /** Schedule after a relative delay. */
-    EventQueue::EventId after(Tick delay, EventFn fn);
-
-    /** Cancel a pending event. */
-    bool cancel(EventQueue::EventId id) { return queue_.cancel(id); }
+    void after(Tick delay, EventFn fn);
 
     /**
      * Run until the queue drains, simulated time would exceed `until`,

@@ -119,16 +119,6 @@ TEST(Kernel, StopDoesNotAdvanceClockToHorizon)
     EXPECT_EQ(k.pendingEvents(), 1u);
 }
 
-TEST(Kernel, CancelPendingEvent)
-{
-    Kernel k;
-    bool fired = false;
-    const auto id = k.at(10, [&] { fired = true; });
-    EXPECT_TRUE(k.cancel(id));
-    k.run(100);
-    EXPECT_FALSE(fired);
-}
-
 namespace
 {
 

@@ -1,19 +1,15 @@
 /**
  * @file
- * Randomized property test for the two-tier (time wheel + overflow
- * heap) EventQueue against a reference single-heap model.
+ * Randomized property test for the EventQueue heap against a reference
+ * model that finds the earliest event by exhaustive scan.
  *
- * Interleaved schedule/cancel/execute sequences must produce identical
- * firing order — including same-tick FIFO — and identical cancel-handle
- * staleness behavior, no matter which internal tier holds each event.
- * The trial matrix crosses wheel geometries (the default 64x4096, a
- * coarse short wheel, a fine short wheel, and a wide-bucket wheel —
- * every geometry must be semantics-neutral; only tier placement may
- * differ) with workload shapes: a mixed shape whose tick gaps span
- * same-tick, intra-bucket, cross-bucket and far-overflow ranges, and a
- * link-clock-heavy shape whose gaps are multiples of the DVS link
+ * Interleaved schedule/execute sequences must produce identical firing
+ * order, including same-tick FIFO.  Two workload shapes: a mixed shape
+ * whose tick gaps span same-tick, short, medium and far-future ranges,
+ * and a link-clock-heavy shape whose gaps are multiples of the DVS link
  * periods (many channels serializing at the slow levels), which piles
- * events into few distinct ticks and stresses bucket heaps + FIFO.
+ * events into few distinct ticks, so the heap's order among equal ticks
+ * rests on the insertion sequence alone.
  */
 
 #include <gtest/gtest.h>
@@ -29,35 +25,21 @@ using dvsnet::Rng;
 using dvsnet::Tick;
 using dvsnet::kTickNever;
 using dvsnet::sim::EventQueue;
-using dvsnet::sim::EventQueueConfig;
 
 namespace
 {
 
 /**
  * Reference model: a flat list ordered by exhaustive min-scan over
- * (when, seq) — trivially correct FIFO semantics and eager cancellation.
+ * (when, seq) — trivially correct FIFO semantics.
  */
 class ReferenceQueue
 {
   public:
-    using Handle = std::size_t;
-
-    Handle
+    void
     schedule(Tick when, std::uint64_t payload)
     {
         entries_.push_back(Entry{when, nextSeq_++, payload, true});
-        return entries_.size() - 1;
-    }
-
-    /** Same contract as EventQueue::cancel. */
-    bool
-    cancel(Handle h)
-    {
-        if (!entries_[h].live)
-            return false;
-        entries_[h].live = false;
-        return true;
     }
 
     bool
@@ -112,29 +94,22 @@ class ReferenceQueue
 
 enum class Workload
 {
-    Mixed,          ///< gaps spanning every tier of the queue
+    Mixed,          ///< gaps from same-tick to far future
     LinkClockHeavy  ///< gaps in DVS link-period multiples, few ticks
 };
 
-/** Mixed shape: 0 (same-tick FIFO), within one wheel bucket, across
- *  buckets, near the wheel horizon, and far past it. */
+/** Mixed shape (1,000 ticks = one router cycle): 0 (same-tick FIFO),
+ *  within a cycle, up to four cycles, up to 200 cycles, and 10-500 us
+ *  ahead, as voltage ramps and task lifetimes are. */
 Tick
-drawMixedGap(Rng &rng, Tick horizon)
+drawMixedGap(Rng &rng)
 {
-    switch (rng.uniformInt(0, 5)) {
+    switch (rng.uniformInt(0, 4)) {
       case 0: return 0;
       case 1: return static_cast<Tick>(rng.uniformInt(1, 63));
       case 2: return static_cast<Tick>(rng.uniformInt(64, 4096));
       case 3: return static_cast<Tick>(rng.uniformInt(4096, 200000));
-      case 4: {  // straddle the wheel/heap boundary
-        // Clamp so tiny horizons (degenerate geometries) never push
-        // the gap negative — schedules must stay monotone.
-        const int jitter = rng.uniformInt(-500, 500);
-        if (jitter < 0 && static_cast<Tick>(-jitter) > horizon)
-            return 0;
-        return horizon + static_cast<Tick>(jitter);
-      }
-      default:  // deep overflow territory
+      default:
         return static_cast<Tick>(rng.uniformInt(1, 50)) * 10'000'000;
     }
 }
@@ -155,53 +130,36 @@ drawLinkClockGap(Rng &rng)
 }
 
 Tick
-drawGap(Rng &rng, Workload shape, Tick horizon)
+drawGap(Rng &rng, Workload shape)
 {
-    return shape == Workload::Mixed ? drawMixedGap(rng, horizon)
+    return shape == Workload::Mixed ? drawMixedGap(rng)
                                     : drawLinkClockGap(rng);
 }
 
 void
-runInterleaved(std::uint64_t seed, int ops, const EventQueueConfig &cfg,
-               Workload shape)
+runInterleaved(std::uint64_t seed, int ops, Workload shape)
 {
     SCOPED_TRACE(::testing::Message()
-                 << "seed=" << seed << " bucketShift=" << cfg.bucketShift
-                 << " numBuckets=" << cfg.numBuckets << " workload="
+                 << "seed=" << seed << " workload="
                  << (shape == Workload::Mixed ? "mixed" : "link-clock"));
 
     Rng rng(seed);
-    EventQueue queue(cfg);
+    EventQueue queue;
     ReferenceQueue ref;
-
-    // Parallel handle lists: handles_[i] and refHandles_[i] name the
-    // same logical event in both queues.
-    std::vector<EventQueue::EventId> handles;
-    std::vector<ReferenceQueue::Handle> refHandles;
 
     std::vector<std::uint64_t> gotFired;  // payloads in firing order
     Tick now = 0;  // monotone: events are never scheduled into the past
     std::uint64_t nextPayload = 0;
 
     for (int op = 0; op < ops; ++op) {
-        const int kind = rng.uniformInt(0, 9);
-        if (kind < 5 || queue.empty()) {
-            // Schedule (biased: queues need events to do anything).
-            const Tick when =
-                now + drawGap(rng, shape, queue.wheelHorizon());
+        if (rng.uniformInt(0, 9) < 6 || queue.empty()) {
+            // Schedule (biased, so the heap grows to a few hundred).
+            const Tick when = now + drawGap(rng, shape);
             const std::uint64_t payload = nextPayload++;
-            handles.push_back(queue.schedule(
-                when, [&gotFired, payload] {
-                    gotFired.push_back(payload);
-                }));
-            refHandles.push_back(ref.schedule(when, payload));
-        } else if (kind < 7 && !handles.empty()) {
-            // Cancel a random handle — possibly already fired,
-            // cancelled, or stale (slot reused): results must agree.
-            const auto pick = static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<int>(handles.size()) - 1));
-            EXPECT_EQ(queue.cancel(handles[pick]),
-                      ref.cancel(refHandles[pick]));
+            queue.schedule(when, [&gotFired, payload] {
+                gotFired.push_back(payload);
+            });
+            ref.schedule(when, payload);
         } else {
             // Execute the earliest event in both queues.
             ASSERT_FALSE(ref.empty());
@@ -230,90 +188,38 @@ runInterleaved(std::uint64_t seed, int ops, const EventQueueConfig &cfg,
     EXPECT_TRUE(queue.empty());
 }
 
-/** The geometry matrix every property below runs across. */
-constexpr EventQueueConfig kGeometries[] = {
-    {6, 4096},  // default: 64-tick buckets, 262144-tick horizon
-    {4, 1024},  // fine short wheel: 16-tick buckets, 16384-tick horizon
-    {8, 512},   // wide buckets: 256-tick buckets, 131072-tick horizon
-    {0, 64},    // degenerate: 1-tick buckets, most events overflow
-};
-
 } // namespace
 
-TEST(SchedulerProperty, MatchesReferenceAcrossSeedsAndGeometries)
+TEST(SchedulerProperty, MatchesReferenceAcrossSeeds)
 {
-    for (const EventQueueConfig &cfg : kGeometries)
-        for (std::uint64_t seed = 1; seed <= 6; ++seed)
-            runInterleaved(seed * 7919, 2000, cfg, Workload::Mixed);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed)
+        runInterleaved(seed * 7919, 2000, Workload::Mixed);
 }
 
-TEST(SchedulerProperty, LinkClockHeavyWorkloadAcrossGeometries)
+TEST(SchedulerProperty, LinkClockHeavyWorkloadMatchesReference)
 {
-    for (const EventQueueConfig &cfg : kGeometries)
-        for (std::uint64_t seed = 1; seed <= 6; ++seed)
-            runInterleaved(seed * 104729, 2000, cfg,
-                           Workload::LinkClockHeavy);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed)
+        runInterleaved(seed * 104729, 2000, Workload::LinkClockHeavy);
 }
 
-TEST(SchedulerProperty, SameTickFifoSurvivesTierMixing)
+TEST(SchedulerProperty, SameTickFifoAcrossInterleavedExecution)
 {
-    // Events at one tick, scheduled while the wheel window is anchored
-    // both before and after that tick, must still fire in insertion
-    // order.  Force re-anchoring by executing a far-future event
-    // between insertions.  Checked at every wheel geometry.
-    for (const EventQueueConfig &cfg : kGeometries) {
-        SCOPED_TRACE(::testing::Message()
-                     << "bucketShift=" << cfg.bucketShift
-                     << " numBuckets=" << cfg.numBuckets);
-        EventQueue q(cfg);
-        std::vector<int> order;
+    // Events at one tick, scheduled before and after other events
+    // execute (one of them at that same tick), must still fire in
+    // insertion order.
+    EventQueue q;
+    std::vector<int> order;
 
-        const Tick target = q.wheelHorizon() * 3;
-        q.schedule(target, [&order] { order.push_back(0); });    // heap
-        q.schedule(1, [] {});  // near event anchors the wheel low
-        q.schedule(target, [&order] { order.push_back(1); });    // heap
-        q.executeNext();       // fires tick 1, re-anchors nothing yet
-        q.schedule(target, [&order] { order.push_back(2); });    // wheel?
-        q.executeNext();       // first target event; re-anchors the wheel
-        q.schedule(target, [&order] { order.push_back(3); });    // wheel
-        while (!q.empty())
-            q.executeNext();
+    const Tick target = 1'000'000;
+    q.schedule(target, [&order] { order.push_back(0); });
+    q.schedule(1, [] {});
+    q.schedule(target, [&order] { order.push_back(1); });
+    q.executeNext();  // fires tick 1
+    q.schedule(target, [&order] { order.push_back(2); });
+    q.executeNext();  // fires the first target event
+    q.schedule(target, [&order] { order.push_back(3); });
+    while (!q.empty())
+        q.executeNext();
 
-        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    }
-}
-
-TEST(SchedulerProperty, CancelHandlesStayStaleAcrossTiers)
-{
-    for (const EventQueueConfig &cfg : kGeometries) {
-        SCOPED_TRACE(::testing::Message()
-                     << "bucketShift=" << cfg.bucketShift
-                     << " numBuckets=" << cfg.numBuckets);
-        EventQueue q(cfg);
-        bool fired = false;
-
-        // One event per tier; cancel the wheel one, fire the heap one.
-        const auto nearId = q.schedule(10, [&fired] { fired = true; });
-        const auto farId = q.schedule(q.wheelHorizon() * 2, [] {});
-        EXPECT_GT(q.wheelPending(), 0u);
-        EXPECT_GT(q.overflowPending(), 0u);
-
-        EXPECT_TRUE(q.cancel(nearId));
-        EXPECT_FALSE(q.cancel(nearId));  // second cancel: stale
-        q.executeNext();                 // the far event fires
-        EXPECT_FALSE(fired);
-        EXPECT_FALSE(q.cancel(farId));   // already fired: stale
-        EXPECT_TRUE(q.empty());
-    }
-}
-
-TEST(SchedulerProperty, GeometryIsConfigurableAndReported)
-{
-    EventQueue q(EventQueueConfig{4, 1024});
-    EXPECT_EQ(q.config().bucketShift, 4);
-    EXPECT_EQ(q.config().numBuckets, 1024u);
-    EXPECT_EQ(q.wheelHorizon(), Tick{16} * 1024);
-
-    EventQueue def;
-    EXPECT_EQ(def.wheelHorizon(), Tick{64} * 4096);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }

@@ -16,13 +16,17 @@
  *    (common random numbers), and the evaluation key still tells
  *    candidates apart: it changes with every config field;
  *  - a journal of another schema, or records before any header, are
- *    refused with a ConfigError.
+ *    refused with a ConfigError;
+ *  - a record with a mis-typed field, a negative count or a parameter
+ *    echo that is no Candidate ends the load like a torn tail, instead
+ *    of aborting there or later in the front table.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -783,4 +787,116 @@ TEST(SearchJournal, EmptyFileLoadsNothing)
     ASSERT_TRUE(outcome.completed);
     EXPECT_EQ(registry.counterValue("search.warm_records"), 0u);
     EXPECT_EQ(outcome.cacheHits, 0u);
+}
+
+namespace
+{
+
+/**
+ * `record` with member `member`'s scalar value text passed through
+ * `edit`; an empty result cuts the member and the comma before it.
+ */
+std::string
+editMember(const std::string &record, const std::string &member,
+           const std::function<std::string(const std::string &)> &edit)
+{
+    const std::string tag = "\"" + member + "\":";
+    const auto at = record.find(tag);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << member << " not in " << record;
+        return record;
+    }
+    const auto begin = at + tag.size();
+    const auto end = record.find_first_of(",}", begin);
+    const std::string value = edit(record.substr(begin, end - begin));
+    if (value.empty())
+        return record.substr(0, at - 1) + record.substr(end);
+    return record.substr(0, begin) + value + record.substr(end);
+}
+
+/**
+ * Load a finished search's journal whose third record has `member`
+ * edited: the load must keep the two records before it and stop there,
+ * as at a torn tail.
+ */
+void
+expectEditedRecordEndsLoad(
+    const std::string &name, const std::string &member,
+    const std::function<std::string(const std::string &)> &edit)
+{
+    std::istringstream in(synthJournal(name + "_valid.jsonl"));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_GT(lines.size(), 4u);
+    const std::string editedKey =
+        dvsnet::Json::parse(lines[3]).find("key")->asString();
+    lines[3] = editMember(lines[3], member, edit);
+
+    std::string bytes;
+    for (const auto &line : lines)
+        bytes += line + "\n";
+    const std::string path = tmpPath(name + ".jsonl");
+    writeFile(path, bytes);
+
+    dvsnet::search::ResultCache cache;
+    EXPECT_EQ(cache.load(path), 2u) << lines[3];
+    EXPECT_EQ(cache.find(editedKey), nullptr) << lines[3];
+}
+
+std::string
+quoted(const std::string &value)
+{
+    return "\"" + value + "\"";
+}
+
+} // namespace
+
+TEST(SearchJournal, RungAsStringEndsTheLoad)
+{
+    expectEditedRecordEndsLoad("journal_rung_string", "rung", quoted);
+}
+
+TEST(SearchJournal, FractionalRungEndsTheLoad)
+{
+    expectEditedRecordEndsLoad("journal_rung_fraction", "rung",
+                               [](const std::string &) { return "0.5"; });
+}
+
+TEST(SearchJournal, SeedAsBareNumberEndsTheLoad)
+{
+    expectEditedRecordEndsLoad(
+        "journal_seed_number", "seed", [](const std::string &seed) {
+            return seed.substr(1, seed.size() - 2);
+        });
+}
+
+TEST(SearchJournal, FractionalResultCountEndsTheLoad)
+{
+    expectEditedRecordEndsLoad(
+        "journal_created_fraction", "packets_created",
+        [](const std::string &count) { return count + ".0"; });
+}
+
+TEST(SearchJournal, ParamCountAsStringEndsTheLoad)
+{
+    expectEditedRecordEndsLoad("journal_cooldown_string",
+                               "cooldown_windows", quoted);
+}
+
+TEST(SearchJournal, ParamsWithoutWeightEndTheLoad)
+{
+    expectEditedRecordEndsLoad("journal_no_weight", "weight",
+                               [](const std::string &) { return ""; });
+}
+
+TEST(SearchJournal, NegativeCountsEndTheLoad)
+{
+    for (const char *member : {"measure_cycles", "warmup_cycles",
+                               "measured_cycles"}) {
+        SCOPED_TRACE(member);
+        expectEditedRecordEndsLoad(
+            std::string("journal_negative_") + member, member,
+            [](const std::string &count) { return "-" + count; });
+    }
 }

@@ -16,12 +16,14 @@
  *
  * All the usual bench flags apply (`--quick`, `--json` for the
  * dvsnet-bench-v1 artifact, `--workload`, fidelity overrides); unknown
- * search strategies and keys exit with the registry's vocabulary.
+ * search strategies and keys exit with the registry's vocabulary, and
+ * a key the tool does not read exits naming it.
  */
 
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/fatal.hpp"
 #include "search_cli.hpp"
 
 using namespace dvsnet;
@@ -30,6 +32,20 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    try {
+        // A misspelled key would otherwise be a silent no-op.
+        opts.raw.rejectUnknownKeys(
+            {// bench::parseOptions
+             "quick", "warmup", "light_warmup", "cycles", "seed", "csv",
+             "points", "threads", "json", "workload", "link-power",
+             // bench::paperSpec
+             "tasks", "task_duration", "sources",
+             // bench::searchConfigFromOptions
+             "search", "rate", "journal", "resume", "cache"},
+            "pareto_search");
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL(e.what());
+    }
     bench::printHeader(
         "Pareto search",
         "resumable multi-objective DVS policy search", opts);
