@@ -32,7 +32,6 @@
 #include "core/history_policy.hpp"
 #include "network/network.hpp"
 #include "router/allocator.hpp"
-#include "router/arbiter.hpp"
 #include "router/router.hpp"
 #include "router/routing.hpp"
 #include "sim/event_queue.hpp"
@@ -89,21 +88,36 @@ BENCHMARK(BM_RngPareto);
 void
 BM_RoundRobinArbiter(benchmark::State &state)
 {
+    // Eight requesters in one word, all bidding: the call the switch
+    // allocator's input stage makes.
     router::RoundRobinArbiter arb(8);
-    std::vector<bool> reqs(8, true);
+    std::uint64_t reqs = 0xFF;
+    benchmark::DoNotOptimize(reqs);
     for (auto _ : state)
-        benchmark::DoNotOptimize(arb.arbitrate(reqs));
+        benchmark::DoNotOptimize(arb.arbitrateMask(reqs));
 }
 BENCHMARK(BM_RoundRobinArbiter);
 
 void
 BM_SwitchAllocator(benchmark::State &state)
 {
-    router::SeparableSwitchAllocator sa(5, 2);
-    const std::vector<router::SwitchRequest> reqs{
-        {0, 0, 1}, {1, 1, 2}, {2, 0, 1}, {3, 1, 4}, {4, 0, 0}};
+    // A 5-port, 2-VC router with every input port bidding:
+    // (in, vc) -> out = (0,0)->1, (1,1)->2, (2,0)->1, (3,1)->4, (4,0)->0.
+    const std::int32_t numVcs = 2;
+    router::SeparableSwitchAllocator sa(5, numVcs);
+    const std::vector<std::uint32_t> vcReqMasks{0b01, 0b10, 0b01, 0b10,
+                                                0b01};
+    std::vector<PortId> outPorts(10, kInvalidId);
+    outPorts[0 * numVcs + 0] = 1;
+    outPorts[1 * numVcs + 1] = 2;
+    outPorts[2 * numVcs + 0] = 1;
+    outPorts[3 * numVcs + 1] = 4;
+    outPorts[4 * numVcs + 0] = 0;
+    router::PortSet reqPorts;
+    for (PortId p = 0; p < 5; ++p)
+        reqPorts.set(p);
     for (auto _ : state)
-        benchmark::DoNotOptimize(sa.allocate(reqs));
+        benchmark::DoNotOptimize(sa.allocate(vcReqMasks, outPorts, reqPorts));
 }
 BENCHMARK(BM_SwitchAllocator);
 

@@ -1,6 +1,7 @@
 #include "bench_util.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -347,6 +348,14 @@ defaultRates(const BenchOptions &opts, double lo, double hi)
 {
     lo = opts.raw.getDouble("rate_lo", lo);
     hi = opts.raw.getDouble("rate_hi", hi);
+    if (!std::isfinite(lo) || lo <= 0.0) {
+        DVSNET_FATAL("config key 'rate_lo': ", lo,
+                     " is not a finite positive rate");
+    }
+    if (!std::isfinite(hi) || hi <= lo) {
+        DVSNET_FATAL("config key 'rate_hi': ", hi,
+                     " is not a finite rate above rate_lo = ", lo);
+    }
     return network::rateGrid(lo, hi,
                              static_cast<std::size_t>(opts.sweepPoints));
 }

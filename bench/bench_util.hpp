@@ -158,7 +158,11 @@ void recordResult(Json entry);
  */
 void finishReport(const BenchOptions &opts);
 
-/** Default injection-rate grid used by the latency/power sweeps. */
+/**
+ * Default injection-rate grid used by the latency/power sweeps: the
+ * sweep's points from `rate_lo` to `rate_hi` (defaults `lo`, `hi`).
+ * Fatal unless 0 < rate_lo < rate_hi, both finite.
+ */
 std::vector<double> defaultRates(const BenchOptions &opts, double lo = 0.2,
                                  double hi = 2.4);
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * DVS policy interface and baseline policies.
+ * DVS policy interface and the static-level baseline policy.
  *
  * A policy is evaluated once per history window for each output port.  It
  * sees the window's measured link utilization (Eq. 2) and downstream
@@ -49,20 +49,6 @@ class DvsPolicy
 
     /** Short name for reports. */
     virtual const char *name() const = 0;
-};
-
-/** Baseline: never scales (links pinned at their initial level). */
-class NoDvsPolicy final : public DvsPolicy
-{
-  public:
-    DvsAction decide(const PolicyInput &) override
-    {
-        return DvsAction::Hold;
-    }
-
-    void reset() override {}
-
-    const char *name() const override { return "no-dvs"; }
 };
 
 /** Baseline: drives every link toward one fixed level and stays there. */

@@ -203,11 +203,9 @@ Network::build()
         routers_.push_back(std::make_unique<router::Router>(
             n, config_.router, *routing_, packets_));
         sinks_.push_back(std::make_unique<EjectionSink>(*this));
-        // The terminal output port drains into the node: effectively
-        // infinite buffering ("immediate ejection").
-        routers_.back()->connectOutput(topo_.terminalPort(),
-                                       sinks_.back().get(),
-                                       std::size_t{1} << 20);
+        // The terminal output port drains into the node ("immediate
+        // ejection"), so it needs no credits.
+        routers_.back()->connectEjection(sinks_.back().get());
     }
 
     // DVS channels.

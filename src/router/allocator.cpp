@@ -27,25 +27,6 @@ SeparableVcAllocator::SeparableVcAllocator(PortId numPorts,
                       static_cast<std::size_t>(numVcs));
     for (std::int32_t i = 0; i < numPorts * numVcs; ++i)
         arbiters_.emplace_back(numRequesters);
-    freeMasks_.assign(static_cast<std::size_t>(numPorts), 0);
-}
-
-const std::vector<VcGrant> &
-SeparableVcAllocator::allocate(
-    const std::vector<VcRequest> &requests,
-    const std::function<bool(PortId, VcId)> &vcFree)
-{
-    // Predicate shim: materialize the free map once, then take the
-    // mask-based hot path.
-    for (PortId port = 0; port < numPorts_; ++port) {
-        std::uint32_t mask = 0;
-        for (VcId vc = 0; vc < numVcs_; ++vc) {
-            if (vcFree(port, vc))
-                mask |= 1u << vc;
-        }
-        freeMasks_[static_cast<std::size_t>(port)] = mask;
-    }
-    return allocate(requests, freeMasks_);
 }
 
 const std::vector<VcGrant> &
@@ -61,10 +42,9 @@ SeparableVcAllocator::allocate(
         return grants_;
 
     // Requester sets are InputVcSet words: one 64-bit word for classic
-    // geometries (identical codegen to the old single-word path), more
-    // only when numPorts * numVcs > 64.  Resources are visited in
-    // ascending (port, vc) order; each free resource somebody wants
-    // round-robins over its not-yet-granted requesters.
+    // geometries, more only when numPorts * numVcs > 64.  Resources are
+    // visited in ascending (port, vc) order; each free resource somebody
+    // wants round-robins over its not-yet-granted requesters.
     InputVcSet granted;
     for (PortId port = 0; port < numPorts_; ++port) {
         // Union of VCs requested at this port — skips free resources
@@ -123,47 +103,11 @@ SeparableSwitchAllocator::SeparableSwitchAllocator(PortId numPorts,
         outputStage_.emplace_back(numPorts);
     }
     stageOne_.assign(static_cast<std::size_t>(numPorts), -1);
-    vcReqMasks_.assign(static_cast<std::size_t>(numPorts), 0);
     outContenders_.assign(static_cast<std::size_t>(numPorts), PortSet{});
-    outPortOf_.assign(static_cast<std::size_t>(numPorts) *
-                          static_cast<std::size_t>(numVcs),
-                      kInvalidId);
 }
 
 const std::vector<SwitchGrant> &
 SeparableSwitchAllocator::allocate(
-    const std::vector<SwitchRequest> &requests)
-{
-    grants_.clear();
-    if (requests.empty())
-        return grants_;
-
-    // Compatibility shim over the mask path: one pass over the requests
-    // builds the per-port VC masks and the output port per (port, vc) —
-    // the first request for a (port, vc) wins, matching the winner the
-    // original inner scans would find.
-    PortSet reqPorts;
-    for (const auto &req : requests) {
-        DVSNET_ASSERT(req.inVc >= 0 && req.inVc < numVcs_,
-                      "inVc out of range");
-        const std::uint32_t bit = 1u << req.inVc;
-        auto &mask = vcReqMasks_[static_cast<std::size_t>(req.inPort)];
-        if (!reqPorts.test(req.inPort)) {
-            reqPorts.set(req.inPort);
-            mask = 0;  // first touch this call: clear stale bits
-        }
-        if ((mask & bit) == 0) {
-            mask |= bit;
-            outPortOf_[static_cast<std::size_t>(req.inPort) *
-                           static_cast<std::size_t>(numVcs_) +
-                       static_cast<std::size_t>(req.inVc)] = req.outPort;
-        }
-    }
-    return allocateMasks(vcReqMasks_, outPortOf_, reqPorts);
-}
-
-const std::vector<SwitchGrant> &
-SeparableSwitchAllocator::allocateMasks(
     const std::vector<std::uint32_t> &vcReqMasks,
     const std::vector<PortId> &outPorts, const PortSet &reqPorts)
 {
@@ -198,8 +142,8 @@ SeparableSwitchAllocator::allocateMasks(
         }
     });
 
-    // Stage 2: each output port picks one stage-1 winner targeting it
-    // (ascending output-port order, as before).
+    // Stage 2: each output port, in ascending order, picks one stage-1
+    // winner targeting it.
     outRequested.forEachSetBit([&](std::int32_t out) {
         const std::int32_t pWin =
             outputStage_[static_cast<std::size_t>(out)].arbitrateMask(

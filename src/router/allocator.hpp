@@ -1,14 +1,15 @@
 /**
  * @file
  * Separable allocators for virtual channels and the crossbar switch,
- * built from the single-resource arbiters in router/arbiter.hpp.
+ * built from the round-robin arbiter in router/arbiter.hpp.  Each has
+ * one `allocate`, fed with the bitmasks the router already keeps: the
+ * free downstream VCs per output port, or the bidding VCs per input
+ * port.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -53,21 +54,12 @@ class SeparableVcAllocator
     /**
      * Allocate downstream VCs.
      *
-     * @param requests one entry per input VC wanting a downstream VC
-     * @param vcFree   predicate: is downstream (port, vc) unallocated?
+     * @param requests    one entry per input VC wanting a downstream VC
+     * @param freeVcMasks one mask per output port; bit v set =
+     *                    downstream (port, v) unallocated
      * @return grants, at most one per requester and per (port, vc);
      *         the reference is to internal scratch, valid until the
      *         next allocate() call
-     */
-    const std::vector<VcGrant> &
-    allocate(const std::vector<VcRequest> &requests,
-             const std::function<bool(PortId, VcId)> &vcFree);
-
-    /**
-     * Hot-path overload: the caller supplies one free-VC bitmask per
-     * output port (bit v set = downstream (port, v) unallocated)
-     * instead of a predicate.  Identical grants and arbiter-state
-     * evolution as the predicate overload.
      */
     const std::vector<VcGrant> &
     allocate(const std::vector<VcRequest> &requests,
@@ -78,16 +70,7 @@ class SeparableVcAllocator
     std::int32_t numVcs_;
     std::int32_t numRequesters_;
     std::vector<RoundRobinArbiter> arbiters_;  ///< per (port, vc)
-    std::vector<std::uint32_t> freeMasks_;     ///< scratch (predicate shim)
     std::vector<VcGrant> grants_;              ///< scratch (returned)
-};
-
-/** Request from an input VC for a crossbar timeslot. */
-struct SwitchRequest
-{
-    PortId inPort;
-    VcId inVc;
-    PortId outPort;
 };
 
 /** A granted crossbar traversal. */
@@ -110,27 +93,17 @@ class SeparableSwitchAllocator
 
     /**
      * Allocate crossbar slots; at most one grant per input and output.
-     * The reference is to internal scratch, valid until the next call.
+     * `vcReqMasks[p]` is the bitmask of requesting VCs at input port p,
+     * `outPorts[p*numVcs+v]` the requested output port per dense input
+     * VC (read only where the corresponding bit is set), and `reqPorts`
+     * the set of input ports with any request (entries of `vcReqMasks`
+     * outside it may be stale and are never read).  Each set (port, vc)
+     * bit is exactly one request.  The reference is to internal
+     * scratch, valid until the next call.
      */
     const std::vector<SwitchGrant> &
-    allocate(const std::vector<SwitchRequest> &requests);
-
-    /**
-     * Mask-based hot path, fed directly from a router's activity masks
-     * with no request-vector construction: `vcReqMasks[p]` is the
-     * bitmask of requesting VCs at input port p, `outPorts[p*numVcs+v]`
-     * the requested output port per dense input VC (read only where the
-     * corresponding bit is set), and `reqPorts` the set of input ports
-     * with any request (entries of `vcReqMasks` outside it may be
-     * stale and are never read).  Each set (port, vc) bit is exactly
-     * one request; grants and arbiter-state evolution are identical to
-     * the request-vector overload on the equivalent request list
-     * (ascending port, vc order).
-     */
-    const std::vector<SwitchGrant> &
-    allocateMasks(const std::vector<std::uint32_t> &vcReqMasks,
-                  const std::vector<PortId> &outPorts,
-                  const PortSet &reqPorts);
+    allocate(const std::vector<std::uint32_t> &vcReqMasks,
+             const std::vector<PortId> &outPorts, const PortSet &reqPorts);
 
   private:
     PortId numPorts_;
@@ -140,8 +113,6 @@ class SeparableSwitchAllocator
 
     // Scratch reused across invocations (hot path, no allocation).
     std::vector<std::int32_t> stageOne_;          ///< winning VC per port
-    std::vector<std::uint32_t> vcReqMasks_;       ///< per input port
-    std::vector<PortId> outPortOf_;               ///< per (port, vc)
     std::vector<PortSet> outContenders_;          ///< stage-2 input sets
     std::vector<SwitchGrant> grants_;             ///< returned
 };

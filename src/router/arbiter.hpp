@@ -1,17 +1,12 @@
 /**
  * @file
- * Single-resource arbiters used by the separable allocators.
- *
- * Round-robin is the default (strong fairness, trivial hardware); a matrix
- * arbiter (least-recently-served) is provided as an alternative for
- * studying allocator sensitivity.
+ * The round-robin arbiter the separable allocators are built from.
  */
 
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "common/bitmask.hpp"
 #include "common/fatal.hpp"
@@ -19,24 +14,13 @@
 namespace dvsnet::router
 {
 
-/** Request bitset -> single grant, with stateful fairness. */
-class Arbiter
-{
-  public:
-    virtual ~Arbiter() = default;
-
-    /**
-     * Choose one requester among `requests` (true = requesting).
-     * @return granted index, or -1 if no requests.
-     */
-    virtual std::int32_t arbitrate(const std::vector<bool> &requests) = 0;
-
-    /** Number of requesters this arbiter serves. */
-    virtual std::int32_t size() const = 0;
-};
-
-/** Rotating-priority arbiter. */
-class RoundRobinArbiter final : public Arbiter
+/**
+ * Rotating-priority arbiter over `n` requesters.  A request set is a
+ * bitmask (bit i set = requester i wants the resource); the grant is
+ * the first requester at or after the rotation pointer, wrapping to
+ * the lowest one, and the pointer then moves past the winner.
+ */
+class RoundRobinArbiter
 {
   public:
     explicit RoundRobinArbiter(std::int32_t n) : n_(n)
@@ -44,25 +28,9 @@ class RoundRobinArbiter final : public Arbiter
         DVSNET_ASSERT(n > 0, "arbiter needs at least one input");
     }
 
-    std::int32_t
-    arbitrate(const std::vector<bool> &requests) override
-    {
-        DVSNET_ASSERT(static_cast<std::int32_t>(requests.size()) == n_,
-                      "request width mismatch");
-        for (std::int32_t i = 0; i < n_; ++i) {
-            const std::int32_t idx = (next_ + i) % n_;
-            if (requests[static_cast<std::size_t>(idx)]) {
-                next_ = (idx + 1) % n_;
-                return idx;
-            }
-        }
-        return -1;
-    }
-
     /**
-     * Bitmask fast path for the allocators' hot loop — identical winner
-     * and rotation-state evolution as the vector overload, no virtual
-     * dispatch and no per-bit loads.  Requires n <= 64.
+     * Grant one of `requests` (bits below n only).  Requires n <= 64.
+     * @return granted index, or -1 if no requests.
      */
     std::int32_t
     arbitrateMask(std::uint64_t requests)
@@ -70,8 +38,6 @@ class RoundRobinArbiter final : public Arbiter
         DVSNET_ASSERT(n_ <= 64, "mask arbitration needs <= 64 inputs");
         if (requests == 0)
             return -1;
-        // First requesting index at or after next_, else wrap to the
-        // overall lowest set bit (requests only has bits below n_).
         const std::uint64_t fromNext =
             requests & (~std::uint64_t{0} << next_);
         const std::int32_t idx = std::countr_zero(
@@ -82,10 +48,8 @@ class RoundRobinArbiter final : public Arbiter
 
     /**
      * Multi-word overload for requester spaces wider than 64 bits (the
-     * VC allocator's dense input-VC sets).  Same rotate-based scan —
-     * first requesting index at or after next_, else wrap to the
-     * overall lowest set bit — so winner selection and rotation-state
-     * evolution are identical to the single-word overload whenever the
+     * VC allocator's dense input-VC sets).  Same scan, so the winner
+     * and the rotation equal the one-word overload's whenever the
      * request set fits one word.
      */
     template <std::size_t N>
@@ -103,86 +67,9 @@ class RoundRobinArbiter final : public Arbiter
         return idx;
     }
 
-    std::int32_t size() const override { return n_; }
-
   private:
     std::int32_t n_;
     std::int32_t next_ = 0;
-};
-
-/**
- * Matrix (least-recently-served) arbiter: a triangular priority matrix
- * where w[i][j] means i beats j; the winner's row is cleared and column
- * set, making it lowest priority next time.
- */
-class MatrixArbiter final : public Arbiter
-{
-  public:
-    explicit MatrixArbiter(std::int32_t n)
-        : n_(n),
-          beats_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                 false)
-    {
-        DVSNET_ASSERT(n > 0, "arbiter needs at least one input");
-        // Initial priority: lower index beats higher index.
-        for (std::int32_t i = 0; i < n; ++i)
-            for (std::int32_t j = i + 1; j < n; ++j)
-                at(i, j) = true;
-    }
-
-    std::int32_t
-    arbitrate(const std::vector<bool> &requests) override
-    {
-        DVSNET_ASSERT(static_cast<std::int32_t>(requests.size()) == n_,
-                      "request width mismatch");
-        std::int32_t winner = -1;
-        for (std::int32_t i = 0; i < n_; ++i) {
-            if (!requests[static_cast<std::size_t>(i)])
-                continue;
-            bool beaten = false;
-            for (std::int32_t j = 0; j < n_ && !beaten; ++j) {
-                if (j != i && requests[static_cast<std::size_t>(j)] &&
-                    at(j, i)) {
-                    beaten = true;
-                }
-            }
-            if (!beaten) {
-                winner = i;
-                break;
-            }
-        }
-        if (winner >= 0) {
-            for (std::int32_t j = 0; j < n_; ++j) {
-                if (j != winner) {
-                    at(winner, j) = false;
-                    at(j, winner) = true;
-                }
-            }
-        }
-        return winner;
-    }
-
-    std::int32_t size() const override { return n_; }
-
-  private:
-    std::vector<bool>::reference
-    at(std::int32_t i, std::int32_t j)
-    {
-        return beats_[static_cast<std::size_t>(i) *
-                      static_cast<std::size_t>(n_) +
-                      static_cast<std::size_t>(j)];
-    }
-
-    bool
-    at(std::int32_t i, std::int32_t j) const
-    {
-        return beats_[static_cast<std::size_t>(i) *
-                      static_cast<std::size_t>(n_) +
-                      static_cast<std::size_t>(j)];
-    }
-
-    std::int32_t n_;
-    std::vector<bool> beats_;
 };
 
 } // namespace dvsnet::router

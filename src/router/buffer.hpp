@@ -146,16 +146,6 @@ class InputBuffer
         return n;
     }
 
-    /** Total capacity across all VCs. */
-    std::size_t
-    totalCapacity() const
-    {
-        std::size_t n = 0;
-        for (const auto &v : vcs_)
-            n += v.capacity();
-        return n;
-    }
-
   private:
     std::vector<VirtualChannel> vcs_;
 };

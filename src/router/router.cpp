@@ -117,6 +117,7 @@ Router::connectOutput(PortId port, FlitChannel *link,
     DVSNET_ASSERT(port >= 0 && port < config_.numPorts, "port out of range");
     auto &out = outputs_[static_cast<std::size_t>(port)];
     out.link = link;
+    out.credited = true;
     for (VcId v = 0; v < config_.numVcs; ++v) {
         credits_[static_cast<std::size_t>(vcIndex(port, v))] =
             static_cast<std::uint32_t>(downstreamVcCapacity);
@@ -127,6 +128,17 @@ Router::connectOutput(PortId port, FlitChannel *link,
         downstreamVcCapacity * static_cast<std::size_t>(config_.numVcs);
     out.occupancy.start(0.0, 0.0);
     out.occupancyNow = 0.0;
+}
+
+void
+Router::connectEjection(FlitChannel *sink)
+{
+    const PortId port = config_.numPorts - 1;
+    auto &out = outputs_[static_cast<std::size_t>(port)];
+    out.link = sink;
+    out.credited = false;
+    vcFreeMasks_[static_cast<std::size_t>(port)] =
+        static_cast<std::uint32_t>(portVcMask_);
 }
 
 void
@@ -267,7 +279,8 @@ Router::drainFlitsAndBid(Tick now)
             const PortId outPort = vcOutPort_[idx];
             const auto &out = outputs_[static_cast<std::size_t>(outPort)];
             DVSNET_ASSERT(out.link != nullptr, "unconnected output port");
-            if (credits_[static_cast<std::size_t>(
+            if (out.credited &&
+                credits_[static_cast<std::size_t>(
                     vcIndex(outPort, vcOutVc_[idx]))] == 0)
                 continue;
             const std::uint64_t outBit = std::uint64_t{1} << outPort;
@@ -292,7 +305,7 @@ void
 Router::applySwitchGrants(Tick now)
 {
     const auto &grants =
-        swAlloc_.allocateMasks(saReqMasks_, saOutPorts_, saReqPorts_);
+        swAlloc_.allocate(saReqMasks_, saOutPorts_, saReqPorts_);
     const double nowCycles =
         static_cast<double>(now) / static_cast<double>(kRouterClockPeriod);
 
@@ -314,10 +327,13 @@ Router::applySwitchGrants(Tick now)
         ++in.departed;
 
         // Consume one downstream credit; track downstream occupancy (BU).
-        DVSNET_ASSERT(credits_[outIdx] > 0, "switch grant without credit");
-        --credits_[outIdx];
-        out.occupancyNow += 1.0;
-        out.occupancy.update(nowCycles, out.occupancyNow);
+        if (out.credited) {
+            DVSNET_ASSERT(credits_[outIdx] > 0,
+                          "switch grant without credit");
+            --credits_[outIdx];
+            out.occupancyNow += 1.0;
+            out.occupancy.update(nowCycles, out.occupancyNow);
+        }
 
         // Return a credit upstream for the freed buffer slot.  Terminal
         // input ports have no credit path (the injection process observes
@@ -328,7 +344,6 @@ Router::applySwitchGrants(Tick now)
         // Hand the flit to the channel, re-tagged with its downstream VC.
         flit.vc = static_cast<std::uint8_t>(outVc);
         out.link->send(flit, now + extraDelayTicks_);
-        ++out.forwardedWindow;
         ++stats_.flitsForwarded;
         ++stats_.switchGrants;
 
@@ -463,13 +478,6 @@ Router::bufferOccupancy(PortId port) const
         .buffer.totalOccupancy();
 }
 
-std::size_t
-Router::bufferCapacity(PortId port) const
-{
-    return inputs_.at(static_cast<std::size_t>(port))
-        .buffer.totalCapacity();
-}
-
 double
 Router::takeBufferUtilWindow(PortId port, Tick now)
 {
@@ -511,15 +519,6 @@ Router::creditCount(PortId port, VcId vc) const
                       vc >= 0 && vc < config_.numVcs,
                   "credit query out of range");
     return credits_[static_cast<std::size_t>(vcIndex(port, vc))];
-}
-
-std::uint64_t
-Router::takeForwardedWindow(PortId port)
-{
-    auto &out = outputs_.at(static_cast<std::size_t>(port));
-    const auto n = out.forwardedWindow;
-    out.forwardedWindow = 0;
-    return n;
 }
 
 } // namespace dvsnet::router

@@ -47,7 +47,7 @@ namespace dvsnet::router
 /** Static configuration of one router. */
 struct RouterConfig
 {
-    PortId numPorts = 5;            ///< including the terminal port
+    PortId numPorts = 5;            ///< including the terminal (last) port
     std::int32_t numVcs = 2;        ///< virtual channels per port
     std::size_t bufferPerPort = 128; ///< flit slots per input port
     Cycle pipelineLatency = 13;     ///< zero-load in-router cycles (>= 3)
@@ -99,6 +99,15 @@ class Router
     void connectOutput(PortId port, FlitChannel *link,
                        std::size_t downstreamVcCapacity);
 
+    /**
+     * Attach the node's ejection path to the terminal port (the last
+     * port).  The node consumes each flit as it arrives, so flits
+     * leaving through it spend no credits and the port keeps no
+     * downstream-occupancy average.
+     * @param sink data path (not owned)
+     */
+    void connectEjection(FlitChannel *sink);
+
     /** Attach the credit-return path for flits consumed at input `port`. */
     void connectCreditReturn(PortId port, CreditChannel *path);
 
@@ -139,9 +148,6 @@ class Router
     /** Total buffered flits at input `port` (Eq. 3 numerator F(t)). */
     std::size_t bufferOccupancy(PortId port) const;
 
-    /** Buffer capacity at input `port` (Eq. 3 denominator B). */
-    std::size_t bufferCapacity(PortId port) const;
-
     /**
      * Downstream occupancy estimate for output `port`, as a fraction of
      * downstream capacity, integrated since the last takeWindow call.
@@ -158,9 +164,6 @@ class Router
      */
     std::pair<double, std::uint64_t> takeBufferAgeWindow(PortId port);
 
-    /** Flits forwarded through output `port` since the last call. */
-    std::uint64_t takeForwardedWindow(PortId port);
-
     /** Available downstream credits at output `port` for VC `vc`. */
     std::size_t creditCount(PortId port, VcId vc) const;
 
@@ -170,11 +173,11 @@ class Router
     struct OutputUnit
     {
         FlitChannel *link = nullptr;
+        bool credited = false;  ///< false on the ejection port
         std::size_t downstreamCapacity = 0;  ///< total flit slots downstream
         TimeWeightedAverage occupancy;       ///< downstream occupancy (flits)
         double occupancyNow = 0.0;
         Inbox<VcId> creditInbox;
-        std::uint64_t forwardedWindow = 0;
     };
 
     struct InputUnit
@@ -256,7 +259,7 @@ class Router
     // Fused drain/SA scratch: drainFlitsAndBid fills the per-port VC
     // request masks and per-VC target ports in the same pass that
     // drains the inboxes; applySwitchGrants feeds them straight to the
-    // allocator's mask overload.  Entries outside saReqPorts_ are stale
+    // switch allocator.  Entries outside saReqPorts_ are stale
     // by design and never read.
     std::vector<std::uint32_t> saReqMasks_;  ///< per input port
     std::vector<PortId> saOutPorts_;         ///< per dense input VC

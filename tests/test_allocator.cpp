@@ -2,28 +2,35 @@
  * @file
  * Separable allocator tests: structural invariants (one grant per
  * resource and per requester), mask respect, fairness under contention.
+ * Both allocators are driven through their one mask-fed `allocate`.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "router/allocator.hpp"
+#include "switch_bids.hpp"
 
+using dvsnet::kInvalidId;
 using dvsnet::PortId;
 using dvsnet::VcId;
+using dvsnet::router::PortSet;
 using dvsnet::router::SeparableSwitchAllocator;
 using dvsnet::router::SeparableVcAllocator;
-using dvsnet::router::SwitchRequest;
-using dvsnet::router::VcRequest;
+using dvsnet::testutil::allocateBids;
+using dvsnet::testutil::SwitchBid;
 
 namespace
 {
 
-bool
-alwaysFree(PortId, VcId)
+/** The same free-VC mask at each of `numPorts` output ports. */
+std::vector<std::uint32_t>
+everyPortFree(PortId numPorts, std::uint32_t freeVcs)
 {
-    return true;
+    return std::vector<std::uint32_t>(static_cast<std::size_t>(numPorts),
+                                      freeVcs);
 }
 
 } // namespace
@@ -31,13 +38,13 @@ alwaysFree(PortId, VcId)
 TEST(VcAllocator, EmptyRequestsEmptyGrants)
 {
     SeparableVcAllocator va(5, 2, 10);
-    EXPECT_TRUE(va.allocate({}, alwaysFree).empty());
+    EXPECT_TRUE(va.allocate({}, everyPortFree(5, 0b11)).empty());
 }
 
 TEST(VcAllocator, SingleRequestGranted)
 {
     SeparableVcAllocator va(5, 2, 10);
-    const auto grants = va.allocate({{3, 2, 0b11}}, alwaysFree);
+    const auto grants = va.allocate({{3, 2, 0b11}}, everyPortFree(5, 0b11));
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].requester, 3);
     EXPECT_EQ(grants[0].outPort, 2);
@@ -47,7 +54,7 @@ TEST(VcAllocator, SingleRequestGranted)
 TEST(VcAllocator, RespectsVcMask)
 {
     SeparableVcAllocator va(5, 2, 10);
-    const auto grants = va.allocate({{0, 1, 0b10}}, alwaysFree);
+    const auto grants = va.allocate({{0, 1, 0b10}}, everyPortFree(5, 0b11));
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].outVc, 1);
 }
@@ -55,8 +62,8 @@ TEST(VcAllocator, RespectsVcMask)
 TEST(VcAllocator, RespectsBusyVcs)
 {
     SeparableVcAllocator va(5, 2, 10);
-    auto onlyVc1Free = [](PortId, VcId vc) { return vc == 1; };
-    const auto grants = va.allocate({{0, 0, 0b11}}, onlyVc1Free);
+    const auto grants =
+        va.allocate({{0, 0, 0b11}}, everyPortFree(5, 0b10));
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].outVc, 1);
 }
@@ -64,15 +71,14 @@ TEST(VcAllocator, RespectsBusyVcs)
 TEST(VcAllocator, NoGrantWhenAllBusy)
 {
     SeparableVcAllocator va(5, 2, 10);
-    auto noneFree = [](PortId, VcId) { return false; };
-    EXPECT_TRUE(va.allocate({{0, 0, 0b11}}, noneFree).empty());
+    EXPECT_TRUE(va.allocate({{0, 0, 0b11}}, everyPortFree(5, 0)).empty());
 }
 
 TEST(VcAllocator, AtMostOneGrantPerRequester)
 {
     SeparableVcAllocator va(2, 2, 4);
     // One requester wanting both VCs of port 0: must get exactly one.
-    const auto grants = va.allocate({{1, 0, 0b11}}, alwaysFree);
+    const auto grants = va.allocate({{1, 0, 0b11}}, everyPortFree(2, 0b11));
     EXPECT_EQ(grants.size(), 1u);
 }
 
@@ -81,7 +87,7 @@ TEST(VcAllocator, AtMostOneGrantPerResource)
     SeparableVcAllocator va(2, 2, 4);
     // Three requesters all wanting port 1: grants must hold distinct VCs.
     const auto grants = va.allocate(
-        {{0, 1, 0b11}, {1, 1, 0b11}, {2, 1, 0b11}}, alwaysFree);
+        {{0, 1, 0b11}, {1, 1, 0b11}, {2, 1, 0b11}}, everyPortFree(2, 0b11));
     EXPECT_EQ(grants.size(), 2u);  // only 2 VCs exist on the port
     std::set<VcId> vcs;
     for (const auto &g : grants)
@@ -94,7 +100,7 @@ TEST(VcAllocator, DisjointPortsAllGranted)
     SeparableVcAllocator va(4, 2, 8);
     const auto grants = va.allocate(
         {{0, 0, 0b01}, {1, 1, 0b01}, {2, 2, 0b01}, {3, 3, 0b01}},
-        alwaysFree);
+        everyPortFree(4, 0b11));
     EXPECT_EQ(grants.size(), 4u);
 }
 
@@ -104,7 +110,7 @@ TEST(VcAllocator, ContendersEventuallyAllServed)
     std::set<int> winners;
     for (int round = 0; round < 3; ++round) {
         const auto grants = va.allocate(
-            {{0, 0, 0b1}, {1, 0, 0b1}, {2, 0, 0b1}}, alwaysFree);
+            {{0, 0, 0b1}, {1, 0, 0b1}, {2, 0, 0b1}}, everyPortFree(1, 0b1));
         ASSERT_EQ(grants.size(), 1u);
         winners.insert(grants[0].requester);
     }
@@ -114,13 +120,13 @@ TEST(VcAllocator, ContendersEventuallyAllServed)
 TEST(SwitchAllocator, EmptyRequestsEmptyGrants)
 {
     SeparableSwitchAllocator sa(5, 2);
-    EXPECT_TRUE(sa.allocate({}).empty());
+    EXPECT_TRUE(allocateBids(sa, 5, 2, {}).empty());
 }
 
 TEST(SwitchAllocator, SingleRequestGranted)
 {
     SeparableSwitchAllocator sa(5, 2);
-    const auto grants = sa.allocate({{1, 0, 4}});
+    const auto grants = allocateBids(sa, 5, 2, {{1, 0, 4}});
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].inPort, 1);
     EXPECT_EQ(grants[0].inVc, 0);
@@ -132,7 +138,7 @@ TEST(SwitchAllocator, OneGrantPerInputPort)
     SeparableSwitchAllocator sa(5, 2);
     // Two VCs of input 0 requesting different outputs: input stage picks
     // one.
-    const auto grants = sa.allocate({{0, 0, 1}, {0, 1, 2}});
+    const auto grants = allocateBids(sa, 5, 2, {{0, 0, 1}, {0, 1, 2}});
     EXPECT_EQ(grants.size(), 1u);
 }
 
@@ -140,7 +146,8 @@ TEST(SwitchAllocator, OneGrantPerOutputPort)
 {
     SeparableSwitchAllocator sa(5, 2);
     // Three inputs contending for output 2.
-    const auto grants = sa.allocate({{0, 0, 2}, {1, 0, 2}, {3, 1, 2}});
+    const auto grants =
+        allocateBids(sa, 5, 2, {{0, 0, 2}, {1, 0, 2}, {3, 1, 2}});
     EXPECT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].outPort, 2);
 }
@@ -148,15 +155,16 @@ TEST(SwitchAllocator, OneGrantPerOutputPort)
 TEST(SwitchAllocator, ParallelTransfersAllGranted)
 {
     SeparableSwitchAllocator sa(5, 2);
-    const auto grants = sa.allocate({{0, 0, 1}, {1, 0, 2}, {2, 1, 3}});
+    const auto grants =
+        allocateBids(sa, 5, 2, {{0, 0, 1}, {1, 0, 2}, {2, 1, 3}});
     EXPECT_EQ(grants.size(), 3u);
 }
 
 TEST(SwitchAllocator, GrantsAreASubsetOfRequests)
 {
     SeparableSwitchAllocator sa(3, 2);
-    const std::vector<SwitchRequest> reqs{{0, 0, 1}, {1, 1, 1}, {2, 0, 0}};
-    for (const auto &g : sa.allocate(reqs)) {
+    const std::vector<SwitchBid> reqs{{0, 0, 1}, {1, 1, 1}, {2, 0, 0}};
+    for (const auto &g : allocateBids(sa, 3, 2, reqs)) {
         bool found = false;
         for (const auto &r : reqs) {
             found |= r.inPort == g.inPort && r.inVc == g.inVc &&
@@ -171,7 +179,8 @@ TEST(SwitchAllocator, FairAcrossInputsOverRounds)
     SeparableSwitchAllocator sa(3, 1);
     std::vector<int> wins(3, 0);
     for (int round = 0; round < 300; ++round) {
-        const auto grants = sa.allocate({{0, 0, 2}, {1, 0, 2}, {2, 0, 2}});
+        const auto grants =
+            allocateBids(sa, 3, 1, {{0, 0, 2}, {1, 0, 2}, {2, 0, 2}});
         ASSERT_EQ(grants.size(), 1u);
         ++wins[static_cast<std::size_t>(grants[0].inPort)];
     }
@@ -184,10 +193,28 @@ TEST(SwitchAllocator, VcFairnessWithinInputPort)
     SeparableSwitchAllocator sa(2, 2);
     std::vector<int> wins(2, 0);
     for (int round = 0; round < 100; ++round) {
-        const auto grants = sa.allocate({{0, 0, 1}, {0, 1, 1}});
+        const auto grants = allocateBids(sa, 2, 2, {{0, 0, 1}, {0, 1, 1}});
         ASSERT_EQ(grants.size(), 1u);
         ++wins[static_cast<std::size_t>(grants[0].inVc)];
     }
     EXPECT_EQ(wins[0], 50);
     EXPECT_EQ(wins[1], 50);
+}
+
+TEST(SwitchAllocator, ReadsOnlyRequestingPorts)
+{
+    // The router leaves stale masks at ports that bid in an earlier
+    // cycle; outside reqPorts the allocator must not read them, nor the
+    // output ports they would select (kInvalidId here).
+    SeparableSwitchAllocator sa(3, 2);
+    const std::vector<std::uint32_t> vcReqMasks{0b10, 0b11, 0b01};
+    std::vector<PortId> outPorts(6, kInvalidId);
+    outPorts[0 * 2 + 1] = 2;
+    PortSet reqPorts;
+    reqPorts.set(0);
+    const auto &grants = sa.allocate(vcReqMasks, outPorts, reqPorts);
+    ASSERT_EQ(grants.size(), 1u);
+    EXPECT_EQ(grants[0].inPort, 0);
+    EXPECT_EQ(grants[0].inVc, 1);
+    EXPECT_EQ(grants[0].outPort, 2);
 }

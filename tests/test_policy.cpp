@@ -2,7 +2,7 @@
  * @file
  * DVS policy tests: Algorithm 1's threshold logic, EWMA history (Eq. 5),
  * the congestion litmus that switches threshold banks, Table 2 settings,
- * and the baseline policies.
+ * and the static-level baseline.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@ using dvsnet::core::DvsAction;
 using dvsnet::core::HistoryDvsParams;
 using dvsnet::core::HistoryDvsPolicy;
 using dvsnet::core::LinkUtilOnlyPolicy;
-using dvsnet::core::NoDvsPolicy;
 using dvsnet::core::PolicyInput;
 using dvsnet::core::StaticLevelPolicy;
 
@@ -183,13 +182,6 @@ TEST(LinkUtilOnly, IgnoresCongestionLitmus)
     // Without the litmus, 0.55 > TL_high = 0.4 -> Faster even under
     // congestion (the behavior the litmus exists to prevent).
     EXPECT_EQ(a, DvsAction::Faster);
-}
-
-TEST(NoDvs, AlwaysHolds)
-{
-    NoDvsPolicy p;
-    EXPECT_EQ(p.decide(in(0.0, 0.0)), DvsAction::Hold);
-    EXPECT_EQ(p.decide(in(1.0, 1.0)), DvsAction::Hold);
 }
 
 TEST(StaticLevel, DrivesTowardTarget)

@@ -134,8 +134,9 @@ TEST(RouterPowerProfile, AllocatorsAre81mW)
 {
     const auto p = RouterPowerProfile::paper();
     for (const auto &s : p.slices()) {
-        if (s.component == "allocators")
+        if (s.component == "allocators") {
             EXPECT_NEAR(s.watts, 0.081, 1e-9);
+        }
     }
 }
 

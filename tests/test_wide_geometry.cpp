@@ -32,6 +32,7 @@
 #include "router/allocator.hpp"
 #include "router/limits.hpp"
 #include "router/router.hpp"
+#include "switch_bids.hpp"
 
 using dvsnet::ConfigError;
 using dvsnet::PortId;
@@ -43,9 +44,9 @@ using dvsnet::network::RunResults;
 using dvsnet::router::RouterConfig;
 using dvsnet::router::SeparableSwitchAllocator;
 using dvsnet::router::SeparableVcAllocator;
-using dvsnet::router::SwitchRequest;
 using dvsnet::router::VcGrant;
 using dvsnet::router::VcRequest;
+using dvsnet::testutil::SwitchBid;
 
 namespace
 {
@@ -132,11 +133,11 @@ class ReferenceSwitchAllocator
     {}
 
     std::vector<dvsnet::router::SwitchGrant>
-    allocate(const std::vector<SwitchRequest> &requests)
+    allocate(const std::vector<SwitchBid> &requests)
     {
         // Stage 1: one VC per requesting input port (round-robin over
-        // its requesting VCs); first request per (port, vc) defines the
-        // output port, as in the production shim.
+        // its requesting VCs); the first request per (port, vc) defines
+        // the output port.
         std::vector<std::int32_t> stageOne(
             static_cast<std::size_t>(numPorts_), -1);
         std::vector<PortId> outOf(
@@ -290,14 +291,17 @@ TEST(WideGeometrySwitchAllocator, MatchesReferenceAtWideVcCounts)
     std::uniform_int_distribution<VcId> vcDist(0, numVcs - 1);
 
     for (std::int32_t round = 0; round < 600; ++round) {
-        std::vector<SwitchRequest> requests;
+        std::vector<SwitchBid> requests;
         const std::int32_t n =
             std::uniform_int_distribution<std::int32_t>(0, 20)(rng);
         for (std::int32_t i = 0; i < n; ++i)
             requests.push_back({portDist(rng), vcDist(rng),
                                 portDist(rng)});
 
-        const auto &got = dut.allocate(requests);
+        // The device under test gets the same list as the per-port VC
+        // masks and dense output-port array a router's SA stage fills.
+        const auto &got = dvsnet::testutil::allocateBids(
+            dut, numPorts, numVcs, requests);
         const auto want = ref.allocate(requests);
         ASSERT_EQ(got.size(), want.size()) << "round=" << round;
         for (std::size_t i = 0; i < want.size(); ++i) {
