@@ -255,8 +255,10 @@ checkEnergyAgreement(const Json &node, const std::string &path)
  * Typed `pareto_search` result entry (the search driver binaries): the
  * spec echo, a completion flag, the evaluation/cache counters, and a
  * front whose points all carry numeric objective vectors of a shared
- * arity.  A completed search must have a non-empty front; an
- * interrupted one (budget exhausted) may legitimately have none.
+ * arity.  `continued` counts evaluations that ran a kept network on, so
+ * it is at most `network_evals`.  A completed search must have a
+ * non-empty front; an interrupted one (budget exhausted) may
+ * legitimately have none.
  */
 void
 checkParetoSearchEntry(const Json &entry)
@@ -269,13 +271,16 @@ checkParetoSearchEntry(const Json &entry)
         fail("pareto_search result missing bool 'completed'");
     for (const char *key : {"candidates", "network_evals",
                             "network_evals_full", "cache_hits",
-                            "culled"}) {
+                            "culled", "continued"}) {
         const Json *v = entry.find(key);
         if (!v || !v->isNumber()) {
             fail(std::string("pareto_search result missing numeric '") +
                  key + "'");
         }
     }
+    if (entry.find("continued")->asDouble() >
+        entry.find("network_evals")->asDouble())
+        fail("pareto_search 'continued' exceeds 'network_evals'");
     const Json *front = entry.find("front");
     if (!front || !front->isArray())
         fail("pareto_search result missing array 'front'");

@@ -49,6 +49,24 @@ fig15GridCandidates()
     return grid;
 }
 
+void
+rejectUnknownSearchKeys(const BenchOptions &opts, const std::string &binary)
+{
+    try {
+        opts.raw.rejectUnknownKeys(
+            {// bench::parseOptions
+             "quick", "warmup", "light_warmup", "cycles", "seed", "csv",
+             "points", "threads", "json", "workload", "link-power",
+             // bench::paperSpec
+             "tasks", "task_duration", "sources",
+             // searchConfigFromOptions
+             "search", "rate", "journal", "resume", "cache"},
+            binary);
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL(e.what());
+    }
+}
+
 std::string
 searchSpecString(const BenchOptions &opts)
 {
@@ -142,6 +160,7 @@ searchResultJson(const search::SearchOutcome &outcome,
     entry["network_evals_full"] = Json(outcome.networkEvalsFull);
     entry["cache_hits"] = Json(outcome.cacheHits);
     entry["culled"] = Json(outcome.culled);
+    entry["continued"] = Json(outcome.continued);
     entry["front"] = outcome.front.toJson();
     return entry;
 }

@@ -1,10 +1,11 @@
 /**
  * @file
  * Shared plumbing between the `pareto_search` tool and
- * `bench_pareto_search`: building a search::SearchConfig from bench
- * options (the `search=<spec>` grammar plus journal/resume/cache keys),
- * the fixed Fig. 15 threshold grid the search is compared against, and
- * the typed `pareto_search` artifact entry both binaries record.
+ * `bench_pareto_search`: the keys both accept, building a
+ * search::SearchConfig from bench options (the `search=<spec>` grammar
+ * plus journal/resume/cache keys), the fixed Fig. 15 threshold grid the
+ * search is compared against, and the typed `pareto_search` artifact
+ * entry both binaries record.
  */
 
 #pragma once
@@ -50,6 +51,15 @@ search::SearchConfig searchConfigFromOptions(const BenchOptions &opts);
  */
 search::SearchOutcome runSearch(search::SearchDriver &driver);
 
+/**
+ * Exit naming the first key in `opts` that a search binary does not
+ * read, with the accepted ones: bench::parseOptions's,
+ * bench::paperSpec's and searchConfigFromOptions's.  A misspelled key
+ * would otherwise be a silent no-op.  `binary` names the caller.
+ */
+void rejectUnknownSearchKeys(const BenchOptions &opts,
+                             const std::string &binary);
+
 /** The `search=` spec string in effect for `opts` (default applied). */
 std::string searchSpecString(const BenchOptions &opts);
 
@@ -58,8 +68,8 @@ Table frontTable(const search::ParetoFront &front);
 
 /**
  * Typed `pareto_search` artifact entry: search spec echo, completion
- * flag, candidate/evaluation/cache counters and the full front —
- * the fields bench_json_check validates.
+ * flag, candidate/evaluation/cache/continuation counters and the full
+ * front — the fields bench_json_check validates.
  */
 Json searchResultJson(const search::SearchOutcome &outcome,
                       const std::string &specString);

@@ -51,7 +51,9 @@ std::string
 concat(Args &&...args)
 {
     std::ostringstream oss;
-    (oss << ... << args);
+    // A comma fold: an empty pack expands to void(), not to a bare
+    // `oss` that -Wunused-value flags.
+    ((oss << args), ...);
     return oss.str();
 }
 

@@ -15,12 +15,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "network/sweep.hpp"
 
 namespace dvsnet::exp
 {
+
+class LiveNetwork;  // exp/runner.hpp
 
 /**
  * Seed for sweep point `index` of a sweep rooted at `baseSeed`.
@@ -49,6 +52,24 @@ struct PointJob
     double injectionRate = 1.0;  ///< offered packets/cycle (target)
     std::uint64_t seed = 12345;  ///< workload RNG seed for this point
     std::string label;           ///< optional tag echoed in the result
+
+    /**
+     * Cycles the job's packet stream covers; 0 = the run's end.  Jobs
+     * whose runs differ only in length share one stream when they name
+     * one horizon, and the runner keeps that stream until it is
+     * destroyed, for jobs submitted after a collect() too.
+     */
+    Cycle horizon = 0;
+
+    /**
+     * A network an earlier job of this point kept: the job runs it on
+     * to its end and collects it, instead of building one from cycle 0.
+     * The job fails unless it is that point measured for longer.
+     */
+    std::shared_ptr<LiveNetwork> resume;
+
+    /** Hand the network on in PointResult::live once collected. */
+    bool keep = false;
 };
 
 /** Outcome of one PointJob, successful or not. */
@@ -63,6 +84,9 @@ struct PointResult
     double wallSeconds = 0;  ///< wall-clock time spent executing the job
 
     network::RunResults results;  ///< valid only when ok
+
+    /** The job's network when PointJob::keep asked for it and ok. */
+    std::shared_ptr<LiveNetwork> live;
 
     /** View as a sweep sample (rate + results). */
     network::SweepPoint toSweepPoint() const

@@ -66,29 +66,36 @@ validatePoint(const network::ExperimentSpec &spec, double injectionRate)
         throw ConfigError(joinProblems("invalid experiment", problems));
 }
 
+/** Last cycle the job's packet stream covers (PointJob::horizon). */
+Cycle
+streamHorizon(const PointJob &job)
+{
+    return job.horizon != 0 ? job.horizon : job.spec.warmup + job.spec.measure;
+}
+
 /**
- * The point's packets, recorded with the generator alone through the
- * end of the run; null for a closed-loop workload, which must run live.
+ * The job's packets, recorded with the generator alone through its
+ * stream horizon; null for a closed-loop workload, which must run live.
  * `started` receives the stream once its generator has started, while it
  * records (PacketStream::recordFrom).  The generator is gone before the
  * caller builds its own network.
  */
 std::shared_ptr<const traffic::PacketStream>
 recordPointStream(
-    const network::ExperimentSpec &spec, double injectionRate,
-    std::uint64_t seed,
+    const PointJob &job,
     const std::function<void(std::shared_ptr<const traffic::PacketStream>)>
         &started = {})
 {
-    const auto &cfg = spec.network;
+    const auto &cfg = job.spec.network;
     const topo::KAryNCube topo(cfg.radix, cfg.dims, cfg.torus);
     const auto generator = workload::buildWorkload(
-        spec.workloadSpec,
-        workload::WorkloadContext{topo, injectionRate, seed, spec.workload});
+        job.spec.workloadSpec,
+        workload::WorkloadContext{topo, job.injectionRate, job.seed,
+                                  job.spec.workload});
     if (generator->wantsDeliveries())
         return nullptr;
     auto stream = std::make_shared<traffic::PacketStream>(
-        cyclesToTicks(spec.warmup + spec.measure));
+        cyclesToTicks(streamHorizon(job)));
     stream->recordFrom(*generator, [&] {
         if (started)
             started(stream);
@@ -96,28 +103,11 @@ recordPointStream(
     return stream;
 }
 
-/** Run a validated point from `stream`, or live when it is null. */
-network::RunResults
-runPointOn(const network::ExperimentSpec &spec, double injectionRate,
-           std::uint64_t seed, const traffic::PacketStream *stream)
-{
-    network::Network net(spec.network);
-    if (stream != nullptr) {
-        net.attachStream(stream->cursor());
-        return net.run(spec.warmup, spec.measure);
-    }
-    workload::WorkloadContext context{net.topology(), injectionRate, seed,
-                                      spec.workload};
-    const auto generator =
-        workload::buildWorkload(spec.workloadSpec, context);
-    net.attachTraffic(*generator);
-    return net.run(spec.warmup, spec.measure);
-}
-
 /**
  * Everything a job's traffic generator reads: the workload spec string
  * and parameter block, the topology, the rate (exact bits), the seed
- * and the run length.  Jobs with equal keys create identical packets.
+ * and the stream horizon.  Jobs with equal keys create identical
+ * packets.
  */
 std::string
 streamKey(const PointJob &job)
@@ -132,7 +122,7 @@ streamKey(const PointJob &job)
     key << spec.workloadSpec << '\n'
         << spec.network.radix << ' ' << spec.network.dims << ' '
         << spec.network.torus << ' ' << bits(job.injectionRate) << ' '
-        << job.seed << ' ' << spec.warmup + spec.measure;
+        << job.seed << ' ' << streamHorizon(job);
     for (const double v :
          {w.avgConcurrentTasks, w.meanTaskDurationCycles, w.durationSpread,
           w.networkInjectionRate, w.rateSpread, w.onOff.onShape,
@@ -146,13 +136,63 @@ streamKey(const PointJob &job)
 
 } // namespace
 
+LiveNetwork::LiveNetwork(const PointJob &job,
+                         std::shared_ptr<const traffic::PacketStream> stream)
+    : spec_(job.spec), injectionRate_(job.injectionRate), seed_(job.seed),
+      stream_(std::move(stream)), network_(job.spec.network)
+{
+    spec_.measure = 0;
+    if (stream_ != nullptr) {
+        network_.attachStream(stream_->cursor());
+        return;
+    }
+    generator_ = workload::buildWorkload(
+        spec_.workloadSpec,
+        workload::WorkloadContext{network_.topology(), injectionRate_,
+                                  seed_, spec_.workload});
+    network_.attachTraffic(*generator_);
+}
+
+bool
+LiveNetwork::continues(const PointJob &job) const
+{
+    if (job.spec.measure <= spec_.measure ||
+        job.injectionRate != injectionRate_ || job.seed != seed_)
+        return false;
+    network::ExperimentSpec sofar = job.spec;
+    sofar.measure = spec_.measure;
+    return network::toJson(sofar).dump() == network::toJson(spec_).dump();
+}
+
+network::RunResults
+LiveNetwork::runOn(const PointJob &job)
+{
+    if (!continues(job)) {
+        throw ConfigError(detail::concat(
+            "job does not continue the kept network's run (measured ",
+            spec_.measure, " cycles; the job measures ", job.spec.measure,
+            ", and must be the same point)"));
+    }
+    if (spec_.measure == 0) {
+        network_.runUntilCycle(spec_.warmup);
+        network_.beginMeasurement();
+    }
+    network_.runUntilCycle(spec_.warmup + job.spec.measure);
+    spec_.measure = job.spec.measure;
+    return network_.collect();
+}
+
 network::RunResults
 runPoint(const network::ExperimentSpec &spec, double injectionRate,
          std::uint64_t seed)
 {
     validatePoint(spec, injectionRate);
-    const auto stream = recordPointStream(spec, injectionRate, seed);
-    return runPointOn(spec, injectionRate, seed, stream.get());
+    PointJob job;
+    job.spec = spec;
+    job.injectionRate = injectionRate;
+    job.seed = seed;
+    LiveNetwork run(job, recordPointStream(job));
+    return run.runOn(job);
 }
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
@@ -221,8 +261,7 @@ ExperimentRunner::acquireStream(const std::string &key, const PointJob &job)
     };
     std::shared_ptr<const traffic::PacketStream> stream;
     try {
-        stream = recordPointStream(job.spec, job.injectionRate, job.seed,
-                                   share);
+        stream = recordPointStream(job, share);
     } catch (...) {
         // Once shared, the stream carries the error to its readers.
         lock.lock();
@@ -250,9 +289,12 @@ ExperimentRunner::execute(std::size_t index, const PointJob &job,
     try {
         // Validated first, so every job fails with runPoint's message.
         validatePoint(job.spec, job.injectionRate);
-        const auto stream = acquireStream(key, job);
-        result.results = runPointOn(job.spec, job.injectionRate, job.seed,
-                                    stream.get());
+        std::shared_ptr<LiveNetwork> run = job.resume;
+        if (run == nullptr)
+            run = std::make_shared<LiveNetwork>(job, acquireStream(key, job));
+        result.results = run->runOn(job);
+        if (job.keep)
+            result.live = std::move(run);
         result.ok = true;
     } catch (const std::exception &e) {
         result.error = e.what();
@@ -267,7 +309,7 @@ ExperimentRunner::execute(std::size_t index, const PointJob &job,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto slot = streams_.find(key);
-        if (--slot->second.consumers == 0)
+        if (--slot->second.consumers == 0 && job.horizon == 0)
             streams_.erase(slot);
         results_[index] = std::move(result);
         ++completed_;

@@ -4,8 +4,8 @@
  *
  * Replaces the serial free-function sweep driver.  Callers submit
  * PointJobs (or whole injection sweeps); a fixed-size worker pool runs
- * them with each Network/Kernel confined to a single worker; collect()
- * returns results in submission order.  Guarantees:
+ * them with each Network/Kernel touched by one worker at a time;
+ * collect() returns results in submission order.  Guarantees:
  *
  *  - **Determinism**: every job carries an explicit seed (sweeps derive
  *    theirs as pointSeed(baseSeed, pointIndex)), so results are
@@ -23,10 +23,15 @@
  *    run their networks from it while it records, paced by the recorder
  *    (traffic::PacketStream), and the recorder runs its own network
  *    once the recording is done.  The stream is freed when the last of
- *    them finishes.  A recording that fails before its generator starts
- *    wakes the waiters, and the next one retries; one that fails later
- *    fails every job reading it with the recorder's error.  Either way
- *    every job's result is what exp::runPoint gives it.
+ *    them finishes, or with the runner when they name a horizon
+ *    (PointJob::horizon).  A recording that fails before its generator
+ *    starts wakes the waiters, and the next one retries; one that fails
+ *    later fails every job reading it with the recorder's error.
+ *    Either way every job's result is what exp::runPoint gives it.
+ *  - **Continuation**: a job can keep its network (PointJob::keep) and
+ *    a later job of the same point, measured for longer, runs it on
+ *    (PointJob::resume) instead of simulating the shared prefix again;
+ *    its result is still exp::runPoint's (LiveNetwork).
  *
  * Typical use:
  *
@@ -49,10 +54,54 @@
 
 #include "exp/experiment.hpp"
 #include "exp/worker_pool.hpp"
+#include "network/network.hpp"
 #include "traffic/stream.hpp"
 
 namespace dvsnet::exp
 {
+
+/**
+ * A point's network with the stream or generator that feeds it.  Every
+ * job runs one (runOn); a job with PointJob::keep hands it on, and a
+ * later job of the same point with a longer measurement runs it on
+ * from where it stopped (PointJob::resume) instead of from cycle 0.
+ * Under one stream the rest of that run is what a run from cycle 0
+ * simulates, and Network::collect() is repeatable, so each result is
+ * exp::runPoint's bit for bit.  A kept network crosses workers only
+ * through the runner: collect() hands it out after the pool's wait(),
+ * and submit() hands it back, so one thread at a time touches it.
+ */
+class LiveNetwork
+{
+  public:
+    /** Build `job`'s network, fed by `stream` or, when it is null, by a
+     *  live generator.  Nothing runs yet. */
+    LiveNetwork(const PointJob &job,
+                std::shared_ptr<const traffic::PacketStream> stream);
+
+    /** The network's events hold its address. */
+    LiveNetwork(const LiveNetwork &) = delete;
+    LiveNetwork &operator=(const LiveNetwork &) = delete;
+
+    /**
+     * Run on to the end of `job`'s measurement, through its warm-up
+     * first when nothing has run yet, and collect.
+     * @throws ConfigError unless continues(job)
+     */
+    network::RunResults runOn(const PointJob &job);
+
+  private:
+    /** Whether `job` is this point (equal spec, rate and seed) measured
+     *  for longer than the run has been. */
+    bool continues(const PointJob &job) const;
+
+    network::ExperimentSpec spec_;  ///< measure: cycles measured so far
+    double injectionRate_;
+    std::uint64_t seed_;
+    std::shared_ptr<const traffic::PacketStream> stream_;  ///< or null
+    network::Network network_;
+    std::unique_ptr<traffic::TrafficGenerator> generator_;  ///< live only
+};
 
 /** Multi-threaded experiment executor (see file comment). */
 class ExperimentRunner

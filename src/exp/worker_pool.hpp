@@ -4,8 +4,12 @@
  *
  * Deliberately minimal: FIFO job queue, `post()` to enqueue, `wait()`
  * to drain.  Each job runs start-to-finish on one worker thread, which
- * is the confinement guarantee the ExperimentRunner builds on (a
- * Network/Kernel pair is only ever touched by the worker that built it).
+ * is the confinement guarantee the ExperimentRunner builds on: a
+ * Network/Kernel pair is touched by one worker at a time.  A network
+ * that a job keeps (exp::LiveNetwork) may run on, in a later job, on
+ * another worker; the pool orders that hand-over.  Everything a job
+ * did happens before `wait()` returns, and a `post()` happens before
+ * the job it posts starts, both through the pool's mutex.
  */
 
 #pragma once

@@ -588,6 +588,8 @@ Network::collect() const
     // End-of-run invariant sweep: flow control, packet accounting and
     // ledger agreement are all cheap relative to the run itself, so
     // every collected result is a verified one.
+    const std::uint64_t checksBefore = registry_.totalInvariantChecks();
+    const std::uint64_t failuresBefore = registry_.totalInvariantFailures();
     verifyFlowControlInvariants();
     metrics_.verify(registry_.invariant("metrics.packet_accounting"));
     ledger_->verify(registry_.invariant("power.ledger_agreement"),
@@ -617,8 +619,15 @@ Network::collect() const
     res.totalEnergyJ = ledger_->totalEnergy(now);
     res.flitEnergyJ = ledger_->totalFlitEnergy();
     res.avgChannelLevel = averageChannelLevel();
-    res.invariantChecks = registry_.totalInvariantChecks();
-    res.invariantFailures = registry_.totalInvariantFailures();
+    // The run's checks plus this sweep's: an earlier collect()'s sweep
+    // is left out, so a run collected mid-way and again later reports
+    // what a run collected once at the end reports.
+    const std::uint64_t checks = registry_.totalInvariantChecks();
+    const std::uint64_t failures = registry_.totalInvariantFailures();
+    res.invariantChecks = checks - sweptChecks_;
+    res.invariantFailures = failures - sweptFailures_;
+    sweptChecks_ += checks - checksBefore;
+    sweptFailures_ += failures - failuresBefore;
     return res;
 }
 

@@ -183,7 +183,11 @@ class Network
     /** Reset all measurement windows at the current instant. */
     void beginMeasurement();
 
-    /** Summarize the window ending now. */
+    /**
+     * Summarize the window ending now.  Repeatable: a run collected,
+     * run on and collected again reports what one collected once at
+     * the later cycle reports, invariantChecks included.
+     */
     RunResults collect() const;
 
     // --- component access for probes, benches and tests ---
@@ -316,6 +320,11 @@ class Network
     /** Mutable: invariant checks from const paths (collect()) count
      *  their executions here. */
     mutable CounterRegistry registry_;
+
+    /** Invariant checks and failures of the sweeps of earlier
+     *  collect() calls, which later results leave out. */
+    mutable std::uint64_t sweptChecks_ = 0;
+    mutable std::uint64_t sweptFailures_ = 0;
 
     // --- activity gating (see stepQuantum) ---
     // Invariant: a router with buffered flits or pending inbox items is

@@ -18,7 +18,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/fatal.hpp"
@@ -39,15 +41,19 @@ enum class VcState : std::uint8_t
 /**
  * One virtual channel's flit FIFO.
  *
- * The FIFO is a fixed ring over a preallocated flit array — the buffer
- * depth is static, and the ring keeps the router's per-cycle scans on
- * contiguous memory (this sits on the simulator's hottest path).
+ * A ring over a flit array, which keeps the router's per-cycle scans on
+ * contiguous memory (this sits on the simulator's hottest path).  Like
+ * router::Inbox, the ring starts empty, is allocated on the first
+ * enqueue and doubles when an enqueue finds it full, here up to the
+ * VC's capacity.  So its storage is the next power of two at or above
+ * the peak occupancy (minimum kMinSlots), never more than the capacity,
+ * rather than the whole buffer depth: most VCs of a network below
+ * saturation never hold more than a packet or two.
  */
 class VirtualChannel
 {
   public:
-    explicit VirtualChannel(std::size_t capacity)
-        : slots_(capacity), capacity_(capacity)
+    explicit VirtualChannel(std::size_t capacity) : capacity_(capacity)
     {
         DVSNET_ASSERT(capacity > 0, "VC capacity must be positive");
     }
@@ -64,14 +70,19 @@ class VirtualChannel
     bool empty() const { return size_ == 0; }
     bool full() const { return size_ == capacity_; }
 
+    /** Slots held (the ring's size; for storage-bound tests). */
+    std::size_t storageSize() const { return slots_.size(); }
+
     /** Enqueue an arriving flit (must not be full). */
     void
     enqueue(const Flit &flit)
     {
         DVSNET_ASSERT(!full(), "enqueue into full VC (credit bug)");
+        if (size_ == slots_.size())
+            grow();
         std::size_t idx = head_ + size_;
-        if (idx >= capacity_)
-            idx -= capacity_;
+        if (idx >= slots_.size())
+            idx -= slots_.size();
         slots_[idx] = flit;
         ++size_;
     }
@@ -90,14 +101,34 @@ class VirtualChannel
     {
         DVSNET_ASSERT(!empty(), "dequeue from empty VC");
         Flit f = slots_[head_];
-        if (++head_ == capacity_)
+        if (++head_ == slots_.size())
             head_ = 0;
         --size_;
         return f;
     }
 
   private:
-    std::vector<Flit> slots_;  ///< ring storage, fixed at capacity_
+    /** Smallest ring allocated, unless the capacity is smaller. */
+    static constexpr std::size_t kMinSlots = 8;
+
+    /** Re-home the flits at offset zero of a ring twice as large (at
+     *  least kMinSlots, at most capacity_). */
+    void
+    grow()
+    {
+        const std::size_t old = slots_.size();
+        std::vector<Flit> ring(
+            std::min(capacity_, std::max(kMinSlots, 2 * old)));
+        for (std::size_t i = 0, idx = head_; i < size_; ++i) {
+            ring[i] = slots_[idx];
+            if (++idx == old)
+                idx = 0;
+        }
+        slots_ = std::move(ring);
+        head_ = 0;
+    }
+
+    std::vector<Flit> slots_;  ///< ring storage; empty until an enqueue
     std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;

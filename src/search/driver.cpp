@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
+#include <numeric>
 #include <utility>
 
 #include "common/fatal.hpp"
@@ -32,7 +35,36 @@ round3(double value)
     return std::round(value * 1000.0) / 1000.0;
 }
 
+/** Whether `next`'s runs continue `rung`'s: the same warm-up, measured
+ *  for longer (the seed is the same on every rung). */
+bool
+continuesRung(const RungSpec &rung, const RungSpec &next)
+{
+    return next.warmup == rung.warmup && next.measure > rung.measure;
+}
+
+/** The ladder's longest run, in cycles: the search's one packet stream
+ *  covers it. */
+Cycle
+longestRun(const std::vector<RungSpec> &rungs)
+{
+    Cycle longest = 0;
+    for (const auto &rung : rungs)
+        longest = std::max(longest, rung.warmup + rung.measure);
+    return longest;
+}
+
 } // namespace
+
+struct SearchDriver::RunState
+{
+    /** Built on the first cache miss; it keeps the search's one packet
+     *  stream (exp::PointJob::horizon) until run() returns. */
+    std::optional<exp::ExperimentRunner> runner;
+
+    /** Networks kept for the next rung, by candidate index. */
+    std::map<std::size_t, std::shared_ptr<exp::LiveNetwork>> live;
+};
 
 Json
 Candidate::toJson() const
@@ -305,7 +337,7 @@ SearchDriver::evaluateFull(const Candidate &candidate)
 std::optional<std::vector<EvalRecord>>
 SearchDriver::evaluateRung(const std::vector<Candidate> &candidates,
                            const std::vector<std::size_t> &survivors,
-                           std::size_t rung)
+                           std::size_t rung, RunState &state)
 {
     const RungSpec &r = config_.rungs.at(rung);
     const bool fullRung = rung + 1 == config_.rungs.size();
@@ -354,25 +386,57 @@ SearchDriver::evaluateRung(const std::vector<Candidate> &candidates,
             missRecords[m] = std::move(rec);
         }
     } else if (!missSlots.empty()) {
-        exp::RunnerOptions options;
-        options.threads = config_.threads;
-        exp::ExperimentRunner runner(std::move(options));
-        for (const std::size_t s : missSlots) {
-            exp::PointJob job;
-            job.spec = specFor(candidates[slots[s].candidate], r);
-            job.injectionRate = config_.injectionRate;
-            job.seed = slots[s].seed;
-            runner.submit(std::move(job));
+        if (!state.runner) {
+            exp::RunnerOptions options;
+            options.threads = config_.threads;
+            state.runner.emplace(std::move(options));
         }
-        auto results = runner.collect();
-        for (std::size_t m = 0; m < results.size(); ++m) {
-            if (!results[m].ok) {
+        // A candidate kept live by the last rung runs on from there,
+        // ahead of the rung's other runs, so each kept network is freed
+        // or kept again before most new ones are built.  Of this rung's
+        // runs, the last 2 x workers in run order (the ones still
+        // running at the end of the rung, and as many again) stay live
+        // when the next rung continues this one's runs.
+        auto previous = std::move(state.live);
+        state.live.clear();
+        std::vector<std::size_t> order(missSlots.size());  // run order
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_partition(order.begin(), order.end(), [&](std::size_t m) {
+            return previous.contains(slots[missSlots[m]].candidate);
+        });
+        const bool keep =
+            !fullRung && continuesRung(r, config_.rungs[rung + 1]);
+        const std::size_t keepFrom =
+            order.size() -
+            std::min(order.size(), 2 * state.runner->threadCount());
+        const Cycle horizon = longestRun(config_.rungs);
+        for (std::size_t q = 0; q < order.size(); ++q) {
+            const Slot &slot = slots[missSlots[order[q]]];
+            exp::PointJob job;
+            job.spec = specFor(candidates[slot.candidate], r);
+            job.injectionRate = config_.injectionRate;
+            job.seed = slot.seed;
+            job.horizon = horizon;
+            job.keep = keep && q >= keepFrom;
+            if (const auto it = previous.find(slot.candidate);
+                it != previous.end()) {
+                job.resume = std::move(it->second);
+                ++registry_->counter("search.continued");
+            }
+            state.runner->submit(std::move(job));
+        }
+        previous.clear();  // live networks no miss of this rung continues
+        auto results = state.runner->collect();
+        for (std::size_t q = 0; q < order.size(); ++q) {
+            const std::size_t candidate = slots[missSlots[order[q]]].candidate;
+            if (!results[q].ok) {
                 throw ConfigError(detail::concat(
                     "search evaluation failed (rung ", rung,
-                    ", candidate ", slots[missSlots[m]].candidate,
-                    "): ", results[m].error));
+                    ", candidate ", candidate, "): ", results[q].error));
             }
-            missRecords[m].results = results[m].results;
+            missRecords[order[q]].results = results[q].results;
+            if (results[q].live)
+                state.live[candidate] = std::move(results[q].live);
         }
     }
 
@@ -474,8 +538,10 @@ SearchDriver::run()
     for (std::size_t i = 0; i < survivors.size(); ++i)
         survivors[i] = i;
 
+    RunState state;
     for (std::size_t rung = 0; rung < config_.rungs.size(); ++rung) {
-        auto records = evaluateRung(outcome.candidates, survivors, rung);
+        auto records =
+            evaluateRung(outcome.candidates, survivors, rung, state);
         if (!records) {
             // Evaluation budget exhausted: stop at the rung boundary.
             outcome.completed = false;
@@ -502,6 +568,11 @@ SearchDriver::run()
         } else {
             survivors = cull(survivors, *records,
                              config_.rungs.at(rung));
+            // A culled candidate's network is freed at the cull.
+            std::erase_if(state.live, [&](const auto &entry) {
+                return !std::binary_search(survivors.begin(),
+                                           survivors.end(), entry.first);
+            });
         }
     }
 
@@ -511,6 +582,7 @@ SearchDriver::run()
         registry_->counterValue("search.network_evals_full");
     outcome.cacheHits = registry_->counterValue("search.cache_hits");
     outcome.culled = registry_->counterValue("search.culled");
+    outcome.continued = registry_->counterValue("search.continued");
     return outcome;
 }
 

@@ -27,12 +27,24 @@
  * seed) and consulted against a warm ResultCache first; completed
  * evaluations are journaled per rung in deterministic candidate order.
  * Traffic uses common random numbers: every evaluation's seed derives
- * from the search's master seed alone, so all candidates at a rung, and
- * the grid baseline through evaluateFull, replay one traffic
- * realization and differ only in their policy.  exp::ExperimentRunner
- * then records that realization once per rung.  Seeds never depend on
- * schedule position, so a resumed, warmed or re-sharded search
+ * from the search's master seed alone, so all candidates at every rung,
+ * and the grid baseline through evaluateFull, replay one traffic
+ * realization and differ only in their policy.  One
+ * exp::ExperimentRunner serves every rung of a run() and records that
+ * realization once, through the longest rung's end.  Seeds never depend
+ * on schedule position, so a resumed, warmed or re-sharded search
  * reproduces a cold run's front and journal byte-for-byte.
+ *
+ * Rungs continue runs.  When rung k+1 keeps rung k's warm-up and
+ * measures longer (every ladder applySearchSpec builds), rung k's run is
+ * a prefix of rung k+1's, so the driver keeps up to 2 x the worker
+ * count of rung k's networks alive (the last ones in the rung's run
+ * order) and runs them on to rung k+1's end (exp::LiveNetwork) instead
+ * of from cycle 0, ahead of the rung's other runs.  The bound and that
+ * order keep peak memory near that of a search that keeps none.  A
+ * culled candidate's network is freed at the cull, and every network
+ * after its last-rung collect.  Any other candidate is built and run
+ * from cycle 0; the results are equal either way.
  *
  * The `search=` strategy spec (validateSearchSpec, applySearchSpec) is
  * a spec string: its grammar, value rules and rejection messages are
@@ -169,6 +181,10 @@ struct SearchOutcome
     std::uint64_t networkEvalsFull = 0;  ///< last-rung simulations
     std::uint64_t cacheHits = 0;
     std::uint64_t culled = 0;            ///< candidates terminated early
+
+    /** Simulations that ran a kept network on from an earlier rung
+     *  instead of from cycle 0 (counted in networkEvals too). */
+    std::uint64_t continued = 0;
 };
 
 /** Successive-halving multi-objective search driver (see file comment). */
@@ -227,6 +243,10 @@ class SearchDriver
                           std::size_t rung) const;
 
   private:
+    /** What one run() keeps across rungs: the runner and the networks
+     *  left alive for the next rung (driver.cpp). */
+    struct RunState;
+
     EvalRecord evaluateOne(const Candidate &candidate, std::size_t rung);
 
     /** All survivor records in candidate order, or nullopt when the
@@ -234,7 +254,7 @@ class SearchDriver
     std::optional<std::vector<EvalRecord>>
     evaluateRung(const std::vector<Candidate> &candidates,
                  const std::vector<std::size_t> &survivors,
-                 std::size_t rung);
+                 std::size_t rung, RunState &state);
     std::vector<std::size_t>
     cull(const std::vector<std::size_t> &survivors,
          const std::vector<EvalRecord> &records, const RungSpec &rung);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <random>
 #include <utility>
@@ -37,6 +38,15 @@ makeFlit(std::uint16_t seq)
     desc.id = 1;
     desc.length = 5;
     return table.makeFlit(table.add(desc), seq);
+}
+
+/** A flit told apart by its arrival tick, for FIFO-order checks. */
+Flit
+numbered(Tick n)
+{
+    Flit f;
+    f.arrived = n;
+    return f;
 }
 
 } // namespace
@@ -80,6 +90,63 @@ TEST(VirtualChannel, FullAtCapacity)
     vc.enqueue(makeFlit(1));
     EXPECT_TRUE(vc.full());
     EXPECT_EQ(vc.freeSlots(), 0u);
+}
+
+TEST(VirtualChannel, RingGrowsWhileWrappedAndKeepsFifoOrder)
+{
+    // The ring is allocated on the first enqueue (8 slots), wraps while
+    // the occupancy stays within it, and doubles only when an enqueue
+    // finds it full, re-homing a wrapped sequence in FIFO order.
+    VirtualChannel vc(64);
+    EXPECT_EQ(vc.storageSize(), 0u);
+    Tick next = 0;
+    Tick expect = 0;
+    for (int round = 0; round < 100; ++round) {
+        while (vc.occupancy() < 6)
+            vc.enqueue(numbered(next++));
+        while (vc.occupancy() > 2)
+            ASSERT_EQ(vc.dequeue().arrived, expect++);
+    }
+    EXPECT_EQ(vc.storageSize(), 8u);
+    // The head now sits mid-ring: each growth below copies a wrapped
+    // ring.
+    for (const std::size_t peak : {9u, 17u, 33u}) {
+        while (vc.occupancy() < peak)
+            vc.enqueue(numbered(next++));
+        EXPECT_EQ(vc.storageSize(), std::bit_ceil(peak));
+        ASSERT_EQ(vc.dequeue().arrived, expect++);
+        vc.enqueue(numbered(next++));
+        EXPECT_EQ(vc.storageSize(), std::bit_ceil(peak));
+    }
+    while (!vc.full())
+        vc.enqueue(numbered(next++));
+    EXPECT_EQ(vc.occupancy(), 64u);
+    EXPECT_EQ(vc.storageSize(), 64u);
+    while (!vc.empty()) {
+        ASSERT_EQ(vc.front().arrived, expect);
+        ASSERT_EQ(vc.dequeue().arrived, expect++);
+    }
+    EXPECT_EQ(expect, next);
+}
+
+TEST(VirtualChannel, StorageNeverExceedsCapacity)
+{
+    // A capacity that is no power of two caps the last doubling; the
+    // VC is full at its capacity, not at the ring's next power of two.
+    VirtualChannel vc(20);
+    for (Tick i = 0; i < 5; ++i)
+        vc.enqueue(numbered(i));
+    EXPECT_EQ(vc.storageSize(), 8u);
+    for (Tick i = 5; i < 20; ++i)
+        vc.enqueue(numbered(i));
+    EXPECT_TRUE(vc.full());
+    EXPECT_EQ(vc.storageSize(), 20u);
+    for (Tick i = 0; i < 20; ++i)
+        ASSERT_EQ(vc.dequeue().arrived, i);
+
+    VirtualChannel tiny(3);  // smaller than the first allocation
+    tiny.enqueue(numbered(0));
+    EXPECT_EQ(tiny.storageSize(), 3u);
 }
 
 TEST(VirtualChannelDeathTest, OverflowPanics)

@@ -343,6 +343,47 @@ TEST(Network, InboxStorageBoundedAtSaturation)
     }
 }
 
+TEST(Network, CollectMidRunThenRunningOnEqualsOneCollect)
+{
+    // The Pareto search continues a rung's run to the next rung's end
+    // (exp::LiveNetwork), so a run collected mid-way, run on and
+    // collected again must report what a run collected once at the end
+    // reports, invariant check count included.  Ramps of 50 cycles make
+    // links step inside the window, and the load keeps link splices
+    // pending at the mid-run collect, which flushes them.
+    NetworkConfig cfg = smallConfig(PolicyKind::History);
+    cfg.link.voltageTransitionLatency = dvsnet::cyclesToTicks(50);
+    const auto run = [&cfg](bool collectMidway) {
+        Network net(cfg);
+        PatternTraffic traffic(net.topology(), Pattern::UniformRandom,
+                               0.05, 11);
+        net.attachTraffic(traffic);
+        net.runUntilCycle(1000);
+        net.beginMeasurement();
+        if (collectMidway) {
+            net.runUntilCycle(3000);
+            std::size_t pending = 0;
+            std::uint64_t steps = 0;
+            for (std::size_t c = 0; c < net.numChannels(); ++c) {
+                auto &ch = net.channel(static_cast<dvsnet::ChannelId>(c));
+                pending += ch.pendingFlits() + ch.pendingCredits();
+                steps += ch.transitions();
+            }
+            EXPECT_GT(pending, 0u) << "no splice pending at the collect";
+            EXPECT_GT(steps, 0u) << "no link stepped before the collect";
+            EXPECT_EQ(net.collect().measuredCycles, 2000u);
+        }
+        net.runUntilCycle(6000);
+        return net.collect();
+    };
+    const RunResults once = run(false);
+    const RunResults twice = run(true);
+    EXPECT_EQ(once.measuredCycles, 5000u);
+    EXPECT_GT(once.packetsDelivered, 1000u);
+    EXPECT_EQ(toJson(twice).dump(), toJson(once).dump());
+    EXPECT_EQ(twice.invariantChecks, once.invariantChecks);
+}
+
 TEST(NetworkDeathTest, SelfAddressedPacketRejected)
 {
     Network net(smallConfig());

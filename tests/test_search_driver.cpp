@@ -12,9 +12,12 @@
  *    declared slack, successive halving never discards a true
  *    full-fidelity Pareto point (checked against brute force);
  *  - equal objective vectors never cull each other;
- *  - every candidate at a rung replays one recorded traffic stream
+ *  - every candidate at every rung replays one recorded traffic stream
  *    (common random numbers), and the evaluation key still tells
  *    candidates apart: it changes with every config field;
+ *  - a rung runs a kept network on from the last rung when its runs
+ *    continue that rung's, for at most 2 x workers candidates a rung,
+ *    and every record still equals a run from cycle 0;
  *  - a journal of another schema, or records before any header, are
  *    refused with a ConfigError;
  *  - a record with a mis-typed field, a negative count or a parameter
@@ -43,6 +46,7 @@ using dvsnet::Cycle;
 using dvsnet::Spec;
 using dvsnet::splitmix64;
 using dvsnet::exp::pointSeed;
+using dvsnet::exp::runPoint;
 using dvsnet::network::ExperimentSpec;
 using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
@@ -198,6 +202,34 @@ realConfig()
     full.measure = 3000;
     config.rungs = {quick, full};
     return config;
+}
+
+/**
+ * realConfig() on a ladder whose rungs continue each other's runs
+ * (equal warm-up, growing measurement), as applySearchSpec builds, with
+ * ramps short enough that the thresholds act inside these windows.
+ */
+SearchConfig
+prefixConfig()
+{
+    SearchConfig config = realConfig();
+    config.base.network.link.voltageTransitionLatency =
+        dvsnet::cyclesToTicks(50);
+    config.randomCandidates = 4;
+    config.rungs.clear();
+    for (const Cycle measure : {Cycle{1000}, Cycle{2000}, Cycle{3000}}) {
+        RungSpec rung;
+        rung.warmup = 1000;
+        rung.measure = measure;
+        config.rungs.push_back(rung);
+    }
+    return config;
+}
+
+std::string
+resultsJson(const RunResults &results)
+{
+    return canonicalJson(dvsnet::network::toJson(results)).dump();
 }
 
 std::vector<std::vector<double>>
@@ -523,6 +555,105 @@ TEST(SearchDriverTest, EvaluateFullMatchesSearchLastRung)
     EXPECT_EQ(miss.key, hit.key);
     EXPECT_EQ(miss.results.avgLatencyCycles,
               hit.results.avgLatencyCycles);
+
+    // Real networks on a ladder whose rungs continue each other: some
+    // survivors' last-rung records ran on from earlier rungs, and
+    // evaluateFull serves every survivor from the cache.  A driver with
+    // no cache runs each from cycle 0 and gets the same bits.
+    SearchConfig prefix = prefixConfig();
+    prefix.threads = 2;
+    CounterRegistry prefixRegistry;
+    SearchDriver prefixDriver(prefix, &prefixRegistry);
+    const SearchOutcome ranOn = prefixDriver.run();
+    ASSERT_TRUE(ranOn.completed);
+    ASSERT_GT(ranOn.continued, 0u);
+    ASSERT_FALSE(ranOn.finalSurvivors.empty());
+
+    SearchDriver cold(prefix);
+    for (const std::size_t idx : ranOn.finalSurvivors) {
+        const Candidate &c = ranOn.candidates[idx];
+        const std::uint64_t before =
+            prefixRegistry.counterValue("search.network_evals");
+        const auto served = prefixDriver.evaluateFull(c);
+        EXPECT_EQ(prefixRegistry.counterValue("search.network_evals"),
+                  before);
+        EXPECT_TRUE(ranOn.front.covers(served.objectives()));
+        const auto fromZero = cold.evaluateFull(c);
+        EXPECT_EQ(served.key, fromZero.key);
+        EXPECT_EQ(resultsJson(served.results),
+                  resultsJson(fromZero.results))
+            << "candidate " << idx;
+    }
+}
+
+TEST(SearchDriverTest, EveryRecordEqualsARunFromCycleZero)
+{
+    // Whether a rung ran a candidate on from the last rung or from
+    // cycle 0, its record is exp::runPoint's for that rung's spec, bit
+    // for bit, and the journal is the same at every worker count: on a
+    // ladder whose rungs continue each other, and on realConfig()'s,
+    // whose warm-ups differ, so nothing continues.
+    for (const SearchConfig &base : {prefixConfig(), realConfig()}) {
+        std::vector<std::string> firstJournal;
+        for (const std::size_t threads : {1u, 3u}) {
+            SearchConfig config = base;
+            config.threads = threads;
+            SearchDriver driver(config);
+            const SearchOutcome outcome = driver.run();
+            ASSERT_TRUE(outcome.completed);
+            EXPECT_EQ(outcome.continued > 0, base.rungs.size() == 3);
+
+            std::vector<std::string> journal;
+            for (const auto &rec : outcome.journal) {
+                const Candidate c = Candidate::fromJson(rec.params);
+                const RunResults expected =
+                    runPoint(driver.specFor(c, config.rungs.at(rec.rung)),
+                             rec.rate, rec.seed);
+                EXPECT_EQ(resultsJson(rec.results), resultsJson(expected))
+                    << "threads " << threads << ", rung " << rec.rung
+                    << ", candidate " << canonicalJson(rec.params).dump();
+                journal.push_back(rec.key + resultsJson(rec.results));
+            }
+            if (firstJournal.empty())
+                firstJournal = journal;
+            EXPECT_EQ(journal, firstJournal) << "threads " << threads;
+        }
+    }
+}
+
+TEST(SearchDriverTest, ContinuedRunsAreBoundedByTwiceTheWorkers)
+{
+    // With no culls, each rung after the first runs on the networks of
+    // the last 2 x workers candidates of the rung before: min(7, 2T)
+    // of the 7 candidates a rung.  realConfig()'s rungs differ in
+    // warm-up, so none of its runs continue.
+    for (const std::size_t threads : {1u, 3u}) {
+        SearchConfig config = prefixConfig();
+        config.threads = threads;
+        for (auto &rung : config.rungs)
+            rung.slackFraction = 1.0;  // a cull needs twice the spread
+        CounterRegistry registry;
+        SearchDriver driver(config, &registry);
+        const SearchOutcome outcome = driver.run();
+        ASSERT_TRUE(outcome.completed);
+        ASSERT_EQ(outcome.culled, 0u);
+        ASSERT_EQ(outcome.candidates.size(), 7u);
+
+        const std::uint64_t perRung = std::min<std::uint64_t>(7, 2 * threads);
+        EXPECT_EQ(outcome.continued, perRung * (config.rungs.size() - 1))
+            << "threads " << threads;
+        EXPECT_EQ(registry.counterValue("search.continued"),
+                  outcome.continued);
+        EXPECT_EQ(outcome.networkEvals,
+                  outcome.candidates.size() * config.rungs.size());
+    }
+
+    SearchConfig config = realConfig();
+    config.threads = 3;
+    const SearchOutcome outcome = SearchDriver(config).run();
+    ASSERT_TRUE(outcome.completed);
+    EXPECT_GT(outcome.networkEvals, 0u);
+    EXPECT_EQ(outcome.continued, 0u);
 }
 
 TEST(SearchDriverTest, EqualObjectivesNeverCullEachOther)
@@ -584,7 +715,7 @@ TEST(SearchDriverTest, EqualObjectivesNeverCullEachOther)
     EXPECT_EQ(outcome.culled, outcome.candidates.size() - 1);
 }
 
-TEST(SearchDriverTest, CommonRandomNumbersRecordOneStreamPerRung)
+TEST(SearchDriverTest, CommonRandomNumbersRecordOneStreamPerSearch)
 {
     using dvsnet::testutil::countingStarts;
     dvsnet::testutil::registerCountingWorkload();
@@ -614,8 +745,10 @@ TEST(SearchDriverTest, CommonRandomNumbersRecordOneStreamPerRung)
     ASSERT_TRUE(outcome.completed);
     ASSERT_EQ(outcome.finalSurvivors.size(), outcome.candidates.size());
 
-    // Every candidate at a rung replays one recorded stream.
-    EXPECT_EQ(countingStarts.load(), static_cast<int>(config.rungs.size()));
+    // Every candidate at every rung replays one recorded stream, though
+    // these rungs differ in warm-up as well as length: it covers the
+    // longest rung.
+    EXPECT_EQ(countingStarts.load(), 1);
     const std::uint64_t seed = driver.seedFor(outcome.candidates.front(), 0);
     for (const auto &candidate : outcome.candidates) {
         for (std::size_t rung = 0; rung < config.rungs.size(); ++rung)

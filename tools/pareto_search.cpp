@@ -23,7 +23,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "common/fatal.hpp"
 #include "search_cli.hpp"
 
 using namespace dvsnet;
@@ -32,20 +31,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
-    try {
-        // A misspelled key would otherwise be a silent no-op.
-        opts.raw.rejectUnknownKeys(
-            {// bench::parseOptions
-             "quick", "warmup", "light_warmup", "cycles", "seed", "csv",
-             "points", "threads", "json", "workload", "link-power",
-             // bench::paperSpec
-             "tasks", "task_duration", "sources",
-             // bench::searchConfigFromOptions
-             "search", "rate", "journal", "resume", "cache"},
-            "pareto_search");
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
-    }
+    bench::rejectUnknownSearchKeys(opts, "pareto_search");
     bench::printHeader(
         "Pareto search",
         "resumable multi-objective DVS policy search", opts);
@@ -63,10 +49,12 @@ main(int argc, char **argv)
     const auto outcome = bench::runSearch(driver);
 
     std::printf("\ncandidates: %zu   network evals: %llu (%llu full "
-                "fidelity)   cache hits: %llu   culled: %llu\n",
+                "fidelity, %llu continued)   cache hits: %llu   culled: "
+                "%llu\n",
                 outcome.candidates.size(),
                 static_cast<unsigned long long>(outcome.networkEvals),
                 static_cast<unsigned long long>(outcome.networkEvalsFull),
+                static_cast<unsigned long long>(outcome.continued),
                 static_cast<unsigned long long>(outcome.cacheHits),
                 static_cast<unsigned long long>(outcome.culled));
     if (!outcome.completed)
