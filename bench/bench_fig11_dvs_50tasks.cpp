@@ -16,6 +16,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownComparisonKeys(opts);
     bench::printHeader(
         "Figure 11",
         "latency/throughput and normalized power, DVS vs no-DVS, "

@@ -10,7 +10,7 @@
  * perf baseline is produced this way.  `--quick` shrinks the timed pass
  * and skips the google-benchmark suite entirely (CI smoke mode).
  * `--net-filter <substring>` restricts the whole-network timed points
- * to names containing the substring (the event-queue pass always runs).
+ * to names containing the substring (the event-queue passes always run).
  */
 
 #include <benchmark/benchmark.h>
@@ -193,9 +193,23 @@ BENCHMARK(BM_NetworkCyclesPerSecond)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+/** A `micro` result entry for an event-queue pass. */
+Json
+eventQueueJson(const char *name, std::uint64_t events, double secs)
+{
+    Json j = Json::object();
+    j["type"] = Json("micro");
+    j["name"] = Json(name);
+    j["events"] = Json(events);
+    j["wall_seconds"] = Json(secs);
+    j["events_per_sec"] = Json(static_cast<double>(events) / secs);
+    j["ns_per_event"] = Json(secs * 1e9 / static_cast<double>(events));
+    return j;
+}
+
 /**
  * Timed event-queue pass: steady-state schedule+execute at depth 1024
- * on the one event heap.  Reports events/sec and ns/event — the cost of
+ * on the one event queue.  Reports events/sec and ns/event — the cost of
  * every event the simulator dispatches.  Best-of-3: the pass is short
  * enough that scheduler preemption on a shared machine dominates
  * single-run variance; the fastest repetition is the least-perturbed
@@ -222,15 +236,45 @@ measureEventQueue(std::uint64_t events)
         if (rep == 0 || repSecs < secs)
             secs = repSecs;
     }
+    return eventQueueJson("event_queue_schedule_execute", events, secs);
+}
 
-    Json j = Json::object();
-    j["type"] = Json("micro");
-    j["name"] = Json("event_queue_schedule_execute");
-    j["events"] = Json(events);
-    j["wall_seconds"] = Json(secs);
-    j["events_per_sec"] = Json(static_cast<double>(events) / secs);
-    j["ns_per_event"] = Json(secs * 1e9 / static_cast<double>(events));
-    return j;
+/**
+ * Timed event-queue pass at the traffic generator's depth: 12,800
+ * pending events, one per ON/OFF source of the paper's two-level
+ * workload (100 tasks x 128 sources), with exponential gaps of mean
+ * 450k ticks; each executed event schedules its successor.  The gaps
+ * are drawn before the clock starts, so the pass times the queue, not
+ * the RNG.  Best-of-3 like the depth-1024 pass.
+ */
+Json
+measureEventQueueOnOff(std::uint64_t events)
+{
+    constexpr std::size_t kDepth = 12800;
+    constexpr std::size_t kGaps = std::size_t{1} << 16;
+    Rng rng(g_seed);
+    std::vector<Tick> gaps(kGaps);
+    for (Tick &gap : gaps)
+        gap = 1 + static_cast<Tick>(rng.exponential(4.5e5));
+
+    double secs = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+        sim::EventQueue q;
+        for (std::size_t i = 0; i < kDepth; ++i)
+            q.schedule(gaps[i], [] {});
+        const auto start = std::chrono::steady_clock::now();
+        for (std::uint64_t i = 0; i < events; ++i) {
+            const Tick now = q.executeNext();
+            q.schedule(now + gaps[(i + kDepth) % kGaps], [] {});
+        }
+        const double repSecs =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+        if (rep == 0 || repSecs < secs)
+            secs = repSecs;
+    }
+    return eventQueueJson("event_queue_onoff_depth", events, secs);
 }
 
 /**
@@ -356,11 +400,14 @@ writeArtifact(const std::string &path, std::uint64_t seed,
     // Quick mode keeps 1M events: shorter passes are cheap but so noisy
     // under machine contention that the CI perf guard false-fires.
     const std::uint64_t eqEvents = quick ? 1000000 : 2000000;
-    Json eq = measureEventQueue(eqEvents);
-    std::printf("  event queue: %.3g events/sec (%.1f ns/event)\n",
-                eq.find("events_per_sec")->asDouble(),
-                eq.find("ns_per_event")->asDouble());
-    results.push(std::move(eq));
+    for (Json eq : {measureEventQueue(eqEvents),
+                    measureEventQueueOnOff(eqEvents)}) {
+        std::printf("  %s: %.3g events/sec (%.1f ns/event)\n",
+                    eq.find("name")->asString().c_str(),
+                    eq.find("events_per_sec")->asDouble(),
+                    eq.find("ns_per_event")->asDouble());
+        results.push(std::move(eq));
+    }
 
     const Cycle nwWarmup = quick ? 500 : 2000;
     const Cycle nwMeasure = quick ? 2000 : 20000;

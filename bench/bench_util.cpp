@@ -100,6 +100,31 @@ parseOptions(int argc, char **argv, std::int64_t sweepPoints)
     return opts;
 }
 
+void
+rejectUnknownKeys(const BenchOptions &opts,
+                  const std::vector<std::string> &extra,
+                  const std::string &binary)
+{
+    std::vector<std::string> accepted = {
+        // parseOptions
+        "quick", "warmup", "light_warmup", "cycles", "seed", "csv",
+        "points", "threads", "json", "workload", "link-power",
+        // paperSpec
+        "tasks", "task_duration", "sources"};
+    accepted.insert(accepted.end(), extra.begin(), extra.end());
+    try {
+        opts.raw.rejectUnknownKeys(accepted, binary);
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL(e.what());
+    }
+}
+
+void
+rejectUnknownComparisonKeys(const BenchOptions &opts)
+{
+    rejectUnknownKeys(opts, {"rate_lo", "rate_hi"}, opts.binaryName);
+}
+
 exp::RunnerOptions
 runnerOptions(const BenchOptions &opts)
 {

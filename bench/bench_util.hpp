@@ -87,6 +87,22 @@ struct BenchOptions
 BenchOptions parseOptions(int argc, char **argv,
                           std::int64_t sweepPoints = 8);
 
+/**
+ * Exit naming the first key in `opts` that `binary` does not read, with
+ * the accepted ones: the keys parseOptions and paperSpec read, which
+ * every bench accepts, plus `extra`.  A misspelled or removed key would
+ * otherwise be a silent no-op.
+ */
+void rejectUnknownKeys(const BenchOptions &opts,
+                       const std::vector<std::string> &extra,
+                       const std::string &binary);
+
+/**
+ * rejectUnknownKeys for a runDvsComparison bench (Figs. 10 and 11),
+ * which also reads defaultRates's `rate_lo` and `rate_hi`.
+ */
+void rejectUnknownComparisonKeys(const BenchOptions &opts);
+
 /** ExperimentRunner options matching `opts` (thread count). */
 exp::RunnerOptions runnerOptions(const BenchOptions &opts);
 

@@ -52,19 +52,9 @@ fig15GridCandidates()
 void
 rejectUnknownSearchKeys(const BenchOptions &opts, const std::string &binary)
 {
-    try {
-        opts.raw.rejectUnknownKeys(
-            {// bench::parseOptions
-             "quick", "warmup", "light_warmup", "cycles", "seed", "csv",
-             "points", "threads", "json", "workload", "link-power",
-             // bench::paperSpec
-             "tasks", "task_duration", "sources",
-             // searchConfigFromOptions
-             "search", "rate", "journal", "resume", "cache"},
-            binary);
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
-    }
+    // searchConfigFromOptions's keys.
+    rejectUnknownKeys(opts, {"search", "rate", "journal", "resume", "cache"},
+                      binary);
 }
 
 std::string

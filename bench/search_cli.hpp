@@ -52,10 +52,8 @@ search::SearchConfig searchConfigFromOptions(const BenchOptions &opts);
 search::SearchOutcome runSearch(search::SearchDriver &driver);
 
 /**
- * Exit naming the first key in `opts` that a search binary does not
- * read, with the accepted ones: bench::parseOptions's,
- * bench::paperSpec's and searchConfigFromOptions's.  A misspelled key
- * would otherwise be a silent no-op.  `binary` names the caller.
+ * bench::rejectUnknownKeys for a search binary, which also reads
+ * searchConfigFromOptions's keys.  `binary` names the caller.
  */
 void rejectUnknownSearchKeys(const BenchOptions &opts,
                              const std::string &binary);

@@ -51,7 +51,7 @@ Config::has(const std::string &key) const
 }
 
 void
-Config::rejectUnknownKeys(std::initializer_list<const char *> accepted,
+Config::rejectUnknownKeys(const std::vector<std::string> &accepted,
                           const std::string &who) const
 {
     for (const auto &[key, value] : values_) {
@@ -60,8 +60,8 @@ Config::rejectUnknownKeys(std::initializer_list<const char *> accepted,
             continue;
         }
         std::string list;
-        for (const char *name : accepted)
-            list += (list.empty() ? "" : ", ") + std::string(name);
+        for (const std::string &name : accepted)
+            list += (list.empty() ? "" : ", ") + name;
         throw ConfigError(detail::concat(who, ": unknown key '", key,
                                          "' (accepted: ", list, ")"));
     }

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace dvsnet
 {
@@ -66,7 +66,7 @@ class Config
      * is an error rather than a silent no-op.  @throws ConfigError
      * "<who>: unknown key '<key>'" listing the accepted keys
      */
-    void rejectUnknownKeys(std::initializer_list<const char *> accepted,
+    void rejectUnknownKeys(const std::vector<std::string> &accepted,
                            const std::string &who) const;
 
     /** All keys, for diagnostics. */

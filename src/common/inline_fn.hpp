@@ -1,13 +1,16 @@
 /**
  * @file
- * InlineFn: a move-only `void()` callable with fixed inline storage.
+ * InlineFn: a `void()` callable held by value in three machine words.
  *
  * Replaces `std::function<void()>` on the simulator's hot paths.  The
  * callable is stored in a two-word inline buffer — large enough for a
- * `this` pointer plus one word of packed arguments — and never touches
- * the heap.  Captures that exceed the buffer fail to compile
- * (static_assert) instead of silently falling back to allocation, so
- * event-scheduling cost stays predictable.
+ * `this` pointer plus one word of packed arguments — beside its invoke
+ * pointer, and never touches the heap.  Captures must be trivially
+ * copyable and trivially destructible, so an InlineFn is itself
+ * trivially copyable: the event queue keeps each callback inside its
+ * queue entry and moves entries as plain bytes.  A capture that is too
+ * large or holds an owning member fails to compile (static_assert)
+ * instead of silently falling back to allocation.
  */
 
 #pragma once
@@ -39,43 +42,23 @@ class InlineFn
                       "at most two words (e.g. this + one packed word)");
         static_assert(alignof(Fn) <= alignof(void *),
                       "over-aligned captures are not supported");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "InlineFn requires nothrow-movable captures");
+        static_assert(std::is_trivially_copyable_v<Fn> &&
+                          std::is_trivially_destructible_v<Fn>,
+                      "InlineFn captures must be trivially copyable and "
+                      "trivially destructible (pointers and plain values, "
+                      "nothing that owns): callbacks are copied as bytes "
+                      "and never destroyed");
         ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
         invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-        relocate_ = [](void *src, void *dst) noexcept {
-            auto *f = static_cast<Fn *>(src);
-            if (dst != nullptr)
-                ::new (dst) Fn(std::move(*f));
-            f->~Fn();
-        };
     }
 
-    InlineFn(InlineFn &&o) noexcept { moveFrom(o); }
-
-    InlineFn &operator=(InlineFn &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            moveFrom(o);
-        }
-        return *this;
-    }
-
+    // A move copies the bytes and leaves the source as it was.  Copies
+    // stay deleted: Router, Inbox and DvsChannel hold hooks that capture
+    // `this`, and a copyable hook would make them copyable.
+    InlineFn(InlineFn &&) noexcept = default;
+    InlineFn &operator=(InlineFn &&) noexcept = default;
     InlineFn(const InlineFn &) = delete;
     InlineFn &operator=(const InlineFn &) = delete;
-
-    ~InlineFn() { reset(); }
-
-    /** Drop the stored callable (if any); leaves *this empty. */
-    void reset() noexcept
-    {
-        if (relocate_ != nullptr) {
-            relocate_(buf_, nullptr);
-            invoke_ = nullptr;
-            relocate_ = nullptr;
-        }
-    }
 
     /** True if a callable is stored. */
     explicit operator bool() const noexcept { return invoke_ != nullptr; }
@@ -85,23 +68,12 @@ class InlineFn
 
   private:
     using Invoke = void (*)(void *);
-    /** Move-construct into dst (or just destroy when dst == nullptr). */
-    using Relocate = void (*)(void *src, void *dst) noexcept;
-
-    void moveFrom(InlineFn &o) noexcept
-    {
-        if (o.relocate_ != nullptr) {
-            o.relocate_(o.buf_, buf_);
-            invoke_ = o.invoke_;
-            relocate_ = o.relocate_;
-            o.invoke_ = nullptr;
-            o.relocate_ = nullptr;
-        }
-    }
 
     alignas(void *) unsigned char buf_[kCapacity];
     Invoke invoke_ = nullptr;
-    Relocate relocate_ = nullptr;
 };
+
+static_assert(std::is_trivially_copyable_v<InlineFn>,
+              "the event queue copies InlineFn as bytes");
 
 } // namespace dvsnet

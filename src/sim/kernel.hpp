@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "common/fatal.hpp"
 #include "sim/event_queue.hpp"
 
 namespace dvsnet::sim
@@ -28,10 +29,20 @@ class Kernel
     Tick now() const { return now_; }
 
     /** Schedule at an absolute tick (must be >= now). */
-    void at(Tick when, EventFn fn);
+    void
+    at(Tick when, EventFn fn)
+    {
+        DVSNET_ASSERT(when >= now_, "scheduling into the past: when=", when,
+                      " now=", now_);
+        queue_.schedule(when, std::move(fn));
+    }
 
     /** Schedule after a relative delay. */
-    void after(Tick delay, EventFn fn);
+    void
+    after(Tick delay, EventFn fn)
+    {
+        queue_.schedule(now_ + delay, std::move(fn));
+    }
 
     /**
      * Run until the queue drains, simulated time would exceed `until`,

@@ -51,6 +51,23 @@ TEST(Kernel, HorizonStopsBeforeLaterEvents)
     EXPECT_EQ(k.pendingEvents(), 1u);
 }
 
+TEST(Kernel, ScheduleBelowNextEventAfterHorizonStop)
+{
+    // run(until) stops below the next pending event without moving the
+    // queue's base tick to it, so an event scheduled between the horizon
+    // and that event is legal and fires first.
+    Kernel k;
+    std::vector<int> order;
+    k.at(10, [&order] { order.push_back(0); });
+    k.at(1000, [&order] { order.push_back(2); });
+    k.run(500);
+    EXPECT_EQ(k.now(), Tick{500});
+    k.at(k.now() + 1, [&order] { order.push_back(1); });
+    k.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(k.now(), Tick{1000});
+}
+
 TEST(Kernel, EventExactlyAtHorizonRuns)
 {
     Kernel k;

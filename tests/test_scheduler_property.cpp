@@ -1,21 +1,27 @@
 /**
  * @file
- * Randomized property test for the EventQueue heap against a reference
- * model that finds the earliest event by exhaustive scan.
+ * Randomized property test for the EventQueue against a reference model
+ * that keeps events in an ordered map keyed by (tick, insertion
+ * sequence).
  *
  * Interleaved schedule/execute sequences must produce identical firing
- * order, including same-tick FIFO.  Two workload shapes: a mixed shape
- * whose tick gaps span same-tick, short, medium and far-future ranges,
- * and a link-clock-heavy shape whose gaps are multiples of the DVS link
+ * order, including same-tick FIFO.  Three workload shapes: a mixed shape
+ * whose tick gaps span same-tick, short, medium and far-future ranges; a
+ * link-clock-heavy shape whose gaps are multiples of the DVS link
  * periods (many channels serializing at the slow levels), which piles
- * events into few distinct ticks, so the heap's order among equal ticks
- * rests on the insertion sequence alone.
+ * events into few distinct ticks; and an ON/OFF-bank shape that holds
+ * ~13k pending events with long exponential gaps, as the traffic
+ * generator's bare kernel does, so the queue re-files deep buckets while
+ * ties on router-clock edges and events at the current tick keep FIFO
+ * order in play.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,8 +36,8 @@ namespace
 {
 
 /**
- * Reference model: a flat list ordered by exhaustive min-scan over
- * (when, seq) — trivially correct FIFO semantics.
+ * Reference model: an ordered map keyed by (when, insertion sequence) —
+ * trivially correct FIFO semantics.
  */
 class ReferenceQueue
 {
@@ -39,56 +45,31 @@ class ReferenceQueue
     void
     schedule(Tick when, std::uint64_t payload)
     {
-        entries_.push_back(Entry{when, nextSeq_++, payload, true});
+        entries_.emplace(std::pair{when, nextSeq_++}, payload);
     }
 
-    bool
-    empty() const
-    {
-        return std::none_of(entries_.begin(), entries_.end(),
-                            [](const Entry &e) { return e.live; });
-    }
+    bool empty() const { return entries_.empty(); }
 
     Tick
     nextTick() const
     {
-        const Entry *best = minLive();
-        return best == nullptr ? kTickNever : best->when;
+        return entries_.empty() ? kTickNever : entries_.begin()->first.first;
     }
 
-    /** Pop the earliest live entry; returns (when, payload). */
+    /** Pop the earliest entry; returns (when, payload). */
     std::pair<Tick, std::uint64_t>
     executeNext()
     {
-        Entry *best = const_cast<Entry *>(minLive());
-        EXPECT_NE(best, nullptr);
-        best->live = false;
-        return {best->when, best->payload};
+        EXPECT_FALSE(entries_.empty());
+        const auto it = entries_.begin();
+        const std::pair<Tick, std::uint64_t> out{it->first.first,
+                                                 it->second};
+        entries_.erase(it);
+        return out;
     }
 
   private:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint64_t payload;
-        bool live;
-    };
-
-    const Entry *
-    minLive() const
-    {
-        const Entry *best = nullptr;
-        for (const Entry &e : entries_) {
-            if (e.live &&
-                (best == nullptr || e.when < best->when ||
-                 (e.when == best->when && e.seq < best->seq)))
-                best = &e;
-        }
-        return best;
-    }
-
-    std::vector<Entry> entries_;
+    std::map<std::pair<Tick, std::uint64_t>, std::uint64_t> entries_;
     std::uint64_t nextSeq_ = 0;
 };
 
@@ -136,6 +117,21 @@ drawGap(Rng &rng, Workload shape)
                                     : drawLinkClockGap(rng);
 }
 
+/** Drain both queues completely and compare the full firing tail. */
+void
+drainBoth(EventQueue &queue, ReferenceQueue &ref,
+          const std::vector<std::uint64_t> &gotFired)
+{
+    while (!ref.empty()) {
+        ASSERT_FALSE(queue.empty());
+        const Tick when = queue.executeNext();
+        const auto [refWhen, refPayload] = ref.executeNext();
+        ASSERT_EQ(when, refWhen);
+        ASSERT_EQ(gotFired.back(), refPayload);
+    }
+    EXPECT_TRUE(queue.empty());
+}
+
 void
 runInterleaved(std::uint64_t seed, int ops, Workload shape)
 {
@@ -153,7 +149,7 @@ runInterleaved(std::uint64_t seed, int ops, Workload shape)
 
     for (int op = 0; op < ops; ++op) {
         if (rng.uniformInt(0, 9) < 6 || queue.empty()) {
-            // Schedule (biased, so the heap grows to a few hundred).
+            // Schedule (biased, so the queue grows to a few hundred).
             const Tick when = now + drawGap(rng, shape);
             const std::uint64_t payload = nextPayload++;
             queue.schedule(when, [&gotFired, payload] {
@@ -176,16 +172,7 @@ runInterleaved(std::uint64_t seed, int ops, Workload shape)
         EXPECT_EQ(queue.size() == 0, ref.empty());
     }
 
-    // Drain both queues completely and compare the full firing tail.
-    while (!ref.empty()) {
-        ASSERT_FALSE(queue.empty());
-        const Tick when = queue.executeNext();
-        const auto [refWhen, refPayload] = ref.executeNext();
-        EXPECT_EQ(when, refWhen);
-        EXPECT_EQ(gotFired.back(), refPayload);
-        now = when;
-    }
-    EXPECT_TRUE(queue.empty());
+    drainBoth(queue, ref, gotFired);
 }
 
 } // namespace
@@ -200,6 +187,75 @@ TEST(SchedulerProperty, LinkClockHeavyWorkloadMatchesReference)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed)
         runInterleaved(seed * 104729, 2000, Workload::LinkClockHeavy);
+}
+
+namespace
+{
+
+/**
+ * ON/OFF-bank shape: the next toggle or emission of one source.  Gaps
+ * are exponential with a mean of 450k ticks (450 router cycles); 1 in 8
+ * lands on the next 1,000-tick router edge, so ties occur, and 1 in 16
+ * is at the current tick.
+ */
+Tick
+drawOnOffTick(Rng &rng, Tick now)
+{
+    if (rng.uniformInt(0, 15) == 0)
+        return now;
+    const Tick when =
+        now + std::max<Tick>(1, static_cast<Tick>(rng.exponential(4.5e5)));
+    if (rng.uniformInt(0, 7) == 0)
+        return (when / 1000 + 1) * 1000;
+    return when;
+}
+
+/** Hold ~`depth` pending events: each execution schedules a successor,
+ *  and 1 in 64 schedules two or none, so the depth drifts. */
+void
+runOnOffBank(std::uint64_t seed, int depth, int ops)
+{
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+
+    Rng rng(seed);
+    EventQueue queue;
+    ReferenceQueue ref;
+    std::vector<std::uint64_t> gotFired;
+    Tick now = 0;
+    std::uint64_t nextPayload = 0;
+    const auto scheduleOne = [&] {
+        const Tick when = drawOnOffTick(rng, now);
+        const std::uint64_t payload = nextPayload++;
+        queue.schedule(when,
+                       [&gotFired, payload] { gotFired.push_back(payload); });
+        ref.schedule(when, payload);
+    };
+
+    for (int i = 0; i < depth; ++i)
+        scheduleOne();
+    for (int op = 0; op < ops; ++op) {
+        ASSERT_EQ(queue.nextTick(), ref.nextTick());
+        const Tick when = queue.executeNext();
+        const auto [refWhen, refPayload] = ref.executeNext();
+        ASSERT_EQ(when, refWhen);
+        ASSERT_EQ(gotFired.back(), refPayload);
+        now = when;
+        const auto fanout = rng.uniformInt(0, 127);
+        if (fanout != 0)
+            scheduleOne();
+        if (fanout == 1)
+            scheduleOne();
+        ASSERT_EQ(queue.size() == 0, ref.empty());
+    }
+    drainBoth(queue, ref, gotFired);
+}
+
+} // namespace
+
+TEST(SchedulerProperty, OnOffBankWorkloadMatchesReference)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        runOnOffBank(seed * 15485863, 13000, 40000);
 }
 
 TEST(SchedulerProperty, SameTickFifoAcrossInterleavedExecution)
