@@ -28,6 +28,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts, {"rate_lo", "rate_hi"});
     bench::printHeader(
         "link-power ablation",
         "History vs DynamicThreshold vs None under table and toggle "

@@ -40,11 +40,14 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts, {"rate_light", "rate_heavy"});
     bench::printHeader("Ablations",
                        "policy design choices (history-based DVS)", opts);
 
-    const double light = opts.raw.getDouble("rate_light", 0.8);
-    const double heavy = opts.raw.getDouble("rate_heavy", 2.6);
+    const double light =
+        opts.raw.getDouble("rate_light", 0.8, network::kMinInjectionRate);
+    const double heavy =
+        opts.raw.getDouble("rate_heavy", 2.6, network::kMinInjectionRate);
 
     // 1. Congestion litmus.
     std::printf("\n[1] congestion litmus (BU test) at heavy load "

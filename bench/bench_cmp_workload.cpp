@@ -26,6 +26,7 @@ int
 main(int argc, char **argv)
 {
     auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts, {"rate_lo", "rate_hi"});
     if (opts.workload.empty())
         opts.workload = "cmp";
     bench::printHeader(

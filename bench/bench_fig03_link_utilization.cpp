@@ -30,6 +30,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts);
     bench::printHeader(
         "Figure 3",
         "link utilization histograms at rising load (H=50), DVS off",

@@ -24,6 +24,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts);
     bench::printHeader(
         "Figure 5",
         "input buffer age profile (cycles) at rising load (H=50), "

@@ -19,6 +19,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts);
     bench::printHeader("Figure 7", "router power consumption distribution",
                        opts);
 

@@ -20,6 +20,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts, {"rate"});
     bench::printHeader("Figure 8",
                        "spatial variance of the injected workload", opts);
 
@@ -28,7 +29,8 @@ main(int argc, char **argv)
 
     network::Network net(spec.network);
     traffic::TwoLevelParams wl = spec.workload;
-    wl.networkInjectionRate = opts.raw.getDouble("rate", 1.0);
+    wl.networkInjectionRate =
+        opts.raw.getDouble("rate", 1.0, network::kMinInjectionRate);
     traffic::TwoLevelWorkload workload(net.topology(), wl);
     net.attachTraffic(workload);
 

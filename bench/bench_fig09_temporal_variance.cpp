@@ -22,6 +22,7 @@ int
 main(int argc, char **argv)
 {
     auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts, {"rate", "node", "interval"});
     bench::printHeader("Figure 9",
                        "temporal variance of injection at one router",
                        opts);
@@ -31,13 +32,15 @@ main(int argc, char **argv)
 
     network::Network net(spec.network);
     traffic::TwoLevelParams wl = spec.workload;
-    wl.networkInjectionRate = opts.raw.getDouble("rate", 1.0);
+    wl.networkInjectionRate =
+        opts.raw.getDouble("rate", 1.0, network::kMinInjectionRate);
     traffic::TwoLevelWorkload workload(net.topology(), wl);
     net.attachTraffic(workload);
 
-    const NodeId node = static_cast<NodeId>(
-        opts.raw.getCount("node", net.topology().nodeId({3, 3})));
-    const Cycle interval = opts.raw.getCount("interval", 2000);
+    const NodeId node =
+        opts.raw.getInt<NodeId>("node", net.topology().nodeId({3, 3}), 0,
+                                net.topology().numNodes() - 1);
+    const Cycle interval = opts.raw.getCount("interval", 2000, 1);
 
     // Temporal variance in the two-level model lives at the task
     // timescale (1 ms = 1M cycles): within a task the 128-source

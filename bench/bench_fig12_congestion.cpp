@@ -20,6 +20,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts, {"rate_lo", "rate_hi"});
     bench::printHeader(
         "Figure 12",
         "power and throughput under congestion (DVS, 100 tasks)", opts);

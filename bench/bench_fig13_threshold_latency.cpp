@@ -18,6 +18,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv, 5);
+    bench::rejectUnknownKeys(opts);
     bench::printHeader("Figure 13",
                        "latency under Table 2 threshold settings I-VI",
                        opts);

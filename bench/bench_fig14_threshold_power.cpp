@@ -19,6 +19,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv, 5);
+    bench::rejectUnknownKeys(opts);
     bench::printHeader("Figure 14",
                        "power under Table 2 threshold settings I-VI",
                        opts);

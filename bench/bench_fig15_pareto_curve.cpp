@@ -20,12 +20,14 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts, {"rate"});
     bench::printHeader(
         "Figure 15",
         "Pareto curve of latency vs power savings at 1.7 pkt/cycle",
         opts);
 
-    const double rate = opts.raw.getDouble("rate", 1.7);
+    const double rate =
+        opts.raw.getDouble("rate", 1.7, network::kMinInjectionRate);
     const char *names[] = {"I", "II", "III", "IV", "V", "VI"};
 
     // One job per curve point: the no-DVS baseline plus settings I-VI,

@@ -27,6 +27,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv, 3);
+    bench::rejectUnknownKeys(opts);
     bench::printHeader(
         "Figure 16",
         "sensitivity to voltage transition latency (10/5/1 us)", opts);

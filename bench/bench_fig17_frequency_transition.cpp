@@ -26,6 +26,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv, 3);
+    bench::rejectUnknownKeys(opts);
     bench::printHeader(
         "Figure 17",
         "sensitivity to frequency transition duration (100/50/10 cycles)",

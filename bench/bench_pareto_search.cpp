@@ -47,7 +47,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
-    bench::rejectUnknownSearchKeys(opts, "bench_pareto_search");
+    bench::rejectUnknownSearchKeys(opts);
     bench::printHeader(
         "Pareto search",
         "successive-halving DVS policy search vs the fixed Fig. 15 grid",

@@ -16,6 +16,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts);
     bench::printHeader("Table 1", "history-based DVS policy parameters",
                        opts);
 

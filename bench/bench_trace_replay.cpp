@@ -68,6 +68,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
+    bench::rejectUnknownKeys(opts, {"rate", "trace_prefix"});
     bench::printHeader("Trace replay",
                        "record -> CSV/binary round-trip -> lockstep "
                        "replay, 8x8 mesh",
@@ -76,7 +77,8 @@ main(int argc, char **argv)
     network::ExperimentSpec spec = bench::paperSpec(opts);
     spec.network.policy = network::PolicyKind::None;
     spec.warmup = opts.lightWarmup;
-    const double rate = opts.raw.getDouble("rate", 1.0);
+    const double rate =
+        opts.raw.getDouble("rate", 1.0, network::kMinInjectionRate);
 
     const std::string prefix =
         opts.raw.getString("trace_prefix", "bench_trace_replay");

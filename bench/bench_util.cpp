@@ -102,8 +102,7 @@ parseOptions(int argc, char **argv, std::int64_t sweepPoints)
 
 void
 rejectUnknownKeys(const BenchOptions &opts,
-                  const std::vector<std::string> &extra,
-                  const std::string &binary)
+                  const std::vector<std::string> &extra)
 {
     std::vector<std::string> accepted = {
         // parseOptions
@@ -113,16 +112,10 @@ rejectUnknownKeys(const BenchOptions &opts,
         "tasks", "task_duration", "sources"};
     accepted.insert(accepted.end(), extra.begin(), extra.end());
     try {
-        opts.raw.rejectUnknownKeys(accepted, binary);
+        opts.raw.rejectUnknownKeys(accepted, opts.binaryName);
     } catch (const ConfigError &e) {
         DVSNET_FATAL(e.what());
     }
-}
-
-void
-rejectUnknownComparisonKeys(const BenchOptions &opts)
-{
-    rejectUnknownKeys(opts, {"rate_lo", "rate_hi"}, opts.binaryName);
 }
 
 exp::RunnerOptions
@@ -219,12 +212,12 @@ paperSpec(const BenchOptions &opts)
     // encode Section 4.2; the workload gets the 100-task defaults.
     // Quick mode shrinks the workload population so smoke runs finish
     // in seconds (explicit keys still win).
-    spec.workload.avgConcurrentTasks = static_cast<double>(
-        opts.raw.getInt("tasks", opts.quick ? 12 : 100));
+    spec.workload.avgConcurrentTasks =
+        opts.raw.getInt("tasks", opts.quick ? 12 : 100);
     spec.workload.meanTaskDurationCycles =
         opts.raw.getDouble("task_duration", 1e6);
-    spec.workload.sourcesPerTask = static_cast<std::int32_t>(
-        opts.raw.getInt("sources", opts.quick ? 16 : 128));
+    spec.workload.sourcesPerTask =
+        opts.raw.getInt<std::int32_t>("sources", opts.quick ? 16 : 128);
     spec.workload.seed = opts.seed;
     if (!opts.workload.empty())
         spec.workloadSpec = opts.workload;
@@ -398,11 +391,12 @@ runDvsComparison(const BenchOptions &opts, double taskCount,
 
     // All four series — both zero-load probes and both matched sweeps —
     // share one worker pool, so the whole figure parallelizes across
-    // every available thread.  Seeds match the serial drivers: the
-    // zero-load probes use the base seed (as measureZeroLoadLatency
-    // does), sweep point i uses pointSeed(baseSeed, i).
+    // every available thread.  The zero-load probes use the base seed;
+    // sweep point i uses pointSeed(baseSeed, i).
     exp::ExperimentRunner runner(runnerOptions(opts));
-    const double zeroLoadRate = 0.05;  // as measureZeroLoadLatency
+    // Low enough that queueing is negligible, high enough that the
+    // window still sees a few hundred packets.
+    const double zeroLoadRate = 0.05;
     for (const auto *spec : {&baseSpec, &dvsSpec}) {
         exp::PointJob job;
         job.spec = *spec;

@@ -88,20 +88,15 @@ BenchOptions parseOptions(int argc, char **argv,
                           std::int64_t sweepPoints = 8);
 
 /**
- * Exit naming the first key in `opts` that `binary` does not read, with
- * the accepted ones: the keys parseOptions and paperSpec read, which
- * every bench accepts, plus `extra`.  A misspelled or removed key would
- * otherwise be a silent no-op.
+ * Exit naming the first key in `opts` that the binary does not read,
+ * with the accepted ones: the keys parseOptions and paperSpec read,
+ * which every bench accepts, plus `extra`, the keys the binary reads
+ * itself (defaultRates's `rate_lo` and `rate_hi` among them).  A
+ * misspelled or removed key would otherwise be a silent no-op.  Every
+ * bench calls this right after parseOptions.
  */
 void rejectUnknownKeys(const BenchOptions &opts,
-                       const std::vector<std::string> &extra,
-                       const std::string &binary);
-
-/**
- * rejectUnknownKeys for a runDvsComparison bench (Figs. 10 and 11),
- * which also reads defaultRates's `rate_lo` and `rate_hi`.
- */
-void rejectUnknownComparisonKeys(const BenchOptions &opts);
+                       const std::vector<std::string> &extra = {});
 
 /** ExperimentRunner options matching `opts` (thread count). */
 exp::RunnerOptions runnerOptions(const BenchOptions &opts);

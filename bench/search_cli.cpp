@@ -50,11 +50,10 @@ fig15GridCandidates()
 }
 
 void
-rejectUnknownSearchKeys(const BenchOptions &opts, const std::string &binary)
+rejectUnknownSearchKeys(const BenchOptions &opts)
 {
     // searchConfigFromOptions's keys.
-    rejectUnknownKeys(opts, {"search", "rate", "journal", "resume", "cache"},
-                      binary);
+    rejectUnknownKeys(opts, {"search", "rate", "journal", "resume", "cache"});
 }
 
 std::string

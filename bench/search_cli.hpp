@@ -53,10 +53,9 @@ search::SearchOutcome runSearch(search::SearchDriver &driver);
 
 /**
  * bench::rejectUnknownKeys for a search binary, which also reads
- * searchConfigFromOptions's keys.  `binary` names the caller.
+ * searchConfigFromOptions's keys.
  */
-void rejectUnknownSearchKeys(const BenchOptions &opts,
-                             const std::string &binary);
+void rejectUnknownSearchKeys(const BenchOptions &opts);
 
 /** The `search=` spec string in effect for `opts` (default applied). */
 std::string searchSpecString(const BenchOptions &opts);

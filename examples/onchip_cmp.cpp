@@ -11,8 +11,10 @@
 #include <cstdio>
 
 #include "common/config.hpp"
+#include "common/fatal.hpp"
 #include "common/table.hpp"
 #include "network/network.hpp"
+#include "network/sweep.hpp"
 #include "traffic/pattern_traffic.hpp"
 
 using namespace dvsnet;
@@ -42,9 +44,16 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
+    try {
+        cfg.rejectUnknownKeys({"pattern", "rate", "cycles", "warmup"},
+                              "onchip_cmp");
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL(e.what());
+    }
     const auto pattern =
         traffic::parsePattern(cfg.getString("pattern", "transpose"));
-    const double rate = cfg.getDouble("rate", 0.02);  // per node
+    const double rate =  // per node
+        cfg.getDouble("rate", 0.02, network::kMinInjectionRate);
     const Cycle cycles = cfg.getCountEnv("cycles", 120000);
     const Cycle warmup = cfg.getCountEnv("warmup", 120000);
 

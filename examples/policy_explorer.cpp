@@ -18,6 +18,7 @@
 #include <cstdio>
 
 #include "common/config.hpp"
+#include "common/fatal.hpp"
 #include "common/table.hpp"
 #include "core/history_policy.hpp"
 #include "exp/runner.hpp"
@@ -28,6 +29,13 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
+    try {
+        cfg.rejectUnknownKeys(
+            {"rate", "tasks", "cycles", "warmup", "threads", "seed"},
+            "policy_explorer");
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL(e.what());
+    }
     const double rate = cfg.getDouble("rate", 1.2);
     const Cycle cycles = cfg.getCountEnv("cycles", 120000);
     const Cycle warmup = cfg.getCountEnv("warmup", 120000);
@@ -40,8 +48,7 @@ main(int argc, char **argv)
                 exp::resolveThreadCount(threads));
 
     network::ExperimentSpec spec;
-    spec.workload.avgConcurrentTasks =
-        static_cast<double>(cfg.getInt("tasks", 100));
+    spec.workload.avgConcurrentTasks = cfg.getInt("tasks", 100);
     spec.workload.seed = seed;
     spec.warmup = warmup;
     spec.measure = cycles;

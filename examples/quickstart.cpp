@@ -10,8 +10,10 @@
 #include <cstdio>
 
 #include "common/config.hpp"
+#include "common/fatal.hpp"
 #include "exp/runner.hpp"
 #include "network/network.hpp"
+#include "network/sweep.hpp"
 #include "traffic/task_model.hpp"
 
 using namespace dvsnet;
@@ -20,7 +22,13 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const double rate = cfg.getDouble("rate", 1.0);
+    try {
+        cfg.rejectUnknownKeys({"rate", "cycles", "seed"}, "quickstart");
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL(e.what());
+    }
+    const double rate =
+        cfg.getDouble("rate", 1.0, network::kMinInjectionRate);
     const Cycle cycles = cfg.getCountEnv("cycles", 100000);
     const std::uint64_t seed = cfg.getCountEnv("seed", 42);
 

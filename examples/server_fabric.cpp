@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "common/fatal.hpp"
 #include "network/network.hpp"
 #include "traffic/task_model.hpp"
 
@@ -22,7 +23,14 @@ int
 main(int argc, char **argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const Cycle phase = cfg.getCountEnv("phase_cycles", 80000);
+    try {
+        cfg.rejectUnknownKeys({"phase_cycles"}, "server_fabric");
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL(e.what());
+    }
+    // Sampled every phase/10 cycles, over three phases.
+    const Cycle phase =
+        cfg.getCountEnv("phase_cycles", 80000, 10, kMaxCount / 3);
 
     std::printf("server fabric scenario: 8x8 mesh, load phases "
                 "quiet -> busy -> quiet (%llu cycles each)\n\n",

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/fatal.hpp"
@@ -82,19 +82,6 @@ Config::getString(const std::string &key, const std::string &def) const
     return lookup(key).value_or(def);
 }
 
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
-{
-    auto v = lookup(key);
-    if (!v)
-        return def;
-    char *end = nullptr;
-    const long long parsed = std::strtoll(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0')
-        DVSNET_FATAL("config key '", key, "': '", *v, "' is not an integer");
-    return parsed;
-}
-
 double
 Config::getDouble(const std::string &key, double def) const
 {
@@ -106,6 +93,30 @@ Config::getDouble(const std::string &key, double def) const
     if (end == v->c_str() || *end != '\0')
         DVSNET_FATAL("config key '", key, "': '", *v, "' is not a number");
     return parsed;
+}
+
+double
+Config::getDouble(const std::string &key, double def, double lo,
+                  double hi) const
+{
+    const auto v = lookup(key);
+    if (!v)
+        return def;
+    const double out = getDouble(key, def);
+    if (std::isfinite(out) && out >= lo && out <= hi)
+        return out;
+    DVSNET_FATAL("config key '", key, "': '", *v,
+                 "' is not a finite number ",
+                 std::isinf(hi) ? detail::concat(">= ", lo)
+                                : detail::concat("in [", lo, ", ", hi, "]"));
+}
+
+void
+Config::rejectInteger(const std::string &key, const std::string &value,
+                      const std::string &lo, const std::string &hi)
+{
+    DVSNET_FATAL("config key '", key, "': '", value,
+                 "' is not an integer in [", lo, ", ", hi, "]");
 }
 
 bool
@@ -127,45 +138,57 @@ Config::getBool(const std::string &key, bool def) const
 std::optional<std::uint64_t>
 parseCount(const std::string &text)
 {
-    // A sign is refused up front: strtoull would silently wrap "-1" to
-    // 2^64 - 1.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+    // from_chars takes no sign for an unsigned type, no leading
+    // whitespace and no base prefix: "-1" fails instead of wrapping to
+    // 2^64 - 1, "0x10" stops at the 'x' and "010" is ten.
+    std::uint64_t out = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    if (ec != std::errc{} || ptr != end || out > kMaxCount)
         return std::nullopt;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 0);
-    if (*end != '\0' || errno == ERANGE ||
-        parsed > static_cast<unsigned long long>(INT64_MAX))
-        return std::nullopt;
-    return parsed;
+    return out;
 }
 
-std::uint64_t
-Config::getCount(const std::string &key, std::uint64_t def) const
+namespace
 {
-    auto v = lookup(key);
-    if (!v)
-        return def;
-    if (const auto parsed = parseCount(*v))
-        return *parsed;
-    DVSNET_FATAL("config key '", key, "': '", *v,
-                 "' is not a non-negative integer");
+
+/** `text` as a count in [lo, hi], or exit naming `what` (the key or
+ *  the environment variable). */
+std::uint64_t
+countIn(const std::string &what, const std::string &text,
+        std::uint64_t lo, std::uint64_t hi)
+{
+    const auto parsed = parseCount(text);
+    if (!parsed)
+        DVSNET_FATAL(what, "'", text, "' is not a non-negative integer");
+    if (*parsed < lo || *parsed > hi) {
+        DVSNET_FATAL(what, "'", text, "' is not a count in [", lo, ", ", hi,
+                     "]");
+    }
+    return *parsed;
+}
+
+} // namespace
+
+std::uint64_t
+Config::getCount(const std::string &key, std::uint64_t def,
+                 std::uint64_t lo, std::uint64_t hi) const
+{
+    const auto v = lookup(key);
+    return v ? countIn("config key '" + key + "': ", *v, lo, hi) : def;
 }
 
 std::uint64_t
-Config::getCountEnv(const std::string &key, std::uint64_t def) const
+Config::getCountEnv(const std::string &key, std::uint64_t def,
+                    std::uint64_t lo, std::uint64_t hi) const
 {
     if (has(key))
-        return getCount(key, def);
+        return getCount(key, def, lo, hi);
     std::string envKey = "DVSNET_";
     for (char c : key)
         envKey += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    if (const char *env = std::getenv(envKey.c_str())) {
-        if (const auto parsed = parseCount(env))
-            return *parsed;
-        DVSNET_FATAL("environment ", envKey, "='", env,
-                     "' is not a non-negative integer");
-    }
+    if (const char *env = std::getenv(envKey.c_str()))
+        return countIn("environment " + envKey + "=", env, lo, hi);
     return def;
 }
 

@@ -5,11 +5,17 @@
  * Benches and examples accept `key=value` command-line overrides (plus
  * environment fallbacks such as DVSNET_CYCLES) so the paper's parameter
  * sweeps can be re-run at different fidelity without recompiling.
+ *
+ * Integers and counts are read in decimal, like the spec strings'
+ * (common/spec.hpp): the whole value, no sign on a count, no leading
+ * `+` or whitespace, no hex or octal.
  */
 
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -18,10 +24,14 @@
 namespace dvsnet
 {
 
+/** The largest count: INT64_MAX, so every echo of one stays a JSON
+ *  integer. */
+inline constexpr std::uint64_t kMaxCount =
+    std::numeric_limits<std::int64_t>::max();
+
 /**
- * `text` as a count: a non-negative integer in strtoull's base-0
- * notation, the whole string, at most INT64_MAX (so every echo of it
- * stays a JSON integer); nullopt otherwise.  Never wraps a sign.
+ * `text` as a count: decimal digits only, the whole string, at most
+ * kMaxCount; nullopt otherwise.  Never wraps a sign.
  */
 std::optional<std::uint64_t> parseCount(const std::string &text);
 
@@ -43,23 +53,47 @@ class Config
     /** Typed getters; fatal on unparsable values. */
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
-    double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
     /**
-     * A count (cycles, seed, threads, points): a non-negative integer in
-     * getInt's notation, at most INT64_MAX.  Also consults an
-     * environment variable (upper-case key, prefixed DVSNET_) so e.g.
-     * DVSNET_CYCLES=500000 scales all bench fidelity at once.  Priority:
-     * explicit key > env > default.  A negative or out-of-range value
-     * is fatal and named, never wrapped.
+     * A decimal integer in [lo, hi], by default the whole range of
+     * `Int`: read at the width it lands in, so it never wraps.  Fatal
+     * otherwise, naming the key, the value and the range.
      */
-    std::uint64_t getCountEnv(const std::string &key,
-                              std::uint64_t def) const;
+    template <typename Int>
+    Int getInt(const std::string &key, Int def,
+               Int lo = std::numeric_limits<Int>::min(),
+               Int hi = std::numeric_limits<Int>::max()) const;
+
+    /**
+     * A number with no range check: NaN and infinities parse.  Only for
+     * values whose reader rejects them by name (a spec's validate(),
+     * bench::defaultRates).
+     */
+    double getDouble(const std::string &key, double def) const;
+
+    /** A finite number in [lo, hi]; fatal otherwise, naming the key,
+     *  the value and the range. */
+    double getDouble(
+        const std::string &key, double def, double lo,
+        double hi = std::numeric_limits<double>::infinity()) const;
+
+    /**
+     * A count (cycles, seed, threads, points) in [lo, hi]: see
+     * parseCount.  Also consults an environment variable (upper-case
+     * key, prefixed DVSNET_) so e.g. DVSNET_CYCLES=500000 scales all
+     * bench fidelity at once.  Priority: explicit key > env > default.
+     * A negative or out-of-range value is fatal and named, never
+     * wrapped.
+     */
+    std::uint64_t getCountEnv(const std::string &key, std::uint64_t def,
+                              std::uint64_t lo = 0,
+                              std::uint64_t hi = kMaxCount) const;
 
     /** getCountEnv without the environment fallback. */
-    std::uint64_t getCount(const std::string &key, std::uint64_t def) const;
+    std::uint64_t getCount(const std::string &key, std::uint64_t def,
+                           std::uint64_t lo = 0,
+                           std::uint64_t hi = kMaxCount) const;
 
     /**
      * Reject any key outside `accepted`, so a misspelled or removed key
@@ -78,7 +112,28 @@ class Config
   private:
     std::optional<std::string> lookup(const std::string &key) const;
 
+    /** Exit naming `key`, its `value` and the range [lo, hi]. */
+    [[noreturn]] static void rejectInteger(const std::string &key,
+                                           const std::string &value,
+                                           const std::string &lo,
+                                           const std::string &hi);
+
     std::map<std::string, std::string> values_;
 };
+
+template <typename Int>
+Int
+Config::getInt(const std::string &key, Int def, Int lo, Int hi) const
+{
+    const auto value = lookup(key);
+    if (!value)
+        return def;
+    Int out{};
+    const char *end = value->data() + value->size();
+    const auto [ptr, ec] = std::from_chars(value->data(), end, out);
+    if (ec != std::errc{} || ptr != end || out < lo || out > hi)
+        rejectInteger(key, *value, std::to_string(lo), std::to_string(hi));
+    return out;
+}
 
 } // namespace dvsnet

@@ -116,15 +116,8 @@ Spec::count(const std::string &key, std::uint64_t def) const
     const std::string *value = find(key);
     if (value == nullptr)
         return def;
-    // Digits only: parseCount alone would also take a 0x or 0 prefix as
-    // hex or octal.  Leading zeros are skipped so "010" reads as ten.
-    if (!value->empty() &&
-        value->find_first_not_of("0123456789") == std::string::npos) {
-        const std::size_t first = value->find_first_not_of('0');
-        if (const auto parsed = parseCount(
-                first == std::string::npos ? "0" : value->substr(first)))
-            return *parsed;
-    }
+    if (const auto parsed = parseCount(*value))
+        return *parsed;
     reject(key, "must be a non-negative integer (at most 2^63 - 1)");
 }
 

@@ -67,6 +67,18 @@ cyclesToTicks(Cycle cycles)
     return cycles * kRouterClockPeriod;
 }
 
+/**
+ * Tick of the router clock edge strictly after `t` (edges at multiples
+ * of kRouterClockPeriod).  The network's step chain and the stream
+ * recorder's stand-in for it both start here, so their events take the
+ * same places in the kernel's order.
+ */
+constexpr Tick
+routerEdgeAfter(Tick t)
+{
+    return t - t % kRouterClockPeriod + kRouterClockPeriod;
+}
+
 /** Convert ticks to whole router cycles (floor). */
 constexpr Cycle
 ticksToCycles(Tick ticks)

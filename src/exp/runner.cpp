@@ -332,26 +332,4 @@ ExperimentRunner::collect()
     return out;
 }
 
-std::vector<network::SweepPoint>
-ExperimentRunner::sweep(const network::ExperimentSpec &spec,
-                        const std::vector<double> &rates,
-                        RunnerOptions options)
-{
-    ExperimentRunner runner(std::move(options));
-    runner.submitSweep(spec, rates);
-    const auto results = runner.collect();
-
-    std::vector<network::SweepPoint> series;
-    series.reserve(results.size());
-    for (const auto &r : results) {
-        if (!r.ok) {
-            throw ConfigError("sweep point at rate " +
-                              std::to_string(r.injectionRate) +
-                              " failed: " + r.error);
-        }
-        series.push_back(r.toSweepPoint());
-    }
-    return series;
-}
-
 } // namespace dvsnet::exp

@@ -136,15 +136,6 @@ class ExperimentRunner
      */
     std::vector<PointResult> collect();
 
-    /**
-     * One-shot sweep: submit + collect + unwrap to SweepPoints.
-     * Throws ConfigError carrying the first failed point's message if
-     * any point failed.
-     */
-    static std::vector<network::SweepPoint>
-    sweep(const network::ExperimentSpec &spec,
-          const std::vector<double> &rates, RunnerOptions options = {});
-
   private:
     /** One packet stream and the submitted jobs that read it. */
     struct SharedStream

@@ -410,16 +410,7 @@ Network::startStepping()
     if (stepping_)
         return;
     stepping_ = true;
-    const Tick first = routerClockEdgeAfterNow();
-    kernel_.at(first, [this] { stepQuantum(); });
-}
-
-Tick
-Network::routerClockEdgeAfterNow() const
-{
-    const Tick now = kernel_.now();
-    const Tick rem = now % kRouterClockPeriod;
-    return now + (kRouterClockPeriod - rem);
+    kernel_.at(routerEdgeAfter(kernel_.now()), [this] { stepQuantum(); });
 }
 
 void

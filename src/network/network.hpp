@@ -276,7 +276,6 @@ class Network
 
     void build();
     void startStepping();
-    Tick routerClockEdgeAfterNow() const;
     void stepQuantum();
     void injectFromQueue(NodeId node);
 

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/fatal.hpp"
-#include "exp/runner.hpp"
 #include "workload/factory.hpp"
 
 namespace dvsnet::network
@@ -93,17 +92,6 @@ rateGrid(double lo, double hi, std::size_t n)
                                     static_cast<double>(n - 1);
     }
     return rates;
-}
-
-double
-measureZeroLoadLatency(const ExperimentSpec &spec)
-{
-    // Low enough that queueing is negligible, high enough that the
-    // window still sees a few hundred packets.
-    const RunResults res = exp::runPoint(spec, 0.05, spec.workload.seed);
-    DVSNET_ASSERT(res.packetsDelivered > 0,
-                  "zero-load run delivered nothing");
-    return res.avgLatencyCycles;
 }
 
 double

@@ -10,8 +10,8 @@
  * Execution lives in `exp/runner.hpp`: the multi-threaded
  * ExperimentRunner runs PointJobs (spec + rate + derived seed) on a
  * worker pool with deterministic, submission-ordered results.  Use
- * exp::runPoint for a single point and exp::ExperimentRunner::sweep for
- * a series.
+ * exp::runPoint for a single point and ExperimentRunner::submitSweep
+ * then collect() for a series.
  */
 
 #pragma once
@@ -65,11 +65,15 @@ Json toJson(const ExperimentSpec &spec);
 /** {"injection_rate": r, "results": {...}} */
 Json toJson(const SweepPoint &point);
 
+/**
+ * The least injection rate, in packets/cycle, a command-line rate key
+ * takes: positive, as every traffic generator requires, and far below
+ * the 0.05 zero-load probe, the lightest load any bench runs.
+ */
+inline constexpr double kMinInjectionRate = 1e-6;
+
 /** Evenly spaced rate grid [lo, hi] with n points. */
 std::vector<double> rateGrid(double lo, double hi, std::size_t n);
-
-/** Zero-load latency: a run at a very low injection rate. */
-double measureZeroLoadLatency(const ExperimentSpec &spec);
 
 /**
  * Saturation throughput from a sweep: delivered throughput at the first

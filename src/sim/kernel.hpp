@@ -3,8 +3,9 @@
  * Simulation kernel: owns the event queue and the global clock (`now`).
  *
  * The kernel is deliberately minimal — components schedule callbacks and
- * read the current time.  Clock-domain arithmetic lives in sim/clock.hpp;
- * the network's synchronous router step is just a self-rescheduling event.
+ * read the current time.  Router-clock arithmetic lives in
+ * common/types.hpp (cyclesToTicks, routerEdgeAfter); the network's
+ * synchronous router step is just a self-rescheduling event.
  */
 
 #pragma once

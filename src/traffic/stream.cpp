@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/fatal.hpp"
-#include "sim/clock.hpp"
 #include "sim/kernel.hpp"
 
 namespace dvsnet::traffic
@@ -151,8 +150,7 @@ class EdgeStub
     void
     start()
     {
-        kernel_.at(sim::routerClock().edgeAfter(kernel_.now()),
-                   [this] { step(); });
+        kernel_.at(routerEdgeAfter(kernel_.now()), [this] { step(); });
     }
 
     /** Tick of the latest step; kTickNever before the first. */

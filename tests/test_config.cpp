@@ -66,9 +66,68 @@ TEST(Config, BoolAcceptsCommonSpellings)
 
 TEST(Config, HexIntegers)
 {
-    Config cfg;
-    cfg.set("addr", "0x10");
-    EXPECT_EQ(cfg.getInt("addr", 0), 16);
+    // Integers and counts are decimal, like spec strings': no base
+    // prefix, and a leading zero is not octal.
+    Config cfg = parse({"addr=0x10", "seed=0x10", "octal=010"});
+    EXPECT_EXIT(cfg.getInt("addr", 0), ::testing::ExitedWithCode(1),
+                "config key 'addr': '0x10' is not an integer in "
+                "\\[-2147483648, 2147483647\\]");
+    EXPECT_EXIT(cfg.getCountEnv("seed", 0), ::testing::ExitedWithCode(1),
+                "config key 'seed': '0x10' is not a non-negative integer");
+    EXPECT_EQ(cfg.getInt("octal", 0), 10);
+    EXPECT_EQ(cfg.getCount("octal", 0), 10u);
+}
+
+TEST(Config, IntegersAreReadAtTheWidthTheyLandIn)
+{
+    Config cfg = parse({"radix=4294967298", "nodes=-1", "node=64",
+                        "plus=+1", "space= 1", "ok=63"});
+    EXPECT_EXIT(cfg.getInt<std::int32_t>("radix", 8),
+                ::testing::ExitedWithCode(1),
+                "config key 'radix': '4294967298' is not an integer in "
+                "\\[-2147483648, 2147483647\\]");
+    EXPECT_EXIT(cfg.getInt<std::uint32_t>("nodes", 0),
+                ::testing::ExitedWithCode(1),
+                "config key 'nodes': '-1' is not an integer in "
+                "\\[0, 4294967295\\]");
+    EXPECT_EXIT(cfg.getInt<std::int32_t>("node", 0, 0, 63),
+                ::testing::ExitedWithCode(1),
+                "config key 'node': '64' is not an integer in \\[0, 63\\]");
+    EXPECT_EXIT(cfg.getInt("plus", 0), ::testing::ExitedWithCode(1),
+                "config key 'plus'");
+    EXPECT_EXIT(cfg.getInt("space", 0), ::testing::ExitedWithCode(1),
+                "config key 'space'");
+    EXPECT_EQ(cfg.getInt<std::int32_t>("ok", 0, 0, 63), 63);
+    EXPECT_EQ(cfg.getInt<std::uint32_t>("missing", 7u), 7u);
+}
+
+TEST(Config, RangedCountsAndNumbersNameTheRange)
+{
+    ::setenv("DVSNET_TESTKEY_PHASE", "5", 1);
+    Config cfg = parse({"interval=0", "rate=nan", "zero=0", "big=inf",
+                        "half=0.5"});
+    EXPECT_EXIT(cfg.getCount("interval", 2000, 1),
+                ::testing::ExitedWithCode(1),
+                "config key 'interval': '0' is not a count in "
+                "\\[1, 9223372036854775807\\]");
+    EXPECT_EXIT(cfg.getCountEnv("testkey_phase", 80000, 10, 100),
+                ::testing::ExitedWithCode(1),
+                "environment DVSNET_TESTKEY_PHASE='5' is not a count in "
+                "\\[10, 100\\]");
+    ::unsetenv("DVSNET_TESTKEY_PHASE");
+    EXPECT_EXIT(cfg.getDouble("rate", 1.0, 1e-6),
+                ::testing::ExitedWithCode(1),
+                "config key 'rate': 'nan' is not a finite number >= 1e-06");
+    EXPECT_EXIT(cfg.getDouble("zero", 1.0, 1e-6),
+                ::testing::ExitedWithCode(1),
+                "config key 'zero': '0' is not a finite number >= 1e-06");
+    EXPECT_EXIT(cfg.getDouble("big", 1.0, 0.0, 1.0),
+                ::testing::ExitedWithCode(1),
+                "config key 'big': 'inf' is not a finite number in "
+                "\\[0, 1\\]");
+    EXPECT_DOUBLE_EQ(cfg.getDouble("half", 1.0, 0.0, 1.0), 0.5);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("missing", 0.25, 1.0, 2.0), 0.25);
+    EXPECT_EQ(cfg.getCount("missing", 7, 10), 7u);
 }
 
 TEST(Config, NegativeNumbers)
@@ -100,9 +159,9 @@ TEST(Config, ExplicitKeyBeatsEnv)
 
 TEST(Config, CountsReachInt64Max)
 {
-    Config cfg = parse({"seed=9223372036854775807", "mask=0x10"});
+    Config cfg = parse({"seed=9223372036854775807", "mask=0010"});
     EXPECT_EQ(cfg.getCount("seed", 0), 9223372036854775807ull);
-    EXPECT_EQ(cfg.getCount("mask", 0), 16u);
+    EXPECT_EQ(cfg.getCount("mask", 0), 10u);
     EXPECT_EQ(cfg.getCount("missing", 9), 9u);
 }
 

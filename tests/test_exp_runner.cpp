@@ -25,7 +25,6 @@ using dvsnet::exp::WorkerPool;
 using dvsnet::network::ExperimentSpec;
 using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
-using dvsnet::network::SweepPoint;
 using dvsnet::testutil::CountingGateClosed;
 using dvsnet::testutil::countingFailuresLeft;
 using dvsnet::testutil::countingStarts;
@@ -127,17 +126,18 @@ TEST(Runner, SerialAndParallelSweepsBitIdentical)
     const auto spec = smallSpec(PolicyKind::History);
     const std::vector<double> rates{0.1, 0.2, 0.3, 0.4};
 
-    RunnerOptions serial;
-    serial.threads = 1;
-    RunnerOptions parallel;
-    parallel.threads = 4;
-
-    const auto a = ExperimentRunner::sweep(spec, rates, serial);
-    const auto b = ExperimentRunner::sweep(spec, rates, parallel);
+    ExperimentRunner serial(withThreads(1));
+    serial.submitSweep(spec, rates);
+    const auto a = serial.collect();
+    ExperimentRunner parallel(withThreads(4));
+    parallel.submitSweep(spec, rates);
+    const auto b = parallel.collect();
 
     ASSERT_EQ(a.size(), rates.size());
     ASSERT_EQ(b.size(), rates.size());
     for (std::size_t i = 0; i < rates.size(); ++i) {
+        ASSERT_TRUE(a[i].ok) << a[i].error;
+        ASSERT_TRUE(b[i].ok) << b[i].error;
         EXPECT_EQ(a[i].injectionRate, b[i].injectionRate);
         expectIdentical(a[i].results, b[i].results);
     }
@@ -148,14 +148,19 @@ TEST(Runner, DefaultOptionsSweepMatchesExplicitThreads)
     const auto spec = smallSpec(PolicyKind::None);
     const std::vector<double> rates{0.1, 0.3};
 
-    const auto defaulted = ExperimentRunner::sweep(spec, rates);
-    RunnerOptions parallel;
-    parallel.threads = 2;
-    const auto direct = ExperimentRunner::sweep(spec, rates, parallel);
+    ExperimentRunner defaultRunner;
+    defaultRunner.submitSweep(spec, rates);
+    const auto defaulted = defaultRunner.collect();
+    ExperimentRunner parallel(withThreads(2));
+    parallel.submitSweep(spec, rates);
+    const auto direct = parallel.collect();
 
     ASSERT_EQ(defaulted.size(), direct.size());
-    for (std::size_t i = 0; i < defaulted.size(); ++i)
+    for (std::size_t i = 0; i < defaulted.size(); ++i) {
+        ASSERT_TRUE(defaulted[i].ok) << defaulted[i].error;
+        ASSERT_TRUE(direct[i].ok) << direct[i].error;
         expectIdentical(defaulted[i].results, direct[i].results);
+    }
 }
 
 TEST(Runner, ResultsComeBackInSubmissionOrder)

@@ -31,7 +31,7 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
-    bench::rejectUnknownSearchKeys(opts, "pareto_search");
+    bench::rejectUnknownSearchKeys(opts);
     bench::printHeader(
         "Pareto search",
         "resumable multi-objective DVS policy search", opts);

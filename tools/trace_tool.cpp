@@ -34,6 +34,7 @@
 #include "common/config.hpp"
 #include "common/fatal.hpp"
 #include "network/network.hpp"
+#include "network/sweep.hpp"
 #include "traffic/trace.hpp"
 #include "workload/factory.hpp"
 
@@ -87,14 +88,15 @@ record(const Config &config)
     const std::string spec = config.getString("workload", "uniform");
 
     network::NetworkConfig cfg;
-    cfg.radix = static_cast<std::int32_t>(config.getInt("radix", 8));
+    cfg.radix = config.getInt<std::int32_t>("radix", 8);
     cfg.torus = config.getBool("torus", false);
     cfg.policy = network::PolicyKind::None;
 
     const Cycle cycles = config.getCount("cycles", 50000);
     network::Network net(cfg);
     workload::WorkloadContext context{
-        net.topology(), config.getDouble("rate", 1.0),
+        net.topology(),
+        config.getDouble("rate", 1.0, network::kMinInjectionRate),
         config.getCount("seed", 12345),
         traffic::TwoLevelParams{}};
     const auto generator = workload::buildWorkload(spec, context);
@@ -123,8 +125,7 @@ convert(const Config &config)
     config.rejectUnknownKeys({"in", "out", "nodes"}, "trace_tool convert");
     const std::string in = requireKey(config, "in", "convert");
     const std::string out = requireKey(config, "out", "convert");
-    const auto nodes =
-        static_cast<std::uint32_t>(config.getInt("nodes", 0));
+    const auto nodes = config.getInt<std::uint32_t>("nodes", 0);
 
     const auto stream = traffic::loadAnyTrace(in);
     traffic::saveAnyTrace(*stream, out, nodes);
