@@ -44,10 +44,8 @@ main(int argc, char **argv)
     bench::printHeader("Ablations",
                        "policy design choices (history-based DVS)", opts);
 
-    const double light =
-        opts.raw.getDouble("rate_light", 0.8, network::kMinInjectionRate);
-    const double heavy =
-        opts.raw.getDouble("rate_heavy", 2.6, network::kMinInjectionRate);
+    const double light = bench::rateOption(opts, "rate_light", 0.8);
+    const double heavy = bench::rateOption(opts, "rate_heavy", 2.6);
 
     // 1. Congestion litmus.
     std::printf("\n[1] congestion litmus (BU test) at heavy load "

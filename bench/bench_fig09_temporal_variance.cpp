@@ -32,8 +32,7 @@ main(int argc, char **argv)
 
     network::Network net(spec.network);
     traffic::TwoLevelParams wl = spec.workload;
-    wl.networkInjectionRate =
-        opts.raw.getDouble("rate", 1.0, network::kMinInjectionRate);
+    wl.networkInjectionRate = bench::rateOption(opts, "rate", 1.0);
     traffic::TwoLevelWorkload workload(net.topology(), wl);
     net.attachTraffic(workload);
 

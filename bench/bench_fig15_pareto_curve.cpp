@@ -26,8 +26,7 @@ main(int argc, char **argv)
         "Pareto curve of latency vs power savings at 1.7 pkt/cycle",
         opts);
 
-    const double rate =
-        opts.raw.getDouble("rate", 1.7, network::kMinInjectionRate);
+    const double rate = bench::rateOption(opts, "rate", 1.7);
     const char *names[] = {"I", "II", "III", "IV", "V", "VI"};
 
     // One job per curve point: the no-DVS baseline plus settings I-VI,

@@ -77,8 +77,7 @@ main(int argc, char **argv)
     network::ExperimentSpec spec = bench::paperSpec(opts);
     spec.network.policy = network::PolicyKind::None;
     spec.warmup = opts.lightWarmup;
-    const double rate =
-        opts.raw.getDouble("rate", 1.0, network::kMinInjectionRate);
+    const double rate = bench::rateOption(opts, "rate", 1.0);
 
     const std::string prefix =
         opts.raw.getString("trace_prefix", "bench_trace_replay");

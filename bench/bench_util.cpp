@@ -1,7 +1,6 @@
 #include "bench_util.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -361,16 +360,21 @@ finishReport(const BenchOptions &opts)
     std::fprintf(stderr, "wrote JSON artifact: %s\n", opts.jsonPath.c_str());
 }
 
+double
+rateOption(const BenchOptions &opts, const std::string &key, double def)
+{
+    // paperSpec leaves the topology at NetworkConfig's 8x8 default.
+    return opts.raw.getDouble(
+        key, def, network::kMinInjectionRate,
+        network::maxInjectionRate(network::NetworkConfig{}));
+}
+
 std::vector<double>
 defaultRates(const BenchOptions &opts, double lo, double hi)
 {
-    lo = opts.raw.getDouble("rate_lo", lo);
-    hi = opts.raw.getDouble("rate_hi", hi);
-    if (!std::isfinite(lo) || lo <= 0.0) {
-        DVSNET_FATAL("config key 'rate_lo': ", lo,
-                     " is not a finite positive rate");
-    }
-    if (!std::isfinite(hi) || hi <= lo) {
+    lo = rateOption(opts, "rate_lo", lo);
+    hi = rateOption(opts, "rate_hi", hi);
+    if (hi <= lo) {
         DVSNET_FATAL("config key 'rate_hi': ", hi,
                      " is not a finite rate above rate_lo = ", lo);
     }

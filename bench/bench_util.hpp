@@ -170,9 +170,18 @@ void recordResult(Json entry);
 void finishReport(const BenchOptions &opts);
 
 /**
+ * Rate key `key` (default `def`), in packets/cycle on the paper's 8x8
+ * mesh, the network every bench runs.  Fatal, naming the key and the
+ * range, unless a finite number in [network::kMinInjectionRate,
+ * network::maxInjectionRate]: one packet per node per cycle at most.
+ */
+double rateOption(const BenchOptions &opts, const std::string &key,
+                  double def);
+
+/**
  * Default injection-rate grid used by the latency/power sweeps: the
- * sweep's points from `rate_lo` to `rate_hi` (defaults `lo`, `hi`).
- * Fatal unless 0 < rate_lo < rate_hi, both finite.
+ * sweep's points from `rate_lo` to `rate_hi` (defaults `lo`, `hi`),
+ * each a rateOption.  Fatal unless rate_lo < rate_hi.
  */
 std::vector<double> defaultRates(const BenchOptions &opts, double lo = 0.2,
                                  double hi = 2.4);

@@ -73,7 +73,7 @@ searchConfigFromOptions(const BenchOptions &opts)
     // aggressive thresholds, and post-saturation average latency grows
     // with the measurement window — exactly the fidelity dependence the
     // successive-halving slack model cannot bound.
-    config.injectionRate = opts.raw.getDouble("rate", 1.2);
+    config.injectionRate = rateOption(opts, "rate", 1.2);
     config.seed = opts.seed;
     config.threads = opts.threads;
     config.seeded = fig15GridCandidates();

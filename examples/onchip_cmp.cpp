@@ -52,8 +52,8 @@ main(int argc, char **argv)
     }
     const auto pattern =
         traffic::parsePattern(cfg.getString("pattern", "transpose"));
-    const double rate =  // per node
-        cfg.getDouble("rate", 0.02, network::kMinInjectionRate);
+    const double rate =  // per node: one packet a cycle at most
+        cfg.getDouble("rate", 0.02, network::kMinInjectionRate, 1.0);
     const Cycle cycles = cfg.getCountEnv("cycles", 120000);
     const Cycle warmup = cfg.getCountEnv("warmup", 120000);
 

@@ -36,7 +36,9 @@ main(int argc, char **argv)
     } catch (const ConfigError &e) {
         DVSNET_FATAL(e.what());
     }
-    const double rate = cfg.getDouble("rate", 1.2);
+    const double rate =
+        cfg.getDouble("rate", 1.2, network::kMinInjectionRate,
+                      network::maxInjectionRate(network::NetworkConfig{}));
     const Cycle cycles = cfg.getCountEnv("cycles", 120000);
     const Cycle warmup = cfg.getCountEnv("warmup", 120000);
     const std::size_t threads = cfg.getCountEnv("threads", 0);

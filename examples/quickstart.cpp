@@ -28,7 +28,8 @@ main(int argc, char **argv)
         DVSNET_FATAL(e.what());
     }
     const double rate =
-        cfg.getDouble("rate", 1.0, network::kMinInjectionRate);
+        cfg.getDouble("rate", 1.0, network::kMinInjectionRate,
+                      network::maxInjectionRate(network::NetworkConfig{}));
     const Cycle cycles = cfg.getCountEnv("cycles", 100000);
     const std::uint64_t seed = cfg.getCountEnv("seed", 42);
 

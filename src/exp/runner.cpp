@@ -1,9 +1,11 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -59,9 +61,9 @@ void
 validatePoint(const network::ExperimentSpec &spec, double injectionRate)
 {
     auto problems = spec.validate();
-    if (!(injectionRate > 0.0) || !std::isfinite(injectionRate)) {
-        problems.push_back("injection rate must be positive and finite");
-    }
+    if (auto rate = network::injectionRateProblem(spec.network, injectionRate);
+        !rate.empty())
+        problems.push_back(std::move(rate));
     if (!problems.empty())
         throw ConfigError(joinProblems("invalid experiment", problems));
 }
@@ -101,6 +103,20 @@ recordPointStream(
             started(stream);
     });
     return stream;
+}
+
+/**
+ * The packets a job offers over its run: rate x (warm-up + measurement),
+ * its dispatch priority.  A NaN (an invalid rate, which fails at once)
+ * reads 0 so that the order stays strict weak.
+ */
+double
+offeredWork(const PointJob &job)
+{
+    const double work =
+        job.injectionRate *
+        static_cast<double>(job.spec.warmup + job.spec.measure);
+    return std::isnan(work) ? 0.0 : work;
 }
 
 /**
@@ -206,18 +222,10 @@ std::size_t
 ExperimentRunner::submit(PointJob job)
 {
     std::string key = streamKey(job);
-    std::size_t index;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        index = results_.size();
-        results_.emplace_back();
-        ++submitted_;
-        ++streams_[key].consumers;
-    }
-    pool_.post([this, index, job = std::move(job), key = std::move(key)] {
-        execute(index, job, key);
-    });
-    return index;
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++streams_[key].consumers;
+    pending_.push_back({std::move(job), std::move(key)});
+    return pending_.size() - 1;
 }
 
 std::size_t
@@ -316,18 +324,39 @@ ExperimentRunner::execute(std::size_t index, const PointJob &job,
         // The callback runs under the lock: serialized by construction,
         // so callers may update un-synchronized state from it.
         if (options_.onProgress)
-            options_.onProgress(Progress{completed_, submitted_});
+            options_.onProgress(Progress{completed_, results_.size()});
     }
 }
 
 std::vector<PointResult>
 ExperimentRunner::collect()
 {
+    std::vector<Pending> batch;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        batch.swap(pending_);
+        results_.resize(batch.size());
+    }
+    // Largest offered work first, ties in submission order (file
+    // comment, "Dispatch order").
+    std::vector<std::size_t> order(batch.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return offeredWork(batch[a].job) >
+                                offeredWork(batch[b].job);
+                     });
+    for (const std::size_t index : order) {
+        pool_.post([this, index, job = std::move(batch[index].job),
+                    key = std::move(batch[index].key)] {
+            execute(index, job, key);
+        });
+    }
     pool_.wait();
+
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<PointResult> out = std::move(results_);
     results_.clear();
-    submitted_ = 0;
     completed_ = 0;
     return out;
 }

@@ -3,9 +3,10 @@
  * ExperimentRunner: multi-threaded, deterministic experiment execution.
  *
  * Replaces the serial free-function sweep driver.  Callers submit
- * PointJobs (or whole injection sweeps); a fixed-size worker pool runs
- * them with each Network/Kernel touched by one worker at a time;
- * collect() returns results in submission order.  Guarantees:
+ * PointJobs (or whole injection sweeps), which only queues them;
+ * collect() hands the batch to a fixed-size worker pool, largest offered
+ * work first, with each Network/Kernel touched by one worker at a time,
+ * and returns results in submission order.  Guarantees:
  *
  *  - **Determinism**: every job carries an explicit seed (sweeps derive
  *    theirs as pointSeed(baseSeed, pointIndex)), so results are
@@ -15,19 +16,26 @@
  *    point's PointResult::error; the other points still run.
  *  - **Timing & progress**: each result records its wall-clock cost and
  *    an optional callback observes completion counts.
+ *  - **Dispatch order**: collect() posts the batch to the FIFO pool in
+ *    descending offered work, injectionRate x (warmup + measure), ties
+ *    in submission order (longest processing time first, so the
+ *    heaviest points of a sweep do not start last and trail the batch).
+ *    Results do not depend on the order.
  *  - **Shared traffic**: jobs whose traffic generators read equal inputs
  *    (workload spec and parameter block, topology, rate, seed and run
  *    length; not policy, routing or any other network field) share one
- *    recorded packet stream.  The first of them to run records it, and
- *    hands it to the others as soon as its generator has started: they
- *    run their networks from it while it records, paced by the recorder
- *    (traffic::PacketStream), and the recorder runs its own network
- *    once the recording is done.  The stream is freed when the last of
- *    them finishes, or with the runner when they name a horizon
- *    (PointJob::horizon).  A recording that fails before its generator
- *    starts wakes the waiters, and the next one retries; one that fails
- *    later fails every job reading it with the recorder's error.
- *    Either way every job's result is what exp::runPoint gives it.
+ *    recorded packet stream, recorded once per batch: every job of a
+ *    batch is counted before any of them runs.  The first of them to
+ *    run records it, and hands it to the others as soon as its
+ *    generator has started: they run their networks from it while it
+ *    records, paced by the recorder (traffic::PacketStream), and the
+ *    recorder runs its own network once the recording is done.  The
+ *    stream is freed when the last of them finishes, or with the runner
+ *    when they name a horizon (PointJob::horizon).  A recording that
+ *    fails before its generator starts wakes the waiters, and the next
+ *    one retries; one that fails later fails every job reading it with
+ *    the recorder's error.  Either way every job's result is what
+ *    exp::runPoint gives it.
  *  - **Continuation**: a job can keep its network (PointJob::keep) and
  *    a later job of the same point, measured for longer, runs it on
  *    (PointJob::resume) instead of simulating the shared prefix again;
@@ -38,8 +46,8 @@
  *     exp::RunnerOptions opts;
  *     opts.threads = 4;                          // 0 = all hw threads
  *     exp::ExperimentRunner runner(opts);
- *     runner.submitSweep(spec, rates);           // seeds derived
- *     auto results = runner.collect();           // submission order
+ *     runner.submitSweep(spec, rates);           // queued, seeds derived
+ *     auto results = runner.collect();           // runs; submission order
  */
 
 #pragma once
@@ -69,7 +77,8 @@ namespace dvsnet::exp
  * simulates, and Network::collect() is repeatable, so each result is
  * exp::runPoint's bit for bit.  A kept network crosses workers only
  * through the runner: collect() hands it out after the pool's wait(),
- * and submit() hands it back, so one thread at a time touches it.
+ * submit() takes it back and the next collect() posts it, so one thread
+ * at a time touches it.
  */
 class LiveNetwork
 {
@@ -109,7 +118,7 @@ class ExperimentRunner
   public:
     explicit ExperimentRunner(RunnerOptions options = {});
 
-    /** Joins workers; discards results not yet collected. */
+    /** Joins workers; jobs submitted but not collected never run. */
     ~ExperimentRunner();
 
     ExperimentRunner(const ExperimentRunner &) = delete;
@@ -118,11 +127,14 @@ class ExperimentRunner
     /** Worker threads actually running. */
     std::size_t threadCount() const { return pool_.threadCount(); }
 
-    /** Enqueue one job; returns its index in collect() order. */
+    /**
+     * Queue one job for the next collect(); nothing runs yet.  Returns
+     * its index in collect() order.
+     */
     std::size_t submit(PointJob job);
 
     /**
-     * Enqueue one job per rate, seeded pointSeed(spec.workload.seed, i)
+     * Queue one job per rate, seeded pointSeed(spec.workload.seed, i)
      * with `i` counting from 0 within this sweep.  Returns the index of
      * the sweep's first job; the sweep occupies rates.size() consecutive
      * collect() slots.  Throws ConfigError on an empty rate grid.
@@ -131,12 +143,21 @@ class ExperimentRunner
                             const std::vector<double> &rates);
 
     /**
-     * Block until every submitted job has finished, then return all
-     * results in submission order and reset for reuse.
+     * Run every job submitted since the last collect(), largest offered
+     * work first (see file comment), block until all have finished,
+     * then return their results in submission order and reset for
+     * reuse.
      */
     std::vector<PointResult> collect();
 
   private:
+    /** A submitted job waiting for collect(), with its stream key. */
+    struct Pending
+    {
+        PointJob job;
+        std::string key;
+    };
+
     /** One packet stream and the submitted jobs that read it. */
     struct SharedStream
     {
@@ -158,9 +179,9 @@ class ExperimentRunner
     acquireStream(const std::string &key, const PointJob &job);
 
     RunnerOptions options_;
-    std::mutex mutex_;  ///< guards results_, the counters and streams_
-    std::vector<PointResult> results_;
-    std::size_t submitted_ = 0;
+    std::mutex mutex_;  ///< guards pending_, results_, completed_, streams_
+    std::vector<Pending> pending_;  ///< by index, until collect()
+    std::vector<PointResult> results_;  ///< the batch collect() runs
     std::size_t completed_ = 0;
     std::unordered_map<std::string, SharedStream> streams_;  ///< by key
     std::condition_variable streamReady_;

@@ -1,6 +1,7 @@
 #include "network/sweep.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/fatal.hpp"
@@ -80,6 +81,27 @@ ExperimentSpec::validate() const
         problems.push_back(std::move(problem));
     }
     return problems;
+}
+
+double
+maxInjectionRate(const NetworkConfig &network)
+{
+    return std::pow(static_cast<double>(network.radix),
+                    static_cast<double>(network.dims));
+}
+
+std::string
+injectionRateProblem(const NetworkConfig &network, double rate)
+{
+    if (!(rate > 0.0) || !std::isfinite(rate))
+        return "injection rate must be positive and finite";
+    if (rate > maxInjectionRate(network)) {
+        return detail::concat("injection rate ", rate,
+                              " is above one packet per node per cycle (",
+                              maxInjectionRate(network), " on a ",
+                              network.radix, "^", network.dims, " network)");
+    }
+    return {};
 }
 
 std::vector<double>

@@ -72,6 +72,21 @@ Json toJson(const SweepPoint &point);
  */
 inline constexpr double kMinInjectionRate = 1e-6;
 
+/**
+ * The greatest injection rate, in packets/cycle, `network` takes: one
+ * packet per node per cycle, radix^dims.  A rate past it offers more
+ * than the sources can inject, so a run's source queues grow without
+ * bound and its generator makes more packets a cycle than the network
+ * drains.
+ */
+double maxInjectionRate(const NetworkConfig &network);
+
+/**
+ * Why `rate` cannot drive `network`: not positive, not finite, or above
+ * maxInjectionRate(network).  Empty when it can.
+ */
+std::string injectionRateProblem(const NetworkConfig &network, double rate);
+
 /** Evenly spaced rate grid [lo, hi] with n points. */
 std::vector<double> rateGrid(double lo, double hi, std::size_t n);
 

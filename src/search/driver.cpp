@@ -101,8 +101,9 @@ SearchConfig::validate() const
     for (const auto &p : base.validate())
         problems.push_back("base experiment: " + p);
 
-    if (!(injectionRate > 0.0) || !std::isfinite(injectionRate))
-        problems.push_back("injection rate must be positive and finite");
+    if (auto rate = network::injectionRateProblem(base.network, injectionRate);
+        !rate.empty())
+        problems.push_back(std::move(rate));
     if (seeded.empty() && randomCandidates == 0)
         problems.push_back("candidate set is empty (no seeded or "
                            "random candidates)");

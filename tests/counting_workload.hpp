@@ -1,23 +1,22 @@
 /**
  * @file
  * Test workload "counting[:variant=N]": uniform random traffic that
- * counts its start() calls, i.e. how often a packet stream is
- * generated, and throws from the first countingFailuresLeft of them.
- * The variant only changes the spec string.  Shared by the runner's
- * stream-sharing tests and the search's common-random-numbers test.
- *
- * While countingGate is closed, start() waits for it to open.  A test
- * that counts generations closes it while it submits a batch of jobs:
- * the runner frees a stream when the last submitted job reading it
- * finishes, so a job finishing before an equal one is submitted would
- * make that one record the stream again.
+ * logs its start() calls, i.e. each packet stream generated, with their
+ * rates and seeds in call order, and throws from the first
+ * countingFailuresLeft of them.  The variant only changes the spec
+ * string.  Shared by the runner's stream-sharing and dispatch-order
+ * tests and the search's common-random-numbers test.
  */
 
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <ostream>
 #include <utility>
+#include <vector>
 
 #include "common/fatal.hpp"
 #include "traffic/pattern_traffic.hpp"
@@ -26,32 +25,34 @@
 namespace dvsnet::testutil
 {
 
-inline std::atomic<int> countingStarts{0};
 inline std::atomic<int> countingFailuresLeft{0};
-inline std::atomic<bool> countingGate{true};  ///< open
 
-/** Close countingGate until destroyed. */
-class CountingGateClosed
+/** The rate and seed of one start() call. */
+struct CountingStart
 {
-  public:
-    CountingGateClosed() { countingGate = false; }
+    double rate;
+    std::uint64_t seed;
 
-    ~CountingGateClosed()
-    {
-        countingGate = true;
-        countingGate.notify_all();
-    }
-
-    CountingGateClosed(const CountingGateClosed &) = delete;
-    CountingGateClosed &operator=(const CountingGateClosed &) = delete;
+    bool operator==(const CountingStart &) const = default;
 };
+
+inline std::ostream &
+operator<<(std::ostream &os, const CountingStart &s)
+{
+    return os << "rate " << s.rate << " seed " << s.seed;
+}
+
+/** Every start() call, in call order; written under countingLogMutex. */
+inline std::mutex countingLogMutex;
+inline std::vector<CountingStart> countingLog;
 
 class CountingTraffic final : public traffic::TrafficGenerator
 {
   public:
     CountingTraffic(const topo::KAryNCube &topo, double rate,
                     std::uint64_t seed)
-        : inner_(topo, traffic::Pattern::UniformRandom,
+        : rate_(rate), seed_(seed),
+          inner_(topo, traffic::Pattern::UniformRandom,
                  rate / topo.numNodes(), seed)
     {
     }
@@ -59,8 +60,10 @@ class CountingTraffic final : public traffic::TrafficGenerator
     void
     start(sim::Kernel &kernel, traffic::PacketSink sink) override
     {
-        countingGate.wait(false);
-        ++countingStarts;
+        {
+            std::lock_guard<std::mutex> lock(countingLogMutex);
+            countingLog.push_back({rate_, seed_});
+        }
         if (countingFailuresLeft.fetch_sub(1) > 0)
             throw ConfigError("counting workload: scripted failure");
         inner_.start(kernel, std::move(sink));
@@ -69,6 +72,8 @@ class CountingTraffic final : public traffic::TrafficGenerator
     const char *name() const override { return "counting"; }
 
   private:
+    double rate_;
+    std::uint64_t seed_;
     traffic::PatternTraffic inner_;
 };
 

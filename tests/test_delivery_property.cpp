@@ -30,6 +30,18 @@ struct DeliveryCase
     std::uint16_t packetLength;
 };
 
+/**
+ * Names the case in test output and ctest names: seed, policy, rate and
+ * packet length ("101 none 0.01 len5").  Without it gtest prints the
+ * struct's raw bytes, padding included, so the names changed from one
+ * build to the next.
+ */
+void PrintTo(const DeliveryCase &c, std::ostream *os)
+{
+    *os << c.seed << ' ' << dvsnet::network::policyKindName(c.policy)
+        << ' ' << c.rate << " len" << c.packetLength;
+}
+
 class DeliveryProperty : public ::testing::TestWithParam<DeliveryCase>
 {};
 

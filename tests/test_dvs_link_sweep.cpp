@@ -33,6 +33,16 @@ struct StepCase
     bool faster;
 };
 
+/**
+ * Names the case in test output and ctest names ("level 3 faster").
+ * Without it gtest prints the struct's raw bytes, padding included, so
+ * the names changed from one build to the next.
+ */
+void PrintTo(const StepCase &c, std::ostream *os)
+{
+    *os << "level " << c.fromLevel << (c.faster ? " faster" : " slower");
+}
+
 class AdjacentTransition : public ::testing::TestWithParam<StepCase>
 {
   protected:

@@ -1,14 +1,17 @@
 /**
  * @file
  * ExperimentRunner tests: seed derivation, submission-order results,
- * per-job failure isolation, progress reporting, shared packet streams
- * (one generation per set of equal generator inputs, and a failed one
- * failing only its own job), and — the hard requirement — bit-identical
- * results between serial and parallel execution of the same sweep.
+ * dispatch in descending offered work, per-job failure isolation,
+ * progress reporting, shared packet streams (one generation per set of
+ * equal generator inputs, and a failed one failing only its own job),
+ * and — the hard requirement — bit-identical results between serial and
+ * parallel execution of the same sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <mutex>
 #include <set>
 
 #include "common/fatal.hpp"
@@ -25,9 +28,8 @@ using dvsnet::exp::WorkerPool;
 using dvsnet::network::ExperimentSpec;
 using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
-using dvsnet::testutil::CountingGateClosed;
 using dvsnet::testutil::countingFailuresLeft;
-using dvsnet::testutil::countingStarts;
+using dvsnet::testutil::countingLog;
 
 namespace
 {
@@ -203,12 +205,18 @@ TEST(Runner, FailureIsolationCapturesBadPointOnly)
     PointJob badRate = good;
     badRate.injectionRate = -1.0;
 
+    // Past one packet per node per cycle: 16 on this 4x4 mesh.  A huge
+    // rate used to run without end.
+    PointJob hugeRate = good;
+    hugeRate.injectionRate = std::nextafter(16.0, 17.0);
+
     runner.submit(good);
     runner.submit(bad);
     runner.submit(badRate);
+    runner.submit(hugeRate);
     const auto results = runner.collect();
 
-    ASSERT_EQ(results.size(), 3u);
+    ASSERT_EQ(results.size(), 4u);
     EXPECT_TRUE(results[0].ok);
     EXPECT_GT(results[0].results.packetsDelivered, 0u);
 
@@ -218,6 +226,11 @@ TEST(Runner, FailureIsolationCapturesBadPointOnly)
 
     EXPECT_FALSE(results[2].ok);
     EXPECT_NE(results[2].error.find("injection rate"), std::string::npos);
+
+    EXPECT_FALSE(results[3].ok);
+    EXPECT_NE(results[3].error.find("one packet per node per cycle (16"),
+              std::string::npos)
+        << results[3].error;
 }
 
 TEST(Runner, ProgressCallbackObservesEveryCompletion)
@@ -320,16 +333,12 @@ TEST(RunnerStreams, EqualGeneratorInputsShareOneGeneration)
     }
 
     for (const std::size_t threads : {1u, 4u}) {
-        countingStarts = 0;
+        countingLog.clear();
         ExperimentRunner runner(withThreads(threads));
-        {
-            const CountingGateClosed gate;  // no job ends mid-submission
-            for (const auto &job : jobs)
-                runner.submit(job);
-        }
+        for (const auto &job : jobs)
+            runner.submit(job);
         const auto results = runner.collect();
-        EXPECT_EQ(countingStarts.load(), static_cast<int>(1 + own.size()))
-            << threads << " threads";
+        EXPECT_EQ(countingLog.size(), 1 + own.size()) << threads << " threads";
         ASSERT_EQ(results.size(), jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             ASSERT_TRUE(results[i].ok) << results[i].error;
@@ -358,15 +367,12 @@ TEST(RunnerStreams, FailedGenerationFailsOnlyItsOwnJob)
         // The first generation throws; the jobs waiting on it wake, and
         // one of them generates the stream the rest then share.
         countingFailuresLeft = 1;
-        countingStarts = 0;
+        countingLog.clear();
         ExperimentRunner runner(withThreads(threads));
-        {
-            const CountingGateClosed gate;  // no job ends mid-submission
-            for (const PolicyKind policy : policies)
-                runner.submit(countingJob(policy));
-        }
+        for (const PolicyKind policy : policies)
+            runner.submit(countingJob(policy));
         const auto results = runner.collect();
-        EXPECT_EQ(countingStarts.load(), 2) << threads << " threads";
+        EXPECT_EQ(countingLog.size(), 2u) << threads << " threads";
 
         std::size_t failed = 0;
         for (std::size_t i = 0; i < results.size(); ++i) {
@@ -382,4 +388,57 @@ TEST(RunnerStreams, FailedGenerationFailsOnlyItsOwnJob)
         EXPECT_EQ(failed, 1u) << threads << " threads";
     }
     countingFailuresLeft = 0;
+}
+
+TEST(Runner, DispatchesLargestOfferedWorkFirst)
+{
+    dvsnet::testutil::registerCountingWorkload();
+    countingFailuresLeft = 0;
+    using dvsnet::testutil::CountingStart;
+
+    // Submitted in ascending rate.  Offered work is rate x (warm-up +
+    // measurement): the 0.5 job runs 1,000 cycles to the others' 3,000,
+    // so it offers the least, and the 0.3 and 0.6 pairs tie, differing
+    // only in seed.  Every job has its own stream, so with one worker
+    // each generator starts when its job is dispatched.
+    const std::vector<CountingStart> submitted = {
+        {0.2, 11}, {0.3, 11}, {0.3, 12}, {0.4, 11},
+        {0.5, 11}, {0.6, 11}, {0.6, 13}};
+    std::vector<PointJob> jobs;
+    std::vector<std::string> expected;
+    for (const auto &[rate, seed] : submitted) {
+        PointJob job = countingJob(PolicyKind::History);
+        job.injectionRate = rate;
+        job.seed = seed;
+        if (rate == 0.5) {
+            job.spec.warmup = 500;
+            job.spec.measure = 500;
+        }
+        expected.push_back(resultsJson(
+            dvsnet::exp::runPoint(job.spec, job.injectionRate, job.seed)));
+        jobs.push_back(std::move(job));
+    }
+
+    countingLog.clear();
+    ExperimentRunner runner(withThreads(1));
+    for (const auto &job : jobs)
+        runner.submit(job);
+    {
+        std::lock_guard<std::mutex> lock(dvsnet::testutil::countingLogMutex);
+        EXPECT_TRUE(countingLog.empty()) << "submit() started a job";
+    }
+    const auto results = runner.collect();
+
+    const std::vector<CountingStart> dispatched = {
+        {0.6, 11}, {0.6, 13}, {0.4, 11}, {0.3, 11},
+        {0.3, 12}, {0.2, 11}, {0.5, 11}};
+    EXPECT_EQ(countingLog, dispatched);
+    ASSERT_EQ(results.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_TRUE(results[i].ok) << results[i].error;
+        EXPECT_EQ(results[i].injectionRate, jobs[i].injectionRate);
+        EXPECT_EQ(results[i].seed, jobs[i].seed);
+        EXPECT_EQ(resultsJson(results[i].results), expected[i])
+            << "job " << i;
+    }
 }

@@ -370,6 +370,20 @@ TEST(SearchConfigTest, ValidateCapsRungsAndCandidates)
     EXPECT_TRUE(config.validate().empty());
 }
 
+TEST(SearchConfigTest, ValidateCapsTheRateAtOnePacketPerNodePerCycle)
+{
+    SearchConfig config = synthConfig(1);
+    config.injectionRate =
+        dvsnet::network::maxInjectionRate(config.base.network);
+    ASSERT_TRUE(config.validate().empty());
+    config.injectionRate = std::nextafter(config.injectionRate, 1e9);
+    const auto problems = config.validate();
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("one packet per node per cycle"),
+              std::string::npos)
+        << problems[0];
+}
+
 TEST(SearchDriverTest, CandidateSetDeterministicAndDeduped)
 {
     SearchConfig config = synthConfig(7);
@@ -717,7 +731,7 @@ TEST(SearchDriverTest, EqualObjectivesNeverCullEachOther)
 
 TEST(SearchDriverTest, CommonRandomNumbersRecordOneStreamPerSearch)
 {
-    using dvsnet::testutil::countingStarts;
+    using dvsnet::testutil::countingLog;
     dvsnet::testutil::registerCountingWorkload();
     dvsnet::testutil::countingFailuresLeft = 0;
 
@@ -738,7 +752,7 @@ TEST(SearchDriverTest, CommonRandomNumbersRecordOneStreamPerSearch)
     for (auto &rung : config.rungs)
         rung.slackFraction = 1.0;  // a cull needs twice the spread: none
 
-    countingStarts = 0;
+    countingLog.clear();
     CounterRegistry registry;
     SearchDriver driver(config, &registry);
     const SearchOutcome outcome = driver.run();
@@ -748,7 +762,7 @@ TEST(SearchDriverTest, CommonRandomNumbersRecordOneStreamPerSearch)
     // Every candidate at every rung replays one recorded stream, though
     // these rungs differ in warm-up as well as length: it covers the
     // longest rung.
-    EXPECT_EQ(countingStarts.load(), 1);
+    EXPECT_EQ(countingLog.size(), 1u);
     const std::uint64_t seed = driver.seedFor(outcome.candidates.front(), 0);
     for (const auto &candidate : outcome.candidates) {
         for (std::size_t rung = 0; rung < config.rungs.size(); ++rung)

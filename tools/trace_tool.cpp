@@ -96,7 +96,8 @@ record(const Config &config)
     network::Network net(cfg);
     workload::WorkloadContext context{
         net.topology(),
-        config.getDouble("rate", 1.0, network::kMinInjectionRate),
+        config.getDouble("rate", 1.0, network::kMinInjectionRate,
+                         network::maxInjectionRate(cfg)),
         config.getCount("seed", 12345),
         traffic::TwoLevelParams{}};
     const auto generator = workload::buildWorkload(spec, context);
