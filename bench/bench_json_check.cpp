@@ -17,18 +17,24 @@
  *       deliberately ignored, so CI can diff a fresh quick run against
  *       the committed full-fidelity BENCH_micro.json.
  *
- *   bench_json_check <artifact.json> --perf-baseline <baseline.json>
+ *   bench_json_check <artifact.json>... --perf-baseline <baseline.json>
  *                    [--max-regression <fraction>]
  *       Relative perf guard: every named result in the baseline must
- *       appear in the artifact, and every throughput metric present in
- *       both (events_per_sec, cycles_per_sec, flits_per_sec) must be no
- *       more than <fraction> (default 0.30) below the baseline value.
- *       Speedups and new artifact-only results never fail the guard.
+ *       appear in every artifact, and for every throughput metric
+ *       present in both (events_per_sec, cycles_per_sec, flits_per_sec)
+ *       the median over the artifacts must be no more than <fraction>
+ *       (default 0.30) below the baseline value.  One slow run among
+ *       three therefore cannot fail the guard; two can.  Speedups and
+ *       new artifact-only results never fail the guard.
+ *
+ * Every artifact named is validated (and structure-checked with
+ * --schema).
  *
  * Exit status 0 on success; 1 with a diagnostic on stderr otherwise.
  * Used by the ctest bench smoke tests and the CI bench-baseline job.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +42,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/fatal.hpp"
 #include "common/json.hpp"
@@ -153,17 +160,28 @@ findResultByName(const Json &results, const std::string &name)
     return nullptr;
 }
 
+/** Median of `values` (non-empty); the mean of the middle two for an
+ *  even count. */
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 == 1 ? values[mid]
+                                   : (values[mid - 1] + values[mid]) / 2.0;
+}
+
 /**
  * Relative perf guard (see file comment).  Results are matched by
  * "name"; metrics present only on one side are skipped, but a baseline
- * result entirely missing from the artifact is an error — a renamed or
- * dropped bench must be an explicit baseline update, not a silent pass.
+ * result missing from any artifact is an error — a renamed or dropped
+ * bench must be an explicit baseline update, not a silent pass.  Each
+ * metric compares the median of the artifacts that carry it.
  */
 void
-comparePerf(const Json &artifact, const Json &baseline,
+comparePerf(const std::vector<Json> &artifacts, const Json &baseline,
             double maxRegression)
 {
-    const Json &got = *artifact.find("results");
     const Json &want = *baseline.find("results");
     std::size_t compared = 0;
     for (std::size_t i = 0; i < want.size(); ++i) {
@@ -171,28 +189,38 @@ comparePerf(const Json &artifact, const Json &baseline,
         const Json *name = ref.isObject() ? ref.find("name") : nullptr;
         if (!name || !name->isString())
             continue;
-        const Json *cur = findResultByName(got, name->asString());
-        if (!cur) {
-            fail("perf baseline result '" + name->asString() +
-                 "' is missing from the artifact");
+        std::vector<const Json *> runs;
+        for (const Json &artifact : artifacts) {
+            const Json *cur =
+                findResultByName(*artifact.find("results"), name->asString());
+            if (!cur) {
+                fail("perf baseline result '" + name->asString() +
+                     "' is missing from the artifact");
+            }
+            runs.push_back(cur);
         }
         for (const char *metric : kThroughputMetrics) {
             const Json *refV = ref.find(metric);
-            const Json *curV = cur->find(metric);
-            if (!refV || !curV || !refV->isNumber() || !curV->isNumber())
+            if (!refV || !refV->isNumber())
                 continue;
+            std::vector<double> values;
+            for (const Json *cur : runs) {
+                const Json *curV = cur->find(metric);
+                if (curV && curV->isNumber())
+                    values.push_back(curV->asDouble());
+            }
             const double refD = refV->asDouble();
-            const double curD = curV->asDouble();
-            if (refD <= 0.0)
+            if (values.empty() || refD <= 0.0)
                 continue;
+            const double curD = median(values);
             const double floor = refD * (1.0 - maxRegression);
             if (curD < floor) {
                 char msg[256];
                 std::snprintf(
                     msg, sizeof msg,
-                    "perf regression: %s.%s = %.4g is %.1f%% below "
-                    "baseline %.4g (allowed: %.0f%%)",
-                    name->asString().c_str(), metric, curD,
+                    "perf regression: %s.%s = %.4g (median of %zu) is "
+                    "%.1f%% below baseline %.4g (allowed: %.0f%%)",
+                    name->asString().c_str(), metric, curD, values.size(),
                     (1.0 - curD / refD) * 100.0, refD,
                     maxRegression * 100.0);
                 fail(msg);
@@ -413,7 +441,7 @@ validate(const Json &root)
 int
 main(int argc, char **argv)
 {
-    std::string artifactPath;
+    std::vector<std::string> artifactPaths;
     std::string baselinePath;
     std::string perfBaselinePath;
     double maxRegression = 0.30;
@@ -432,38 +460,46 @@ main(int argc, char **argv)
             maxRegression = std::strtod(argv[++i], nullptr);
             if (!(maxRegression > 0.0 && maxRegression < 1.0))
                 fail("--max-regression must be a fraction in (0, 1)");
-        } else if (artifactPath.empty()) {
-            artifactPath = argv[i];
-        } else {
+        } else if (std::strncmp(argv[i], "--", 2) == 0) {
             fail(std::string("unexpected argument '") + argv[i] + "'");
+        } else {
+            artifactPaths.push_back(argv[i]);
         }
     }
-    if (artifactPath.empty())
-        fail("usage: bench_json_check <artifact.json> "
+    if (artifactPaths.empty())
+        fail("usage: bench_json_check <artifact.json>... "
              "[--schema <baseline.json>] "
              "[--perf-baseline <baseline.json> "
              "[--max-regression <fraction>]]");
 
-    const Json artifact = load(artifactPath);
-    validate(artifact);
+    std::vector<Json> artifacts;
+    for (const auto &path : artifactPaths) {
+        artifacts.push_back(load(path));
+        validate(artifacts.back());
+    }
 
     if (!baselinePath.empty()) {
         const Json baseline = load(baselinePath);
         validate(baseline);
-        compareStructure(artifact, baseline, "$");
-        std::printf("OK: %s matches the structure of %s\n",
-                    artifactPath.c_str(), baselinePath.c_str());
+        for (std::size_t i = 0; i < artifacts.size(); ++i) {
+            compareStructure(artifacts[i], baseline, "$");
+            std::printf("OK: %s matches the structure of %s\n",
+                        artifactPaths[i].c_str(), baselinePath.c_str());
+        }
     }
     if (!perfBaselinePath.empty()) {
         const Json baseline = load(perfBaselinePath);
         validate(baseline);
-        comparePerf(artifact, baseline, maxRegression);
-        std::printf("OK: %s meets the perf baseline %s\n",
-                    artifactPath.c_str(), perfBaselinePath.c_str());
+        comparePerf(artifacts, baseline, maxRegression);
+        std::printf("OK: the median of %zu artifact(s) meets the perf "
+                    "baseline %s\n",
+                    artifacts.size(), perfBaselinePath.c_str());
     }
     if (baselinePath.empty() && perfBaselinePath.empty()) {
-        std::printf("OK: %s is a valid dvsnet-bench-v1 artifact\n",
-                    artifactPath.c_str());
+        for (const auto &path : artifactPaths) {
+            std::printf("OK: %s is a valid dvsnet-bench-v1 artifact\n",
+                        path.c_str());
+        }
     }
     return 0;
 }

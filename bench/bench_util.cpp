@@ -465,8 +465,7 @@ runDvsComparison(const BenchOptions &opts, double taskCount,
         const auto &d = dvs[i].results;
         t.addRow({Table::num(rates[i], 2),
                   Table::num(d.offeredLoadPktsPerCycle, 2),
-                  Table::num(b.avgLatencyCycles, 1),
-                  Table::num(d.avgLatencyCycles, 1),
+                  network::latencyCell(b), network::latencyCell(d),
                   Table::num(b.throughputPktsPerCycle, 3),
                   Table::num(d.throughputPktsPerCycle, 3),
                   Table::num(d.normalizedPower, 3),

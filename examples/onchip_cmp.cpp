@@ -84,7 +84,7 @@ main(int argc, char **argv)
     for (const auto &c : cases) {
         const auto res =
             runCase(pattern, rate, warmup, cycles, c.policy, c.routing);
-        t.addRow({c.name, Table::num(res.avgLatencyCycles, 1),
+        t.addRow({c.name, network::latencyCell(res),
                   Table::num(res.throughputPktsPerCycle, 4),
                   Table::num(res.avgPowerW, 1),
                   Table::num(res.savingsFactor, 2) + "x"});

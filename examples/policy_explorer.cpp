@@ -111,7 +111,7 @@ main(int argc, char **argv)
             continue;
         }
         const auto &res = r.results;
-        t.addRow({r.label, Table::num(res.avgLatencyCycles, 1),
+        t.addRow({r.label, network::latencyCell(res),
                   Table::num(res.throughputPktsPerCycle, 3),
                   Table::num(res.normalizedPower, 3),
                   Table::num(res.savingsFactor, 2) + "x",

@@ -49,8 +49,8 @@ main(int argc, char **argv)
         const network::RunResults res = exp::runPoint(spec, rate, seed);
 
         std::printf("%s:\n", dvs ? "history-based DVS" : "no DVS (baseline)");
-        std::printf("  avg latency    : %8.1f cycles\n",
-                    res.avgLatencyCycles);
+        std::printf("  avg latency    : %8s cycles\n",
+                    network::latencyCell(res).c_str());
         std::printf("  throughput     : %8.3f packets/cycle\n",
                     res.throughputPktsPerCycle);
         std::printf("  network power  : %8.1f W (normalized %.3f)\n",

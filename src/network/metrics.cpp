@@ -1,6 +1,7 @@
 #include "network/metrics.hpp"
 
 #include "common/fatal.hpp"
+#include "common/table.hpp"
 
 namespace dvsnet::network
 {
@@ -131,6 +132,14 @@ runResultsFromJson(const Json &j)
     r.invariantChecks = count("invariant_checks");
     r.invariantFailures = count("invariant_failures");
     return r;
+}
+
+std::string
+latencyCell(const RunResults &results, int precision)
+{
+    if (results.packetsDelivered == 0)
+        return "n/a";
+    return Table::num(results.avgLatencyCycles, precision);
 }
 
 void

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "common/counters.hpp"
 #include "common/json.hpp"
@@ -61,6 +62,13 @@ Json toJson(const RunResults &results);
  * missing or mis-typed field.
  */
 RunResults runResultsFromJson(const Json &j);
+
+/**
+ * Mean latency as a table cell with `precision` decimals, or "n/a" when
+ * the window delivered no packet: the mean of no samples reads 0, the
+ * best latency there is.
+ */
+std::string latencyCell(const RunResults &results, int precision = 1);
 
 /**
  * Collects packet lifecycle events.  The collector keeps its per-packet

@@ -120,6 +120,18 @@ NetworkConfig::validate() const
         complain("radix must be >= 2 (got ", radix, ")");
     if (dims < 1)
         complain("dims must be >= 1 (got ", dims, ")");
+    if (radix >= 2 && dims >= 1) {
+        // radix^dims, stopped at the first factor past the cap so the
+        // product never overflows.
+        std::int64_t nodes = 1;
+        for (std::int32_t d = 0; d < dims && nodes <= topo::kMaxNodes; ++d)
+            nodes *= radix;
+        if (nodes > topo::kMaxNodes) {
+            complain("radix^dims = ", radix, "^", dims,
+                     " exceeds the topo::kMaxNodes = ", topo::kMaxNodes,
+                     " node cap");
+        }
+    }
     // Router geometry (numVcs bounds, buffer split, pipeline depth,
     // mask capacities): fold in RouterConfig::validate() with the port
     // count the topology derives (2 per dimension + terminal).  A

@@ -10,7 +10,8 @@ namespace dvsnet::router
 SeparableVcAllocator::SeparableVcAllocator(PortId numPorts,
                                            std::int32_t numVcs,
                                            std::int32_t numRequesters)
-    : numPorts_(numPorts), numVcs_(numVcs), numRequesters_(numRequesters)
+    : numPorts_(numPorts), numVcs_(numVcs), numRequesters_(numRequesters),
+      allVcs_(numVcs >= 32 ? ~0u : (1u << numVcs) - 1)
 {
     DVSNET_ASSERT(numPorts > 0 && numVcs > 0 && numRequesters > 0,
                   "invalid VC allocator geometry");
@@ -23,66 +24,56 @@ SeparableVcAllocator::SeparableVcAllocator(PortId numPorts,
                   "vcMask exceeds kMaxVcsPerPort bits");
     DVSNET_ASSERT(numRequesters <= kMaxInputVcs,
                   "requester set exceeds kMaxInputVcs");
-    arbiters_.reserve(static_cast<std::size_t>(numPorts) *
-                      static_cast<std::size_t>(numVcs));
-    for (std::int32_t i = 0; i < numPorts * numVcs; ++i)
-        arbiters_.emplace_back(numRequesters);
+    const auto resources = static_cast<std::size_t>(numPorts) *
+                           static_cast<std::size_t>(numVcs);
+    ports_.resize(static_cast<std::size_t>(numPorts));
+    resources_.assign(resources, Resource(numRequesters));
+    requestMask_.assign(static_cast<std::size_t>(numRequesters), 0);
 }
 
 const std::vector<VcGrant> &
-SeparableVcAllocator::allocate(
-    const std::vector<VcRequest> &requests,
-    const std::vector<std::uint32_t> &freeVcMasks)
+SeparableVcAllocator::allocate()
 {
-    DVSNET_ASSERT(freeVcMasks.size() ==
-                      static_cast<std::size_t>(numPorts_),
-                  "one free-VC mask per output port");
     grants_.clear();
-    if (requests.empty())
-        return grants_;
 
-    // Requester sets are InputVcSet words: one 64-bit word for classic
-    // geometries, more only when numPorts * numVcs > 64.  Resources are
-    // visited in ascending (port, vc) order; each free resource somebody
-    // wants round-robins over its not-yet-granted requesters.
-    InputVcSet granted;
-    for (PortId port = 0; port < numPorts_; ++port) {
-        // Union of VCs requested at this port — skips free resources
-        // nobody wants without scanning the requests.
-        std::uint32_t wanted = 0;
-        for (const auto &req : requests) {
-            if (req.outPort == port)
-                wanted |= req.vcMask;
-        }
-        std::uint32_t effective =
-            wanted & freeVcMasks[static_cast<std::size_t>(port)];
+    // Resources are visited in ascending (port, vc) order; each free
+    // resource somebody waits for round-robins over its waiters.  A
+    // winner stops waiting at once, so later resources see only the
+    // input VCs not granted yet.  Re-masking `effective` with `wanted`
+    // after each grant skips a resource whose last waiter was just
+    // granted, so every arbitration has a waiter to pick.  A port left
+    // out of readyPorts_ has no free VC anybody waits for, so visiting
+    // it would grant nothing and move no arbiter; and once a port is
+    // done, none of its free VCs is wanted any more.
+    const PortSet ports = readyPorts_;
+    readyPorts_.clear();
+    ports.forEachSetBit([&](std::int32_t port) {
+        auto &pv = ports_[static_cast<std::size_t>(port)];
+        const std::size_t base = static_cast<std::size_t>(port) *
+                                 static_cast<std::size_t>(numVcs_);
+        std::uint32_t effective = pv.wanted & pv.free;
         while (effective != 0) {
             const VcId vc = std::countr_zero(effective);
-            effective &= effective - 1;
-            InputVcSet reqMask;
-            for (const auto &req : requests) {
-                DVSNET_ASSERT(req.requester >= 0 &&
-                                  req.requester < numRequesters_,
-                              "requester index out of range");
-                if (req.outPort == port &&
-                    (req.vcMask & (1u << vc)) != 0 &&
-                    !granted.test(req.requester)) {
-                    reqMask.set(req.requester);
-                }
+            auto &res = resources_[base + static_cast<std::size_t>(vc)];
+            const std::int32_t winner =
+                res.arbiter.arbitrateMask(res.waiting);
+            grants_.push_back({winner, port, vc});
+            pv.free &= ~(1u << vc);
+
+            // Withdraw the winner from every resource it waited for.
+            auto &mask = requestMask_[static_cast<std::size_t>(winner)];
+            for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+                const auto v = std::countr_zero(m);
+                auto &set =
+                    resources_[base + static_cast<std::size_t>(v)].waiting;
+                set.reset(winner);
+                if (set.none())
+                    pv.wanted &= ~(1u << v);
             }
-            if (reqMask.none())
-                continue;
-            auto &arb =
-                arbiters_[static_cast<std::size_t>(port) *
-                              static_cast<std::size_t>(numVcs_) +
-                          static_cast<std::size_t>(vc)];
-            const std::int32_t winner = arb.arbitrateMask(reqMask);
-            if (winner >= 0) {
-                grants_.push_back({winner, port, vc});
-                granted.set(winner);
-            }
+            mask = 0;
+            effective &= pv.wanted & (effective - 1);
         }
-    }
+    });
     return grants_;
 }
 

@@ -18,7 +18,8 @@ namespace dvsnet::router
  * Rotating-priority arbiter over `n` requesters.  A request set is a
  * bitmask (bit i set = requester i wants the resource); the grant is
  * the first requester at or after the rotation pointer, wrapping to
- * the lowest one, and the pointer then moves past the winner.
+ * the lowest one, and the pointer then moves past the winner (back to
+ * 0 past the last requester).
  */
 class RoundRobinArbiter
 {
@@ -42,7 +43,7 @@ class RoundRobinArbiter
             requests & (~std::uint64_t{0} << next_);
         const std::int32_t idx = std::countr_zero(
             fromNext != 0 ? fromNext : requests);
-        next_ = (idx + 1) % n_;
+        advancePast(idx);
         return idx;
     }
 
@@ -63,11 +64,18 @@ class RoundRobinArbiter
             idx = requests.firstSet();
         if (idx < 0)
             return -1;
-        next_ = (idx + 1) % n_;
+        advancePast(idx);
         return idx;
     }
 
   private:
+    /** Move the pointer past `idx`, back to 0 past the last input. */
+    void
+    advancePast(std::int32_t idx)
+    {
+        next_ = idx + 1 < n_ ? idx + 1 : 0;
+    }
+
     std::int32_t n_;
     std::int32_t next_ = 0;
 };

@@ -79,13 +79,16 @@ Router::Router(NodeId id, const RouterConfig &config,
     const auto denseVcs = static_cast<std::size_t>(config.numPorts) *
                           static_cast<std::size_t>(config.numVcs);
     saReqMasks_.assign(static_cast<std::size_t>(config.numPorts), 0);
-    vcFreeMasks_.assign(static_cast<std::size_t>(config.numPorts), 0);
     saOutPorts_.assign(denseVcs, kInvalidId);
     vcState_.assign(denseVcs, VcState::Idle);
     vcOutPort_.assign(denseVcs, kInvalidId);
     vcOutVc_.assign(denseVcs, kInvalidId);
-    vcRouteMask_.assign(denseVcs, 0);
     credits_.assign(denseVcs, 0);
+    vcPort_.reserve(denseVcs);
+    for (PortId p = 0; p < config.numPorts; ++p) {
+        vcPort_.insert(vcPort_.end(),
+                       static_cast<std::size_t>(config.numVcs), p);
+    }
 
     inputs_.reserve(static_cast<std::size_t>(config.numPorts));
     outputs_.resize(static_cast<std::size_t>(config.numPorts));
@@ -122,8 +125,7 @@ Router::connectOutput(PortId port, FlitChannel *link,
         credits_[static_cast<std::size_t>(vcIndex(port, v))] =
             static_cast<std::uint32_t>(downstreamVcCapacity);
     }
-    vcFreeMasks_[static_cast<std::size_t>(port)] =
-        static_cast<std::uint32_t>(portVcMask_);
+    vcAlloc_.release(port, static_cast<std::uint32_t>(portVcMask_));
     out.downstreamCapacity =
         downstreamVcCapacity * static_cast<std::size_t>(config_.numVcs);
     out.occupancy.start(0.0, 0.0);
@@ -137,8 +139,7 @@ Router::connectEjection(FlitChannel *sink)
     auto &out = outputs_[static_cast<std::size_t>(port)];
     out.link = sink;
     out.credited = false;
-    vcFreeMasks_[static_cast<std::size_t>(port)] =
-        static_cast<std::uint32_t>(portVcMask_);
+    vcAlloc_.release(port, static_cast<std::uint32_t>(portVcMask_));
 }
 
 void
@@ -170,8 +171,10 @@ Router::step(Tick now)
         // by the earlier pipeline stage one cycle ago.
         applySwitchGrants(now);
     if (bufferedFlits_ != 0) {
-        vcAllocate();
-        routeCompute();
+        if (vcAlloc_.anyReady())
+            vcAllocate();
+        if (routingVcs_.any())
+            routeCompute();
     }
     return !isIdle();
 }
@@ -348,8 +351,7 @@ Router::applySwitchGrants(Tick now)
         ++stats_.switchGrants;
 
         if (flit.isTail()) {
-            vcFreeMasks_[static_cast<std::size_t>(g.outPort)] |=
-                1u << outVc;
+            vcAlloc_.release(g.outPort, 1u << outVc);
             releaseVc(idx);
             activeVcs_.reset(idx);
             if (activeVcs_.extract(g.inPort * config_.numVcs,
@@ -370,31 +372,18 @@ Router::applySwitchGrants(Tick now)
 void
 Router::vcAllocate()
 {
-    if (vcAllocVcs_.none())
-        return;
-    vcRequests_.clear();
-    vcAllocVcs_.forEachSetBit([&](std::int32_t idx) {
-        vcRequests_.push_back(
-            {idx, vcOutPort_[static_cast<std::size_t>(idx)],
-             vcRouteMask_[static_cast<std::size_t>(idx)]});
-    });
-
-    // vcFreeMasks_ (bit v = downstream VC v unallocated — the
-    // allocator's hot-path interface) is maintained incrementally at
-    // the two allocation mutation points: cleared on a VC grant below,
-    // set on tail release in applySwitchGrants.  Unconnected ports
-    // stay 0.
-    for (const auto &g : vcAlloc_.allocate(vcRequests_, vcFreeMasks_)) {
+    // The allocator keeps both sides of the match: routeCompute files
+    // each VC it moves to VcAlloc and a grant withdraws it, and a
+    // downstream VC is released when the port connects or a tail
+    // leaves on it and taken by its grant.  Unconnected ports have no
+    // free VC.
+    for (const auto &g : vcAlloc_.allocate()) {
         const auto idx = static_cast<std::size_t>(g.requester);
-        const PortId p = g.requester / config_.numVcs;
         DVSNET_ASSERT(vcState_[idx] == VcState::VcAlloc, "stale VC grant");
         vcOutVc_[idx] = g.outVc;
         vcState_[idx] = VcState::Active;
-        vcAllocVcs_.reset(g.requester);
         activeVcs_.set(g.requester);
-        activeVcPorts_.set(p);
-        vcFreeMasks_[static_cast<std::size_t>(g.outPort)] &=
-            ~(1u << g.outVc);
+        activeVcPorts_.set(vcPort_[idx]);
         ++stats_.vcGrants;
     }
 }
@@ -402,15 +391,14 @@ Router::vcAllocate()
 void
 Router::routeCompute()
 {
-    if (routingVcs_.none())
-        return;
     const InputVcSet routing = routingVcs_;
     // Every Routing VC advances to VcAlloc this cycle.
     routingVcs_.clear();
-    vcAllocVcs_ |= routing;
+    RouteCandidates candidates;
     routing.forEachSetBit([&](std::int32_t idx) {
-        const PortId p = idx / config_.numVcs;
-        const VcId v = idx % config_.numVcs;
+        const auto dense = static_cast<std::size_t>(idx);
+        const PortId p = vcPort_[dense];
+        const VcId v = idx - p * config_.numVcs;
         auto &in = inputs_[static_cast<std::size_t>(p)];
         auto &vc = in.buffer.vc(v);
         DVSNET_ASSERT(!vc.empty() && vc.front().isHead(),
@@ -420,37 +408,42 @@ Router::routeCompute()
         // per packet per router.
         const NodeId dst = packets_.at(vc.front().slot).dst;
 
-        routing_.route(id_, p, v, dst, candidates_);
-        DVSNET_ASSERT(!candidates_.empty(), "no route candidates");
+        routing_.route(id_, p, v, dst, candidates);
+        DVSNET_ASSERT(!candidates.empty(), "no route candidates");
 
         // Adaptive output selection: among candidate ports, prefer
         // the one with the most free downstream credits (summed over
         // the VCs its mask allows); merge masks of candidates that
-        // share the winning port.
-        PortId bestPort = kInvalidId;
-        std::size_t bestScore = 0;
-        for (const auto &cand : candidates_) {
-            std::size_t score = 0;
-            for (VcId ovc = 0; ovc < config_.numVcs; ++ovc) {
-                if (cand.vcMask & (1u << ovc)) {
-                    score += credits_[static_cast<std::size_t>(
-                        vcIndex(cand.outPort, ovc))];
+        // share the winning port.  A lone candidate (every DOR route)
+        // wins without scoring.
+        PortId bestPort = candidates[0].outPort;
+        std::uint32_t mask = candidates[0].vcMask;
+        if (candidates.size() > 1) {
+            std::size_t bestScore = 0;
+            bestPort = kInvalidId;
+            for (const auto &cand : candidates) {
+                std::size_t score = 0;
+                const auto base = static_cast<std::size_t>(
+                    vcIndex(cand.outPort, 0));
+                for (std::uint32_t m = cand.vcMask; m != 0; m &= m - 1) {
+                    score += credits_[base + static_cast<std::size_t>(
+                                                 std::countr_zero(m))];
+                }
+                if (bestPort == kInvalidId || score > bestScore) {
+                    bestPort = cand.outPort;
+                    bestScore = score;
                 }
             }
-            if (bestPort == kInvalidId || score > bestScore) {
-                bestPort = cand.outPort;
-                bestScore = score;
+            mask = 0;
+            for (const auto &cand : candidates) {
+                if (cand.outPort == bestPort)
+                    mask |= cand.vcMask;
             }
         }
-        std::uint32_t mask = 0;
-        for (const auto &cand : candidates_) {
-            if (cand.outPort == bestPort)
-                mask |= cand.vcMask;
-        }
 
-        vcOutPort_[static_cast<std::size_t>(idx)] = bestPort;
-        vcRouteMask_[static_cast<std::size_t>(idx)] = mask;
-        vcState_[static_cast<std::size_t>(idx)] = VcState::VcAlloc;
+        vcOutPort_[dense] = bestPort;
+        vcState_[dense] = VcState::VcAlloc;
+        vcAlloc_.request(idx, bestPort, mask);
         ++stats_.headsRouted;
     });
 }

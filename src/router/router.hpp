@@ -211,7 +211,6 @@ class Router
         vcState_[static_cast<std::size_t>(idx)] = VcState::Idle;
         vcOutPort_[static_cast<std::size_t>(idx)] = kInvalidId;
         vcOutVc_[static_cast<std::size_t>(idx)] = kInvalidId;
-        vcRouteMask_[static_cast<std::size_t>(idx)] = 0;
     }
 
     NodeId id_;
@@ -231,26 +230,27 @@ class Router
     // slabs plus the FIFO fronts, so a scan walks contiguous memory
     // instead of chasing per-unit objects.  `credits_` is the
     // downstream credit count per *output* (port, vc), same dense
-    // indexing.
+    // indexing.  The VCs waiting in VcAlloc, with the downstream VCs
+    // their routes allow, and the free downstream VCs are kept by
+    // vcAlloc_.
     std::vector<VcState> vcState_;         ///< pipeline stage per input VC
     std::vector<PortId> vcOutPort_;        ///< routed output port
     std::vector<VcId> vcOutVc_;            ///< granted downstream VC
-    std::vector<std::uint32_t> vcRouteMask_; ///< allowed downstream VCs
     std::vector<std::uint32_t> credits_;   ///< per output (port, vc)
+    std::vector<PortId> vcPort_;           ///< input port of each dense VC
 
     // Activity masks — the router's own gating layer.  Port bits are
     // set by the inbox wake hooks and cleared when a drain empties the
     // inbox; VC bits (dense index vcIndex(p, v), so ascending bit order
     // equals the ascending (port, vc) scan order of the allocation
-    // stages) mirror vcState_ exactly.  They turn isIdle() into a few
-    // word compares and the per-cycle stage scans into popcount-bounded
-    // loops.  PortSet is one word; InputVcSet spans kMaxInputVcs bits
-    // (common/bitmask.hpp) so geometries beyond 64 input VCs stay on
-    // the same scan code.
+    // stages) mirror the Routing and Active states of vcState_
+    // exactly.  They turn isIdle() into a few word compares and the
+    // per-cycle stage scans into popcount-bounded loops.  PortSet is
+    // one word; InputVcSet spans kMaxInputVcs bits (common/bitmask.hpp)
+    // so geometries beyond 64 input VCs stay on the same scan code.
     PortSet pendingFlitPorts_;    ///< flitInbox(p) non-empty
     PortSet pendingCreditPorts_;  ///< creditInbox(p) non-empty
     InputVcSet routingVcs_;   ///< VCs in VcState::Routing
-    InputVcSet vcAllocVcs_;   ///< VCs in VcState::VcAlloc
     InputVcSet activeVcs_;    ///< VCs in VcState::Active
     PortSet activeVcPorts_;   ///< ports with any Active VC
     std::uint64_t portVcMask_ = 0;     ///< low numVcs bits set
@@ -264,17 +264,6 @@ class Router
     std::vector<std::uint32_t> saReqMasks_;  ///< per input port
     std::vector<PortId> saOutPorts_;         ///< per dense input VC
     PortSet saReqPorts_;                     ///< ports with any SA bid
-
-    // Scratch vectors reused across cycles to avoid allocation churn.
-    std::vector<VcRequest> vcRequests_;
-    std::vector<RouteCandidate> candidates_;
-
-    // Downstream free-VC bitmask per output port (bit v set = (port, v)
-    // unallocated), maintained incrementally at the two allocation
-    // mutation points (VC grant / tail release) so vcAllocate feeds the
-    // allocator without a rebuild scan.  This is the single source of
-    // truth for downstream VC occupancy; unconnected ports stay 0.
-    std::vector<std::uint32_t> vcFreeMasks_;
 };
 
 } // namespace dvsnet::router

@@ -28,7 +28,7 @@ DorRouting::DorRouting(const topo::KAryNCube &topo, std::int32_t numVcs)
 
 void
 DorRouting::route(NodeId cur, PortId inPort, VcId inVc, NodeId dst,
-                  std::vector<RouteCandidate> &out) const
+                  RouteCandidates &out) const
 {
     out.clear();
 
@@ -48,8 +48,8 @@ DorRouting::route(NodeId cur, PortId inPort, VcId inVc, NodeId dst,
         if (!topo_.isTorus()) {
             plus = dc > cc;
         } else {
-            const std::int32_t fwd = (dc - cc + topo_.radix()) %
-                                     topo_.radix();
+            const std::int32_t fwd =
+                dc > cc ? dc - cc : dc - cc + topo_.radix();
             const std::int32_t bwd = topo_.radix() - fwd;
             // Shorter way around; ties resolved toward plus for determinism.
             plus = fwd <= bwd;
@@ -91,8 +91,7 @@ MinimalAdaptiveRouting::MinimalAdaptiveRouting(const topo::KAryNCube &topo,
 
 void
 MinimalAdaptiveRouting::route(NodeId cur, PortId inPort, VcId inVc,
-                              NodeId dst,
-                              std::vector<RouteCandidate> &out) const
+                              NodeId dst, RouteCandidates &out) const
 {
     (void)inPort;
     (void)inVc;

@@ -15,10 +15,13 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/fatal.hpp"
 #include "router/flit.hpp"
+#include "router/limits.hpp"
 #include "topo/topology.hpp"
 
 namespace dvsnet::router
@@ -27,8 +30,43 @@ namespace dvsnet::router
 /** One legal (output port, allowed downstream VC set) choice. */
 struct RouteCandidate
 {
-    PortId outPort = kInvalidId;
-    std::uint32_t vcMask = 0;  ///< bit v set => downstream VC v allowed
+    PortId outPort;
+    std::uint32_t vcMask;  ///< bit v set => downstream VC v allowed
+};
+
+/**
+ * The candidates of one route computation, in a fixed-capacity array:
+ * a route offers at most one candidate per dimension plus the escape
+ * path (dims + 1), and a router has at most kMaxPorts ports, two per
+ * dimension plus the terminal, so it never needs the heap.  Entries
+ * past size() are left uninitialized, so an empty one costs nothing to
+ * make.
+ */
+class RouteCandidates
+{
+  public:
+    static constexpr std::size_t kCapacity =
+        static_cast<std::size_t>((kMaxPorts - 1) / 2 + 1);
+
+    void clear() { size_ = 0; }
+
+    void
+    push_back(const RouteCandidate &candidate)
+    {
+        DVSNET_ASSERT(size_ < kCapacity, "route candidate capacity");
+        items_[size_++] = candidate;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const RouteCandidate &operator[](std::size_t i) const { return items_[i]; }
+    const RouteCandidate &back() const { return items_[size_ - 1]; }
+    const RouteCandidate *begin() const { return items_.data(); }
+    const RouteCandidate *end() const { return items_.data() + size_; }
+
+  private:
+    std::size_t size_ = 0;
+    std::array<RouteCandidate, kCapacity> items_;
 };
 
 /** Strategy interface for route computation. */
@@ -49,7 +87,7 @@ class RoutingAlgorithm
      * @param[out] out candidate list (cleared first)
      */
     virtual void route(NodeId cur, PortId inPort, VcId inVc, NodeId dst,
-                       std::vector<RouteCandidate> &out) const = 0;
+                       RouteCandidates &out) const = 0;
 
     /** Short name for reports. */
     virtual const char *name() const = 0;
@@ -66,7 +104,7 @@ class DorRouting final : public RoutingAlgorithm
     DorRouting(const topo::KAryNCube &topo, std::int32_t numVcs);
 
     void route(NodeId cur, PortId inPort, VcId inVc, NodeId dst,
-               std::vector<RouteCandidate> &out) const override;
+               RouteCandidates &out) const override;
 
     const char *name() const override { return "dor"; }
 
@@ -82,7 +120,7 @@ class MinimalAdaptiveRouting final : public RoutingAlgorithm
     MinimalAdaptiveRouting(const topo::KAryNCube &topo, std::int32_t numVcs);
 
     void route(NodeId cur, PortId inPort, VcId inVc, NodeId dst,
-               std::vector<RouteCandidate> &out) const override;
+               RouteCandidates &out) const override;
 
     const char *name() const override { return "min-adaptive"; }
 

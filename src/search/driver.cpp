@@ -468,6 +468,23 @@ SearchDriver::evaluateRung(const std::vector<Candidate> &candidates,
     return records;
 }
 
+namespace
+{
+
+/**
+ * A record whose window delivered no packet has no latency: its mean
+ * of no samples reads 0, the best latency there is, so such a record
+ * would dominate every point that has one.  It neither culls another
+ * candidate nor enters the front.
+ */
+bool
+hasLatency(const EvalRecord &rec)
+{
+    return rec.results.packetsDelivered > 0;
+}
+
+} // namespace
+
 std::vector<std::size_t>
 SearchDriver::cull(const std::vector<std::size_t> &survivors,
                    const std::vector<EvalRecord> &records,
@@ -500,6 +517,8 @@ SearchDriver::cull(const std::vector<std::size_t> &survivors,
         const auto objI = records[i].objectives();
         bool culled = false;
         for (std::size_t j = 0; j < survivors.size() && !culled; ++j) {
+            if (!hasLatency(records[j]))
+                continue;
             const auto objJ = records[j].objectives();
             if (objJ == objI)
                 continue;
@@ -558,6 +577,8 @@ SearchDriver::run()
         if (rung + 1 == config_.rungs.size()) {
             outcome.finalSurvivors = survivors;
             for (const auto &rec : *records) {
+                if (!hasLatency(rec))
+                    continue;
                 Json payload = Json::object();
                 payload["params"] = rec.params;
                 payload["results"] = network::toJson(rec.results);

@@ -1,5 +1,6 @@
 #include "topo/topology.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -17,8 +18,20 @@ KAryNCube::KAryNCube(std::int32_t radix, std::int32_t dims, bool torus)
 
     numNodes_ = 1;
     for (std::int32_t d = 0; d < dims; ++d) {
-        DVSNET_ASSERT(numNodes_ <= (1 << 24) / radix, "topology too large");
+        DVSNET_ASSERT(numNodes_ <= kMaxNodes / radix, "topology too large");
         numNodes_ *= radix;
+    }
+
+    // Every node's coordinates, dimension 0 fastest, so coordinate() is
+    // a load.  Node n + 1's coordinates are node n's plus one, carried
+    // like an odometer.
+    const auto stride = static_cast<std::size_t>(dims);
+    coords_.assign(static_cast<std::size_t>(numNodes_) * stride, 0);
+    for (std::size_t at = stride; at < coords_.size(); at += stride) {
+        std::copy_n(coords_.begin() + static_cast<std::ptrdiff_t>(at - stride),
+                    stride, coords_.begin() + static_cast<std::ptrdiff_t>(at));
+        for (std::size_t d = at; ++coords_[d] == radix; ++d)
+            coords_[d] = 0;
     }
 
     channelTable_.assign(
@@ -70,22 +83,9 @@ Coordinates
 KAryNCube::coordinates(NodeId node) const
 {
     DVSNET_ASSERT(node >= 0 && node < numNodes_, "node out of range");
-    Coordinates coords(dims_);
-    for (std::int32_t d = 0; d < dims_; ++d) {
-        coords[d] = node % radix_;
-        node /= radix_;
-    }
-    return coords;
-}
-
-std::int32_t
-KAryNCube::coordinate(NodeId node, std::int32_t dim) const
-{
-    DVSNET_ASSERT(node >= 0 && node < numNodes_, "node out of range");
-    DVSNET_ASSERT(dim >= 0 && dim < dims_, "dim out of range");
-    for (std::int32_t d = 0; d < dim; ++d)
-        node /= radix_;
-    return node % radix_;
+    const auto first = coords_.begin() + static_cast<std::ptrdiff_t>(node) *
+                                             static_cast<std::ptrdiff_t>(dims_);
+    return Coordinates(first, first + dims_);
 }
 
 bool
@@ -97,22 +97,21 @@ KAryNCube::hasNeighbor(NodeId node, PortId port) const
 NodeId
 KAryNCube::neighbor(NodeId node, PortId port) const
 {
+    DVSNET_ASSERT(node >= 0 && node < numNodes_, "node out of range");
     DVSNET_ASSERT(port >= 0 && port < numDirPorts(), "not a direction port");
     const std::int32_t dim = portDim(port);
-    const std::int32_t step = portIsPlus(port) ? 1 : -1;
     const std::int32_t c = coordinate(node, dim);
-    const std::int32_t next = c + step;
-
+    std::int32_t next = c + (portIsPlus(port) ? 1 : -1);
     if (next < 0 || next >= radix_) {
         if (!torus_)
             return kInvalidId;
-        Coordinates coords = coordinates(node);
-        coords[dim] = wrap(next);
-        return nodeId(coords);
+        next = wrap(next);
     }
-    Coordinates coords = coordinates(node);
-    coords[dim] = next;
-    return nodeId(coords);
+    // Row-major ids: a step in `dim` moves the id by radix^dim.
+    NodeId stride = 1;
+    for (std::int32_t d = 0; d < dim; ++d)
+        stride *= radix_;
+    return node + (next - c) * stride;
 }
 
 ChannelId
@@ -141,6 +140,8 @@ KAryNCube::reverseChannel(ChannelId id) const
 std::int32_t
 KAryNCube::hopDistance(NodeId a, NodeId b) const
 {
+    DVSNET_ASSERT(a >= 0 && a < numNodes_ && b >= 0 && b < numNodes_,
+                  "node out of range");
     std::int32_t dist = 0;
     for (std::int32_t d = 0; d < dims_; ++d) {
         const std::int32_t ca = coordinate(a, d);

@@ -25,6 +25,14 @@ namespace dvsnet::topo
 /** Coordinates of a node, one entry per dimension, each in [0, k). */
 using Coordinates = std::vector<std::int32_t>;
 
+/**
+ * Most nodes a topology may have (k^n).  NetworkConfig::validate()
+ * rejects larger networks with a ConfigError; past it a network's
+ * per-node state (routers, channels, the coordinate table) no longer
+ * fits a host's memory.
+ */
+inline constexpr std::int32_t kMaxNodes = 1 << 16;
+
 /** A unidirectional inter-router channel. */
 struct Channel
 {
@@ -94,8 +102,14 @@ class KAryNCube
     /** Coordinates for a node id. */
     Coordinates coordinates(NodeId node) const;
 
-    /** Coordinate of `node` in dimension `dim`. */
-    std::int32_t coordinate(NodeId node, std::int32_t dim) const;
+    /** Coordinate of `node` in dimension `dim` (a table load). */
+    std::int32_t
+    coordinate(NodeId node, std::int32_t dim) const
+    {
+        return coords_[static_cast<std::size_t>(node) *
+                           static_cast<std::size_t>(dims_) +
+                       static_cast<std::size_t>(dim)];
+    }
 
     /** True if `node` has a neighbor through direction port `port`. */
     bool hasNeighbor(NodeId node, PortId port) const;
@@ -132,6 +146,7 @@ class KAryNCube
     std::int32_t dims_;
     bool torus_;
     std::int32_t numNodes_;
+    std::vector<std::int32_t> coords_;    ///< [node * dims + dim]
     std::vector<Channel> channels_;
     std::vector<ChannelId> channelTable_;  ///< [node * numDirPorts + port]
 };

@@ -2,7 +2,9 @@
  * @file
  * Separable allocator tests: structural invariants (one grant per
  * resource and per requester), mask respect, fairness under contention.
- * Both allocators are driven through their one mask-fed `allocate`.
+ * Both allocators are driven through their one `allocate`; a VC
+ * request waits in its allocator from `request` to its grant, and a
+ * downstream VC is free from its `release` to its grant.
  */
 
 #include <gtest/gtest.h>
@@ -19,18 +21,37 @@ using dvsnet::VcId;
 using dvsnet::router::PortSet;
 using dvsnet::router::SeparableSwitchAllocator;
 using dvsnet::router::SeparableVcAllocator;
+using dvsnet::router::VcGrant;
 using dvsnet::testutil::allocateBids;
 using dvsnet::testutil::SwitchBid;
 
 namespace
 {
 
-/** The same free-VC mask at each of `numPorts` output ports. */
-std::vector<std::uint32_t>
-everyPortFree(PortId numPorts, std::uint32_t freeVcs)
+/** Free the VCs in `freeVcs` at each of `numPorts` output ports. */
+void
+releaseAtEveryPort(SeparableVcAllocator &va, PortId numPorts,
+                   std::uint32_t freeVcs)
 {
-    return std::vector<std::uint32_t>(static_cast<std::size_t>(numPorts),
-                                      freeVcs);
+    for (PortId p = 0; p < numPorts; ++p)
+        va.release(p, freeVcs);
+}
+
+/** An input VC starting to wait for a downstream VC. */
+struct Wait
+{
+    std::int32_t requester;
+    PortId outPort;
+    std::uint32_t vcMask;
+};
+
+/** File `waits` with `va`, then allocate once. */
+std::vector<VcGrant>
+waitAndAllocate(SeparableVcAllocator &va, const std::vector<Wait> &waits)
+{
+    for (const auto &w : waits)
+        va.request(w.requester, w.outPort, w.vcMask);
+    return va.allocate();
 }
 
 } // namespace
@@ -38,13 +59,16 @@ everyPortFree(PortId numPorts, std::uint32_t freeVcs)
 TEST(VcAllocator, EmptyRequestsEmptyGrants)
 {
     SeparableVcAllocator va(5, 2, 10);
-    EXPECT_TRUE(va.allocate({}, everyPortFree(5, 0b11)).empty());
+    releaseAtEveryPort(va, 5, 0b11);
+    EXPECT_FALSE(va.anyReady());
+    EXPECT_TRUE(va.allocate().empty());
 }
 
 TEST(VcAllocator, SingleRequestGranted)
 {
     SeparableVcAllocator va(5, 2, 10);
-    const auto grants = va.allocate({{3, 2, 0b11}}, everyPortFree(5, 0b11));
+    releaseAtEveryPort(va, 5, 0b11);
+    const auto grants = waitAndAllocate(va, {{3, 2, 0b11}});
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].requester, 3);
     EXPECT_EQ(grants[0].outPort, 2);
@@ -54,7 +78,8 @@ TEST(VcAllocator, SingleRequestGranted)
 TEST(VcAllocator, RespectsVcMask)
 {
     SeparableVcAllocator va(5, 2, 10);
-    const auto grants = va.allocate({{0, 1, 0b10}}, everyPortFree(5, 0b11));
+    releaseAtEveryPort(va, 5, 0b11);
+    const auto grants = waitAndAllocate(va, {{0, 1, 0b10}});
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].outVc, 1);
 }
@@ -62,8 +87,8 @@ TEST(VcAllocator, RespectsVcMask)
 TEST(VcAllocator, RespectsBusyVcs)
 {
     SeparableVcAllocator va(5, 2, 10);
-    const auto grants =
-        va.allocate({{0, 0, 0b11}}, everyPortFree(5, 0b10));
+    releaseAtEveryPort(va, 5, 0b10);
+    const auto grants = waitAndAllocate(va, {{0, 0, 0b11}});
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].outVc, 1);
 }
@@ -71,23 +96,26 @@ TEST(VcAllocator, RespectsBusyVcs)
 TEST(VcAllocator, NoGrantWhenAllBusy)
 {
     SeparableVcAllocator va(5, 2, 10);
-    EXPECT_TRUE(va.allocate({{0, 0, 0b11}}, everyPortFree(5, 0)).empty());
+    EXPECT_TRUE(waitAndAllocate(va, {{0, 0, 0b11}}).empty());
+    EXPECT_FALSE(va.anyReady());
 }
 
 TEST(VcAllocator, AtMostOneGrantPerRequester)
 {
     SeparableVcAllocator va(2, 2, 4);
+    releaseAtEveryPort(va, 2, 0b11);
     // One requester wanting both VCs of port 0: must get exactly one.
-    const auto grants = va.allocate({{1, 0, 0b11}}, everyPortFree(2, 0b11));
+    const auto grants = waitAndAllocate(va, {{1, 0, 0b11}});
     EXPECT_EQ(grants.size(), 1u);
 }
 
 TEST(VcAllocator, AtMostOneGrantPerResource)
 {
     SeparableVcAllocator va(2, 2, 4);
+    releaseAtEveryPort(va, 2, 0b11);
     // Three requesters all wanting port 1: grants must hold distinct VCs.
-    const auto grants = va.allocate(
-        {{0, 1, 0b11}, {1, 1, 0b11}, {2, 1, 0b11}}, everyPortFree(2, 0b11));
+    const auto grants =
+        waitAndAllocate(va, {{0, 1, 0b11}, {1, 1, 0b11}, {2, 1, 0b11}});
     EXPECT_EQ(grants.size(), 2u);  // only 2 VCs exist on the port
     std::set<VcId> vcs;
     for (const auto &g : grants)
@@ -98,23 +126,49 @@ TEST(VcAllocator, AtMostOneGrantPerResource)
 TEST(VcAllocator, DisjointPortsAllGranted)
 {
     SeparableVcAllocator va(4, 2, 8);
-    const auto grants = va.allocate(
-        {{0, 0, 0b01}, {1, 1, 0b01}, {2, 2, 0b01}, {3, 3, 0b01}},
-        everyPortFree(4, 0b11));
+    releaseAtEveryPort(va, 4, 0b11);
+    const auto grants = waitAndAllocate(
+        va, {{0, 0, 0b01}, {1, 1, 0b01}, {2, 2, 0b01}, {3, 3, 0b01}});
     EXPECT_EQ(grants.size(), 4u);
 }
 
 TEST(VcAllocator, ContendersEventuallyAllServed)
 {
+    // Three contenders for one VC; each round the winner stops waiting,
+    // its VC is released, and it waits again, so all three are waiting
+    // for a free VC every round.
     SeparableVcAllocator va(1, 1, 3);
+    std::vector<Wait> waits{{0, 0, 0b1}, {1, 0, 0b1}, {2, 0, 0b1}};
     std::set<int> winners;
     for (int round = 0; round < 3; ++round) {
-        const auto grants = va.allocate(
-            {{0, 0, 0b1}, {1, 0, 0b1}, {2, 0, 0b1}}, everyPortFree(1, 0b1));
+        va.release(0, 0b1);
+        const auto grants = waitAndAllocate(va, waits);
         ASSERT_EQ(grants.size(), 1u);
         winners.insert(grants[0].requester);
+        waits = {{grants[0].requester, 0, 0b1}};
     }
     EXPECT_EQ(winners.size(), 3u);  // round-robin over three rounds
+}
+
+TEST(VcAllocator, UngrantedRequestsKeepWaiting)
+{
+    // A request waits across calls until a VC it allows is released; a
+    // grant ends the wait and takes the VC until its next release.
+    SeparableVcAllocator va(3, 2, 6);
+    releaseAtEveryPort(va, 3, 0b01);
+    va.request(4, 2, 0b10);
+    EXPECT_FALSE(va.anyReady());
+    EXPECT_TRUE(va.allocate().empty());
+    va.release(2, 0b10);
+    EXPECT_TRUE(va.anyReady());
+    const auto grants = va.allocate();
+    ASSERT_EQ(grants.size(), 1u);
+    EXPECT_EQ(grants[0].requester, 4);
+    EXPECT_EQ(grants[0].outPort, 2);
+    EXPECT_EQ(grants[0].outVc, 1);
+    EXPECT_EQ(va.freeVcs(2), 0b01u);
+    EXPECT_FALSE(va.anyReady());
+    EXPECT_TRUE(va.allocate().empty());
 }
 
 TEST(SwitchAllocator, EmptyRequestsEmptyGrants)

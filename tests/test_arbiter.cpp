@@ -1,8 +1,9 @@
 /**
  * @file
  * Round-robin arbiter tests: grant validity and rotation fairness, each
- * run through both mask overloads, and lockstep agreement of the
- * one-word and multi-word overloads at every width up to 64.
+ * run through both mask overloads, the pointer's wrap at n = 1, 2 and
+ * 64, and lockstep agreement of the one-word and multi-word overloads
+ * at every width up to 64.
  */
 
 #include <gtest/gtest.h>
@@ -132,6 +133,37 @@ TEST(RoundRobinArbiter, LongTermFairnessUnderFullLoad)
         for (int w : wins)
             EXPECT_EQ(w, 100);
     });
+}
+
+TEST(RoundRobinArbiter, PointerWrapsToZeroPastTheLastInput)
+{
+    // The pointer moves past the winner, back to 0 past input n - 1:
+    // under full load the grants run 0, 1, ..., n - 1, 0, 1, ...; and
+    // once input n - 1 has won, input 0 wins over it.
+    for (const std::int32_t n : {1, 2, 64}) {
+        const std::uint64_t all =
+            n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+        const std::uint64_t last = std::uint64_t{1} << (n - 1);
+        WideMask allWide, lastWide, lastAndFirstWide;
+        for (std::int32_t i = 0; i < n; ++i)
+            allWide.set(i);
+        lastWide.set(n - 1);
+        lastAndFirstWide.set(n - 1);
+        lastAndFirstWide.set(0);
+
+        RoundRobinArbiter word(n);
+        RoundRobinArbiter wide(n);
+        for (std::int32_t round = 0; round < 3 * n; ++round) {
+            EXPECT_EQ(word.arbitrateMask(all), round % n)
+                << "n=" << n << " round=" << round;
+            EXPECT_EQ(wide.arbitrateMask(allWide), round % n)
+                << "n=" << n << " round=" << round;
+        }
+        EXPECT_EQ(word.arbitrateMask(last), n - 1) << "n=" << n;
+        EXPECT_EQ(word.arbitrateMask(last | 1u), 0) << "n=" << n;
+        EXPECT_EQ(wide.arbitrateMask(lastWide), n - 1) << "n=" << n;
+        EXPECT_EQ(wide.arbitrateMask(lastAndFirstWide), 0) << "n=" << n;
+    }
 }
 
 TEST(RoundRobinArbiter, OverloadsAgreeUpTo64Inputs)

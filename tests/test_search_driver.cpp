@@ -11,7 +11,9 @@
  *  - on a closed-form synthetic objective whose rung error respects the
  *    declared slack, successive halving never discards a true
  *    full-fidelity Pareto point (checked against brute force);
- *  - equal objective vectors never cull each other;
+ *  - equal objective vectors never cull each other, and a record whose
+ *    window delivered no packet (latency 0 of no samples) neither culls
+ *    nor joins the front;
  *  - every candidate at every rung replays one recorded traffic stream
  *    (common random numbers), and the evaluation key still tells
  *    candidates apart: it changes with every config field;
@@ -131,6 +133,7 @@ synthEvaluator(Cycle fullMeasure)
 
         RunResults r;
         r.measuredCycles = spec.measure;
+        r.packetsDelivered = 1000;
         r.avgLatencyCycles = latency;
         r.avgPowerW = power;
         r.totalEnergyJ =
@@ -687,6 +690,7 @@ TEST(SearchDriverTest, EqualObjectivesNeverCullEachOther)
             [](const ExperimentSpec &spec, double, std::uint64_t) {
                 RunResults r;
                 r.measuredCycles = spec.measure;
+                r.packetsDelivered = 1000;
                 r.avgLatencyCycles = 100.0;
                 r.avgPowerW = 1.0;
                 return r;
@@ -719,6 +723,7 @@ TEST(SearchDriverTest, EqualObjectivesNeverCullEachOther)
                     best.freqLockCycles;
             RunResults r;
             r.measuredCycles = spec.measure;
+            r.packetsDelivered = 1000;
             r.avgLatencyCycles = isBest ? 90.0 : 100.0;
             r.avgPowerW = isBest ? 0.9 : 1.0;
             return r;
@@ -727,6 +732,49 @@ TEST(SearchDriverTest, EqualObjectivesNeverCullEachOther)
     ASSERT_TRUE(outcome.completed);
     EXPECT_EQ(outcome.finalSurvivors, std::vector<std::size_t>{3});
     EXPECT_EQ(outcome.culled, outcome.candidates.size() - 1);
+}
+
+TEST(SearchDriverTest, NoDeliveryRecordNeitherCullsNorJoinsTheFront)
+{
+    // A window that delivers no packet reports latency 0, a mean of no
+    // samples.  Read as a latency it would dominate every other point:
+    // at zero slack it would cull them all, and it would be the front.
+    SearchConfig config = synthConfig(42);
+    for (auto &rung : config.rungs) {
+        rung.slackLatency = 0.0;
+        rung.slackPower = 0.0;
+        rung.slackFraction = 0.0;
+    }
+    const Candidate silent = SearchDriver::candidateSet(config).at(3);
+    SearchDriver driver(config);
+    driver.setEvaluator(
+        [silent](const ExperimentSpec &spec, double, std::uint64_t) {
+            const bool isSilent =
+                spec.network.policyParams.tlLow == silent.tlLow &&
+                spec.network.policyParams.tlHigh == silent.tlHigh &&
+                spec.network.policyParams.weight == silent.weight &&
+                spec.network.policyCooldown == silent.cooldown &&
+                spec.network.link.freqTransitionLinkCycles ==
+                    silent.freqLockCycles;
+            RunResults r;
+            r.measuredCycles = spec.measure;
+            r.packetsCreated = 1000;
+            r.packetsDelivered = isSilent ? 0 : 1000;
+            r.avgLatencyCycles = isSilent ? 0.0 : 100.0;
+            r.avgPowerW = isSilent ? 0.5 : 1.0;
+            return r;
+        });
+    const SearchOutcome outcome = driver.run();
+    ASSERT_TRUE(outcome.completed);
+    EXPECT_EQ(outcome.culled, 0u);
+    EXPECT_EQ(outcome.finalSurvivors.size(), outcome.candidates.size());
+    ASSERT_FALSE(outcome.front.empty());
+    for (const auto &point : outcome.front.points()) {
+        EXPECT_EQ(point.objectives[0], 100.0);
+        const auto *results = point.payload.find("results");
+        ASSERT_NE(results, nullptr);
+        EXPECT_GT(results->find("packets_delivered")->asDouble(), 0.0);
+    }
 }
 
 TEST(SearchDriverTest, CommonRandomNumbersRecordOneStreamPerSearch)

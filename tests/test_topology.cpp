@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "topo/topology.hpp"
 
@@ -47,6 +48,28 @@ TEST(Topology, CoordinateAccessorMatchesVector)
         for (std::int32_t d = 0; d < m.dims(); ++d)
             EXPECT_EQ(m.coordinate(n, d), coords[static_cast<std::size_t>(d)]);
     }
+}
+
+TEST(Topology, CoordinateTableMatchesDivisionForm)
+{
+    // coordinate() reads a table built once; every entry must equal the
+    // division form it replaced, at every node and dimension, up to the
+    // node cap (256^2 = kMaxNodes).
+    const std::tuple<int, int, bool> shapes[] = {
+        {7, 1, false}, {8, 2, false}, {5, 3, true}, {3, 4, false},
+        {2, 12, true}, {256, 2, false}};
+    for (const auto &[radix, dims, torus] : shapes) {
+        const KAryNCube m(radix, dims, torus);
+        for (NodeId n = 0; n < m.numNodes(); ++n) {
+            NodeId rest = n;
+            for (std::int32_t d = 0; d < dims; ++d) {
+                ASSERT_EQ(m.coordinate(n, d), rest % radix)
+                    << m.name() << " node " << n << " dim " << d;
+                rest /= radix;
+            }
+        }
+    }
+    EXPECT_EQ(KAryNCube(256, 2, false).numNodes(), dvsnet::topo::kMaxNodes);
 }
 
 TEST(Topology, MeshEdgeNodesLackOutwardNeighbors)

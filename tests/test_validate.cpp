@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 #include "common/fatal.hpp"
 #include "network/network.hpp"
@@ -82,6 +83,32 @@ TEST(NetworkConfigValidate, BufferMustCoverVcs)
     cfg.router.numVcs = 4;
     cfg.router.bufferPerPort = 3;  // no slot for every VC
     EXPECT_TRUE(mentions(cfg.validate(), "bufferPerPort"));
+}
+
+TEST(NetworkConfigValidate, NodeCountIsCappedWithoutOverflow)
+{
+    // The cap itself is valid: a 256 x 256 mesh has kMaxNodes nodes.
+    NetworkConfig cfg;
+    cfg.radix = 256;
+    EXPECT_TRUE(cfg.validate().empty());
+
+    // One node row past it, and sizes whose radix^dims overflows 32 or
+    // 64 bits, are rejected naming the cap, each as the only problem.
+    const std::pair<std::int32_t, std::int32_t> tooLarge[] = {
+        {257, 2},
+        {5000, 2},
+        {2, 31},
+        {std::numeric_limits<std::int32_t>::max(), 3},
+        {65536, 30}};
+    for (const auto &[radix, dims] : tooLarge) {
+        cfg.radix = radix;
+        cfg.dims = dims;
+        const auto problems = cfg.validate();
+        ASSERT_EQ(problems.size(), 1u) << radix << "^" << dims;
+        EXPECT_NE(problems[0].find("topo::kMaxNodes = 65536"),
+                  std::string::npos)
+            << problems[0];
+    }
 }
 
 TEST(NetworkConfigValidate, ZeroPolicyWindowFlaggedUnlessNoPolicy)

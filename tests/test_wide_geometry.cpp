@@ -8,8 +8,9 @@
  *
  * Three layers:
  *  - randomized separable-allocator equivalence against naive reference
- *    implementations, at geometries straddling the 64-bit boundary
- *    (5x12 = 60, 5x13 = 65, 8x12 = 96 dense input VCs);
+ *    implementations, at the classic 5x2 geometry and at geometries
+ *    straddling the 64-bit boundary (5x12 = 60, 5x13 = 65, 8x12 = 96
+ *    dense input VCs);
  *  - whole-network runs pinned to exact results on wide configs — a 4x4
  *    mesh with 13 VCs/port and a 3x3x3 torus with 12 VCs/port (7 ports
  *    x 12 VCs = 84 dense VCs), the only whole-network runs of a 3-D
@@ -45,19 +46,27 @@ using dvsnet::router::RouterConfig;
 using dvsnet::router::SeparableSwitchAllocator;
 using dvsnet::router::SeparableVcAllocator;
 using dvsnet::router::VcGrant;
-using dvsnet::router::VcRequest;
 using dvsnet::testutil::SwitchBid;
 
 namespace
 {
 
+/** An input VC waiting for one of `vcMask`'s VCs at `outPort`. */
+struct VcRequest
+{
+    std::int32_t requester;
+    PortId outPort;
+    std::uint32_t vcMask;
+};
+
 /**
  * Reference VC allocator: same separable output-side algorithm as
- * SeparableVcAllocator, written with naive per-index loops and its own
- * rotation state — no bitmasks anywhere.  Resources are visited in
- * ascending (port, vc) order; each free resource somebody wants picks
- * the first not-yet-granted requester at or cyclically after its
- * rotation pointer, then advances the pointer past the winner.
+ * SeparableVcAllocator, written with naive per-index loops over the
+ * list of waiting requests and its own rotation state — no bitmasks
+ * and no waiting sets.  Resources are visited in ascending (port, vc)
+ * order; each free resource somebody wants picks the first
+ * not-yet-granted requester at or cyclically after its rotation
+ * pointer, then advances the pointer past the winner.
  */
 class ReferenceVcAllocator
 {
@@ -220,8 +229,14 @@ class ReferenceSwitchAllocator
 
 /**
  * Drive SeparableVcAllocator and the reference with the same random
- * request stream for `rounds` invocations; grants must match exactly
- * (contents and order) every round, so rotation state stays in sync.
+ * sequence for `rounds` invocations.  Each round some idle input VCs
+ * start waiting (a random target port and VC mask) and some allocated
+ * downstream VCs are released, then both allocate.  The reference gets
+ * the list of every request still waiting and the free masks, the
+ * device under test only the new requests and releases.  Grants must
+ * match exactly (contents and order) every round, so rotation state
+ * stays in sync; granted requests leave the list and granted VCs stop
+ * being free, on both sides.
  */
 void
 vcAllocatorMatchesReference(PortId numPorts, std::int32_t numVcs,
@@ -235,22 +250,32 @@ vcAllocatorMatchesReference(PortId numPorts, std::int32_t numVcs,
     std::uniform_int_distribution<std::uint32_t> maskDist(
         1, (numVcs >= 32 ? ~0u : (1u << numVcs) - 1));
 
+    std::vector<VcRequest> waiting;
+    std::vector<bool> isWaiting(static_cast<std::size_t>(requesters));
+    std::vector<std::uint32_t> freeMasks(static_cast<std::size_t>(numPorts));
+    std::size_t granted = 0;
     for (std::int32_t round = 0; round < rounds; ++round) {
-        // Random subset of requesters, each with a random target port
-        // and VC mask; random free map.
-        std::vector<VcRequest> requests;
         for (std::int32_t r = 0; r < requesters; ++r) {
-            if ((rng() & 3u) != 0)
-                continue;  // ~25% of input VCs request each round
-            requests.push_back({r, portDist(rng), maskDist(rng)});
+            if (isWaiting[static_cast<std::size_t>(r)] ||
+                (rng() & 3u) != 0)
+                continue;  // ~25% of idle input VCs start waiting
+            const VcRequest req{r, portDist(rng), maskDist(rng)};
+            dut.request(req.requester, req.outPort, req.vcMask);
+            waiting.push_back(req);
+            isWaiting[static_cast<std::size_t>(r)] = true;
         }
-        std::vector<std::uint32_t> freeMasks(
-            static_cast<std::size_t>(numPorts));
-        for (auto &m : freeMasks)
-            m = static_cast<std::uint32_t>(rng()) & maskDist.max();
+        for (PortId p = 0; p < numPorts; ++p) {
+            // About half of each port's allocated VCs are released.
+            auto &free = freeMasks[static_cast<std::size_t>(p)];
+            const std::uint32_t freed =
+                ~free & static_cast<std::uint32_t>(rng()) & maskDist.max();
+            if (freed != 0)
+                dut.release(p, freed);
+            free |= freed;
+        }
 
-        const auto &got = dut.allocate(requests, freeMasks);
-        const auto want = ref.allocate(requests, freeMasks);
+        const auto &got = dut.allocate();
+        const auto want = ref.allocate(waiting, freeMasks);
         ASSERT_EQ(got.size(), want.size()) << "round=" << round;
         for (std::size_t i = 0; i < want.size(); ++i) {
             EXPECT_EQ(got[i].requester, want[i].requester)
@@ -259,11 +284,28 @@ vcAllocatorMatchesReference(PortId numPorts, std::int32_t numVcs,
                 << "round=" << round << " grant=" << i;
             EXPECT_EQ(got[i].outVc, want[i].outVc)
                 << "round=" << round << " grant=" << i;
+            isWaiting[static_cast<std::size_t>(want[i].requester)] = false;
+            freeMasks[static_cast<std::size_t>(want[i].outPort)] &=
+                ~(1u << want[i].outVc);
         }
+        for (PortId p = 0; p < numPorts; ++p) {
+            ASSERT_EQ(dut.freeVcs(p), freeMasks[static_cast<std::size_t>(p)])
+                << "round=" << round << " port=" << p;
+        }
+        granted += want.size();
+        std::erase_if(waiting, [&](const VcRequest &req) {
+            return !isWaiting[static_cast<std::size_t>(req.requester)];
+        });
     }
+    EXPECT_GT(granted, static_cast<std::size_t>(rounds));
 }
 
 } // namespace
+
+TEST(WideGeometryVcAllocator, MatchesReferenceClassic5x2)
+{
+    vcAllocatorMatchesReference(5, 2, 0x9E);  // the paper's router
+}
 
 TEST(WideGeometryVcAllocator, MatchesReferenceBelowBoundary5x12)
 {
@@ -427,8 +469,7 @@ TEST(WideGeometryLimits, RouterConstructorThrowsConfigError)
     {
         void
         route(dvsnet::NodeId, PortId, VcId, dvsnet::NodeId,
-              std::vector<dvsnet::router::RouteCandidate> &out)
-            const override
+              dvsnet::router::RouteCandidates &out) const override
         {
             out.clear();
         }
