@@ -38,7 +38,7 @@ variantSpec(const bench::BenchOptions &opts,
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts, {"rate_light", "rate_heavy"});
     bench::printHeader("Ablations",
@@ -173,4 +173,6 @@ main(int argc, char **argv)
     bench::printTable(t5, opts);
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

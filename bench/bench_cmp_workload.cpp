@@ -24,7 +24,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts, {"rate_lo", "rate_hi"});
     if (opts.workload.empty())
@@ -139,4 +139,6 @@ main(int argc, char **argv)
 
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

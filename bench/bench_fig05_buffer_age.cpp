@@ -22,7 +22,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts);
     bench::printHeader(
@@ -75,4 +75,6 @@ main(int argc, char **argv)
     bench::printTable(summary, opts);
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

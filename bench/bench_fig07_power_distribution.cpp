@@ -17,7 +17,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts);
     bench::printHeader("Figure 7", "router power consumption distribution",
@@ -40,4 +40,6 @@ main(int argc, char **argv)
                 "link power only.\n");
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -18,7 +18,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts, {"rate"});
     bench::printHeader("Figure 8",
@@ -75,4 +75,6 @@ main(int argc, char **argv)
                 "(variance-to-mean >> 1).\n");
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -20,7 +20,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts, {"rate", "node", "interval"});
     bench::printHeader("Figure 9",
@@ -37,9 +37,9 @@ main(int argc, char **argv)
     net.attachTraffic(workload);
 
     const NodeId node =
-        opts.raw.getInt<NodeId>("node", net.topology().nodeId({3, 3}), 0,
-                                net.topology().numNodes() - 1);
-    const Cycle interval = opts.raw.getCount("interval", 2000, 1);
+        opts.raw.integer<NodeId>("node", net.topology().nodeId({3, 3}), 0,
+                                 net.topology().numNodes() - 1);
+    const Cycle interval = opts.raw.count("interval", 2000, 1);
 
     // Temporal variance in the two-level model lives at the task
     // timescale (1 ms = 1M cycles): within a task the 128-source
@@ -49,7 +49,7 @@ main(int argc, char **argv)
     // wall) instead of the suite-wide default.  Quick mode keeps just
     // enough intervals for every aggregation row of the table.
     opts.measure =
-        opts.raw.getCountEnv("cycles", opts.quick ? 200000 : 2000000);
+        opts.raw.countEnv("cycles", opts.quick ? 200000 : 2000000);
 
     // Sample per-interval creation counts across the run.
     std::vector<std::uint64_t> counts;
@@ -108,4 +108,6 @@ main(int argc, char **argv)
                 "Poisson would decay toward 1).\n");
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -15,7 +15,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts, {"rate_lo", "rate_hi"});
     bench::printHeader(
@@ -25,4 +25,6 @@ main(int argc, char **argv)
     bench::runDvsComparison(opts, 100.0, bench::defaultRates(opts));
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

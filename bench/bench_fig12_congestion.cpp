@@ -18,7 +18,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts, {"rate_lo", "rate_hi"});
     bench::printHeader(
@@ -64,4 +64,6 @@ main(int argc, char **argv)
                 "falls.\n");
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

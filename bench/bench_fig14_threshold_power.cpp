@@ -17,7 +17,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv, 5);
     bench::rejectUnknownKeys(opts);
     bench::printHeader("Figure 14",
@@ -63,4 +63,6 @@ main(int argc, char **argv)
                 "aggressiveness (VI highest).\n");
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

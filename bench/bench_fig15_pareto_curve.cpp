@@ -18,7 +18,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts, {"rate"});
     bench::printHeader(
@@ -76,4 +76,6 @@ main(int argc, char **argv)
                 monotone ? "yes" : "no");
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

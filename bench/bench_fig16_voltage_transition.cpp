@@ -25,7 +25,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv, 3);
     bench::rejectUnknownKeys(opts);
     bench::printHeader(
@@ -97,4 +97,6 @@ main(int argc, char **argv)
         "cost throughput.\n");
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -24,7 +24,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv, 3);
     bench::rejectUnknownKeys(opts);
     bench::printHeader(
@@ -95,4 +95,6 @@ main(int argc, char **argv)
         "traffic and cost throughput.\n");
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

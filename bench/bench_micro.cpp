@@ -302,17 +302,12 @@ writeArtifact(const std::string &path, const bench::BenchOptions &opts,
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto processStart = SteadyClock::now();
     const auto opts = bench::parseOptions(argc, argv);
-    try {
-        opts.raw.rejectUnknownKeys(
-            {"quick", "seed", "threads", "json", "net-filter"},
-            "bench_micro");
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
-    }
-    const std::string netFilter = opts.raw.getString("net-filter", "");
+    opts.raw.rejectUnknownKeys(
+        {"quick", "seed", "threads", "json", "net-filter"});
+    const std::string netFilter = opts.raw.text("net-filter", "");
 
     // The timing loops run serially; --threads is accepted for
     // command-line uniformity and echoed for the record.
@@ -355,4 +350,6 @@ main(int argc, char **argv)
                       processStart);
     }
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

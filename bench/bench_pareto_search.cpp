@@ -45,7 +45,7 @@ coveredBy(const search::ParetoFront &front,
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownSearchKeys(opts);
     bench::printHeader(
@@ -59,7 +59,7 @@ main(int argc, char **argv)
 
     CounterRegistry registry;
     search::SearchDriver driver(config, &registry);
-    const auto outcome = bench::runSearch(driver);
+    const auto outcome = driver.run();
     if (!outcome.completed)
         std::printf("note: evaluation budget exhausted before the last "
                     "rung — front reflects completed rungs only\n");
@@ -140,4 +140,6 @@ main(int argc, char **argv)
 
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

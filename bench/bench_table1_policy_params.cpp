@@ -14,7 +14,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts);
     bench::printHeader("Table 1", "history-based DVS policy parameters",
@@ -45,4 +45,6 @@ main(int argc, char **argv)
     bench::printTable(t2, opts);
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -66,7 +66,7 @@ expectIdentical(const char *what, const network::RunResults &a,
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownKeys(opts, {"rate", "trace_prefix"});
     bench::printHeader("Trace replay",
@@ -80,7 +80,7 @@ main(int argc, char **argv)
     const double rate = bench::rateOption(opts, "rate", 1.0);
 
     const std::string prefix =
-        opts.raw.getString("trace_prefix", "bench_trace_replay");
+        opts.raw.text("trace_prefix", "bench_trace_replay");
     const std::string csvPath = prefix + ".trace.csv";
     const std::string dvstPath = prefix + ".trace.dvst";
 
@@ -200,4 +200,6 @@ main(int argc, char **argv)
 
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -1,5 +1,6 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -36,65 +37,53 @@ ReportState g_report;
 BenchOptions
 parseOptions(int argc, char **argv, std::int64_t sweepPoints)
 {
-    BenchOptions opts;
-    if (argc > 0) {
-        const std::string path = argv[0];
-        const auto slash = path.find_last_of('/');
-        opts.binaryName =
-            slash == std::string::npos ? path : path.substr(slash + 1);
-    }
-
-    // Config::fromArgs has no bare-flag form, so rewrite the standalone
+    // Spec::fromArgs has no bare-flag form, so rewrite the standalone
     // `--quick` token into its `quick=1` equivalent before parsing.
-    std::vector<std::string> storage;
-    storage.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--quick")
-            arg = "quick=1";
-        storage.push_back(std::move(arg));
-    }
+    std::vector<std::string> storage(argv, argv + argc);
     std::vector<char *> args;
     args.reserve(storage.size());
-    for (auto &s : storage)
-        args.push_back(s.data());
-    opts.raw = Config::fromArgs(static_cast<int>(args.size()), args.data());
+    for (auto &arg : storage) {
+        if (arg == "--quick")
+            arg = "quick=1";
+        args.push_back(arg.data());
+    }
+    BenchOptions opts;
+    opts.raw = Spec::fromArgs(static_cast<int>(args.size()), args.data());
 
     // Quick mode drops the defaults to smoke fidelity; explicit keys and
     // DVSNET_* environment variables keep their usual priority.
-    opts.quick = opts.raw.getBool("quick", false);
-    // Counts are non-negative: a negative value is fatal, never wrapped.
+    opts.quick = opts.raw.boolean("quick", false);
+    // Counts are non-negative: a negative value is refused, never
+    // wrapped.
     opts.warmup =
-        opts.raw.getCountEnv("warmup", opts.quick ? 4000 : opts.warmup);
-    opts.lightWarmup = opts.raw.getCountEnv(
+        opts.raw.countEnv("warmup", opts.quick ? 4000 : opts.warmup);
+    opts.lightWarmup = opts.raw.countEnv(
         "light_warmup", opts.quick ? 1000 : opts.lightWarmup);
     opts.measure =
-        opts.raw.getCountEnv("cycles", opts.quick ? 6000 : opts.measure);
-    opts.seed = opts.raw.getCountEnv("seed", opts.seed);
-    opts.csv = opts.raw.getBool("csv", false);
-    opts.sweepPoints = static_cast<std::int64_t>(opts.raw.getCountEnv(
-        "points",
-        opts.quick ? 2 : static_cast<std::uint64_t>(sweepPoints)));
-    if (opts.sweepPoints < 2) {
-        DVSNET_FATAL("config key 'points': a sweep needs at least 2 "
-                     "points, got ",
-                     opts.sweepPoints);
-    }
-    opts.threads = opts.raw.getCountEnv("threads", 0);
-    opts.jsonPath = opts.raw.getString("json", "");
-    opts.workload = opts.raw.getString("workload", "");
+        opts.raw.countEnv("cycles", opts.quick ? 6000 : opts.measure);
+    opts.seed = opts.raw.countEnv("seed", opts.seed);
+    opts.csv = opts.raw.boolean("csv", false);
+    // A sweep needs at least two points.
+    opts.sweepPoints = static_cast<std::int64_t>(opts.raw.countEnv(
+        "points", opts.quick ? 2 : static_cast<std::uint64_t>(sweepPoints),
+        2));
+    opts.threads = opts.raw.countEnv("threads", 0);
+    opts.jsonPath = opts.raw.text("json", "");
+    opts.workload = opts.raw.text("workload", "");
     if (!opts.workload.empty()) {
         const auto problems =
             workload::validateWorkloadSpec(opts.workload);
         if (!problems.empty())
-            DVSNET_FATAL(joinProblems("invalid --workload", problems));
+            throw ConfigError(joinProblems("invalid --workload", problems));
     }
-    opts.linkPower = opts.raw.getString("link-power", "");
+    opts.linkPower = opts.raw.text("link-power", "");
     if (!opts.linkPower.empty()) {
         const auto problems =
             power::validateLinkPowerSpec(opts.linkPower);
-        if (!problems.empty())
-            DVSNET_FATAL(joinProblems("invalid --link-power", problems));
+        if (!problems.empty()) {
+            throw ConfigError(
+                joinProblems("invalid --link-power", problems));
+        }
     }
     return opts;
 }
@@ -110,11 +99,7 @@ rejectUnknownKeys(const BenchOptions &opts,
         // paperSpec
         "tasks", "task_duration", "sources"};
     accepted.insert(accepted.end(), extra.begin(), extra.end());
-    try {
-        opts.raw.rejectUnknownKeys(accepted, opts.binaryName);
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
-    }
+    opts.raw.rejectUnknownKeys(accepted);
 }
 
 exp::RunnerOptions
@@ -212,11 +197,11 @@ paperSpec(const BenchOptions &opts)
     // Quick mode shrinks the workload population so smoke runs finish
     // in seconds (explicit keys still win).
     spec.workload.avgConcurrentTasks =
-        opts.raw.getInt("tasks", opts.quick ? 12 : 100);
+        opts.raw.integer("tasks", opts.quick ? 12 : 100);
     spec.workload.meanTaskDurationCycles =
-        opts.raw.getDouble("task_duration", 1e6);
+        opts.raw.number("task_duration", 1e6);
     spec.workload.sourcesPerTask =
-        opts.raw.getInt<std::int32_t>("sources", opts.quick ? 16 : 128);
+        opts.raw.integer<std::int32_t>("sources", opts.quick ? 16 : 128);
     spec.workload.seed = opts.seed;
     if (!opts.workload.empty())
         spec.workloadSpec = opts.workload;
@@ -228,7 +213,7 @@ paperSpec(const BenchOptions &opts)
     // bad tasks/task_duration/sources values must stop here.
     const auto problems = spec.validate();
     if (!problems.empty())
-        DVSNET_FATAL(joinProblems("invalid bench options", problems));
+        throw ConfigError(joinProblems("invalid bench options", problems));
     return spec;
 }
 
@@ -269,7 +254,7 @@ printHeader(const std::string &figure, const std::string &what,
     g_report.start = std::chrono::steady_clock::now();
     Json &root = g_report.root;
     root["schema"] = Json("dvsnet-bench-v1");
-    root["binary"] = Json(opts.binaryName);
+    root["binary"] = Json(opts.raw.name);
     root["figure"] = Json(figure);
     root["description"] = Json(what);
     root["git_describe"] = Json(DVSNET_GIT_DESCRIBE);
@@ -295,8 +280,11 @@ printHeader(const std::string &figure, const std::string &what,
         Json(static_cast<std::uint64_t>(opts.lightWarmup));
     root["measure_cycles"] = Json(static_cast<std::uint64_t>(opts.measure));
     root["sweep_points"] = Json(opts.sweepPoints);
+    // Sorted by key; fromArgs refused any repeated key.
+    auto params = opts.raw.params;
+    std::sort(params.begin(), params.end());
     Json cfg = Json::object();
-    for (const auto &[key, value] : opts.raw.entries())
+    for (const auto &[key, value] : params)
         cfg[key] = Json(value);
     root["config"] = std::move(cfg);
 }
@@ -364,7 +352,7 @@ double
 rateOption(const BenchOptions &opts, const std::string &key, double def)
 {
     // paperSpec leaves the topology at NetworkConfig's 8x8 default.
-    return opts.raw.getDouble(
+    return opts.raw.number(
         key, def, network::kMinInjectionRate,
         network::maxInjectionRate(network::NetworkConfig{}));
 }
@@ -375,8 +363,9 @@ defaultRates(const BenchOptions &opts, double lo, double hi)
     lo = rateOption(opts, "rate_lo", lo);
     hi = rateOption(opts, "rate_hi", hi);
     if (hi <= lo) {
-        DVSNET_FATAL("config key 'rate_hi': ", hi,
-                     " is not a finite rate above rate_lo = ", lo);
+        opts.raw.reject("rate_hi", detail::concat("must be a finite rate "
+                                                  "above rate_lo = ",
+                                                  lo));
     }
     return network::rateGrid(lo, hi,
                              static_cast<std::size_t>(opts.sweepPoints));

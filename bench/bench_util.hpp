@@ -21,7 +21,7 @@
 
 #include <memory>
 
-#include "common/config.hpp"
+#include "common/spec.hpp"
 #include "common/table.hpp"
 #include "core/monitor.hpp"
 #include "exp/runner.hpp"
@@ -71,29 +71,30 @@ struct BenchOptions
      *  it; the spec is echoed in the artifact's `link_power` object. */
     std::string linkPower;
 
-    /** Binary name (argv[0] basename), echoed into the artifact. */
-    std::string binaryName;
-
-    Config raw;
+    /** The command line (Spec::fromArgs): its name, argv[0]'s
+     *  basename, is echoed into the artifact; the keys a bench reads
+     *  itself come from here. */
+    Spec raw;
 };
 
 /**
  * Parse `key=value` / `--key value` args + environment into options.
  * Every bench accepts `--threads N` and `--seed S` this way.
  * `sweepPoints` is the bench's own points per sweep; `--quick` makes it
- * 2, and `points=` or DVSNET_POINTS overrides both.  Fewer than 2
- * points is fatal.
+ * 2, and `points=` or DVSNET_POINTS overrides both.  @throws
+ * ConfigError on a malformed command line, a refused value (fewer than
+ * 2 points among them) or an invalid `--workload`/`--link-power` spec.
  */
 BenchOptions parseOptions(int argc, char **argv,
                           std::int64_t sweepPoints = 8);
 
 /**
- * Exit naming the first key in `opts` that the binary does not read,
- * with the accepted ones: the keys parseOptions and paperSpec read,
- * which every bench accepts, plus `extra`, the keys the binary reads
- * itself (defaultRates's `rate_lo` and `rate_hi` among them).  A
- * misspelled or removed key would otherwise be a silent no-op.  Every
- * bench calls this right after parseOptions.
+ * Throw a ConfigError naming the first key in `opts` that the binary
+ * does not read, with the accepted ones: the keys parseOptions and
+ * paperSpec read, which every bench accepts, plus `extra`, the keys the
+ * binary reads itself (defaultRates's `rate_lo` and `rate_hi` among
+ * them).  A misspelled or removed key would otherwise be a silent
+ * no-op.  Every bench calls this right after parseOptions.
  */
 void rejectUnknownKeys(const BenchOptions &opts,
                        const std::vector<std::string> &extra = {});
@@ -171,9 +172,10 @@ void finishReport(const BenchOptions &opts);
 
 /**
  * Rate key `key` (default `def`), in packets/cycle on the paper's 8x8
- * mesh, the network every bench runs.  Fatal, naming the key and the
- * range, unless a finite number in [network::kMinInjectionRate,
- * network::maxInjectionRate]: one packet per node per cycle at most.
+ * mesh, the network every bench runs.  @throws ConfigError, naming
+ * the key and the range, unless a finite number in
+ * [network::kMinInjectionRate, network::maxInjectionRate]: one packet
+ * per node per cycle at most.
  */
 double rateOption(const BenchOptions &opts, const std::string &key,
                   double def);
@@ -181,7 +183,7 @@ double rateOption(const BenchOptions &opts, const std::string &key,
 /**
  * Default injection-rate grid used by the latency/power sweeps: the
  * sweep's points from `rate_lo` to `rate_hi` (defaults `lo`, `hi`),
- * each a rateOption.  Fatal unless rate_lo < rate_hi.
+ * each a rateOption.  @throws ConfigError unless rate_lo < rate_hi.
  */
 std::vector<double> defaultRates(const BenchOptions &opts, double lo = 0.2,
                                  double hi = 2.4);

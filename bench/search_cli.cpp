@@ -59,7 +59,7 @@ rejectUnknownSearchKeys(const BenchOptions &opts)
 std::string
 searchSpecString(const BenchOptions &opts)
 {
-    return opts.raw.getString("search", "successive-halving");
+    return opts.raw.text("search", "successive-halving");
 }
 
 search::SearchConfig
@@ -82,36 +82,20 @@ searchConfigFromOptions(const BenchOptions &opts)
     const std::string specString = searchSpecString(opts);
     const auto problems = search::validateSearchSpec(specString);
     if (!problems.empty())
-        DVSNET_FATAL(joinProblems("invalid search=", problems));
-    try {
-        search::applySearchSpec(config, Spec::parse(specString));
-    } catch (const ConfigError &e) {
-        // A bad value (rungs=0, step=abc) is fatal and named, like a
-        // failure inside runSearch.
-        DVSNET_FATAL("invalid search=: ", e.what());
-    }
+        throw ConfigError(joinProblems("invalid search=", problems));
+    search::applySearchSpec(config, Spec::parse(specString));
 
-    config.journalPath = opts.raw.getString("journal", "");
-    const std::string resume = opts.raw.getString("resume", "");
+    config.journalPath = opts.raw.text("journal", "");
+    const std::string resume = opts.raw.text("resume", "");
     if (!resume.empty()) {
         config.warmJournals.push_back(resume);
         if (config.journalPath.empty())
             config.journalPath = resume;
     }
     for (const auto &path :
-         splitList(opts.raw.getString("cache", "")))
+         splitList(opts.raw.text("cache", "")))
         config.warmJournals.push_back(path);
     return config;
-}
-
-search::SearchOutcome
-runSearch(search::SearchDriver &driver)
-{
-    try {
-        return driver.run();
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
-    }
 }
 
 Table

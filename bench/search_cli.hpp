@@ -41,15 +41,10 @@ std::vector<search::Candidate> fig15GridCandidates();
  *  - `resume=FILE` warm-loads FILE and (unless `journal=` overrides)
  *    rewrites it in place — the classic resume flow;
  *  - `cache=FILE[,FILE...]` warm-loads extra journals (shard merge).
- * Fatal on an invalid spec, like the other bench flag validators.
+ * @throws ConfigError on an invalid spec or value, like the other bench
+ * option readers.
  */
 search::SearchConfig searchConfigFromOptions(const BenchOptions &opts);
-
-/**
- * `driver.run()`, with a ConfigError (a warm journal of another schema,
- * a failed evaluation) fatal and named, like a bad option.
- */
-search::SearchOutcome runSearch(search::SearchDriver &driver);
 
 /**
  * bench::rejectUnknownKeys for a search binary, which also reads

@@ -6,16 +6,22 @@
  * regular traffic and how adaptive routing interacts with the policy.
  *
  * Run:  ./onchip_cmp [pattern=transpose] [rate=0.02] [cycles=120000]
+ *
+ * `pattern` is any pattern workload's name (traffic::patternName):
+ * uniform, transpose, bit-complement, bit-reverse, shuffle, tornado or
+ * neighbor.
  */
 
+#include <algorithm>
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/fatal.hpp"
+#include "common/spec.hpp"
 #include "common/table.hpp"
 #include "network/network.hpp"
 #include "network/sweep.hpp"
-#include "traffic/pattern_traffic.hpp"
+#include "traffic/pattern.hpp"
+#include "workload/factory.hpp"
 
 using namespace dvsnet;
 
@@ -23,8 +29,9 @@ namespace
 {
 
 network::RunResults
-runCase(traffic::Pattern pattern, double rate, Cycle warmup, Cycle cycles,
-        network::PolicyKind policy, network::RoutingKind routing)
+runCase(const std::string &pattern, double rate, Cycle warmup,
+        Cycle cycles, network::PolicyKind policy,
+        network::RoutingKind routing)
 {
     network::NetworkConfig cfg;
     cfg.radix = 4;
@@ -33,8 +40,12 @@ runCase(traffic::Pattern pattern, double rate, Cycle warmup, Cycle cycles,
     cfg.routing = routing;
 
     network::Network net(cfg);
-    traffic::PatternTraffic traffic(net.topology(), pattern, rate, 7);
-    net.attachTraffic(traffic);
+    // A pattern workload spreads the network's rate evenly over the
+    // nodes, so `rate` per node is `rate` x 16 for the network.
+    const auto traffic = workload::buildWorkload(
+        pattern, {net.topology(), rate * net.topology().numNodes(), 7,
+                  traffic::TwoLevelParams{}});
+    net.attachTraffic(*traffic);
     return net.run(warmup, cycles);
 }
 
@@ -42,24 +53,27 @@ runCase(traffic::Pattern pattern, double rate, Cycle warmup, Cycle cycles,
 
 int
 main(int argc, char **argv)
-{
-    const Config cfg = Config::fromArgs(argc, argv);
-    try {
-        cfg.rejectUnknownKeys({"pattern", "rate", "cycles", "warmup"},
-                              "onchip_cmp");
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
+try {
+    const Spec args = Spec::fromArgs(argc, argv);
+    args.rejectUnknownKeys({"pattern", "rate", "cycles", "warmup"});
+    const std::string pattern = args.text("pattern", "transpose");
+    std::vector<std::string> patterns;
+    for (const traffic::Pattern p : traffic::kAllPatterns)
+        patterns.push_back(traffic::patternName(p));
+    if (std::find(patterns.begin(), patterns.end(), pattern) ==
+        patterns.end()) {
+        args.reject("pattern", "must be a traffic pattern (" +
+                                   detail::joinList(patterns) + ")");
     }
-    const auto pattern =
-        traffic::parsePattern(cfg.getString("pattern", "transpose"));
     const double rate =  // per node: one packet a cycle at most
-        cfg.getDouble("rate", 0.02, network::kMinInjectionRate, 1.0);
-    const Cycle cycles = cfg.getCountEnv("cycles", 120000);
-    const Cycle warmup = cfg.getCountEnv("warmup", 120000);
+        args.number("rate", 0.02, network::kMinInjectionRate, 1.0);
+    // The measurement window: a window of no cycles measures nothing.
+    const Cycle cycles = args.countEnv("cycles", 120000, 1);
+    const Cycle warmup = args.countEnv("warmup", 120000);
 
     std::printf("on-chip CMP scenario: 4x4 mesh, %s traffic, "
                 "%.3f pkt/node/cycle\n\n",
-                traffic::patternName(pattern), rate);
+                pattern.c_str(), rate);
 
     Table t({"configuration", "latency (cycles)", "throughput (pkt/cyc)",
              "power (W)", "savings"});
@@ -96,4 +110,6 @@ main(int argc, char **argv)
                 "latency under adversarial patterns and gives the\nDVS "
                 "policy more uniformly-utilized links to scale.\n");
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

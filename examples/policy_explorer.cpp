@@ -17,8 +17,8 @@
 
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/fatal.hpp"
+#include "common/spec.hpp"
 #include "common/table.hpp"
 #include "core/history_policy.hpp"
 #include "exp/runner.hpp"
@@ -27,22 +27,18 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
-    const Config cfg = Config::fromArgs(argc, argv);
-    try {
-        cfg.rejectUnknownKeys(
-            {"rate", "tasks", "cycles", "warmup", "threads", "seed"},
-            "policy_explorer");
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
-    }
+try {
+    const Spec args = Spec::fromArgs(argc, argv);
+    args.rejectUnknownKeys(
+        {"rate", "tasks", "cycles", "warmup", "threads", "seed"});
     const double rate =
-        cfg.getDouble("rate", 1.2, network::kMinInjectionRate,
-                      network::maxInjectionRate(network::NetworkConfig{}));
-    const Cycle cycles = cfg.getCountEnv("cycles", 120000);
-    const Cycle warmup = cfg.getCountEnv("warmup", 120000);
-    const std::size_t threads = cfg.getCountEnv("threads", 0);
-    const std::uint64_t seed = cfg.getCountEnv("seed", 99);
+        args.number("rate", 1.2, network::kMinInjectionRate,
+                    network::maxInjectionRate(network::NetworkConfig{}));
+    // The measurement window: a window of no cycles measures nothing.
+    const Cycle cycles = args.countEnv("cycles", 120000, 1);
+    const Cycle warmup = args.countEnv("warmup", 120000);
+    const std::size_t threads = args.countEnv("threads", 0);
+    const std::uint64_t seed = args.countEnv("seed", 99);
 
     std::printf("policy explorer: 8x8 mesh, two-level workload at "
                 "%.2f pkt/cycle (seed=%llu, threads=%zu)\n\n",
@@ -50,7 +46,7 @@ main(int argc, char **argv)
                 exp::resolveThreadCount(threads));
 
     network::ExperimentSpec spec;
-    spec.workload.avgConcurrentTasks = cfg.getInt("tasks", 100);
+    spec.workload.avgConcurrentTasks = args.integer("tasks", 100);
     spec.workload.seed = seed;
     spec.warmup = warmup;
     spec.measure = cycles;
@@ -124,4 +120,6 @@ main(int argc, char **argv)
                 "what a non-adaptive ladder costs; the LU-only\nvariant "
                 "shows what the congestion litmus buys at high load.\n");
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -9,8 +9,8 @@
 
 #include <cstdio>
 
-#include "common/config.hpp"
 #include "common/fatal.hpp"
+#include "common/spec.hpp"
 #include "exp/runner.hpp"
 #include "network/network.hpp"
 #include "network/sweep.hpp"
@@ -20,18 +20,15 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
-    const Config cfg = Config::fromArgs(argc, argv);
-    try {
-        cfg.rejectUnknownKeys({"rate", "cycles", "seed"}, "quickstart");
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
-    }
+try {
+    const Spec args = Spec::fromArgs(argc, argv);
+    args.rejectUnknownKeys({"rate", "cycles", "seed"});
     const double rate =
-        cfg.getDouble("rate", 1.0, network::kMinInjectionRate,
-                      network::maxInjectionRate(network::NetworkConfig{}));
-    const Cycle cycles = cfg.getCountEnv("cycles", 100000);
-    const std::uint64_t seed = cfg.getCountEnv("seed", 42);
+        args.number("rate", 1.0, network::kMinInjectionRate,
+                    network::maxInjectionRate(network::NetworkConfig{}));
+    // The measurement window: a window of no cycles measures nothing.
+    const Cycle cycles = args.countEnv("cycles", 100000, 1);
+    const std::uint64_t seed = args.countEnv("seed", 42);
 
     std::printf("dvsnet quickstart: 8x8 mesh, two-level workload, "
                 "rate=%.2f pkt/cycle, %llu cycles, seed=%llu\n\n",
@@ -60,4 +57,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(res.packetsDelivered));
     }
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <string>
 
-#include "common/config.hpp"
 #include "common/fatal.hpp"
+#include "common/spec.hpp"
 #include "network/network.hpp"
 #include "traffic/task_model.hpp"
 
@@ -21,16 +21,12 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
-    const Config cfg = Config::fromArgs(argc, argv);
-    try {
-        cfg.rejectUnknownKeys({"phase_cycles"}, "server_fabric");
-    } catch (const ConfigError &e) {
-        DVSNET_FATAL(e.what());
-    }
+try {
+    const Spec args = Spec::fromArgs(argc, argv);
+    args.rejectUnknownKeys({"phase_cycles"});
     // Sampled every phase/10 cycles, over three phases.
     const Cycle phase =
-        cfg.getCountEnv("phase_cycles", 80000, 10, kMaxCount / 3);
+        args.countEnv("phase_cycles", 80000, 10, kMaxCount / 3);
 
     std::printf("server fabric scenario: 8x8 mesh, load phases "
                 "quiet -> busy -> quiet (%llu cycles each)\n\n",
@@ -88,4 +84,6 @@ main(int argc, char **argv)
                 "phase, fall toward 0-4 on\nthe hot links during the "
                 "surge, then sink back as the surge tasks expire.\n");
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

@@ -17,6 +17,13 @@ joinProblems(const std::string &what,
     return msg;
 }
 
+int
+reportFatal(const ConfigError &error)
+{
+    std::fprintf(stderr, "fatal: %s\n", error.what());
+    return 1;
+}
+
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {

@@ -20,7 +20,8 @@ namespace dvsnet
  * recover (e.g. one bad point in a parallel sweep).  Unlike
  * DVSNET_FATAL, which terminates the process, a ConfigError is meant to
  * be caught — the ExperimentRunner captures it into the failing job's
- * result instead of aborting the whole experiment.
+ * result instead of aborting the whole experiment, and every binary's
+ * main reports one that reaches it (reportFatal).
  */
 class ConfigError : public std::runtime_error
 {
@@ -34,6 +35,12 @@ class ConfigError : public std::runtime_error
  */
 std::string joinProblems(const std::string &what,
                          const std::vector<std::string> &problems);
+
+/**
+ * What a binary's main does with a ConfigError that reaches it: print
+ * one "fatal: <message>" line on stderr and return exit status 1.
+ */
+int reportFatal(const ConfigError &error);
 
 /** Print a user-error message and exit(1). */
 [[noreturn]] void fatalImpl(const char *file, int line,

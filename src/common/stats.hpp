@@ -23,9 +23,6 @@ class RunningStat
     /** Add one sample. */
     void add(double x);
 
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStat &other);
-
     /** Reset to empty. */
     void reset();
 

@@ -67,10 +67,6 @@ class PortDvsController
 
     const ControllerStats &stats() const { return stats_; }
 
-    DvsPolicy &policy() { return *policy_; }
-
-    Cycle window() const { return windowCycles_; }
-
   private:
     void evaluate();
 

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -101,26 +100,11 @@ struct PointResult
  */
 Json toJson(const PointResult &result);
 
-/** Completion snapshot handed to the progress callback. */
-struct Progress
-{
-    std::size_t completed = 0;  ///< jobs finished (ok or failed)
-    std::size_t submitted = 0;  ///< jobs submitted so far
-};
-
-/**
- * Options for ExperimentRunner.
- *
- * The progress callback is invoked once per finished job, serialized
- * under the runner's lock (it may be called from any worker thread, but
- * never concurrently with itself).
- */
+/** Options for ExperimentRunner. */
 struct RunnerOptions
 {
     /** Worker threads; 0 = one per available hardware thread. */
     std::size_t threads = 0;
-
-    std::function<void(const Progress &)> onProgress;
 };
 
 /**

@@ -320,11 +320,6 @@ ExperimentRunner::execute(std::size_t index, const PointJob &job,
         if (--slot->second.consumers == 0 && job.horizon == 0)
             streams_.erase(slot);
         results_[index] = std::move(result);
-        ++completed_;
-        // The callback runs under the lock: serialized by construction,
-        // so callers may update un-synchronized state from it.
-        if (options_.onProgress)
-            options_.onProgress(Progress{completed_, results_.size()});
     }
 }
 
@@ -357,7 +352,6 @@ ExperimentRunner::collect()
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<PointResult> out = std::move(results_);
     results_.clear();
-    completed_ = 0;
     return out;
 }
 

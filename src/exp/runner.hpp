@@ -14,8 +14,7 @@
  *  - **Failure isolation**: an exception inside one point (e.g. a
  *    ConfigError from Network's validation) is captured into that
  *    point's PointResult::error; the other points still run.
- *  - **Timing & progress**: each result records its wall-clock cost and
- *    an optional callback observes completion counts.
+ *  - **Timing**: each result records its wall-clock cost.
  *  - **Dispatch order**: collect() posts the batch to the FIFO pool in
  *    descending offered work, injectionRate x (warmup + measure), ties
  *    in submission order (longest processing time first, so the
@@ -179,10 +178,9 @@ class ExperimentRunner
     acquireStream(const std::string &key, const PointJob &job);
 
     RunnerOptions options_;
-    std::mutex mutex_;  ///< guards pending_, results_, completed_, streams_
+    std::mutex mutex_;  ///< guards pending_, results_, streams_
     std::vector<Pending> pending_;  ///< by index, until collect()
     std::vector<PointResult> results_;  ///< the batch collect() runs
-    std::size_t completed_ = 0;
     std::unordered_map<std::string, SharedStream> streams_;  ///< by key
     std::condition_variable streamReady_;
     WorkerPool pool_;  ///< last member: workers stop before state dies

@@ -71,29 +71,6 @@ DvsLevelTable::standard10()
 }
 
 DvsLevelTable
-DvsLevelTable::linearRamp(std::size_t n, double fHi, double vHi, double pHi,
-                          double fLo, double vLo, double pLo)
-{
-    DVSNET_ASSERT(n >= 2, "need at least two levels");
-    DVSNET_ASSERT(fHi > fLo && fLo > 0, "frequencies must decrease");
-    DVSNET_ASSERT(vHi >= vLo && vLo > 0, "voltages must not increase");
-    DVSNET_ASSERT(pHi > pLo && pLo > 0, "powers must decrease");
-
-    std::vector<DvsLevel> levels(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double t = static_cast<double>(i) /
-                         static_cast<double>(n - 1);
-        levels[i].frequencyHz = fHi + (fLo - fHi) * t;
-        levels[i].voltage = vHi + (vLo - vHi) * t;
-        levels[i].powerW = 0.0;  // filled from the fit below
-    }
-    // Anchor the fit with the published endpoint powers.
-    levels.front().powerW = pHi;
-    levels.back().powerW = pLo;
-    return fromPoints(std::move(levels));
-}
-
-DvsLevelTable
 DvsLevelTable::fromPoints(std::vector<DvsLevel> levels)
 {
     DVSNET_ASSERT(levels.size() >= 2, "need at least two levels");

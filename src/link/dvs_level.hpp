@@ -55,14 +55,6 @@ class DvsLevelTable
      */
     static DvsLevelTable fromPoints(std::vector<DvsLevel> levels);
 
-    /**
-     * Linear ramp constructor: `n` levels between (fHi, vHi, pHi) and
-     * (fLo, vLo, pLo), frequency/voltage interpolated linearly.
-     */
-    static DvsLevelTable linearRamp(std::size_t n, double fHi, double vHi,
-                                    double pHi, double fLo, double vLo,
-                                    double pLo);
-
     /** Number of levels. */
     std::size_t size() const { return levels_.size(); }
 

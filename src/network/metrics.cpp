@@ -27,7 +27,6 @@ MetricsCollector::onFlitEjected(const router::Flit &flit, Tick arrival)
                   pkt.id, ": got seq ", flit.seq, " expected ",
                   pkt.nextSeq);
     ++pkt.nextSeq;
-    lastEjection_ = arrival;
 
     if (arrival >= windowStart_)
         ++flitsEjected_;

@@ -129,9 +129,6 @@ class MetricsCollector
      */
     void verify(SimAssert &inv) const;
 
-    /** Tick of the most recent ejection (stall detection). */
-    Tick lastEjection() const { return lastEjection_; }
-
   private:
     router::PacketTable &packets_;
     RunningStat latency_;
@@ -140,7 +137,6 @@ class MetricsCollector
     std::uint64_t packetsDelivered_ = 0;
     std::uint64_t packetsEjected_ = 0;
     std::uint64_t flitsEjected_ = 0;
-    Tick lastEjection_ = 0;
 };
 
 } // namespace dvsnet::network

@@ -160,29 +160,4 @@ EnergyLedger::verify(SimAssert &inv, Tick now) const
               " J vs total ", totalFlitJ_, " J");
 }
 
-Json
-EnergyLedger::toJson(Tick now) const
-{
-    Json j = Json::object();
-    j["reference_power_w"] = Json(referencePower());
-    j["total_energy_j"] = Json(totalEnergy(now));
-    j["transition_energy_j"] = Json(totalTransitionJ_);
-    j["flit_energy_j"] = Json(totalFlitJ_);
-    j["average_power_w"] = Json(averagePower(now));
-    j["normalized_power"] = Json(normalizedPower(now));
-    Json channels = Json::array();
-    for (std::size_t ch = 0; ch < accounts_.size(); ++ch) {
-        Json entry = Json::object();
-        entry["channel"] = Json(static_cast<std::uint64_t>(ch));
-        entry["energy_j"] = Json(channelEnergy(ch, now));
-        entry["transition_j"] = Json(channelTransitionEnergy(ch));
-        entry["flit_j"] = Json(channelFlitEnergy(ch));
-        entry["avg_power_w"] = Json(channelAveragePower(ch, now));
-        entry["power_now_w"] = Json(channelPowerNow(ch));
-        channels.push(std::move(entry));
-    }
-    j["channels"] = std::move(channels);
-    return j;
-}
-
 } // namespace dvsnet::power

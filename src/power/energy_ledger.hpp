@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/counters.hpp"
-#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -102,14 +101,6 @@ class EnergyLedger
      * independently maintained paths through the ledger).
      */
     void verify(SimAssert &inv, Tick now) const;
-
-    /**
-     * Per-channel energy/transition breakdown plus totals:
-     * {"reference_power_w", "total_energy_j", "transition_energy_j",
-     *  "flit_energy_j", "average_power_w", "normalized_power",
-     *  "channels": [...]}.
-     */
-    Json toJson(Tick now) const;
 
   private:
     struct Account

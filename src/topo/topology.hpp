@@ -56,12 +56,6 @@ class KAryNCube
      */
     KAryNCube(std::int32_t radix, std::int32_t dims, bool torus);
 
-    /** Convenience: the paper's 2-D 8x8 mesh. */
-    static KAryNCube mesh2D(std::int32_t radix)
-    {
-        return KAryNCube(radix, 2, false);
-    }
-
     std::int32_t radix() const { return radix_; }
     std::int32_t dims() const { return dims_; }
     bool isTorus() const { return torus_; }

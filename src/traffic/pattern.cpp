@@ -26,27 +26,14 @@ log2Exact(std::int64_t n)
 
 } // namespace
 
-Pattern
-parsePattern(const std::string &name)
-{
-    if (name == "uniform")       return Pattern::UniformRandom;
-    if (name == "transpose")     return Pattern::Transpose;
-    if (name == "bitcomp")       return Pattern::BitComplement;
-    if (name == "bitrev")        return Pattern::BitReverse;
-    if (name == "shuffle")       return Pattern::Shuffle;
-    if (name == "tornado")       return Pattern::Tornado;
-    if (name == "neighbor")      return Pattern::Neighbor;
-    DVSNET_FATAL("unknown traffic pattern '", name, "'");
-}
-
 const char *
 patternName(Pattern p)
 {
     switch (p) {
       case Pattern::UniformRandom: return "uniform";
       case Pattern::Transpose:     return "transpose";
-      case Pattern::BitComplement: return "bitcomp";
-      case Pattern::BitReverse:    return "bitrev";
+      case Pattern::BitComplement: return "bit-complement";
+      case Pattern::BitReverse:    return "bit-reverse";
       case Pattern::Shuffle:       return "shuffle";
       case Pattern::Tornado:       return "tornado";
       case Pattern::Neighbor:      return "neighbor";

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -31,10 +30,15 @@ enum class Pattern
     Neighbor,       ///< +1 in dimension 0
 };
 
-/** Parse a pattern name ("uniform", "transpose", ...). */
-Pattern parsePattern(const std::string &name);
+/** Every pattern, in declaration order. */
+inline constexpr Pattern kAllPatterns[] = {
+    Pattern::UniformRandom, Pattern::Transpose, Pattern::BitComplement,
+    Pattern::BitReverse,    Pattern::Shuffle,   Pattern::Tornado,
+    Pattern::Neighbor,
+};
 
-/** Human-readable pattern name. */
+/** The pattern's name: the one its workload is registered under
+ *  ("uniform", "transpose", "bit-complement", ...). */
 const char *patternName(Pattern p);
 
 /**

@@ -102,30 +102,26 @@ registerBuiltins(WorkloadRegistry &registry)
                  {"tasks", "locality_radius", "p_local", "per_packet_dest"},
                  buildTwoLevel);
 
-    // Open-loop pattern baselines; per-node Poisson rate chosen so the
-    // aggregate matches the experiment's injection rate.
+    // Open-loop pattern baselines, under traffic::patternName; per-node
+    // Poisson rate chosen so the aggregate matches the experiment's
+    // injection rate.
     static const struct
     {
-        const char *name;
         traffic::Pattern pattern;
         const char *description;
     } kPatterns[] = {
-        {"uniform", traffic::Pattern::UniformRandom,
+        {traffic::Pattern::UniformRandom,
          "uniform-random destinations, per-node Poisson injection"},
-        {"transpose", traffic::Pattern::Transpose,
-         "(x,y) -> (y,x) permutation"},
-        {"bit-complement", traffic::Pattern::BitComplement,
-         "node -> ~node permutation"},
-        {"bit-reverse", traffic::Pattern::BitReverse,
-         "bit-reversal permutation"},
-        {"shuffle", traffic::Pattern::Shuffle, "perfect-shuffle permutation"},
-        {"tornado", traffic::Pattern::Tornado,
-         "half-way around each dimension"},
-        {"neighbor", traffic::Pattern::Neighbor, "+1 in dimension 0"},
+        {traffic::Pattern::Transpose, "(x,y) -> (y,x) permutation"},
+        {traffic::Pattern::BitComplement, "node -> ~node permutation"},
+        {traffic::Pattern::BitReverse, "bit-reversal permutation"},
+        {traffic::Pattern::Shuffle, "perfect-shuffle permutation"},
+        {traffic::Pattern::Tornado, "half-way around each dimension"},
+        {traffic::Pattern::Neighbor, "+1 in dimension 0"},
     };
     for (const auto &entry : kPatterns) {
         const traffic::Pattern pattern = entry.pattern;
-        registry.add(entry.name, entry.description, {},
+        registry.add(traffic::patternName(pattern), entry.description, {},
                      [pattern](const Spec &, const WorkloadContext &ctx) {
                          return buildPattern(pattern, ctx);
                      });

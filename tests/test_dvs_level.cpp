@@ -91,15 +91,6 @@ TEST(DvsLevelTable, PowerAtIsMonotoneInBothArguments)
     EXPECT_LT(t.powerAt(1.5, 300e6), t.powerAt(1.5, 600e6));
 }
 
-TEST(DvsLevelTable, LinearRampInterpolates)
-{
-    const auto t = DvsLevelTable::linearRamp(5, 1e9, 2.0, 0.1, 200e6, 1.0,
-                                             0.02);
-    EXPECT_EQ(t.size(), 5u);
-    EXPECT_DOUBLE_EQ(t.level(2).frequencyHz, 600e6);
-    EXPECT_DOUBLE_EQ(t.level(2).voltage, 1.5);
-}
-
 TEST(DvsLevelTable, FromPointsKeepsExplicitPowers)
 {
     std::vector<DvsLevel> lv(3);

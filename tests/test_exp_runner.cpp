@@ -233,28 +233,6 @@ TEST(Runner, FailureIsolationCapturesBadPointOnly)
         << results[3].error;
 }
 
-TEST(Runner, ProgressCallbackObservesEveryCompletion)
-{
-    std::size_t calls = 0;
-    std::size_t lastCompleted = 0;
-    RunnerOptions opts;
-    opts.threads = 3;
-    // The callback is serialized by the runner; plain variables are safe.
-    opts.onProgress = [&](const dvsnet::exp::Progress &p) {
-        ++calls;
-        EXPECT_GT(p.completed, lastCompleted);
-        lastCompleted = p.completed;
-        EXPECT_LE(p.completed, p.submitted);
-    };
-
-    ExperimentRunner runner(opts);
-    runner.submitSweep(smallSpec(PolicyKind::None), {0.1, 0.2, 0.3});
-    const auto results = runner.collect();
-    EXPECT_EQ(results.size(), 3u);
-    EXPECT_EQ(calls, 3u);
-    EXPECT_EQ(lastCompleted, 3u);
-}
-
 TEST(Runner, EmptyRateGridThrows)
 {
     ExperimentRunner runner(withThreads(1));

@@ -101,7 +101,7 @@ TEST(LinkPowerFactory, KnowsBuiltins)
     EXPECT_NE(tableKeys[0].find("(takes no keys)"), std::string::npos);
     const auto toggleKeys = validateLinkPowerSpec("toggle:x=1");
     ASSERT_EQ(toggleKeys.size(), 1u);
-    EXPECT_NE(toggleKeys[0].find("(valid: cw, cc, idle, width)"),
+    EXPECT_NE(toggleKeys[0].find("(accepted: cw, cc, idle, width)"),
               std::string::npos);
 }
 

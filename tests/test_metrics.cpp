@@ -119,14 +119,6 @@ TEST(Metrics, EjectionsBeforeWindowNotCounted)
     EXPECT_EQ(h.m.packetsEjected(), 0u);
 }
 
-TEST(Metrics, LastEjectionTracksTime)
-{
-    Harness h;
-    h.create(desc(1, 0, 2));
-    h.eject(1, 0, 700);
-    EXPECT_EQ(h.m.lastEjection(), Tick{700});
-}
-
 TEST(MetricsDeathTest, ReorderedFlitPanics)
 {
     Harness h;

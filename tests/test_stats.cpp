@@ -49,32 +49,6 @@ TEST(RunningStat, MeanAndVariance)
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStat, MergeMatchesCombinedStream)
-{
-    RunningStat a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        const double x = std::sin(i) * 10.0;
-        (i % 2 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-10);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeIntoEmpty)
-{
-    RunningStat a, b;
-    b.add(1.0);
-    b.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
 TEST(RunningStat, ResetClears)
 {
     RunningStat s;

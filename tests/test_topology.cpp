@@ -192,14 +192,6 @@ TEST(Topology, Name)
     EXPECT_EQ(KAryNCube(4, 3, true).name(), "4-ary 3-torus");
 }
 
-TEST(Topology, Mesh2DFactory)
-{
-    const auto m = KAryNCube::mesh2D(8);
-    EXPECT_EQ(m.radix(), 8);
-    EXPECT_EQ(m.dims(), 2);
-    EXPECT_FALSE(m.isTorus());
-}
-
 class TopologyGeometry
     : public ::testing::TestWithParam<std::tuple<int, int, bool>>
 {};

@@ -14,6 +14,7 @@
 #include "topo/topology.hpp"
 #include "traffic/pattern.hpp"
 #include "traffic/pattern_traffic.hpp"
+#include "workload/factory.hpp"
 
 using dvsnet::NodeId;
 using dvsnet::Rng;
@@ -21,18 +22,25 @@ using dvsnet::cyclesToTicks;
 using dvsnet::topo::KAryNCube;
 using dvsnet::traffic::Pattern;
 using dvsnet::traffic::PatternTraffic;
-using dvsnet::traffic::parsePattern;
 using dvsnet::traffic::patternDestination;
 using dvsnet::traffic::patternName;
 
 TEST(Pattern, ParseRoundTrip)
 {
-    for (Pattern p : {Pattern::UniformRandom, Pattern::Transpose,
-                      Pattern::BitComplement, Pattern::BitReverse,
-                      Pattern::Shuffle, Pattern::Tornado,
-                      Pattern::Neighbor}) {
-        EXPECT_EQ(parsePattern(patternName(p)), p);
+    // Every pattern's name is its workload's: the registry builds that
+    // pattern's traffic under it.
+    const KAryNCube m(4, 2, false);
+    const dvsnet::workload::WorkloadContext ctx{m, 1.0, 1, {}};
+    for (const Pattern p : dvsnet::traffic::kAllPatterns) {
+        const auto generator =
+            dvsnet::workload::buildWorkload(patternName(p), ctx);
+        ASSERT_NE(dynamic_cast<const PatternTraffic *>(generator.get()),
+                  nullptr)
+            << patternName(p);
+        EXPECT_STREQ(generator->name(), patternName(p));
     }
+    EXPECT_STREQ(patternName(Pattern::BitComplement), "bit-complement");
+    EXPECT_STREQ(patternName(Pattern::BitReverse), "bit-reverse");
 }
 
 TEST(Pattern, UniformNeverSelfAddresses)

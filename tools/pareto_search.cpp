@@ -29,7 +29,7 @@ using namespace dvsnet;
 
 int
 main(int argc, char **argv)
-{
+try {
     const auto opts = bench::parseOptions(argc, argv);
     bench::rejectUnknownSearchKeys(opts);
     bench::printHeader(
@@ -46,7 +46,7 @@ main(int argc, char **argv)
 
     CounterRegistry registry;
     search::SearchDriver driver(config, &registry);
-    const auto outcome = bench::runSearch(driver);
+    const auto outcome = driver.run();
 
     std::printf("\ncandidates: %zu   network evals: %llu (%llu full "
                 "fidelity, %llu continued)   cache hits: %llu   culled: "
@@ -69,4 +69,6 @@ main(int argc, char **argv)
     bench::recordResult(bench::searchResultJson(outcome, spec));
     bench::finishReport(opts);
     return 0;
+} catch (const ConfigError &e) {
+    return reportFatal(e);
 }

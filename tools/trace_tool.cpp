@@ -23,16 +23,17 @@
  * The file extension selects each file's format: ".dvst" = binary (a
  * packet stream's own blocks, tags kept), anything else = CSV.  User
  * errors (a key the subcommand does not read, a bad spec, a malformed
- * trace, an unwritable path) exit 1 with a message on stderr.
+ * trace, an unwritable path) exit 1 with one `fatal:` line on stderr.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
-#include "common/config.hpp"
 #include "common/fatal.hpp"
+#include "common/spec.hpp"
 #include "network/network.hpp"
 #include "network/sweep.hpp"
 #include "traffic/trace.hpp"
@@ -66,40 +67,36 @@ usage()
 }
 
 std::string
-requireKey(const Config &config, const std::string &key,
-           const char *command)
+requireKey(const Spec &args, const std::string &key)
 {
-    const std::string value = config.getString(key, "");
+    const std::string value = args.text(key, "");
     if (value.empty()) {
-        throw ConfigError(detail::concat("trace_tool ", command,
-                                         ": missing required ", key,
-                                         "=FILE"));
+        throw ConfigError(
+            detail::concat(args.name, ": missing required ", key, "=FILE"));
     }
     return value;
 }
 
 int
-record(const Config &config)
+record(const Spec &args)
 {
-    config.rejectUnknownKeys(
-        {"out", "workload", "radix", "torus", "cycles", "rate", "seed"},
-        "trace_tool record");
-    const std::string out = requireKey(config, "out", "record");
-    const std::string spec = config.getString("workload", "uniform");
+    args.rejectUnknownKeys(
+        {"out", "workload", "radix", "torus", "cycles", "rate", "seed"});
+    const std::string out = requireKey(args, "out");
+    const std::string spec = args.text("workload", "uniform");
 
     network::NetworkConfig cfg;
-    cfg.radix = config.getInt<std::int32_t>("radix", 8);
-    cfg.torus = config.getBool("torus", false);
+    cfg.radix = args.integer<std::int32_t>("radix", 8);
+    cfg.torus = args.boolean("torus", false);
     cfg.policy = network::PolicyKind::None;
 
-    const Cycle cycles = config.getCount("cycles", 50000);
+    const Cycle cycles = args.count("cycles", 50000);
     network::Network net(cfg);
     workload::WorkloadContext context{
         net.topology(),
-        config.getDouble("rate", 1.0, network::kMinInjectionRate,
-                         network::maxInjectionRate(cfg)),
-        config.getCount("seed", 12345),
-        traffic::TwoLevelParams{}};
+        args.number("rate", 1.0, network::kMinInjectionRate,
+                    network::maxInjectionRate(cfg)),
+        args.count("seed", 12345), traffic::TwoLevelParams{}};
     const auto generator = workload::buildWorkload(spec, context);
     std::shared_ptr<const traffic::PacketStream> stream;
     if (generator->wantsDeliveries()) {
@@ -121,12 +118,12 @@ record(const Config &config)
 }
 
 int
-convert(const Config &config)
+convert(const Spec &args)
 {
-    config.rejectUnknownKeys({"in", "out", "nodes"}, "trace_tool convert");
-    const std::string in = requireKey(config, "in", "convert");
-    const std::string out = requireKey(config, "out", "convert");
-    const auto nodes = config.getInt<std::uint32_t>("nodes", 0);
+    args.rejectUnknownKeys({"in", "out", "nodes"});
+    const std::string in = requireKey(args, "in");
+    const std::string out = requireKey(args, "out");
+    const auto nodes = args.integer<std::uint32_t>("nodes", 0);
 
     const auto stream = traffic::loadAnyTrace(in);
     traffic::saveAnyTrace(*stream, out, nodes);
@@ -136,10 +133,10 @@ convert(const Config &config)
 }
 
 int
-inspect(const Config &config)
+inspect(const Spec &args)
 {
-    config.rejectUnknownKeys({"in"}, "trace_tool inspect");
-    const std::string in = requireKey(config, "in", "inspect");
+    args.rejectUnknownKeys({"in"});
+    const std::string in = requireKey(args, "in");
 
     std::unique_ptr<const traffic::PacketStream> csv;
     std::unique_ptr<traffic::PacketCursor> cursor;
@@ -204,18 +201,21 @@ main(int argc, char **argv)
         return usage();
     const std::string command = argv[1];
     try {
-        // fromArgs skips its argv[0]; offset so it parses everything
-        // after the subcommand token.
-        const Config config = Config::fromArgs(argc - 1, argv + 1);
+        // "trace_tool <command>" stands in for argv[0]: the keys are the
+        // tokens after the subcommand, and messages name both.
+        std::string name = "trace_tool " + command;
+        std::vector<char *> tokens(argv + 1, argv + argc);
+        tokens.front() = name.data();
+        const Spec args =
+            Spec::fromArgs(static_cast<int>(tokens.size()), tokens.data());
         if (command == "record")
-            return record(config);
+            return record(args);
         if (command == "convert")
-            return convert(config);
+            return convert(args);
         if (command == "inspect")
-            return inspect(config);
+            return inspect(args);
     } catch (const ConfigError &e) {
-        std::fprintf(stderr, "trace_tool: %s\n", e.what());
-        return 1;
+        return reportFatal(e);
     }
     std::fprintf(stderr, "trace_tool: unknown command '%s'\n",
                  command.c_str());
