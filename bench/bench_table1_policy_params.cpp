@@ -16,7 +16,8 @@ int
 main(int argc, char **argv)
 try {
     const auto opts = bench::parseOptions(argc, argv);
-    bench::rejectUnknownKeys(opts);
+    // Nothing is simulated: only the output keys are read.
+    opts.raw.rejectUnknownKeys({"quick", "csv", "json"});
     bench::printHeader("Table 1", "history-based DVS policy parameters",
                        opts);
 

@@ -63,11 +63,13 @@ parseOptions(int argc, char **argv, std::int64_t sweepPoints)
         opts.raw.countEnv("cycles", opts.quick ? 6000 : opts.measure);
     opts.seed = opts.raw.countEnv("seed", opts.seed);
     opts.csv = opts.raw.boolean("csv", false);
-    // A sweep needs at least two points.
+    // A sweep needs at least two points.  Both counts are capped: each
+    // point is a job and each thread a worker, made before anything
+    // runs.
     opts.sweepPoints = static_cast<std::int64_t>(opts.raw.countEnv(
         "points", opts.quick ? 2 : static_cast<std::uint64_t>(sweepPoints),
-        2));
-    opts.threads = opts.raw.countEnv("threads", 0);
+        2, network::kMaxSweepPoints));
+    opts.threads = opts.raw.countEnv("threads", 0, 0, exp::kMaxThreads);
     opts.jsonPath = opts.raw.text("json", "");
     opts.workload = opts.raw.text("workload", "");
     if (!opts.workload.empty()) {

@@ -83,7 +83,9 @@ struct BenchOptions
  * `sweepPoints` is the bench's own points per sweep; `--quick` makes it
  * 2, and `points=` or DVSNET_POINTS overrides both.  @throws
  * ConfigError on a malformed command line, a refused value (fewer than
- * 2 points among them) or an invalid `--workload`/`--link-power` spec.
+ * 2 or more than network::kMaxSweepPoints points, or more than
+ * exp::kMaxThreads threads, among them) or an invalid
+ * `--workload`/`--link-power` spec.
  */
 BenchOptions parseOptions(int argc, char **argv,
                           std::int64_t sweepPoints = 8);
@@ -91,10 +93,12 @@ BenchOptions parseOptions(int argc, char **argv,
 /**
  * Throw a ConfigError naming the first key in `opts` that the binary
  * does not read, with the accepted ones: the keys parseOptions and
- * paperSpec read, which every bench accepts, plus `extra`, the keys the
- * binary reads itself (defaultRates's `rate_lo` and `rate_hi` among
- * them).  A misspelled or removed key would otherwise be a silent
- * no-op.  Every bench calls this right after parseOptions.
+ * paperSpec read, which every simulating bench accepts, plus `extra`,
+ * the keys the binary reads itself (defaultRates's `rate_lo` and
+ * `rate_hi` among them).  A misspelled or removed key would otherwise
+ * be a silent no-op.  Every bench that simulates calls this right after
+ * parseOptions; the two that do not (Fig. 7, Table 1) accept only their
+ * output keys.
  */
 void rejectUnknownKeys(const BenchOptions &opts,
                        const std::vector<std::string> &extra = {});

@@ -37,7 +37,8 @@ try {
     // The measurement window: a window of no cycles measures nothing.
     const Cycle cycles = args.countEnv("cycles", 120000, 1);
     const Cycle warmup = args.countEnv("warmup", 120000);
-    const std::size_t threads = args.countEnv("threads", 0);
+    const std::size_t threads =
+        args.countEnv("threads", 0, 0, exp::kMaxThreads);
     const std::uint64_t seed = args.countEnv("seed", 99);
 
     std::printf("policy explorer: 8x8 mesh, two-level workload at "

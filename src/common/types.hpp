@@ -79,6 +79,16 @@ routerEdgeAfter(Tick t)
     return t - t % kRouterClockPeriod + kRouterClockPeriod;
 }
 
+/**
+ * Tick of the first router clock edge at or after `t`: the edge whose
+ * step first sees a delivery that arrives at `t`.
+ */
+constexpr Tick
+routerEdgeAtOrAfter(Tick t)
+{
+    return t % kRouterClockPeriod == 0 ? t : routerEdgeAfter(t);
+}
+
 /** Convert ticks to whole router cycles (floor). */
 constexpr Cycle
 ticksToCycles(Tick ticks)

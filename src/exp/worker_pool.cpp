@@ -2,12 +2,19 @@
 
 #include <algorithm>
 
+#include "common/fatal.hpp"
+
 namespace dvsnet::exp
 {
 
 std::size_t
 resolveThreadCount(std::size_t requested)
 {
+    if (requested > kMaxThreads) {
+        throw ConfigError(detail::concat("threads ", requested,
+                                         " exceed the cap of ", kMaxThreads,
+                                         " worker threads"));
+    }
     if (requested > 0)
         return requested;
     return std::max(1u, std::thread::hardware_concurrency());

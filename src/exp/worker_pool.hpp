@@ -25,14 +25,22 @@
 namespace dvsnet::exp
 {
 
-/** Resolve a thread-count request: 0 means one per hardware thread. */
+/** Most worker threads a pool starts (the `threads` cap). */
+inline constexpr std::size_t kMaxThreads = 1024;
+
+/**
+ * Resolve a thread-count request: 0 means one per hardware thread.
+ * @throws ConfigError for a request past kMaxThreads, before any
+ *         thread starts.
+ */
 std::size_t resolveThreadCount(std::size_t requested);
 
 /** Fixed-size FIFO worker pool. */
 class WorkerPool
 {
   public:
-    /** Spawn `threads` workers (0 = hardware concurrency). */
+    /** Spawn `threads` workers (0 = hardware concurrency; see
+     *  resolveThreadCount for the cap). */
     explicit WorkerPool(std::size_t threads = 0);
 
     /** Drains the queue, then joins all workers. */

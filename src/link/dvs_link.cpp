@@ -52,7 +52,6 @@ DvsChannel::attachObservability(CounterRegistry *registry)
         ctrStepsRejected_ = nullptr;
         ctrFlitsSent_ = nullptr;
         ctrFlitBursts_ = nullptr;
-        ctrCreditBursts_ = nullptr;
         seqAssert_ = nullptr;
         return;
     }
@@ -61,7 +60,6 @@ DvsChannel::attachObservability(CounterRegistry *registry)
     ctrStepsRejected_ = &registry->counter("dvs.steps_rejected");
     ctrFlitsSent_ = &registry->counter("link.flits_sent");
     ctrFlitBursts_ = &registry->counter("link.flit_bursts");
-    ctrCreditBursts_ = &registry->counter("link.credit_bursts");
     seqAssert_ = &registry->invariant("dvs.transition_sequencing");
 }
 
@@ -136,27 +134,9 @@ DvsChannel::send(const router::Flit &flit, Tick earliest)
         prevPayload_ = payload;
     }
 
-    // Serialization (one link cycle) + fixed wire propagation.  The
-    // arrival is final here; while the downstream router is awake — the
-    // sink holds items (its pending-port bit stays set) or it drained
-    // the sink this very tick — a direct push costs nothing extra.
-    // Only a delivery whose receiver is provably idle is deferred to a
-    // per-burst splice event at its arrival — that is the case where
-    // an immediate push would wake the idle receiver ~a dozen cycles
-    // early and make it step uselessly until the flit is due.
-    const Tick arrival = departure + period_ + params_.propagationDelay;
-    if (pendingFlits_.empty() && flitSink_->ownerAwakeAt(kernel_.now())) {
-        flitSink_->push(arrival, flit);
-        return departure;
-    }
-    DVSNET_ASSERT(pendingFlits_.empty() ||
-                      arrival >= pendingFlits_.back().when,
-                  "batched flit arrivals must be monotone");
-    pendingFlits_.push_back({arrival, flit});
-    if (flitFlushAt_ == kTickNever) {
-        flitFlushAt_ = arrival;
-        kernel_.at(arrival, [this] { flushFlits(); });
-    }
+    // Serialization (one link cycle) + fixed wire propagation; the
+    // inbox hands the flit out from its arrival on.
+    flitSink_->push(departure + period_ + params_.propagationDelay, flit);
     return departure;
 }
 
@@ -166,63 +146,9 @@ DvsChannel::sendCredit(VcId vc, Tick now)
     DVSNET_ASSERT(creditSink_ != nullptr, "credit sink not connected");
     // Sideband: one link cycle of the reverse path plus wire flight;
     // stalled while the receiver re-locks.
-    const Tick arrival = std::max(now, disabledUntil_) + period_ +
-                         params_.propagationDelay;
-    // Same policy as flits — direct push while the receiver is already
-    // awake (sink non-empty or drained this tick), one splice event
-    // per batch otherwise — plus a near-arrival shortcut: a credit due
-    // within the horizon is cheaper to deliver eagerly than to
-    // schedule an event for.
-    if (pendingCredits_.empty() &&
-        (creditSink_->ownerAwakeAt(now) ||
-         arrival <= now + params_.creditDirectPushHorizon)) {
-        creditSink_->push(arrival, vc);
-        return;
-    }
-    DVSNET_ASSERT(pendingCredits_.empty() ||
-                      arrival >= pendingCredits_.back().when,
-                  "batched credit arrivals must be monotone");
-    if (pendingCredits_.empty()) {
-        ++creditBursts_;
-        if (ctrCreditBursts_ != nullptr)
-            ++*ctrCreditBursts_;
-    }
-    pendingCredits_.push_back({arrival, vc});
-    if (creditFlushAt_ == kTickNever) {
-        creditFlushAt_ = arrival;
-        kernel_.at(arrival, [this] { flushCredits(); });
-    }
-}
-
-void
-DvsChannel::flushFlits()
-{
-    flitFlushAt_ = kTickNever;
-    if (pendingFlits_.empty())
-        return;
-    flitSink_->pushBatch(pendingFlits_);
-    pendingFlits_.clear();
-}
-
-void
-DvsChannel::flushCredits()
-{
-    creditFlushAt_ = kTickNever;
-    if (pendingCredits_.empty())
-        return;
-    creditSink_->pushBatch(pendingCredits_);
-    pendingCredits_.clear();
-}
-
-void
-DvsChannel::flushPending()
-{
-    // Splicing early is exactly what the unbatched channel did on every
-    // send (the inbox gates consumption on arrival ticks), so this is
-    // always safe.  A splice event already in flight simply finds its
-    // buffer empty, or flushes a younger batch a little early.
-    flushFlits();
-    flushCredits();
+    creditSink_->push(std::max(now, disabledUntil_) + period_ +
+                          params_.propagationDelay,
+                      vc);
 }
 
 bool
@@ -307,10 +233,7 @@ DvsChannel::beginFreqLock(Tick now)
                               "lock completion in state ",
                               static_cast<int>(state_));
         }
-        // The link is functional again (either stable or ramping down):
-        // wake anything that idled behind the disabled link.
-        if (reenableHook_)
-            reenableHook_();
+        // The link is functional again (either stable or ramping down).
         if (wasSpeedup) {
             // Voltage already settled; the transition is complete.
             state_ = State::Stable;

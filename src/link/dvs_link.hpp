@@ -26,25 +26,19 @@
  * this is how a slowed link stretches the credit turnaround the paper
  * points to for throughput degradation.
  *
- * Delivery batching: arrivals are not handed to the downstream inbox
- * one by one.  Each send computes its exact arrival tick as above and
- * appends it to a channel-local pending buffer; a single kernel event —
- * scheduled at the first pending arrival — splices the whole buffer
- * into the inbox with one wake.  Contiguous back-to-back serialization
- * at one frequency level counts as one burst; a burst splits when
- * `requestStep` changes `period_` mid-flight or the sender leaves a
- * serialization gap.  Per-flit arrival ticks, `busyTicks_`,
- * `link.flits_sent` and `takeUtilizationWindow` are computed in `send`
- * exactly as before, so batching is invisible to everything downstream
- * of the inbox (the inbox gates consumption on arrival time either
- * way).  `flushPending()` force-splices early — a semantic no-op, used
- * before invariant checks and by tests that peek the sinks.
+ * Delivery: each send computes its exact arrival tick as above and
+ * pushes the flit (or credit) straight into the downstream inbox, which
+ * hands it out from that tick on; no kernel event carries a delivery.
+ * The receiving router learns when it is next due from the push
+ * (Router::setWakeHook).  Contiguous back-to-back serialization at one
+ * frequency level counts as one burst (`link.flit_bursts`); a burst
+ * splits when `requestStep` changes `period_` mid-flight or the sender
+ * leaves a serialization gap.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/counters.hpp"
 #include "common/types.hpp"
@@ -80,15 +74,6 @@ struct DvsLinkParams
      * router cycle.
      */
     Tick propagationDelay = kRouterClockPeriod;
-
-    /**
-     * Credits whose arrival is at most this far in the future are
-     * pushed straight into the sink instead of opening a delivery
-     * batch: waking the receiver a couple of cycles early costs less
-     * than the splice event would.  Slow link levels stretch the credit
-     * turnaround past this horizon and batch as flits do.
-     */
-    Tick creditDirectPushHorizon = 4 * kRouterClockPeriod;
 };
 
 /** One DVS-scaled channel: flit data path + reverse-flow credit sideband. */
@@ -142,14 +127,6 @@ class DvsChannel final : public router::FlitChannel,
     /** Attach the upstream router's credit inbox (for the reverse flow). */
     void connectCreditSink(router::Inbox<VcId> *sink);
 
-    /**
-     * Install a hook invoked when a frequency lock ends and the link
-     * becomes functional again.  The network uses this to wake the
-     * sending router out of the idle-skip set so flits (and stalled
-     * credits) stalled behind the disabled link resume promptly.
-     */
-    void setReenableHook(InlineFn hook) { reenableHook_ = std::move(hook); }
-
     // FlitChannel
     bool canAccept(Tick earliest) const override;
     Tick send(const router::Flit &flit, Tick earliest) override;
@@ -196,32 +173,12 @@ class DvsChannel final : public router::FlitChannel,
     /** Ticks the channel has spent disabled (frequency locks). */
     Tick disabledTime() const { return disabledTime_; }
 
-    /**
-     * Splice all pending (not yet inbox-visible) deliveries into the
-     * sinks now.  Arrival ticks are unchanged — the inbox gates
-     * consumption on them — so this is semantically a no-op; it exists
-     * for flow-control invariant checks and tests that count in-flight
-     * items through the inboxes rather than through the channel.
-     */
-    void flushPending();
-
-    /** Flit deliveries buffered in the channel, not yet in the inbox. */
-    std::size_t pendingFlits() const { return pendingFlits_.size(); }
-
-    /** Credit deliveries buffered in the channel. */
-    std::size_t pendingCredits() const { return pendingCredits_.size(); }
-
     /** Contiguous same-level serialization bursts started. */
     std::uint64_t flitBursts() const { return flitBursts_; }
-
-    /** Credit delivery batches started. */
-    std::uint64_t creditBursts() const { return creditBursts_; }
 
   private:
     void setOperatingPower(Tick now, double voltage, double frequencyHz);
     void beginFreqLock(Tick now);
-    void flushFlits();
-    void flushCredits();
 
     sim::Kernel &kernel_;
     std::size_t ledgerIndex_;
@@ -237,7 +194,6 @@ class DvsChannel final : public router::FlitChannel,
 
     router::Inbox<router::Flit> *flitSink_ = nullptr;
     router::Inbox<VcId> *creditSink_ = nullptr;
-    InlineFn reenableHook_;  ///< fired at frequency-lock end (see setter)
 
     // Cached observability slots (null when no registry is attached).
     std::uint64_t *ctrStepsStarted_ = nullptr;
@@ -254,18 +210,11 @@ class DvsChannel final : public router::FlitChannel,
     Tick nextFree_ = 0;         ///< serialization availability
     Tick disabledUntil_ = 0;    ///< end of the current frequency lock
 
-    // Delivery batching (see the file comment).  A `...FlushAt_` of
-    // kTickNever means no splice event is scheduled for that buffer.
-    std::vector<router::Inbox<router::Flit>::Slot> pendingFlits_;
-    std::vector<router::Inbox<VcId>::Slot> pendingCredits_;
-    Tick flitFlushAt_ = kTickNever;
-    Tick creditFlushAt_ = kTickNever;
+    // Serialization bursts (see the file comment).
     Tick burstPeriod_ = 0;               ///< period of the current burst
     Tick burstNextDeparture_ = kTickNever;  ///< contiguity watermark
     std::uint64_t flitBursts_ = 0;
-    std::uint64_t creditBursts_ = 0;
     std::uint64_t *ctrFlitBursts_ = nullptr;
-    std::uint64_t *ctrCreditBursts_ = nullptr;
 
     Tick windowStart_ = 0;
     Tick busyTicks_ = 0;

@@ -50,11 +50,11 @@ toJson(const NetworkConfig &config)
 {
     // The search's evaluation key hashes this echo, so a field left out
     // here lets two different simulations share one cached result.
-    static_assert(sizeof(NetworkConfig) == 216,
+    static_assert(sizeof(NetworkConfig) == 208,
                   "NetworkConfig changed: echo every field it has here");
     static_assert(sizeof(router::RouterConfig) == 24,
                   "RouterConfig changed: echo every field it has here");
-    static_assert(sizeof(link::DvsLinkParams) == 48,
+    static_assert(sizeof(link::DvsLinkParams) == 40,
                   "DvsLinkParams changed: echo every field it has here");
     static_assert(sizeof(core::HistoryDvsParams) == 56,
                   "HistoryDvsParams changed: echo every field it has here");
@@ -83,8 +83,6 @@ toJson(const NetworkConfig &config)
         Json(static_cast<std::uint64_t>(config.link.linksPerChannel));
     link["propagation_delay_ticks"] =
         Json(static_cast<std::uint64_t>(config.link.propagationDelay));
-    link["credit_direct_push_horizon_ticks"] =
-        Json(static_cast<std::uint64_t>(config.link.creditDirectPushHorizon));
     j["link"] = std::move(link);
     j["policy"] = Json(policyKindName(config.policy));
     const core::HistoryDvsParams &p = config.policyParams;
@@ -247,23 +245,21 @@ Network::build()
             ch.dstPort, channels_[static_cast<std::size_t>(rev)].get());
     }
 
-    // Activity gating: any push into a router's inboxes (link flit,
-    // credit return, or terminal injection) wakes it into the step set;
-    // a DVS frequency-lock end likewise re-enables the sending router.
+    // Activity gating: a push into an empty inbox of a router (link
+    // flit, credit return, or terminal injection) wakes it into the
+    // step set at its next due edge.
     ctrCycles_ = &registry_.counter("network.cycles");
     ctrRouterSteps_ = &registry_.counter("network.router_steps");
     ctrRouterWakes_ = &registry_.counter("network.router_wakes");
-    routerActive_.assign(static_cast<std::size_t>(topo_.numNodes()), 0);
-    sourceActive_.assign(static_cast<std::size_t>(topo_.numNodes()), 0);
+    steppingRouters_.resize(topo_.numNodes());
+    joiningRouters_.resize(topo_.numNodes());
+    queuedSources_.resize(topo_.numNodes());
+    wakeAt_.assign(static_cast<std::size_t>(topo_.numNodes()), kTickNever);
     for (NodeId n = 0; n < topo_.numNodes(); ++n) {
         // The router owns the per-inbox hooks (they feed its pending
         // masks) and chains the network-level wake through this one.
         routers_[static_cast<std::size_t>(n)]->setWakeHook(
             [this, n] { wakeRouter(n); });
-    }
-    for (const auto &ch : topo_.channels()) {
-        channels_[static_cast<std::size_t>(ch.id)]->setReenableHook(
-            [this, src = ch.src] { wakeRouter(src); });
     }
 
     // DVS controllers, one per channel (Fig. 6: at each output port).
@@ -391,29 +387,67 @@ Network::createPacket(const traffic::PacketRequest &request, Tick created)
     auto &state = sources_[static_cast<std::size_t>(src)];
     state.queue.push_back(slot);
     ++state.created;
-    markSourceActive(src);
+    queuedSources_.set(src);
+}
+
+std::size_t
+Network::NodeSet::count() const
+{
+    std::size_t n = 0;
+    for (const std::uint64_t w : words_)
+        n += static_cast<std::size_t>(std::popcount(w));
+    return n;
+}
+
+void
+Network::NodeSet::take(NodeSet &other)
+{
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+        words_[w] |= other.words_[w];
+        other.words_[w] = 0;
+    }
 }
 
 void
 Network::wakeRouter(NodeId node)
 {
-    auto &flag = routerActive_[static_cast<std::size_t>(node)];
-    if (flag == 0) {
-        flag = 1;
-        wokenRouters_.push_back(node);
-        ++*ctrRouterWakes_;
-    }
+    // A router in the step set reports its own next edge when it steps.
+    if (steppingRouters_.test(node) || joiningRouters_.test(node))
+        return;
+    scheduleStep(node,
+                 routers_[static_cast<std::size_t>(node)]->nextStep(
+                     kernel_.now()));
 }
 
 void
-Network::markSourceActive(NodeId node)
+Network::scheduleStep(NodeId node, Tick edge)
 {
-    auto &flag = sourceActive_[static_cast<std::size_t>(node)];
-    if (flag == 0) {
-        flag = 1;
-        activeSources_.push_back(node);
-        sourcesUnsorted_ = true;
+    // The next stepQuantum merges joiningRouters_ after its injection
+    // scan, so an edge up to the next one is served by joining now.
+    if (edge <= routerEdgeAfter(kernel_.now())) {
+        joinStepSet(node);
+        return;
     }
+    Tick &armed = wakeAt_[static_cast<std::size_t>(node)];
+    if (edge >= armed)
+        return;
+    armed = edge;
+    // Scheduled before stepQuantum(edge) is (that happens at the edge
+    // before), so it runs first at the edge.  A wake superseded by an
+    // earlier one, or by a join, finds wakeAt_ moved on and does
+    // nothing.
+    kernel_.at(edge, [this, node] {
+        if (wakeAt_[static_cast<std::size_t>(node)] == kernel_.now())
+            joinStepSet(node);
+    });
+}
+
+void
+Network::joinStepSet(NodeId node)
+{
+    wakeAt_[static_cast<std::size_t>(node)] = kTickNever;
+    joiningRouters_.set(node);
+    ++*ctrRouterWakes_;
 }
 
 void
@@ -429,8 +463,9 @@ void
 Network::stepQuantum()
 {
     // One router-clock edge: the injection scan, then one pass over the
-    // active routers.  Kernel events (policy windows, delivery splices,
-    // traffic processes) interleave between edges in (tick, seq) order.
+    // routers due.  Kernel events (policy windows, link transitions,
+    // timed router wakes, traffic processes) interleave between edges
+    // in (tick, seq) order.
     // A packet stream stands in for a generator's events up to here.
     const Tick now = kernel_.now();
     ++*ctrCycles_;
@@ -439,51 +474,31 @@ Network::stepQuantum()
 
     // Injection scan: only sources with queued packets, in ascending
     // node order (the full 0..N-1 scan this replaces, restricted to
-    // non-empty queues).  Injection pushes wake the terminal router
-    // into wokenRouters_ before the router pass merges it below.
-    if (!activeSources_.empty()) {
-        // The compaction below preserves order, so the set only needs
-        // re-sorting when markSourceActive appended since the last edge.
-        if (sourcesUnsorted_) {
-            std::sort(activeSources_.begin(), activeSources_.end());
-            sourcesUnsorted_ = false;
-        }
-        std::size_t kept = 0;
-        for (const NodeId n : activeSources_) {
-            injectFromQueue(n);
-            if (!sources_[static_cast<std::size_t>(n)].queue.empty())
-                activeSources_[kept++] = n;
-            else
-                sourceActive_[static_cast<std::size_t>(n)] = 0;
-        }
-        activeSources_.resize(kept);
-    }
+    // non-empty queues).  An injection into a sleeping terminal router
+    // is due now, so it joins the step set below.
+    queuedSources_.forEach([this](NodeId n) {
+        injectFromQueue(n);
+        if (sources_[static_cast<std::size_t>(n)].queue.empty())
+            queuedSources_.reset(n);
+    });
 
-    // Router cores: step the active set in ascending id order — the
-    // original full scan restricted to routers with work, so metric
-    // accumulation order is unchanged.  Stepping an idle router is a
-    // no-op (drains nothing, allocates nothing), so skipping it cannot
-    // perturb simulated results.  Wakes raised while stepping (a
-    // delivery or credit into a router not in this cycle's snapshot)
-    // land in wokenRouters_ and join at the next edge; such deliveries
-    // arrive strictly after `now`, so next-edge processing is exact.
-    if (!wokenRouters_.empty()) {
-        activeRouters_.insert(activeRouters_.end(), wokenRouters_.begin(),
-                              wokenRouters_.end());
-        wokenRouters_.clear();
-        std::sort(activeRouters_.begin(), activeRouters_.end());
-    }
-    const std::size_t count = activeRouters_.size();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        const NodeId n = activeRouters_[i];
-        if (routers_[static_cast<std::size_t>(n)]->step(now))
-            activeRouters_[kept++] = n;
-        else
-            routerActive_[static_cast<std::size_t>(n)] = 0;
-    }
-    activeRouters_.resize(kept);
-    *ctrRouterSteps_ += count;
+    // Router cores: step the routers due at this edge in ascending id
+    // order — the original full scan restricted to routers with work,
+    // so metric accumulation order is unchanged.  A router not due
+    // would drain nothing and allocate nothing, so skipping it cannot
+    // perturb simulated results.  A delivery into a router not in the
+    // set arrives strictly after `now`; wakeRouter steps it at the
+    // first edge at or after that arrival.
+    steppingRouters_.take(joiningRouters_);
+    *ctrRouterSteps_ += steppingRouters_.count();
+    steppingRouters_.forEach([this, now](NodeId n) {
+        const Tick next = routers_[static_cast<std::size_t>(n)]->step(now);
+        if (next == now + kRouterClockPeriod)
+            return;
+        steppingRouters_.reset(n);
+        if (next != kTickNever)
+            scheduleStep(n, next);
+    });
 
     kernel_.at(now + kRouterClockPeriod, [this] { stepQuantum(); });
 }
@@ -668,13 +683,6 @@ void
 Network::verifyFlowControlInvariants() const
 {
     SimAssert &inv = registry_.invariant("network.credit_conservation");
-
-    // Batched channels hold deliveries in channel-local buffers until
-    // their splice event fires; move them into the inboxes (arrival
-    // ticks unchanged — a semantic no-op) so the in-flight terms below
-    // count every flit and credit exactly once.
-    for (const auto &ch : channels_)
-        ch->flushPending();
 
     const auto perVcCapacity =
         config_.router.bufferPerPort /

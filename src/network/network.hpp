@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <bit>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -223,19 +224,19 @@ class Network
     Cycle currentCycle() const { return ticksToCycles(kernel_.now()); }
 
     /**
-     * Routers currently in the activity-gated step set (including wakes
-     * that join at the next clock edge).  Idle routers are skipped by
-     * stepQuantum() and woken by inbox delivery, credit return,
-     * injection, or a DVS link re-enable — see DESIGN.md "Simulation
-     * core".
+     * Routers in the step set (including those joining at the next
+     * clock edge).  A router leaves it when its step reports a later
+     * edge (Router::nextStep) and rejoins at that edge, or earlier when
+     * a delivery or injection lands in one of its empty inboxes — see
+     * DESIGN.md "Network gating".
      */
     std::size_t activeRouterCount() const
     {
-        return activeRouters_.size() + wokenRouters_.size();
+        return steppingRouters_.count() + joiningRouters_.count();
     }
 
     /** Sources with queued packets (the per-cycle injection scan). */
-    std::size_t activeSourceCount() const { return activeSources_.size(); }
+    std::size_t activeSourceCount() const { return queuedSources_.count(); }
 
     /**
      * Verify credit conservation on every channel: upstream credits +
@@ -289,11 +290,22 @@ class Network
      */
     void pullStream(bool withAfterStep);
 
-    /** Add a router to the step set (no-op if already active). */
+    /**
+     * A delivery landed in an empty inbox of `node`: unless the router
+     * is in the step set, step it at its next due edge.
+     */
     void wakeRouter(NodeId node);
 
-    /** Add a source to the injection scan (no-op if already active). */
-    void markSourceActive(NodeId node);
+    /**
+     * Step the sleeping router `node` at edge `edge`: join the step set
+     * now when that is at or before the next edge, else arm one timed
+     * wake, unless an earlier one is armed.
+     */
+    void scheduleStep(NodeId node, Tick edge);
+
+    /** Add `node` to the routers joining the step set. */
+    void joinStepSet(NodeId node);
+
     void onFlitEjected(const router::Flit &flit, Tick arrival);
     std::unique_ptr<core::DvsPolicy> makePolicy() const;
 
@@ -325,16 +337,59 @@ class Network
     mutable std::uint64_t sweptChecks_ = 0;
     mutable std::uint64_t sweptFailures_ = 0;
 
+    /** Ordered set of node ids, one bit each. */
+    class NodeSet
+    {
+      public:
+        void resize(NodeId nodes)
+        {
+            words_.assign((static_cast<std::size_t>(nodes) + 63) / 64, 0);
+        }
+        void set(NodeId n) { words_[word(n)] |= bit(n); }
+        void reset(NodeId n) { words_[word(n)] &= ~bit(n); }
+        bool test(NodeId n) const { return (words_[word(n)] & bit(n)) != 0; }
+        std::size_t count() const;
+
+        /** Move every member of `other` into this set. */
+        void take(NodeSet &other);
+
+        /** Call `fn(n)` for every member in ascending order; `fn` may
+         *  reset `n` and change other sets. */
+        template <typename Fn>
+        void
+        forEach(Fn &&fn) const
+        {
+            for (std::size_t w = 0; w < words_.size(); ++w) {
+                for (std::uint64_t m = words_[w]; m != 0; m &= m - 1) {
+                    fn(static_cast<NodeId>(w * 64) +
+                       std::countr_zero(m));
+                }
+            }
+        }
+
+      private:
+        static std::size_t word(NodeId n)
+        {
+            return static_cast<std::size_t>(n) / 64;
+        }
+        static std::uint64_t bit(NodeId n)
+        {
+            return std::uint64_t{1} << (static_cast<std::size_t>(n) % 64);
+        }
+
+        std::vector<std::uint64_t> words_;
+    };
+
     // --- activity gating (see stepQuantum) ---
-    // Invariant: a router with buffered flits or pending inbox items is
-    // in exactly one of activeRouters_/wokenRouters_ (flag == 1); all
-    // other routers are provably no-op to step and are skipped.
-    std::vector<NodeId> activeRouters_;  ///< stepped each cycle (sorted)
-    std::vector<NodeId> wokenRouters_;   ///< joins the set next edge
-    std::vector<NodeId> activeSources_;  ///< sources with queued packets
-    bool sourcesUnsorted_ = false;  ///< appended since the last edge sort
-    std::vector<std::uint8_t> routerActive_;  ///< per-node membership flag
-    std::vector<std::uint8_t> sourceActive_;  ///< per-node membership flag
+    // Invariant: a router is in at most one of steppingRouters_ and
+    // joiningRouters_, and one in neither, asleep, has wakeAt_ at or
+    // before its nextStep(), where an armed kernel event adds it to
+    // joiningRouters_.  Every router with a buffered flit is in
+    // steppingRouters_ after the router pass.
+    NodeSet steppingRouters_;  ///< stepped this edge and the next
+    NodeSet joiningRouters_;   ///< join steppingRouters_ at the next edge
+    NodeSet queuedSources_;    ///< sources with queued packets
+    std::vector<Tick> wakeAt_;  ///< per node: armed timed wake, or never
 
     // Cached observability counters (registered in build()).
     std::uint64_t *ctrCycles_ = nullptr;

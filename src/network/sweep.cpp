@@ -14,7 +14,7 @@ Json
 toJson(const ExperimentSpec &spec)
 {
     // Hashed into the search's evaluation key, like the network echo.
-    static_assert(sizeof(ExperimentSpec) == 376,
+    static_assert(sizeof(ExperimentSpec) == 368,
                   "ExperimentSpec changed: echo every field it has here");
     static_assert(sizeof(traffic::TwoLevelParams) == 112,
                   "TwoLevelParams changed: echo every field it has here");
@@ -107,6 +107,10 @@ injectionRateProblem(const NetworkConfig &network, double rate)
 std::vector<double>
 rateGrid(double lo, double hi, std::size_t n)
 {
+    if (n > kMaxSweepPoints) {
+        throw ConfigError(detail::concat("points ", n, " exceed the cap of ",
+                                         kMaxSweepPoints, " per sweep"));
+    }
     DVSNET_ASSERT(n >= 2 && hi > lo && lo > 0, "bad rate grid");
     std::vector<double> rates(n);
     for (std::size_t i = 0; i < n; ++i) {

@@ -87,7 +87,13 @@ double maxInjectionRate(const NetworkConfig &network);
  */
 std::string injectionRateProblem(const NetworkConfig &network, double rate);
 
-/** Evenly spaced rate grid [lo, hi] with n points. */
+/** Most points one sweep's rate grid holds (the `points` cap). */
+inline constexpr std::size_t kMaxSweepPoints = 10000;
+
+/**
+ * Evenly spaced rate grid [lo, hi] with n points.
+ * @throws ConfigError when n exceeds kMaxSweepPoints.
+ */
 std::vector<double> rateGrid(double lo, double hi, std::size_t n);
 
 /**

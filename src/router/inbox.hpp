@@ -3,15 +3,16 @@
  * Time-stamped FIFO inboxes connecting links to routers.
  *
  * A link computes the exact picosecond a flit (or credit) lands at the
- * downstream router and pushes it here; the router drains everything with
- * arrival time <= now at the start of its cycle step.  Because each inbox
- * is fed by exactly one link and each link's deliveries are monotone in
- * time, a plain FIFO preserves timestamp order — no per-flit events needed.
+ * downstream router and pushes it here at once, at send time; the
+ * router drains everything with arrival time <= now at the start of its
+ * cycle step and leaves later items for the step at or after their
+ * arrival.  Because each inbox is fed by exactly one link and each
+ * link's deliveries are monotone in time, a plain FIFO preserves
+ * timestamp order: no per-flit events, and no event at all to deliver.
  */
 
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -40,20 +41,13 @@ template <typename T>
 class Inbox
 {
   public:
-    /** One queued delivery: arrival tick + payload. */
-    struct Slot
-    {
-        Tick when;
-        T item;
-    };
-
     /**
      * Push an item arriving at `when` (must be >= the previous push).
      *
-     * The wake hook fires only on an empty->non-empty transition: while
-     * the inbox is non-empty the owner's pending bit is already set (it
-     * is cleared only when a drain empties the queue), so the owner is
-     * guaranteed awake and a repeat wake would be a no-op.
+     * The wake hook fires only on an empty->non-empty transition: a
+     * non-empty inbox's earliest arrival is already known to its owner
+     * (its pending bit is set until a drain empties the queue), and a
+     * later push cannot make that arrival earlier.
      */
     void
     push(Tick when, const T &item)
@@ -62,7 +56,7 @@ class Inbox
                       "inbox arrival times must be monotone");
         const bool wasEmpty = empty();
         if (size_ == ring_.size())
-            grow(size_ + 1);
+            grow();
         ring_[(head_ + size_) & mask_] = Slot{when, item};
         ++size_;
         if (wasEmpty && wake_)
@@ -70,35 +64,9 @@ class Inbox
     }
 
     /**
-     * Append a pre-ordered batch of deliveries with ONE wake at the end.
-     *
-     * This is the link-batching fast path: a DvsChannel accumulates a
-     * contiguous burst of flits (or credits) and hands the whole thing
-     * over in a single call, so the wake-hook chain (inbox -> router ->
-     * network active set) runs once per burst instead of once per flit.
-     * The batch must be internally monotone (the channel serializes, so
-     * it is by construction); only the splice boundary is re-checked.
-     */
-    void
-    pushBatch(const std::vector<Slot> &batch)
-    {
-        if (batch.empty())
-            return;
-        DVSNET_ASSERT(empty() || batch.front().when >= back().when,
-                      "inbox batch arrival times must be monotone");
-        const bool wasEmpty = empty();
-        if (size_ + batch.size() > ring_.size())
-            grow(size_ + batch.size());
-        for (const Slot &slot : batch)
-            ring_[(head_ + size_++) & mask_] = slot;
-        if (wasEmpty && wake_)
-            wake_();
-    }
-
-    /**
-     * Install a hook invoked on every push.  The network uses this to
-     * wake the owning router out of the idle-skip set when a delivery
-     * (flit, credit, or injected packet) lands here.
+     * Install a hook invoked when a push finds the inbox empty.  The
+     * owning router uses it to mark the port pending and to tell the
+     * network when it is next due (Router::setWakeHook).
      */
     void setWakeHook(InlineFn hook) { wake_ = std::move(hook); }
 
@@ -114,34 +82,10 @@ class Inbox
     pop(Tick now)
     {
         DVSNET_ASSERT(ready(now), "inbox pop with nothing ready");
-        lastPopTick_ = now;
         const T item = ring_[head_].item;
         head_ = (head_ + 1) & mask_;
         --size_;
         return item;
-    }
-
-    /**
-     * True if the owning router is provably awake at `now`: either the
-     * inbox still holds items (so the owner's pending-port bit is set),
-     * or the owner popped from this inbox this very tick (it is
-     * mid-step, or stepped earlier in the same cycle).
-     *
-     * Link batching consults this — not raw empty() — when deciding
-     * between a direct push and a deferred splice event.  The same-tick
-     * pop clause matters when the owner has a lower id than the sender:
-     * it stepped earlier this cycle and drained the inbox, so the inbox
-     * reads empty although its owner was just awake.  A direct push
-     * then saves the splice event; if the drain left the owner idle,
-     * the push wakes it a few cycles early instead.  Without the clause
-     * every benchmark workload runs more kernel events, and wall time
-     * is unchanged within noise (EXPERIMENTS.md, "Inbox same-tick-pop
-     * clause").
-     */
-    bool
-    ownerAwakeAt(Tick now) const
-    {
-        return !empty() || lastPopTick_ == now;
     }
 
     /** Items in flight (arrived or not). */
@@ -160,19 +104,25 @@ class Inbox
     }
 
   private:
+    /** One queued delivery: arrival tick + payload. */
+    struct Slot
+    {
+        Tick when;
+        T item;
+    };
+
     /** Smallest ring allocated (see the class comment). */
     static constexpr std::size_t kMinSlots = 8;
 
     const Slot &back() const { return ring_[(head_ + size_ - 1) & mask_]; }
 
-    /** Re-home the live items at offset zero of a ring of at least
-     *  `needed` slots (a power of two, at least kMinSlots). */
+    /** Re-home the live items at offset zero of a ring twice the size
+     *  (kMinSlots on the first push). */
     void
-    grow(std::size_t needed)
+    grow()
     {
-        std::size_t capacity = std::max(kMinSlots, ring_.size());
-        while (capacity < needed)
-            capacity *= 2;
+        const std::size_t capacity =
+            ring_.empty() ? kMinSlots : 2 * ring_.size();
         std::vector<Slot> ring(capacity);
         for (std::size_t i = 0; i < size_; ++i)
             ring[i] = ring_[(head_ + i) & mask_];
@@ -185,8 +135,7 @@ class Inbox
     std::size_t head_ = 0;    ///< index of the earliest item
     std::size_t size_ = 0;    ///< items in flight
     std::size_t mask_ = 0;    ///< ring_.size() - 1 once allocated
-    Tick lastPopTick_ = kTickNever;  ///< tick of the most recent pop
-    InlineFn wake_;  ///< optional push notification (activity gating)
+    InlineFn wake_;  ///< optional empty->non-empty push notification
 };
 
 } // namespace dvsnet::router

@@ -161,7 +161,7 @@ Router::creditInbox(PortId port)
     return outputs_.at(static_cast<std::size_t>(port)).creditInbox;
 }
 
-bool
+Tick
 Router::step(Tick now)
 {
     drainCredits(now);
@@ -176,7 +176,26 @@ Router::step(Tick now)
         if (routingVcs_.any())
             routeCompute();
     }
-    return !isIdle();
+    return nextStep(now);
+}
+
+Tick
+Router::nextStep(Tick now) const
+{
+    if (bufferedFlits_ != 0)
+        return routerEdgeAfter(now);
+    // The pending masks mirror inbox emptiness, and a drain leaves only
+    // items that arrive after `now`.
+    Tick first = kTickNever;
+    pendingFlitPorts_.forEachSetBit([&](std::int32_t p) {
+        const auto &inbox = inputs_[static_cast<std::size_t>(p)].flitInbox;
+        first = std::min(first, inbox.nextArrival());
+    });
+    pendingCreditPorts_.forEachSetBit([&](std::int32_t p) {
+        const auto &inbox = outputs_[static_cast<std::size_t>(p)].creditInbox;
+        first = std::min(first, inbox.nextArrival());
+    });
+    return first == kTickNever ? kTickNever : routerEdgeAtOrAfter(first);
 }
 
 void
@@ -446,15 +465,6 @@ Router::routeCompute()
         vcAlloc_.request(idx, bestPort, mask);
         ++stats_.headsRouted;
     });
-}
-
-bool
-Router::isIdle() const
-{
-    // bufferedFlits_ aggregates all input-VC occupancies; the pending
-    // masks mirror inbox emptiness, so idleness is a few word compares.
-    return bufferedFlits_ == 0 && pendingFlitPorts_.none() &&
-           pendingCreditPorts_.none();
 }
 
 std::size_t

@@ -118,29 +118,30 @@ class Router
     Inbox<VcId> &creditInbox(PortId port);
 
     /**
-     * Install the router-level wake hook, fired whenever any of this
-     * router's inboxes receives an item (flit delivery, credit return,
-     * or terminal injection).  The router keeps its own per-port
-     * pending masks; the hook is the network's signal to move the
-     * router back into the active set.
+     * Install the router-level wake hook, fired whenever a delivery
+     * (flit, credit, or terminal injection) lands in one of this
+     * router's inboxes while that inbox is empty.  The router keeps its
+     * own per-port pending masks; the hook is the network's signal that
+     * the router may be due earlier than it last reported
+     * (nextStep()).
      */
     void setWakeHook(InlineFn hook) { wake_ = std::move(hook); }
 
     /**
-     * Execute one router-core cycle ending at tick `now`.  Returns the
-     * activity result: true if the router may still have work (buffered
-     * flits or pending inbox items, including future-timestamped
-     * arrivals), false if it went idle and can be skipped until a wake.
+     * Execute one router-core cycle at edge `now`.  Returns nextStep(now)
+     * as it stands after the step.
      */
-    bool step(Tick now);
+    Tick step(Tick now);
 
     /**
-     * Cheap idleness predicate: no buffered flits, no pending flit or
-     * credit inbox items, empty pipeline.  Stepping an idle router is a
-     * no-op, so the network skips idle routers until something is
-     * pushed into one of their inboxes.
+     * The first edge at which a step can do anything: the edge after
+     * `now` while a flit is buffered, else the first edge at or after
+     * the earliest flit or credit waiting in an inbox, else
+     * kTickNever.  After a step at `now` it lies after `now`; a step
+     * at any earlier edge drains and allocates nothing, so the network
+     * skips the router until then.
      */
-    bool isIdle() const;
+    Tick nextStep(Tick now) const;
 
     /** Free slots in the terminal input VC (for the injection process). */
     std::size_t terminalFreeSlots(VcId vc) const;
@@ -244,8 +245,8 @@ class Router
     // inbox; VC bits (dense index vcIndex(p, v), so ascending bit order
     // equals the ascending (port, vc) scan order of the allocation
     // stages) mirror the Routing and Active states of vcState_
-    // exactly.  They turn isIdle() into a few word compares and the
-    // per-cycle stage scans into popcount-bounded loops.  PortSet is
+    // exactly.  They bound nextStep() to the pending ports and the
+    // per-cycle stage scans to popcount-bounded loops.  PortSet is
     // one word; InputVcSet spans kMaxInputVcs bits (common/bitmask.hpp)
     // so geometries beyond 64 input VCs stay on the same scan code.
     PortSet pendingFlitPorts_;    ///< flitInbox(p) non-empty

@@ -112,6 +112,12 @@ SearchConfig::validate() const
             "random candidates ", randomCandidates, " exceed the cap of ",
             kMaxRandomCandidates));
     }
+    if (threads > exp::kMaxThreads) {
+        problems.push_back(detail::concat("threads ", threads,
+                                          " exceed the cap of ",
+                                          exp::kMaxThreads,
+                                          " worker threads"));
+    }
     if (rungs.empty())
         problems.push_back("fidelity ladder is empty (need >= 1 rung)");
     if (rungs.size() > kMaxRungs) {

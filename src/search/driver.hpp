@@ -132,7 +132,8 @@ struct SearchConfig
      *  most 64 rungs; validate() enforces the cap). */
     std::vector<RungSpec> rungs;
 
-    std::size_t threads = 0;  ///< evaluation worker threads (0 = all)
+    /** Evaluation worker threads (0 = all; at most exp::kMaxThreads). */
+    std::size_t threads = 0;
 
     /**
      * Network-evaluation budget (0 = unlimited).  When the next rung's

@@ -216,21 +216,6 @@ TEST(Inbox, NextArrival)
     EXPECT_EQ(box.nextArrival(), Tick{42});
 }
 
-TEST(Inbox, OwnerAwakeWhileNonEmptyOrPoppedThisTick)
-{
-    // Link batching pushes directly into an awake owner's inbox; an
-    // inbox drained this tick still counts as awake (EXPERIMENTS.md,
-    // "Inbox same-tick-pop clause").
-    Inbox<int> box;
-    EXPECT_FALSE(box.ownerAwakeAt(100));
-    box.push(100, 1);
-    EXPECT_TRUE(box.ownerAwakeAt(50));
-    EXPECT_EQ(box.pop(100), 1);
-    ASSERT_TRUE(box.empty());
-    EXPECT_TRUE(box.ownerAwakeAt(100));
-    EXPECT_FALSE(box.ownerAwakeAt(101));
-}
-
 TEST(Inbox, StorageBoundedWhenNeverFullyDrained)
 {
     // Under sustained load an inbox always holds a future-dated
@@ -251,13 +236,11 @@ TEST(Inbox, StorageBoundedWhenNeverFullyDrained)
 
 TEST(Inbox, FifoOrderAndStorageBoundUnderRandomBursts)
 {
-    // Bursts of pushes (single and batched) and partial drains against
-    // a deque reference: erasing the consumed prefix must keep FIFO
-    // order and arrival gating, and storage stays within
-    // 2 x peak in-flight + 64.
+    // Bursts of pushes and partial drains against a deque reference:
+    // erasing the consumed prefix must keep FIFO order and arrival
+    // gating, and storage stays within 2 x peak in-flight + 64.
     Inbox<int> box;
     std::deque<std::pair<Tick, int>> ref;
-    std::vector<Inbox<int>::Slot> batch;
     std::mt19937 rng(7);
     Tick now = 0;
     int next = 0;
@@ -265,19 +248,13 @@ TEST(Inbox, FifoOrderAndStorageBoundUnderRandomBursts)
     for (int step = 0; step < 20000; ++step) {
         now += rng() % 4;
         const std::size_t burst = rng() % (step % 500 < 250 ? 40 : 8);
-        const bool batched = step % 3 == 0;
-        batch.clear();
         for (std::size_t k = 0; k < burst; ++k) {
             const Tick when = now + 1 + rng() % 3 + k;
             const Tick at = ref.empty() ? when
                                         : std::max(when, ref.back().first);
-            if (batched)
-                batch.push_back({at, next});
-            else
-                box.push(at, next);
+            box.push(at, next);
             ref.emplace_back(at, next++);
         }
-        box.pushBatch(batch);
         peakLive = std::max(peakLive, ref.size());
         std::size_t pops = rng() % 24;
         while (pops-- > 0 && !ref.empty() && ref.front().first <= now) {
@@ -317,10 +294,8 @@ TEST(Inbox, RingCapacityIsNextPowerOfTwoOfPeak)
     while (box.size() < 9)
         box.push(next, next), ++next;
     EXPECT_EQ(box.storageSize(), 16u);
-    std::vector<Inbox<int>::Slot> batch;
     for (int k = 0; k < 20; ++k)
-        batch.push_back({Tick(next), next}), ++next;
-    box.pushBatch(batch);
+        box.push(next, next), ++next;
     EXPECT_EQ(box.storageSize(), 32u);
     while (!box.empty())
         ASSERT_EQ(box.pop(next), expect++);

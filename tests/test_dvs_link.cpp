@@ -75,7 +75,6 @@ TEST(DvsChannel, SendDeliversAfterSerializationAndPropagation)
     Harness h;
     const Tick dep = h.channel.send(h.someFlit(), 5000);
     EXPECT_EQ(dep, Tick{5000});
-    h.channel.flushPending();  // peek past the delivery batch
     EXPECT_EQ(h.flitSink.nextArrival(), Tick{5000 + 2 * 1000});
 }
 
@@ -98,19 +97,22 @@ TEST(DvsChannel, CanAcceptReflectsBacklog)
     EXPECT_TRUE(h.channel.canAccept(1000));
 }
 
-TEST(DvsChannel, BatchedDeliveriesSpliceViaKernelEvent)
+TEST(DvsChannel, DeliveriesLandInSinksAtSend)
 {
+    // A send pushes its delivery into the sink at once, stamped with its
+    // arrival; no kernel event carries it there.
     Harness h;
     h.channel.send(h.someFlit(), 0);
     h.channel.send(h.someFlit(), 0);
-    // Both deliveries sit in the channel until the splice event fires
-    // at the first pending arrival (0 + serialization + wire = 2000).
-    EXPECT_EQ(h.channel.pendingFlits(), 2u);
-    EXPECT_TRUE(h.flitSink.empty());
-    h.kernel.run(2000);
-    EXPECT_EQ(h.channel.pendingFlits(), 0u);
-    EXPECT_EQ(h.flitSink.size(), 2u);
+    h.channel.sendCredit(1, 0);
+    EXPECT_EQ(h.kernel.pendingEvents(), 0u);
+    ASSERT_EQ(h.flitSink.size(), 2u);
     EXPECT_EQ(h.flitSink.nextArrival(), Tick{2000});
+    EXPECT_FALSE(h.flitSink.ready(1999));
+    h.flitSink.pop(2000);
+    EXPECT_EQ(h.flitSink.nextArrival(), Tick{3000});
+    ASSERT_EQ(h.creditSink.size(), 1u);
+    EXPECT_EQ(h.creditSink.nextArrival(), Tick{2000});
 }
 
 TEST(DvsChannel, BurstSplitsOnGapAndLevelChange)
@@ -131,21 +133,6 @@ TEST(DvsChannel, BurstSplitsOnGapAndLevelChange)
     EXPECT_EQ(h.channel.flitBursts(), 3u);
 }
 
-TEST(DvsChannel, FlushPendingIsIdempotentAndKeepsArrivals)
-{
-    Harness h;
-    h.channel.send(h.someFlit(), 0);
-    h.channel.sendCredit(1, 0);
-    h.channel.flushPending();
-    EXPECT_EQ(h.channel.pendingFlits(), 0u);
-    EXPECT_EQ(h.channel.pendingCredits(), 0u);
-    EXPECT_EQ(h.flitSink.nextArrival(), Tick{2000});
-    EXPECT_EQ(h.creditSink.nextArrival(), Tick{2000});
-    h.channel.flushPending();  // no-op
-    EXPECT_EQ(h.flitSink.size(), 1u);
-    EXPECT_EQ(h.creditSink.size(), 1u);
-}
-
 TEST(DvsChannel, SlowLevelStretchesSerialization)
 {
     DvsLinkParams p;
@@ -153,7 +140,6 @@ TEST(DvsChannel, SlowLevelStretchesSerialization)
     Harness h(p);
     const Tick dep = h.channel.send(h.someFlit(), 0);
     EXPECT_EQ(dep, Tick{0});
-    h.channel.flushPending();
     // 8000 serialization + 1000 fixed wire flight.
     EXPECT_EQ(h.flitSink.nextArrival(), Tick{9000});
     EXPECT_EQ(h.channel.send(h.someFlit(), 0), Tick{8000});
@@ -163,7 +149,6 @@ TEST(DvsChannel, CreditTakesOneLinkCycle)
 {
     Harness h;
     h.channel.sendCredit(0, 500);
-    h.channel.flushPending();
     EXPECT_EQ(h.creditSink.nextArrival(), Tick{2500});  // cycle + wire
 }
 
@@ -252,7 +237,6 @@ TEST(DvsChannel, CreditsStallDuringLock)
     h.channel.requestStep(false, 0);  // lock [0, 100 * period(1))
     const Tick lockEnd = 100 * h.table.level(1).period;
     h.channel.sendCredit(0, 10);
-    h.channel.flushPending();
     EXPECT_EQ(h.creditSink.nextArrival(),
               lockEnd + h.table.level(1).period + kRouterClockPeriod);
 }

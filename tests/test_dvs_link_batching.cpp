@@ -1,41 +1,38 @@
 /**
  * @file
- * Randomized equivalence test for the DVS channel's delivery batching.
+ * Randomized property test: the DVS channel against a per-flit
+ * reference model.
  *
- * A reference model re-implements the channel's *per-flit* semantics
- * independently: departures, arrival ticks, credit stalling, the
- * transition state machine's timing, busy-tick accounting and the
- * utilization-window formula, all computed directly from the parameters
- * with no pending buffers or splice events.  Random operation sequences
- * (send bursts, credits, speed/slow steps, window checkpoints, stray
- * flushPending calls) are applied to both; every externally observable
- * quantity must match exactly:
+ * The reference re-implements the channel's semantics independently:
+ * departures, arrival ticks, credit stalling, the transition state
+ * machine's timing, busy-tick accounting and the utilization-window
+ * formula, all computed directly from the parameters.  Random operation
+ * sequences (send bursts, credits, speed/slow steps, window
+ * checkpoints) are applied to both, and at every operation time:
  *
- *  - per-flit departure ticks returned by send();
- *  - the (arrival tick, payload) sequence each sink receives, in order;
- *  - canAccept() at every operation time;
- *  - takeUtilizationWindow() values, bit-for-bit;
- *  - flitsSent / transitions / disabledTime counters.
+ *  - send() returns the reference departure and canAccept() agrees;
+ *  - each sink holds exactly the reference's deliveries still in
+ *    flight, in order, with their arrival ticks and payloads — a send
+ *    lands in the sink at once, and the consumer pops what is due;
+ *  - takeUtilizationWindow() values agree bit for bit.
  *
- * Trials randomize the initial level, the voltage-transition latency
- * and the credit direct-push horizon (including 0 and effectively
- * infinite) — the batching policy knobs must never change semantics,
- * only when the inbox physically receives items.
+ * After the trial the flitsSent / transitions / disabledTime counters
+ * agree.  Trials randomize the initial level and the voltage-transition
+ * latency.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <random>
 #include <utility>
-#include <vector>
 
 #include "link/dvs_link.hpp"
 #include "sim/kernel.hpp"
 #include "test_packets.hpp"
 
 using dvsnet::Cycle;
-using dvsnet::kRouterClockPeriod;
 using dvsnet::kTickNever;
 using dvsnet::Tick;
 using dvsnet::VcId;
@@ -165,23 +162,22 @@ struct RefChannel
         return std::max(nextFree, earliest) <= earliest + period;
     }
 
-    Tick
-    send(Tick earliest, std::vector<Tick> &arrivals)
+    /** Returns (departure, arrival). */
+    std::pair<Tick, Tick>
+    send(Tick earliest)
     {
         const Tick departure = std::max(nextFree, earliest);
         nextFree = departure + period;
         busyTicks += period;
         ++flitsSent;
-        arrivals.push_back(departure + period + prop);
-        return departure;
+        return {departure, departure + period + prop};
     }
 
-    void
-    sendCredit(VcId vc, Tick now,
-               std::vector<std::pair<Tick, VcId>> &arrivals)
+    /** Returns the credit's arrival. */
+    Tick
+    sendCredit(Tick now) const
     {
-        arrivals.emplace_back(std::max(now, disabledUntil) + period + prop,
-                              vc);
+        return std::max(now, disabledUntil) + period + prop;
     }
 
     double
@@ -204,14 +200,40 @@ struct RefChannel
     }
 };
 
+/** A reference delivery still in flight: arrival tick + payload. */
+template <typename T>
+struct Pending
+{
+    Tick when;
+    T item;
+};
+
+/**
+ * Pop every delivery due at `now` from `sink` and `ref` alike, then
+ * check that the sink holds exactly the reference's remaining ones.
+ */
+template <typename T, typename Want, typename Same>
+void
+checkSink(Inbox<T> &sink, std::deque<Pending<Want>> &ref, Tick now,
+          Same same)
+{
+    while (!ref.empty() && ref.front().when <= now) {
+        ASSERT_TRUE(sink.ready(now));
+        ASSERT_TRUE(same(sink.pop(now), ref.front().item));
+        ref.pop_front();
+    }
+    ASSERT_EQ(sink.size(), ref.size());
+    ASSERT_EQ(sink.nextArrival(),
+              ref.empty() ? kTickNever : ref.front().when);
+}
+
 /** One randomized trial driving channel and reference in lockstep. */
 void
 runTrial(std::uint64_t seed, const DvsLinkParams &params, int numOps)
 {
     SCOPED_TRACE(::testing::Message()
                  << "seed=" << seed << " initialLevel="
-                 << params.initialLevel << " creditHorizon="
-                 << params.creditDirectPushHorizon << " voltLat="
+                 << params.initialLevel << " voltLat="
                  << params.voltageTransitionLatency);
 
     Kernel kernel;
@@ -230,10 +252,13 @@ runTrial(std::uint64_t seed, const DvsLinkParams &params, int numOps)
     std::uniform_int_distribution<int> burstDist(1, 8);
     std::uniform_int_distribution<int> vcDist(0, 3);
 
-    std::vector<Tick> refFlitArrivals;
-    std::vector<std::uint64_t> refFlitIds;
-    std::vector<std::pair<Tick, VcId>> refCreditArrivals;
+    std::deque<Pending<std::uint64_t>> refFlits;  // payload: packet id
+    std::deque<Pending<VcId>> refCredits;
     dvsnet::testutil::TestPackets packets;
+    const auto sameFlit = [&packets](const Flit &got, std::uint64_t id) {
+        return packets.idOf(got) == id;
+    };
+    const auto sameVc = [](VcId got, VcId want) { return got == want; };
 
     Tick t = 0;
     for (int op = 0; op < numOps; ++op) {
@@ -255,53 +280,34 @@ runTrial(std::uint64_t seed, const DvsLinkParams &params, int numOps)
             const int count = burstDist(rng);
             for (int i = 0; i < count; ++i) {
                 const Flit f = packets.single();
-                refFlitIds.push_back(packets.idOf(f));
                 const Tick dep = channel.send(f, t);
-                const Tick refDep = ref.send(t, refFlitArrivals);
+                const auto [refDep, arrival] = ref.send(t);
                 ASSERT_EQ(dep, refDep);
+                refFlits.push_back({arrival, packets.idOf(f)});
             }
         } else if (kind < 75) {
             const VcId vc = vcDist(rng);
             channel.sendCredit(vc, t);
-            ref.sendCredit(vc, t, refCreditArrivals);
-        } else if (kind < 87) {
+            refCredits.push_back({ref.sendCredit(t), vc});
+        } else if (kind < 88) {
             const bool faster = (rng() & 1) != 0;
             const bool accepted = channel.requestStep(faster, t);
             ASSERT_EQ(accepted, ref.requestStep(faster, t));
-        } else if (kind < 95) {
+        } else {
             const double got = channel.takeUtilizationWindow(t);
             const double want = ref.takeUtilizationWindow(t);
             ASSERT_EQ(got, want);  // same formula, bit-for-bit
-        } else {
-            // Early splice is always a semantic no-op.
-            channel.flushPending();
         }
+        checkSink(flitSink, refFlits, t, sameFlit);
+        checkSink(creditSink, refCredits, t, sameVc);
     }
 
-    // Let every transition and splice event complete, then drain the
-    // sinks against the reference arrival sequences.
+    // Let every transition complete, then drain the sinks.
     kernel.run();
     ref.advanceTo(kTickNever);  // apply the in-flight transition chain
-    channel.flushPending();
-    ASSERT_EQ(channel.pendingFlits(), 0u);
-    ASSERT_EQ(channel.pendingCredits(), 0u);
-
-    ASSERT_EQ(flitSink.size(), refFlitArrivals.size());
-    for (std::size_t i = 0; i < refFlitArrivals.size(); ++i) {
-        ASSERT_EQ(flitSink.nextArrival(), refFlitArrivals[i])
-            << "flit " << i;
-        const Flit got = flitSink.pop(refFlitArrivals[i]);
-        ASSERT_EQ(packets.idOf(got), refFlitIds[i]) << "flit " << i;
-    }
+    checkSink(flitSink, refFlits, kTickNever - 1, sameFlit);
+    checkSink(creditSink, refCredits, kTickNever - 1, sameVc);
     EXPECT_TRUE(flitSink.empty());
-
-    ASSERT_EQ(creditSink.size(), refCreditArrivals.size());
-    for (std::size_t i = 0; i < refCreditArrivals.size(); ++i) {
-        ASSERT_EQ(creditSink.nextArrival(), refCreditArrivals[i].first)
-            << "credit " << i;
-        const VcId got = creditSink.pop(refCreditArrivals[i].first);
-        ASSERT_EQ(got, refCreditArrivals[i].second) << "credit " << i;
-    }
     EXPECT_TRUE(creditSink.empty());
 
     EXPECT_EQ(channel.flitsSent(), ref.flitsSent);
@@ -329,22 +335,5 @@ TEST(DvsLinkBatching, MatchesReferenceWithDefaultTransitionLatency)
         DvsLinkParams p;
         p.initialLevel = 9;  // slow start: long serialization, big leads
         runTrial(seed, p, 300);
-    }
-}
-
-TEST(DvsLinkBatching, PushPolicyKnobDoesNotChangeSemantics)
-{
-    // Horizon 0 forces every empty-sink credit through the batch/event
-    // path; a huge horizon forces them all through the direct push.
-    const Tick horizons[] = {0, 4 * kRouterClockPeriod,
-                             Tick{1} << 40};
-    for (const Tick h : horizons) {
-        for (std::uint64_t seed = 200; seed < 204; ++seed) {
-            DvsLinkParams p;
-            p.voltageTransitionLatency = dvsnet::secondsToTicks(1e-6);
-            p.creditDirectPushHorizon = h;
-            p.initialLevel = 5;
-            runTrial(seed, p, 300);
-        }
     }
 }

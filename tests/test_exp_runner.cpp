@@ -100,6 +100,16 @@ TEST(WorkerPool, ResolvesThreadCount)
     EXPECT_EQ(pool.threadCount(), 3u);
 }
 
+TEST(WorkerPool, RefusesThreadsPastTheCap)
+{
+    // Refused before any thread starts.
+    using dvsnet::exp::kMaxThreads;
+    EXPECT_EQ(dvsnet::exp::resolveThreadCount(kMaxThreads), kMaxThreads);
+    EXPECT_THROW(dvsnet::exp::resolveThreadCount(kMaxThreads + 1),
+                 dvsnet::ConfigError);
+    EXPECT_THROW(WorkerPool{kMaxThreads + 1}, dvsnet::ConfigError);
+}
+
 TEST(WorkerPool, RunsEveryJobAndWaits)
 {
     WorkerPool pool(4);

@@ -14,6 +14,8 @@
 
 using dvsnet::Cycle;
 using dvsnet::NodeId;
+using dvsnet::PortId;
+using dvsnet::Tick;
 using dvsnet::network::Network;
 using dvsnet::network::NetworkConfig;
 using dvsnet::network::PolicyKind;
@@ -316,6 +318,51 @@ TEST(Network, LightLoadSkipsIdleRoutersAndWakesOnDelivery)
     EXPECT_GT(wakes, 0u);
 }
 
+TEST(Network, IdleRouterStepsFirstAtItsFlitsArrivalEdge)
+{
+    // A flit sent toward an idle router lands in its inbox at once; the
+    // router steps first at the edge at or after the flit's arrival and
+    // never before.  The level-1 link period (~1,260 ps) puts that
+    // arrival between edges.
+    NetworkConfig cfg = smallConfig();
+    cfg.link.initialLevel = 1;
+    Network net(cfg);
+    const auto steps = [&net] {
+        return net.observability().counterValue("network.router_steps");
+    };
+    net.runUntilCycle(10);
+    ASSERT_EQ(steps(), 0u);
+
+    // One five-flit packet 0 -> 1, one hop: router 0 steps while it
+    // buffers the packet and sleeps once its tail has left.
+    PortId port = -1;
+    for (const auto &ch : net.topology().channels()) {
+        if (ch.src == 0 && ch.dst == 1)
+            port = ch.dstPort;
+    }
+    ASSERT_GE(port, 0);
+    auto &inbox = net.router(1).flitInbox(port);
+    net.injectPacket(0, 1);
+    Cycle cycle = 10;
+    while (inbox.size() < cfg.packetLength) {
+        ASSERT_LT(cycle, 100u);
+        net.runUntilCycle(++cycle);
+    }
+    const Tick arrival = inbox.nextArrival();
+    ASSERT_NE(arrival % dvsnet::kRouterClockPeriod, 0u);
+    const Cycle due =
+        dvsnet::ticksToCycles(dvsnet::routerEdgeAtOrAfter(arrival));
+    ASSERT_GT(due, cycle + 1);
+
+    const auto before = steps();
+    net.runUntilCycle(due - 1);
+    EXPECT_EQ(steps(), before) << "a router stepped before it was due";
+    EXPECT_EQ(net.router(1).stats().flitsArrived, 0u);
+    net.runUntilCycle(due);
+    EXPECT_EQ(steps(), before + 1);
+    EXPECT_EQ(net.router(1).stats().flitsArrived, 1u);
+}
+
 TEST(Network, InboxStorageBoundedAtSaturation)
 {
     // The saturated-uniform benchmark point (8x8 mesh, History DVS,
@@ -349,8 +396,8 @@ TEST(Network, CollectMidRunThenRunningOnEqualsOneCollect)
     // (exp::LiveNetwork), so a run collected mid-way, run on and
     // collected again must report what a run collected once at the end
     // reports, invariant check count included.  Ramps of 50 cycles make
-    // links step inside the window, and the load keeps link splices
-    // pending at the mid-run collect, which flushes them.
+    // links step inside the window, and the load keeps deliveries in
+    // flight in the inboxes at the mid-run collect.
     NetworkConfig cfg = smallConfig(PolicyKind::History);
     cfg.link.voltageTransitionLatency = dvsnet::cyclesToTicks(50);
     const auto run = [&cfg](bool collectMidway) {
@@ -362,14 +409,17 @@ TEST(Network, CollectMidRunThenRunningOnEqualsOneCollect)
         net.beginMeasurement();
         if (collectMidway) {
             net.runUntilCycle(3000);
-            std::size_t pending = 0;
-            std::uint64_t steps = 0;
-            for (std::size_t c = 0; c < net.numChannels(); ++c) {
-                auto &ch = net.channel(static_cast<dvsnet::ChannelId>(c));
-                pending += ch.pendingFlits() + ch.pendingCredits();
-                steps += ch.transitions();
+            std::size_t inFlight = 0;
+            for (NodeId n = 0; n < net.topology().numNodes(); ++n) {
+                auto &r = net.router(n);
+                for (dvsnet::PortId p = 0; p < r.config().numPorts; ++p)
+                    inFlight += r.flitInbox(p).size() + r.creditInbox(p).size();
             }
-            EXPECT_GT(pending, 0u) << "no splice pending at the collect";
+            std::uint64_t steps = 0;
+            for (std::size_t c = 0; c < net.numChannels(); ++c)
+                steps += net.channel(static_cast<dvsnet::ChannelId>(c))
+                             .transitions();
+            EXPECT_GT(inFlight, 0u) << "no delivery in flight at the collect";
             EXPECT_GT(steps, 0u) << "no link stepped before the collect";
             EXPECT_EQ(net.collect().measuredCycles, 2000u);
         }

@@ -20,6 +20,7 @@ using dvsnet::Tick;
 using dvsnet::VcId;
 using dvsnet::cyclesToTicks;
 using dvsnet::kRouterClockPeriod;
+using dvsnet::kTickNever;
 using dvsnet::router::DorRouting;
 using dvsnet::router::Flit;
 using dvsnet::router::PacketDesc;
@@ -275,17 +276,55 @@ TEST(Router, BlockedChannelExertsBackpressure)
     h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
     h.stepTo(1, 20);
     EXPECT_EQ(h.router.bufferOccupancy(h.topo.terminalPort()), 1u);
-    EXPECT_FALSE(h.router.isIdle());
+    EXPECT_EQ(h.router.nextStep(cyclesToTicks(20)), cyclesToTicks(21));
 }
 
 TEST(Router, IdleReflectsState)
 {
     Harness h;
-    EXPECT_TRUE(h.router.isIdle());
+    EXPECT_EQ(h.router.nextStep(0), kTickNever);
     h.deliver(h.topo.terminalPort(), h.packetFlit(1, 0, 1, 1, 0), 1);
-    EXPECT_FALSE(h.router.isIdle());
+    EXPECT_EQ(h.router.nextStep(0), cyclesToTicks(1));
     h.stepTo(1, 10);
-    EXPECT_TRUE(h.router.isIdle());
+    EXPECT_EQ(h.router.nextStep(cyclesToTicks(10)), kTickNever);
+}
+
+TEST(Router, StepReportsItsNextDueEdge)
+{
+    // step() returns the next edge at which a step can do anything: the
+    // next edge while a flit is buffered, else the edge at or after the
+    // earliest flit or credit still in an inbox, else never.
+    Harness h;
+    const PortId in = KAryNCube::dirPort(0, false);
+    const PortId out = KAryNCube::dirPort(0, true);
+    EXPECT_EQ(h.router.step(cyclesToTicks(1)), kTickNever);
+
+    // A flit arriving between edges is due at the edge after it.
+    h.router.flitInbox(in).push(cyclesToTicks(5) + 300,
+                                h.packetFlit(1, 0, 1, 1, 0));
+    EXPECT_EQ(h.router.step(cyclesToTicks(2)), cyclesToTicks(6));
+    EXPECT_EQ(h.router.bufferOccupancy(in), 0u);
+    for (dvsnet::Cycle c = 6; h.xPlus.sent.empty(); ++c) {
+        ASSERT_LT(c, 20u);
+        const Tick next = h.router.step(cyclesToTicks(c));
+        EXPECT_EQ(next, h.xPlus.sent.empty() ? cyclesToTicks(c + 1)
+                                             : kTickNever);
+    }
+
+    // The flit spent a +x credit; its return on an edge is due there,
+    // unless a flit waiting in an inbox is due first.
+    h.router.creditInbox(out).push(cyclesToTicks(30), 0);
+    EXPECT_EQ(h.router.step(cyclesToTicks(20)), cyclesToTicks(30));
+    h.router.flitInbox(in).push(cyclesToTicks(25) + 1,
+                                h.packetFlit(2, 0, 1, 1, 0));
+    EXPECT_EQ(h.router.nextStep(cyclesToTicks(20)), cyclesToTicks(26));
+    EXPECT_EQ(h.router.step(cyclesToTicks(26)), cyclesToTicks(27));
+    h.stepTo(27, 40);
+    EXPECT_EQ(h.xPlus.sent.size(), 2u);
+    // Two flits out, one credit back.
+    EXPECT_EQ(h.router.creditCount(out, 0) + h.router.creditCount(out, 1),
+              127u);
+    EXPECT_EQ(h.router.nextStep(cyclesToTicks(40)), kTickNever);
 }
 
 TEST(Router, TerminalFreeSlotsTracksOccupancy)
@@ -381,5 +420,5 @@ TEST(Router, EjectionSpendsNoCredits)
         h.creditBack.credits.clear();
     }
     EXPECT_EQ(ejected, kTotal);
-    EXPECT_TRUE(h.router.isIdle());
+    EXPECT_EQ(h.router.nextStep(cyclesToTicks(kTotal + 256)), kTickNever);
 }

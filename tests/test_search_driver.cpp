@@ -40,6 +40,7 @@
 #include "common/rng.hpp"
 #include "counting_workload.hpp"
 #include "exp/experiment.hpp"
+#include "exp/worker_pool.hpp"
 #include "search/driver.hpp"
 
 using dvsnet::ConfigError;
@@ -371,6 +372,22 @@ TEST(SearchConfigTest, ValidateCapsRungsAndCandidates)
     config.rungs.resize(64);
     config.randomCandidates = 1000000;
     EXPECT_TRUE(config.validate().empty());
+}
+
+TEST(SearchConfigTest, ValidateCapsThreads)
+{
+    // Each thread is a worker the runner's pool starts: a config past
+    // the cap is refused before any pool is built.
+    SearchConfig config = synthConfig(1);
+    config.threads = dvsnet::exp::kMaxThreads;
+    ASSERT_TRUE(config.validate().empty());
+    config.threads = dvsnet::exp::kMaxThreads + 1;
+    const auto problems = config.validate();
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("threads 1025 exceed the cap of 1024"),
+              std::string::npos)
+        << problems[0];
+    EXPECT_THROW(SearchDriver{config}, ConfigError);
 }
 
 TEST(SearchConfigTest, ValidateCapsTheRateAtOnePacketPerNodePerCycle)
@@ -853,7 +870,6 @@ TEST(EvalKey, EveryConfigFieldChangesTheKey)
         DVSNET_FIELD(network.link.initialLevel = 2),
         DVSNET_FIELD(network.link.linksPerChannel = 4),
         DVSNET_FIELD(network.link.propagationDelay = 2000),
-        DVSNET_FIELD(network.link.creditDirectPushHorizon = 8000),
         DVSNET_FIELD(network.policy = PolicyKind::DynamicThreshold),
         DVSNET_FIELD(network.policyParams.weight = 4.0),
         DVSNET_FIELD(network.policyParams.weightOnHistory = false),

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/fatal.hpp"
 #include "exp/runner.hpp"
 #include "network/sweep.hpp"
 
@@ -59,6 +62,20 @@ TEST(RateGrid, EvenlySpacedInclusive)
     EXPECT_DOUBLE_EQ(rates[1], 1.0);
     EXPECT_DOUBLE_EQ(rates[2], 1.5);
     EXPECT_DOUBLE_EQ(rates[3], 2.0);
+}
+
+TEST(RateGrid, RefusesPointsPastTheCap)
+{
+    using dvsnet::network::kMaxSweepPoints;
+    EXPECT_EQ(rateGrid(0.5, 2.0, kMaxSweepPoints).size(), kMaxSweepPoints);
+    try {
+        rateGrid(0.5, 2.0, kMaxSweepPoints + 1);
+        FAIL() << "a grid past the cap was built";
+    } catch (const dvsnet::ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("points 10001 exceed the cap"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Saturation, FindsCrossingByInterpolation)

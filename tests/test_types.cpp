@@ -34,6 +34,16 @@ TEST(Clock, NextEdgeRoundsUp)
     EXPECT_EQ(routerEdgeAfter(1001), Tick{2000});
 }
 
+TEST(Clock, EdgeAtOrAfterKeepsEdgesAndRoundsUp)
+{
+    // The edge whose step first sees a delivery arriving at the tick.
+    using dvsnet::routerEdgeAtOrAfter;
+    EXPECT_EQ(routerEdgeAtOrAfter(0), Tick{0});
+    EXPECT_EQ(routerEdgeAtOrAfter(1), Tick{1000});
+    EXPECT_EQ(routerEdgeAtOrAfter(1000), Tick{1000});
+    EXPECT_EQ(routerEdgeAtOrAfter(8500), Tick{9000});
+}
+
 TEST(Clock, CycleCounting)
 {
     EXPECT_EQ(dvsnet::ticksToCycles(0), 0u);
