@@ -75,25 +75,29 @@ try {
     std::printf("\n[2] EWMA weight W at light load (%.1f pkt/cycle):\n",
                 light);
     Table t2({"W", "latency", "savings", "transitions/channel"});
-    for (double w : {1.0, 3.0, 7.0, 15.0}) {
-        network::ExperimentSpec spec = bench::paperSpec(opts);
-        spec.network.policy = network::PolicyKind::History;
-        spec.network.policyParams.weight = w;
-        network::Network net(spec.network);
-        traffic::TwoLevelParams wl = spec.workload;
-        wl.networkInjectionRate = light;
-        traffic::TwoLevelWorkload workload(net.topology(), wl);
-        net.attachTraffic(workload);
-        const auto res = net.run(spec.warmup, spec.measure);
-        double transitions = 0.0;
-        for (std::size_t c = 0; c < net.numChannels(); ++c)
-            transitions += static_cast<double>(
-                net.channel(static_cast<ChannelId>(c)).transitions());
-        transitions /= static_cast<double>(net.numChannels());
-        t2.addRow({Table::num(w, 0),
-                   Table::num(res.avgLatencyCycles, 1),
-                   Table::num(res.savingsFactor, 2) + "x",
-                   Table::num(transitions, 1)});
+    {
+        const double weights[] = {1.0, 3.0, 7.0, 15.0};
+        std::vector<network::ExperimentSpec> specs;
+        for (double w : weights) {
+            specs.push_back(variantSpec(opts, [w](auto &spec) {
+                spec.network.policyParams.weight = w;
+            }));
+        }
+        const auto points = bench::runObservedPoints(
+            opts, specs, std::vector<double>(specs.size(), light));
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            auto &net = points[i].live->network();
+            double transitions = 0.0;
+            for (std::size_t c = 0; c < net.numChannels(); ++c)
+                transitions += static_cast<double>(
+                    net.channel(static_cast<ChannelId>(c)).transitions());
+            transitions /= static_cast<double>(net.numChannels());
+            const auto &res = points[i].results;
+            t2.addRow({Table::num(weights[i], 0),
+                       Table::num(res.avgLatencyCycles, 1),
+                       Table::num(res.savingsFactor, 2) + "x",
+                       Table::num(transitions, 1)});
+        }
     }
     bench::printTable(t2, opts);
 

@@ -59,13 +59,7 @@ try {
     }
     runner.submitSweep(baseSpec, rates);
     runner.submitSweep(dvsSpec, rates);
-    const auto results = runner.collect();
-    for (const auto &r : results) {
-        if (!r.ok) {
-            DVSNET_FATAL("point at rate ", r.injectionRate,
-                         " failed: ", r.error);
-        }
-    }
+    const auto results = bench::collectAll(runner);
     const double zeroBase = results[0].results.avgLatencyCycles;
     const double zeroDvs = results[1].results.avgLatencyCycles;
 

@@ -11,19 +11,16 @@
 
 #include <cstdio>
 
-#include <memory>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "network/network.hpp"
-#include "traffic/task_model.hpp"
 
 using namespace dvsnet;
 
 int
 main(int argc, char **argv)
 try {
-    const auto opts = bench::parseOptions(argc, argv);
+    const auto opts = bench::parseOptions(argc, argv, bench::kDvsOffDefaults);
     bench::rejectUnknownKeys(opts);
     bench::printHeader(
         "Figure 4",
@@ -34,34 +31,14 @@ try {
     const std::vector<const char *> labels{"(a) light", "(b) high",
                                            "(c) congested"};
 
-    std::vector<std::unique_ptr<network::Network>> nets;
-    std::vector<std::unique_ptr<traffic::TwoLevelWorkload>> workloads;
-    std::vector<std::unique_ptr<bench::AllLinksProbe>> probes;
-    for (double rate : rates) {
-        network::ExperimentSpec spec = bench::paperSpec(opts);
-        spec.network.policy = network::PolicyKind::None;
-        nets.push_back(std::make_unique<network::Network>(spec.network));
-        traffic::TwoLevelParams wl = spec.workload;
-        wl.networkInjectionRate = rate;
-        workloads.push_back(std::make_unique<traffic::TwoLevelWorkload>(
-            nets.back()->topology(), wl));
-        nets.back()->attachTraffic(*workloads.back());
-        probes.push_back(
-            std::make_unique<bench::AllLinksProbe>(*nets.back(), 50));
-        probes.back()->start();
-        nets.back()->run(opts.lightWarmup, opts.measure);
-    }
-
-    const auto &topo = nets.back()->topology();
-    const ChannelId tracked = bench::selectTrackedLink(
-        *probes[1], *probes[2], topo.channels().size());
-    const auto &chan = topo.channels()[static_cast<std::size_t>(tracked)];
+    const bench::TrackedLink link(opts, rates);
+    const auto &chan = link.channel();
     std::printf("\ntracked link: %d -> %d (same selection as Figure 3)\n",
                 chan.src, chan.dst);
 
     Table summary({"load", "rate (pkt/cyc)", "mean BU", "mean LU"});
     for (std::size_t i = 0; i < rates.size(); ++i) {
-        const auto &probe = probes[i]->probe(tracked);
+        const auto &probe = link.probe(i);
         std::printf("\n%s  rate=%.1f pkt/cycle\n", labels[i], rates[i]);
         std::fputs(probe.bufferUtilHist().render().c_str(), stdout);
         summary.addRow({labels[i], Table::num(rates[i], 1),

@@ -29,7 +29,7 @@ try {
     spec.network.policy = network::PolicyKind::History;
 
     const auto rates = bench::defaultRates(opts, 1.0, 5.0);
-    const auto series = bench::runSweep(opts, spec, rates);
+    const auto series = bench::runSweeps(opts, {spec}, rates).front();
 
     Table t({"rate", "offered", "throughput", "norm power", "power (W)",
              "avg level", "latency"});

@@ -17,7 +17,7 @@ using namespace dvsnet;
 int
 main(int argc, char **argv)
 try {
-    const auto opts = bench::parseOptions(argc, argv, 5);
+    const auto opts = bench::parseOptions(argc, argv, {.sweepPoints = 5});
     bench::rejectUnknownKeys(opts);
     bench::printHeader("Figure 13",
                        "latency under Table 2 threshold settings I-VI",

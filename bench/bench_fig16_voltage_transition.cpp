@@ -26,7 +26,7 @@ using namespace dvsnet;
 int
 main(int argc, char **argv)
 try {
-    const auto opts = bench::parseOptions(argc, argv, 3);
+    const auto opts = bench::parseOptions(argc, argv, {.sweepPoints = 3});
     bench::rejectUnknownKeys(opts);
     bench::printHeader(
         "Figure 16",

@@ -67,7 +67,7 @@ expectIdentical(const char *what, const network::RunResults &a,
 int
 main(int argc, char **argv)
 try {
-    const auto opts = bench::parseOptions(argc, argv);
+    const auto opts = bench::parseOptions(argc, argv, bench::kDvsOffDefaults);
     bench::rejectUnknownKeys(opts, {"rate", "trace_prefix"});
     bench::printHeader("Trace replay",
                        "record -> CSV/binary round-trip -> lockstep "
@@ -76,7 +76,6 @@ try {
 
     network::ExperimentSpec spec = bench::paperSpec(opts);
     spec.network.policy = network::PolicyKind::None;
-    spec.warmup = opts.lightWarmup;
     const double rate = bench::rateOption(opts, "rate", 1.0);
 
     const std::string prefix =

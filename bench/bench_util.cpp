@@ -35,7 +35,7 @@ ReportState g_report;
 } // namespace
 
 BenchOptions
-parseOptions(int argc, char **argv, std::int64_t sweepPoints)
+parseOptions(int argc, char **argv, const Defaults &defaults)
 {
     // Spec::fromArgs has no bare-flag form, so rewrite the standalone
     // `--quick` token into its `quick=1` equivalent before parsing.
@@ -55,20 +55,18 @@ parseOptions(int argc, char **argv, std::int64_t sweepPoints)
     opts.quick = opts.raw.boolean("quick", false);
     // Counts are non-negative: a negative value is refused, never
     // wrapped.
-    opts.warmup =
-        opts.raw.countEnv("warmup", opts.quick ? 4000 : opts.warmup);
-    opts.lightWarmup = opts.raw.countEnv(
-        "light_warmup", opts.quick ? 1000 : opts.lightWarmup);
-    opts.measure =
-        opts.raw.countEnv("cycles", opts.quick ? 6000 : opts.measure);
+    opts.warmup = opts.raw.countEnv(
+        "warmup", opts.quick ? defaults.quickWarmup : defaults.warmup);
+    opts.measure = opts.raw.countEnv(
+        "cycles", opts.quick ? defaults.quickMeasure : defaults.measure);
     opts.seed = opts.raw.countEnv("seed", opts.seed);
     opts.csv = opts.raw.boolean("csv", false);
     // A sweep needs at least two points.  Both counts are capped: each
     // point is a job and each thread a worker, made before anything
     // runs.
     opts.sweepPoints = static_cast<std::int64_t>(opts.raw.countEnv(
-        "points", opts.quick ? 2 : static_cast<std::uint64_t>(sweepPoints),
-        2, network::kMaxSweepPoints));
+        "points", opts.quick ? 2 : defaults.sweepPoints, 2,
+        network::kMaxSweepPoints));
     opts.threads = opts.raw.countEnv("threads", 0, 0, exp::kMaxThreads);
     opts.jsonPath = opts.raw.text("json", "");
     opts.workload = opts.raw.text("workload", "");
@@ -96,12 +94,26 @@ rejectUnknownKeys(const BenchOptions &opts,
 {
     std::vector<std::string> accepted = {
         // parseOptions
-        "quick", "warmup", "light_warmup", "cycles", "seed", "csv",
+        "quick", "warmup", "cycles", "seed", "csv",
         "points", "threads", "json", "workload", "link-power",
         // paperSpec
         "tasks", "task_duration", "sources"};
     accepted.insert(accepted.end(), extra.begin(), extra.end());
     opts.raw.rejectUnknownKeys(accepted);
+}
+
+std::unique_ptr<traffic::TrafficGenerator>
+openLoopWorkload(const BenchOptions &opts,
+                 const network::ExperimentSpec &spec,
+                 const topo::KAryNCube &topo, double rate)
+{
+    auto generator = workload::buildWorkload(
+        spec.workloadSpec,
+        {topo, rate, spec.workload.seed, spec.workload});
+    if (generator->wantsDeliveries())
+        opts.raw.reject("workload", "must be an open-loop workload: a "
+                                    "closed-loop one needs a network");
+    return generator;
 }
 
 exp::RunnerOptions
@@ -112,6 +124,19 @@ runnerOptions(const BenchOptions &opts)
     return ro;
 }
 
+std::vector<exp::PointResult>
+collectAll(exp::ExperimentRunner &runner)
+{
+    auto results = runner.collect();
+    for (const auto &r : results) {
+        if (!r.ok) {
+            DVSNET_FATAL("point at rate ", r.injectionRate,
+                         " failed: ", r.error);
+        }
+    }
+    return results;
+}
+
 std::vector<std::vector<network::SweepPoint>>
 runSweeps(const BenchOptions &opts,
           const std::vector<network::ExperimentSpec> &specs,
@@ -120,7 +145,7 @@ runSweeps(const BenchOptions &opts,
     exp::ExperimentRunner runner(runnerOptions(opts));
     for (const auto &spec : specs)
         runner.submitSweep(spec, rates);
-    const auto results = runner.collect();
+    const auto results = collectAll(runner);
 
     std::vector<std::vector<network::SweepPoint>> series(specs.size());
     for (std::size_t s = 0; s < specs.size(); ++s) {
@@ -131,10 +156,6 @@ runSweeps(const BenchOptions &opts,
         series[s].reserve(rates.size());
         for (std::size_t i = 0; i < rates.size(); ++i) {
             const auto &r = results[s * rates.size() + i];
-            if (!r.ok) {
-                DVSNET_FATAL("sweep ", s, " point at rate ",
-                             r.injectionRate, " failed: ", r.error);
-            }
             points.push(exp::toJson(r));
             series[s].push_back(r.toSweepPoint());
         }
@@ -142,13 +163,6 @@ runSweeps(const BenchOptions &opts,
         recordResult(std::move(entry));
     }
     return series;
-}
-
-std::vector<network::SweepPoint>
-runSweep(const BenchOptions &opts, const network::ExperimentSpec &spec,
-         const std::vector<double> &rates)
-{
-    return runSweeps(opts, {spec}, rates).front();
 }
 
 std::vector<network::RunResults>
@@ -166,7 +180,7 @@ runPoints(const BenchOptions &opts,
         job.seed = specs[i].workload.seed;
         runner.submit(std::move(job));
     }
-    const auto results = runner.collect();
+    const auto results = collectAll(runner);
 
     Json entry = Json::object();
     entry["type"] = Json("points");
@@ -176,10 +190,6 @@ runPoints(const BenchOptions &opts,
     out.reserve(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
-        if (!r.ok) {
-            DVSNET_FATAL("point at rate ", r.injectionRate,
-                         " failed: ", r.error);
-        }
         Json p = exp::toJson(r);
         p["spec"] = network::toJson(specs[i]);
         points.push(std::move(p));
@@ -188,6 +198,30 @@ runPoints(const BenchOptions &opts,
     entry["points"] = std::move(points);
     recordResult(std::move(entry));
     return out;
+}
+
+std::vector<exp::PointResult>
+runObservedPoints(const BenchOptions &opts,
+                  const std::vector<network::ExperimentSpec> &specs,
+                  const std::vector<double> &rates,
+                  const std::function<void(network::Network &)> &observe)
+{
+    DVSNET_ASSERT(specs.size() == rates.size(),
+                  "one rate per spec required");
+    exp::ExperimentRunner runner(runnerOptions(opts));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        exp::PointJob job;
+        job.spec = specs[i];
+        job.injectionRate = rates[i];
+        job.seed = specs[i].workload.seed;
+        // A network that has run no cycle continues to any measurement.
+        job.resume = std::make_shared<exp::LiveNetwork>(job, nullptr);
+        if (observe)
+            observe(job.resume->network());
+        job.keep = true;
+        runner.submit(std::move(job));
+    }
+    return collectAll(runner);
 }
 
 network::ExperimentSpec
@@ -211,8 +245,8 @@ paperSpec(const BenchOptions &opts)
         spec.network.linkPowerSpec = opts.linkPower;
     spec.warmup = opts.warmup;
     spec.measure = opts.measure;
-    // Some benches build a TwoLevelWorkload from the block directly, so
-    // bad tasks/task_duration/sources values must stop here.
+    // Bad tasks/task_duration/sources values stop here, before any
+    // network or generator is built.
     const auto problems = spec.validate();
     if (!problems.empty())
         throw ConfigError(joinProblems("invalid bench options", problems));
@@ -278,8 +312,6 @@ printHeader(const std::string &figure, const std::string &what,
         root["link_power"] = std::move(linkPower);
     }
     root["warmup_cycles"] = Json(static_cast<std::uint64_t>(opts.warmup));
-    root["light_warmup_cycles"] =
-        Json(static_cast<std::uint64_t>(opts.lightWarmup));
     root["measure_cycles"] = Json(static_cast<std::uint64_t>(opts.measure));
     root["sweep_points"] = Json(opts.sweepPoints);
     // Sorted by key; fromArgs refused any repeated key.
@@ -402,14 +434,7 @@ runDvsComparison(const BenchOptions &opts, double taskCount,
     }
     runner.submitSweep(baseSpec, rates);
     runner.submitSweep(dvsSpec, rates);
-    const auto results = runner.collect();
-
-    for (const auto &r : results) {
-        if (!r.ok) {
-            DVSNET_FATAL("point at rate ", r.injectionRate,
-                         " failed: ", r.error);
-        }
-    }
+    const auto results = collectAll(runner);
     DVSNET_ASSERT(results[0].results.packetsDelivered > 0 &&
                       results[1].results.packetsDelivered > 0,
                   "zero-load run delivered nothing");
@@ -487,80 +512,62 @@ runDvsComparison(const BenchOptions &opts, double taskCount,
     printTable(s, opts);
 }
 
-AllLinksProbe::AllLinksProbe(network::Network &net, Cycle windowCycles)
+TrackedLink::TrackedLink(const BenchOptions &opts,
+                         const std::vector<double> &rates)
 {
-    const auto &topo = net.topology();
-    probes_.reserve(topo.channels().size());
-    for (const auto &ch : topo.channels()) {
-        probes_.push_back(std::make_unique<core::TrafficProbe>(
-            net.kernel(), &net.channel(ch.id), &net.router(ch.src),
-            ch.srcPort, &net.router(ch.dst), ch.dstPort, windowCycles));
+    DVSNET_ASSERT(rates.size() >= 2, "a tracked link needs two loads");
+    network::ExperimentSpec spec = paperSpec(opts);
+    spec.network.policy = network::PolicyKind::None;
+    points_ = runObservedPoints(
+        opts, std::vector(rates.size(), spec), rates,
+        [this](network::Network &net) {
+            // Only valid without DVS controllers: the probes consume
+            // their measurement windows.
+            auto &probes = probes_.emplace_back();
+            for (const auto &ch : net.topology().channels()) {
+                probes.push_back(std::make_unique<core::TrafficProbe>(
+                    net.kernel(), &net.channel(ch.id), &net.router(ch.src),
+                    ch.srcPort, &net.router(ch.dst), ch.dstPort, 50));
+                probes.back()->start();
+            }
+        });
+
+    // The largest LU dip among links hot near saturation whose buffer
+    // is nearly full under congestion; else the most-contended
+    // downstream buffer weighted by load.
+    const auto &nearSaturation = probes_[rates.size() - 2];
+    const auto &congested = probes_.back();
+    double bestDip = 0.0;
+    double bestScore = -1.0;
+    ChannelId dipLink = kInvalidId;
+    for (std::size_t c = 0; c < congested.size(); ++c) {
+        const double luC = nearSaturation[c]->meanLinkUtil();
+        const double luD = congested[c]->meanLinkUtil();
+        const double buD = congested[c]->meanBufferUtil();
+        if (luC >= 0.35 && buD >= 0.5 && luC - luD > bestDip) {
+            bestDip = luC - luD;
+            dipLink = static_cast<ChannelId>(c);
+        }
+        if (luC * buD > bestScore) {
+            bestScore = luC * buD;
+            tracked_ = static_cast<ChannelId>(c);
+        }
     }
+    if (dipLink != kInvalidId)
+        tracked_ = dipLink;
 }
 
-void
-AllLinksProbe::start()
+const topo::Channel &
+TrackedLink::channel() const
 {
-    for (auto &p : probes_)
-        p->start();
+    return points_.back().live->network().topology().channels().at(
+        static_cast<std::size_t>(tracked_));
 }
 
 const core::TrafficProbe &
-AllLinksProbe::probe(ChannelId id) const
+TrackedLink::probe(std::size_t load) const
 {
-    return *probes_.at(static_cast<std::size_t>(id));
-}
-
-ChannelId
-AllLinksProbe::hottest() const
-{
-    ChannelId best = 0;
-    double bestLu = -1.0;
-    for (std::size_t i = 0; i < probes_.size(); ++i) {
-        if (probes_[i]->meanLinkUtil() > bestLu) {
-            bestLu = probes_[i]->meanLinkUtil();
-            best = static_cast<ChannelId>(i);
-        }
-    }
-    return best;
-}
-
-ChannelId
-selectTrackedLink(const AllLinksProbe &nearSaturation,
-                  const AllLinksProbe &congested,
-                  std::size_t numChannels)
-{
-    ChannelId best = kInvalidId;
-    double bestDip = 0.0;
-    for (std::size_t c = 0; c < numChannels; ++c) {
-        const auto id = static_cast<ChannelId>(c);
-        const double luC = nearSaturation.probe(id).meanLinkUtil();
-        const double luD = congested.probe(id).meanLinkUtil();
-        const double buD = congested.probe(id).meanBufferUtil();
-        if (luC < 0.35 || buD < 0.5)
-            continue;
-        const double dip = luC - luD;
-        if (dip > bestDip) {
-            bestDip = dip;
-            best = id;
-        }
-    }
-    if (best != kInvalidId)
-        return best;
-
-    // Fallback: most-contended downstream buffer weighted by load.
-    double bestScore = -1.0;
-    best = 0;
-    for (std::size_t c = 0; c < numChannels; ++c) {
-        const auto id = static_cast<ChannelId>(c);
-        const double score = nearSaturation.probe(id).meanLinkUtil() *
-                             congested.probe(id).meanBufferUtil();
-        if (score > bestScore) {
-            bestScore = score;
-            best = id;
-        }
-    }
-    return best;
+    return *probes_.at(load).at(static_cast<std::size_t>(tracked_));
 }
 
 } // namespace dvsnet::bench

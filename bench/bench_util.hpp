@@ -16,6 +16,7 @@
 
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,22 +27,33 @@
 #include "core/monitor.hpp"
 #include "exp/runner.hpp"
 #include "network/sweep.hpp"
+#include "traffic/traffic.hpp"
 
 namespace dvsnet::bench
 {
 
-/** Fidelity/override knobs shared by every bench. */
-struct BenchOptions
+/** A bench's defaults for parseOptions's counts: its windows at full
+ *  fidelity and under `--quick`, and its points per sweep. */
+struct Defaults
 {
     /** Warm-up for DVS experiments: the level descent/ascent transient
      *  spans ~110k cycles (9 steps x ~11 us), so power/latency windows
      *  must start after it. */
-    Cycle warmup = 120000;
+    Cycle warmup = 120000, measure = 150000;
+    Cycle quickWarmup = 4000, quickMeasure = 6000;
+    std::uint64_t sweepPoints = 8;  ///< `--quick` makes it 2
+};
 
-    /** Warm-up for measurement-only (non-DVS) runs. */
-    Cycle lightWarmup = 20000;
+/** Figs. 3-5, 8, 9 and trace replay run with DVS off: no level
+ *  transient to wait out. */
+inline constexpr Defaults kDvsOffDefaults{.warmup = 20000,
+                                          .quickWarmup = 1000};
 
-    Cycle measure = 150000;
+/** Fidelity/override knobs shared by every bench. */
+struct BenchOptions
+{
+    Cycle warmup = 0;
+    Cycle measure = 0;
     std::uint64_t seed = 12345;
     bool csv = false;               ///< emit CSV instead of boxed tables
     std::int64_t sweepPoints = 8;  ///< points per injection sweep
@@ -80,15 +92,14 @@ struct BenchOptions
 /**
  * Parse `key=value` / `--key value` args + environment into options.
  * Every bench accepts `--threads N` and `--seed S` this way.
- * `sweepPoints` is the bench's own points per sweep; `--quick` makes it
- * 2, and `points=` or DVSNET_POINTS overrides both.  @throws
- * ConfigError on a malformed command line, a refused value (fewer than
- * 2 or more than network::kMaxSweepPoints points, or more than
- * exp::kMaxThreads threads, among them) or an invalid
- * `--workload`/`--link-power` spec.
+ * `warmup=`, `cycles=` and `points=` (or DVSNET_*) override the
+ * bench's `defaults`.  @throws ConfigError on a malformed command line,
+ * a refused value (fewer than 2 or more than network::kMaxSweepPoints
+ * points, or more than exp::kMaxThreads threads, among them) or an
+ * invalid `--workload`/`--link-power` spec.
  */
 BenchOptions parseOptions(int argc, char **argv,
-                          std::int64_t sweepPoints = 8);
+                          const Defaults &defaults = {});
 
 /**
  * Throw a ConfigError naming the first key in `opts` that the binary
@@ -96,15 +107,27 @@ BenchOptions parseOptions(int argc, char **argv,
  * paperSpec read, which every simulating bench accepts, plus `extra`,
  * the keys the binary reads itself (defaultRates's `rate_lo` and
  * `rate_hi` among them).  A misspelled or removed key would otherwise
- * be a silent no-op.  Every bench that simulates calls this right after
- * parseOptions; the two that do not (Fig. 7, Table 1) accept only their
- * output keys.
+ * be a silent no-op.  Every bench that runs a network calls this right
+ * after parseOptions; the ones that do not (Figs. 7-9, Table 1) list
+ * the keys they read themselves.
  */
 void rejectUnknownKeys(const BenchOptions &opts,
                        const std::vector<std::string> &extra = {});
 
+/** `spec`'s workload generator at `rate` on `topo`, for a bench that
+ *  records it instead of running a network (Figs. 8-9).  @throws
+ *  ConfigError naming `workload` for a closed-loop one */
+std::unique_ptr<traffic::TrafficGenerator>
+openLoopWorkload(const BenchOptions &opts,
+                 const network::ExperimentSpec &spec,
+                 const topo::KAryNCube &topo, double rate);
+
 /** ExperimentRunner options matching `opts` (thread count). */
 exp::RunnerOptions runnerOptions(const BenchOptions &opts);
+
+/** `runner.collect()`; fatal on a failed point (a bench has no way to
+ *  recover from an invalid spec). */
+std::vector<exp::PointResult> collectAll(exp::ExperimentRunner &runner);
 
 /**
  * Run several sweeps over the same rate grid on one worker pool —
@@ -117,11 +140,6 @@ runSweeps(const BenchOptions &opts,
           const std::vector<network::ExperimentSpec> &specs,
           const std::vector<double> &rates);
 
-/** Single-spec convenience over runSweeps. */
-std::vector<network::SweepPoint>
-runSweep(const BenchOptions &opts, const network::ExperimentSpec &spec,
-         const std::vector<double> &rates);
-
 /**
  * Run one point per spec (`specs[i]` at `rates[i]`, seeded from its
  * own `workload.seed` — equivalent to exp::runPoint on each, but
@@ -131,6 +149,19 @@ std::vector<network::RunResults>
 runPoints(const BenchOptions &opts,
           const std::vector<network::ExperimentSpec> &specs,
           const std::vector<double> &rates);
+
+/**
+ * runPoints, each on a network the runner's own point builder
+ * (exp::LiveNetwork) makes first and hands to `observe` before its first
+ * cycle; each result keeps it in PointResult::live.  Records nothing in
+ * the artifact.
+ */
+std::vector<exp::PointResult>
+runObservedPoints(const BenchOptions &opts,
+                  const std::vector<network::ExperimentSpec> &specs,
+                  const std::vector<double> &rates,
+                  const std::function<void(network::Network &)> &observe =
+                      {});
 
 /**
  * The paper's Section 4.2 experimental setup: 8x8 mesh, 2 VCs, 128
@@ -202,40 +233,30 @@ void runDvsComparison(const BenchOptions &opts, double taskCount,
                       const std::vector<double> &rates);
 
 /**
- * Probes every channel of a network (Figs. 3-5 helper).  The paper
- * tracks "a link within the 8x8 mesh"; since the two-level workload
- * places load unevenly, we profile all links and report the hottest —
- * the one whose utilization dynamics the policy actually has to manage.
- * Only valid on networks without active DVS controllers (the probes
- * consume the same measurement windows).
+ * Figs. 3-5: the paper network with DVS off at each of `rates`, every
+ * link probed over H = 50-cycle windows, and the one link the figures
+ * track ("a link within the 8x8 mesh"): hot at the second-highest load,
+ * and at the highest showing the congestion signature, a *lower* LU
+ * with a nearly full downstream buffer; else the most-loaded congested
+ * link.
  */
-class AllLinksProbe
+class TrackedLink
 {
   public:
-    AllLinksProbe(network::Network &net, Cycle windowCycles);
+    /** Run the loads (at least two); fatal on a failed point. */
+    TrackedLink(const BenchOptions &opts, const std::vector<double> &rates);
 
-    /** Begin sampling on every channel. */
-    void start();
+    /** The tracked channel. */
+    const topo::Channel &channel() const;
 
-    /** Probe for one channel. */
-    const core::TrafficProbe &probe(ChannelId id) const;
-
-    /** Channel with the highest mean link utilization. */
-    ChannelId hottest() const;
+    /** Its probe at `rates[load]`. */
+    const core::TrafficProbe &probe(std::size_t load) const;
 
   private:
-    std::vector<std::unique_ptr<core::TrafficProbe>> probes_;
+    std::vector<exp::PointResult> points_;  ///< the probed networks
+    /** Per load, every channel's probe, by channel id. */
+    std::vector<std::vector<std::unique_ptr<core::TrafficProbe>>> probes_;
+    ChannelId tracked_ = 0;
 };
-
-/**
- * Select the Fig. 3-5 tracked link: hot near saturation, and under the
- * congested load showing the paper's signature — a *lower* LU with a
- * nearly full downstream buffer (transmission gated by free-buffer
- * availability).  Falls back to the most-loaded congested link if no
- * channel exhibits the full signature at this fidelity.
- */
-ChannelId selectTrackedLink(const AllLinksProbe &nearSaturation,
-                            const AllLinksProbe &congested,
-                            std::size_t numChannels);
 
 } // namespace dvsnet::bench

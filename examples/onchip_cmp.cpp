@@ -18,38 +18,11 @@
 #include "common/fatal.hpp"
 #include "common/spec.hpp"
 #include "common/table.hpp"
-#include "network/network.hpp"
+#include "exp/runner.hpp"
 #include "network/sweep.hpp"
 #include "traffic/pattern.hpp"
-#include "workload/factory.hpp"
 
 using namespace dvsnet;
-
-namespace
-{
-
-network::RunResults
-runCase(const std::string &pattern, double rate, Cycle warmup,
-        Cycle cycles, network::PolicyKind policy,
-        network::RoutingKind routing)
-{
-    network::NetworkConfig cfg;
-    cfg.radix = 4;
-    cfg.dims = 2;
-    cfg.policy = policy;
-    cfg.routing = routing;
-
-    network::Network net(cfg);
-    // A pattern workload spreads the network's rate evenly over the
-    // nodes, so `rate` per node is `rate` x 16 for the network.
-    const auto traffic = workload::buildWorkload(
-        pattern, {net.topology(), rate * net.topology().numNodes(), 7,
-                  traffic::TwoLevelParams{}});
-    net.attachTraffic(*traffic);
-    return net.run(warmup, cycles);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -95,10 +68,32 @@ try {
          network::RoutingKind::MinimalAdaptive},
     };
 
+    // One batch: the four cases run in parallel and share one
+    // recording of the pattern's packets.
+    exp::ExperimentRunner runner;
     for (const auto &c : cases) {
-        const auto res =
-            runCase(pattern, rate, warmup, cycles, c.policy, c.routing);
-        t.addRow({c.name, network::latencyCell(res),
+        exp::PointJob job;
+        job.spec.network.radix = 4;
+        job.spec.network.dims = 2;
+        job.spec.network.policy = c.policy;
+        job.spec.network.routing = c.routing;
+        job.spec.workloadSpec = pattern;
+        job.spec.warmup = warmup;
+        job.spec.measure = cycles;
+        // A pattern workload spreads the network's rate evenly over the
+        // nodes, so `rate` per node is `rate` x 16 for the network.
+        job.injectionRate = rate * 16;
+        job.seed = 7;
+        runner.submit(std::move(job));
+    }
+    const auto results = runner.collect();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (!results[i].ok) {
+            DVSNET_FATAL("case '", cases[i].name,
+                         "' failed: ", results[i].error);
+        }
+        const auto &res = results[i].results;
+        t.addRow({cases[i].name, network::latencyCell(res),
                   Table::num(res.throughputPktsPerCycle, 4),
                   Table::num(res.avgPowerW, 1),
                   Table::num(res.savingsFactor, 2) + "x"});

@@ -53,9 +53,15 @@ try {
         std::printf("  network power  : %8.1f W (normalized %.3f)\n",
                     res.avgPowerW, res.normalizedPower);
         std::printf("  power savings  : %8.2fx\n", res.savingsFactor);
-        std::printf("  delivered      : %8llu packets\n\n",
-                    static_cast<unsigned long long>(res.packetsDelivered));
+        std::printf("  delivered      : %8llu of %llu created in the "
+                    "window\n\n",
+                    static_cast<unsigned long long>(res.packetsDelivered),
+                    static_cast<unsigned long long>(res.packetsCreated));
     }
+    std::printf("throughput counts every packet ejected in the window, "
+                "whenever it was created;\ndelivered counts the packets "
+                "created in the window that reached their\ndestination "
+                "by its end (avg latency is theirs).\n");
     return 0;
 } catch (const ConfigError &e) {
     return reportFatal(e);

@@ -46,7 +46,6 @@ PortDvsController::evaluate()
     input.linkUtil = lastLu_;
     input.bufferUtil = lastBu_;
     input.level = channel_->level();
-    input.numLevels = channel_->table().size();
 
     const DvsAction action = policy_->decide(input);
 

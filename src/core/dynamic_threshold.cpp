@@ -51,15 +51,4 @@ DynamicThresholdPolicy::decide(const PolicyInput &input)
     return inner_->decide(input);
 }
 
-void
-DynamicThresholdPolicy::reset()
-{
-    setting_ = params_.initialSetting;
-    buWindow_.reset();
-    windowsSinceAdapt_ = 0;
-    const auto bank = HistoryDvsParams::thresholdSetting(setting_);
-    inner_->setLightBank(bank.tlLow, bank.tlHigh);
-    inner_->reset();
-}
-
 } // namespace dvsnet::core

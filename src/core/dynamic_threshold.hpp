@@ -51,10 +51,6 @@ class DynamicThresholdPolicy final : public DvsPolicy
 
     DvsAction decide(const PolicyInput &input) override;
 
-    void reset() override;
-
-    const char *name() const override { return "dynamic-threshold"; }
-
     /** Current Table 2 setting index (0..5). */
     int setting() const { return setting_; }
 

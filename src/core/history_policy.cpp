@@ -68,40 +68,11 @@ HistoryDvsPolicy::decide(const PolicyInput &input)
 }
 
 void
-HistoryDvsPolicy::reset()
-{
-    luEwma_.reset();
-    buEwma_.reset();
-}
-
-void
 HistoryDvsPolicy::setLightBank(double tlLow, double tlHigh)
 {
     DVSNET_ASSERT(tlLow < tlHigh, "TL_low must be below TL_high");
     params_.tlLow = tlLow;
     params_.tlHigh = tlHigh;
-}
-
-LinkUtilOnlyPolicy::LinkUtilOnlyPolicy(const HistoryDvsParams &params)
-    : params_(params), luEwma_(effectiveWeight(params))
-{
-}
-
-DvsAction
-LinkUtilOnlyPolicy::decide(const PolicyInput &input)
-{
-    const double lu = luEwma_.update(input.linkUtil);
-    if (lu < params_.tlLow)
-        return DvsAction::Slower;
-    if (lu > params_.tlHigh)
-        return DvsAction::Faster;
-    return DvsAction::Hold;
-}
-
-void
-LinkUtilOnlyPolicy::reset()
-{
-    luEwma_.reset();
 }
 
 } // namespace dvsnet::core

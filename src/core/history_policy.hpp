@@ -61,10 +61,6 @@ class HistoryDvsPolicy final : public DvsPolicy
 
     DvsAction decide(const PolicyInput &input) override;
 
-    void reset() override;
-
-    const char *name() const override { return "history-dvs"; }
-
     /** Latest predicted link utilization (LU_predicted). */
     double predictedLinkUtil() const { return luEwma_.value(); }
 
@@ -84,26 +80,6 @@ class HistoryDvsPolicy final : public DvsPolicy
     HistoryDvsParams params_;
     Ewma luEwma_;
     Ewma buEwma_;
-};
-
-/**
- * Ablation: Algorithm 1 without the congestion litmus — the light-load
- * thresholds apply at every load.  Quantifies what the BU test buys.
- */
-class LinkUtilOnlyPolicy final : public DvsPolicy
-{
-  public:
-    explicit LinkUtilOnlyPolicy(const HistoryDvsParams &params = {});
-
-    DvsAction decide(const PolicyInput &input) override;
-
-    void reset() override;
-
-    const char *name() const override { return "lu-only"; }
-
-  private:
-    HistoryDvsParams params_;
-    Ewma luEwma_;
 };
 
 } // namespace dvsnet::core

@@ -24,7 +24,6 @@ struct PolicyInput
     double linkUtil = 0.0;     ///< LU_current, [0, 1]
     double bufferUtil = 0.0;   ///< BU_current, [0, 1]
     std::size_t level = 0;     ///< current channel level (0 = fastest)
-    std::size_t numLevels = 1; ///< table size
 };
 
 /** Prescribed action for the coming window. */
@@ -43,12 +42,6 @@ class DvsPolicy
 
     /** Evaluate one history window. */
     virtual DvsAction decide(const PolicyInput &input) = 0;
-
-    /** Reset internal history. */
-    virtual void reset() = 0;
-
-    /** Short name for reports. */
-    virtual const char *name() const = 0;
 };
 
 /** Baseline: drives every link toward one fixed level and stays there. */
@@ -67,10 +60,6 @@ class StaticLevelPolicy final : public DvsPolicy
             return DvsAction::Faster;
         return DvsAction::Hold;
     }
-
-    void reset() override {}
-
-    const char *name() const override { return "static-level"; }
 
   private:
     std::size_t target_;

@@ -61,9 +61,11 @@ struct PointJob
     Cycle horizon = 0;
 
     /**
-     * A network an earlier job of this point kept: the job runs it on
-     * to its end and collects it, instead of building one from cycle 0.
-     * The job fails unless it is that point measured for longer.
+     * A network an earlier job of this point kept, or one the caller
+     * built for this job to observe (LiveNetwork::network()) and has not
+     * run: the job runs it on to its end and collects it, instead of
+     * building one from cycle 0.  The job fails unless it is that point
+     * measured for longer.
      */
     std::shared_ptr<LiveNetwork> resume;
 

@@ -98,6 +98,11 @@ class LiveNetwork
      */
     network::RunResults runOn(const PointJob &job);
 
+    /** The point's network: probes attached before it runs see the
+     *  whole run, and its state reads as the run left it after
+     *  runOn(). */
+    network::Network &network() { return network_; }
+
   private:
     /** Whether `job` is this point (equal spec, rate and seed) measured
      *  for longer than the run has been. */

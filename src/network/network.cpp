@@ -1,6 +1,7 @@
 #include "network/network.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/fatal.hpp"
 
@@ -285,9 +286,13 @@ Network::makePolicy() const
       case PolicyKind::History:
         return std::make_unique<core::HistoryDvsPolicy>(
             config_.policyParams);
-      case PolicyKind::LinkUtilOnly:
-        return std::make_unique<core::LinkUtilOnlyPolicy>(
-            config_.policyParams);
+      case PolicyKind::LinkUtilOnly: {
+        // Algorithm 1 with its litmus off: no BU reaches +inf, so the
+        // light-load bank applies at every load.
+        core::HistoryDvsParams params = config_.policyParams;
+        params.bCongested = std::numeric_limits<double>::infinity();
+        return std::make_unique<core::HistoryDvsPolicy>(params);
+      }
       case PolicyKind::StaticLevel:
         return std::make_unique<core::StaticLevelPolicy>(
             config_.staticLevel);

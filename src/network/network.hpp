@@ -41,7 +41,7 @@ enum class PolicyKind
 {
     None,         ///< no controllers; links pinned at their initial level
     History,      ///< the paper's Algorithm 1
-    LinkUtilOnly, ///< ablation: Algorithm 1 without the congestion litmus
+    LinkUtilOnly, ///< ablation: Algorithm 1, litmus off (B_congested = inf)
     StaticLevel,  ///< drive all links to a fixed level
     DynamicThreshold,  ///< Section 4.4.2 extension: self-tuning TL bank
 };

@@ -28,6 +28,13 @@ namespace
 constexpr std::size_t kMaxRungs = 64;
 constexpr std::size_t kMaxRandomCandidates = 1000000;
 
+// The box random candidates are sampled from.
+constexpr double kTlLowMin = 0.05, kTlLowMax = 0.6;
+constexpr double kTlGapMin = 0.05, kTlGapMax = 0.3;  ///< tlHigh = tlLow + gap
+constexpr double kWeightMin = 1.0, kWeightMax = 7.0;
+constexpr Cycle kCooldownMax = 4;
+constexpr Cycle kFreqLockMin = 50, kFreqLockMax = 400;
+
 /** Sampled parameters rounded so the canonical echo stays readable. */
 double
 round3(double value)
@@ -158,17 +165,6 @@ SearchConfig::validate() const
                                               ": weight must be > 0"));
         }
     }
-
-    if (randomCandidates > 0) {
-        if (!(tlLowMin > 0.0) || tlLowMin > tlLowMax)
-            problems.push_back("need 0 < tl_low_min <= tl_low_max");
-        if (tlGapMin < 0.0 || tlGapMin > tlGapMax)
-            problems.push_back("need 0 <= tl_gap_min <= tl_gap_max");
-        if (!(weightMin > 0.0) || weightMin > weightMax)
-            problems.push_back("need 0 < weight_min <= weight_max");
-        if (freqLockMin > freqLockMax)
-            problems.push_back("need freq_lock_min <= freq_lock_max");
-    }
     return problems;
 }
 
@@ -178,19 +174,6 @@ SearchConfig::toJson() const
     // Deliberately excludes journalPath / warmJournals / threads: the
     // echo names what determines the *results*, so a resumed or re-
     // threaded run writes a byte-identical journal header.
-    Json bounds = Json::object();
-    bounds["cooldown_max"] = Json(static_cast<std::uint64_t>(cooldownMax));
-    bounds["freq_lock_max"] =
-        Json(static_cast<std::uint64_t>(freqLockMax));
-    bounds["freq_lock_min"] =
-        Json(static_cast<std::uint64_t>(freqLockMin));
-    bounds["tl_gap_max"] = Json(tlGapMax);
-    bounds["tl_gap_min"] = Json(tlGapMin);
-    bounds["tl_low_max"] = Json(tlLowMax);
-    bounds["tl_low_min"] = Json(tlLowMin);
-    bounds["weight_max"] = Json(weightMax);
-    bounds["weight_min"] = Json(weightMin);
-
     Json ladder = Json::array();
     for (const auto &rung : rungs) {
         Json r = Json::object();
@@ -209,7 +192,6 @@ SearchConfig::toJson() const
 
     Json j = Json::object();
     j["base"] = network::toJson(base);
-    j["bounds"] = bounds;
     j["injection_rate"] = Json(injectionRate);
     j["max_network_evals"] =
         Json(static_cast<std::uint64_t>(maxNetworkEvals));
@@ -232,18 +214,12 @@ SearchDriver::candidateSet(const SearchConfig &config)
     Rng rng(exp::pointSeed(config.seed, std::string("candidate-set")));
     for (std::size_t i = 0; i < config.randomCandidates; ++i) {
         Candidate c;
-        c.tlLow = round3(rng.uniform(config.tlLowMin, config.tlLowMax));
-        c.tlHigh = round3(
-            c.tlLow + rng.uniform(config.tlGapMin, config.tlGapMax));
-        c.weight =
-            round3(rng.uniform(config.weightMin, config.weightMax));
-        c.cooldown = rng.uniformInt(
-            static_cast<std::uint64_t>(config.cooldownMax) + 1);
+        c.tlLow = round3(rng.uniform(kTlLowMin, kTlLowMax));
+        c.tlHigh = round3(c.tlLow + rng.uniform(kTlGapMin, kTlGapMax));
+        c.weight = round3(rng.uniform(kWeightMin, kWeightMax));
+        c.cooldown = rng.uniformInt(kCooldownMax + 1);
         c.freqLockCycles =
-            config.freqLockMin +
-            rng.uniformInt(static_cast<std::uint64_t>(
-                               config.freqLockMax - config.freqLockMin) +
-                           1);
+            kFreqLockMin + rng.uniformInt(kFreqLockMax - kFreqLockMin + 1);
         out.push_back(c);
     }
 

@@ -117,16 +117,11 @@ struct SearchConfig
      *  bench seeds the Fig. 15 threshold grid here). */
     std::vector<Candidate> seeded;
 
-    /** Rng-sampled candidates appended after the seeded ones (at
-     *  most 10^6; validate() enforces the cap). */
+    /** Rng-sampled candidates appended after the seeded ones, drawn
+     *  from one fixed box of thresholds, weights, cooldowns and
+     *  frequency-lock times (at most 10^6; validate() enforces the
+     *  cap). */
     std::size_t randomCandidates = 16;
-
-    // Sampling bounds for the random candidates.
-    double tlLowMin = 0.05, tlLowMax = 0.6;
-    double tlGapMin = 0.05, tlGapMax = 0.3;  ///< tlHigh = tlLow + gap
-    double weightMin = 1.0, weightMax = 7.0;
-    Cycle cooldownMax = 4;
-    Cycle freqLockMin = 50, freqLockMax = 400;
 
     /** Fidelity ladder, cheapest first; the last rung is "full" (at
      *  most 64 rungs; validate() enforces the cap). */

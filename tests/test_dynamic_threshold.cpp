@@ -23,7 +23,6 @@ in(double lu, double bu)
     i.linkUtil = lu;
     i.bufferUtil = bu;
     i.level = 5;
-    i.numLevels = 10;
     return i;
 }
 
@@ -81,18 +80,6 @@ TEST(DynamicThreshold, DecisionsFollowCurrentBank)
         a = p.decide(in(0.45, 0.0));
     EXPECT_EQ(p.setting(), 5);
     EXPECT_EQ(a, DvsAction::Slower);
-}
-
-TEST(DynamicThreshold, ResetRestoresInitialState)
-{
-    DynamicThresholdParams params;
-    params.adaptPeriod = 2;
-    DynamicThresholdPolicy p(params);
-    for (int i = 0; i < 32; ++i)
-        p.decide(in(0.35, 0.0));
-    ASSERT_NE(p.setting(), 2);
-    p.reset();
-    EXPECT_EQ(p.setting(), 2);
 }
 
 TEST(DynamicThreshold, SettingStaysInTableRange)

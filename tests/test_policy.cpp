@@ -7,13 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/history_policy.hpp"
 #include "core/policy.hpp"
 
 using dvsnet::core::DvsAction;
 using dvsnet::core::HistoryDvsParams;
 using dvsnet::core::HistoryDvsPolicy;
-using dvsnet::core::LinkUtilOnlyPolicy;
 using dvsnet::core::PolicyInput;
 using dvsnet::core::StaticLevelPolicy;
 
@@ -27,7 +28,6 @@ in(double lu, double bu, std::size_t level = 5)
     i.linkUtil = lu;
     i.bufferUtil = bu;
     i.level = level;
-    i.numLevels = 10;
     return i;
 }
 
@@ -124,15 +124,6 @@ TEST(HistoryPolicy, LiteralEquationFiveModeAvailable)
     EXPECT_DOUBLE_EQ(p.predictedLinkUtil(), (3 * 0.4 + 0.6) / 4);
 }
 
-TEST(HistoryPolicy, ResetClearsHistory)
-{
-    HistoryDvsPolicy p;
-    steadyDecision(p, 0.9, 0.9);
-    p.reset();
-    EXPECT_DOUBLE_EQ(p.predictedLinkUtil(), 0.0);
-    EXPECT_DOUBLE_EQ(p.predictedBufferUtil(), 0.0);
-}
-
 TEST(HistoryPolicy, ThresholdSettingsMatchTableTwo)
 {
     const double lows[] = {0.20, 0.25, 0.30, 0.35, 0.40, 0.50};
@@ -175,7 +166,11 @@ TEST(HistoryPolicy, MoreAggressiveSettingScalesDownAtHigherUtil)
 
 TEST(LinkUtilOnly, IgnoresCongestionLitmus)
 {
-    LinkUtilOnlyPolicy p;
+    // The LU-only ablation is Algorithm 1 with a litmus no BU reaches
+    // (what Network builds for PolicyKind::LinkUtilOnly).
+    HistoryDvsParams params;
+    params.bCongested = std::numeric_limits<double>::infinity();
+    HistoryDvsPolicy p(params);
     DvsAction a = DvsAction::Hold;
     for (int i = 0; i < 32; ++i)
         a = p.decide(in(0.55, 0.9));
